@@ -24,8 +24,14 @@
 //! * **Recovery** — [`DurableCore::open`] scans every shard, orders
 //!   committed records by their global sequence number, verifies that
 //!   each handle's logged ops form a gap-free prefix (zero
-//!   double-applies), classifies every pending intent, and hands the
-//!   ordered op list to the family for replay into a fresh structure.
+//!   double-applies) and classifies every pending intent;
+//!   [`CombineEngine::replay`] then re-applies the ordered op list to
+//!   a fresh structure, checking every result against the log.
+//!
+//! The whole durable path is the engine's: a family contributes only
+//! its [`CombineOp::apply_logged`] hook, which the live durable
+//! combiner and recovery replay both call — one rule per family for
+//! what a logged op does.
 //!
 //! Durability fine print: `MAP_SHARED` stores live in the kernel page
 //! cache, which survives the *process* (kill−9 semantics — exactly
@@ -39,7 +45,10 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use sec_reclaim::PersistentHeap;
+use sec_reclaim::{Guard, Handle as ReclaimHandle, PersistentHeap};
+
+use super::batch::{wait_ptr, CombineBatch, Role};
+use super::{CombineEngine, CombineOp, Lane};
 
 /// Magic word ("SECDUR01" in ASCII) committed last when a heap is
 /// initialised; recovery refuses heaps without it.
@@ -328,6 +337,16 @@ impl OpResult {
             _ => None,
         }
     }
+
+    /// What a durable op hands back to its caller: the value word as
+    /// `T`, or `None` for EMPTY (and for the unit results of pushes
+    /// and enqueues, which callers ignore).
+    pub(crate) fn value<T: 'static>(self) -> Option<T> {
+        match self {
+            OpResult::Value(w) => Some(from_word(w)),
+            OpResult::Empty | OpResult::Unit => None,
+        }
+    }
 }
 
 /// One committed operation recovered from the redo log, in global
@@ -592,22 +611,6 @@ pub(crate) fn from_word<T: 'static>(w: u64) -> T {
     unsafe { mem::transmute_copy::<u64, T>(&w) }
 }
 
-/// Collects the frozen durable requests `[my_seq, cut)` of a batch —
-/// the slot walk every family's durable combiner starts with. The
-/// pointers were announced as type-erased nodes; durable aggregators
-/// carry only [`DurableReq`]s, so the cast recovers the real type.
-pub(crate) fn frozen_reqs<N>(
-    batch: &super::batch::CombineBatch<N>,
-    my_seq: usize,
-    cut: usize,
-    wait: crate::config::WaitPolicy,
-) -> Vec<*mut DurableReq> {
-    batch.slots[my_seq..cut]
-        .iter()
-        .map(|s| super::batch::wait_ptr(s, wait).cast::<DurableReq>())
-        .collect()
-}
-
 fn mix(h: u64, v: u64) -> u64 {
     let h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^ (h >> 29)
@@ -627,8 +630,8 @@ struct StatsInner {
     msyncs: AtomicU64,
 }
 
-/// The shared durable state a family's op struct owns when built with
-/// a [`DurablePolicy`]: the heap, the layout geometry, the apply lock
+/// The shared durable state a [`CombineEngine`] owns when built with a
+/// [`DurablePolicy`]: the heap, the layout geometry, the apply lock
 /// that serialises structure mutation with log append, and the
 /// per-handle resume sequence numbers recovery produced.
 pub(crate) struct DurableCore {
@@ -645,8 +648,9 @@ pub(crate) struct DurableCore {
     /// replay reproduce the recovered structure.
     apply_lock: Mutex<()>,
     /// Per-handle next op sequence number (1 when fresh; last+1 after
-    /// recovery; advanced by every intent write so a re-registered
-    /// collector slot resumes where its predecessor left off).
+    /// recovery; advanced by every intent write). Durable identity is
+    /// the collector slot, so a handle registered on a slot a dropped
+    /// handle used continues that handle's sequence: slot inheritance.
     start_seq: Box<[AtomicU64]>,
     stats: StatsInner,
 }
@@ -838,26 +842,21 @@ impl DurableCore {
 
     /// Fixed thread→shard mapping (block partition, like
     /// `SecConfig::aggregator_for` under a fixed policy).
-    pub(crate) fn shard_of(&self, tid: usize) -> usize {
+    fn shard_of(&self, tid: usize) -> usize {
         (tid * self.shards / self.max_handles).min(self.shards - 1)
-    }
-
-    /// The per-handle op sequence number announcing should resume
-    /// from (1 fresh, last committed + 1 after recovery).
-    pub(crate) fn start_seq(&self, handle: usize) -> u64 {
-        self.start_seq[handle].load(Ordering::Relaxed)
     }
 
     // ---- hot path --------------------------------------------------
 
-    /// Persists a handle's intent before it announces: on recovery the
-    /// cell tells the handle whether this op executed. Field stores
-    /// first, checksum last (release) — a crash in between leaves a
-    /// checksum mismatch, classified as [`PendingOutcome::TornIntent`].
-    pub(crate) fn write_intent(&self, handle: usize, seq: u64, opcode: u8, a: u64, b: u64) {
-        // Keep the in-memory resume point current: a handle dropped
-        // and re-registered on the same collector slot must continue
-        // this sequence, not restart it.
+    /// Persists a handle's next intent before it announces and returns
+    /// the op's sequence number: on recovery the cell tells the handle
+    /// whether this op executed. Field stores first, checksum last
+    /// (release) — a crash in between leaves a checksum mismatch,
+    /// classified as [`PendingOutcome::TornIntent`].
+    fn write_intent(&self, handle: usize, opcode: u8, a: u64, b: u64) -> u64 {
+        // The resume point lives here, not in the handle: whoever holds
+        // this collector slot next continues the sequence.
+        let seq = self.start_seq[handle].load(Ordering::Relaxed);
         self.start_seq[handle].store(seq + 1, Ordering::Relaxed);
         let off = self.intent_off(handle);
         self.w(off).store(seq, Ordering::Relaxed);
@@ -867,39 +866,7 @@ impl DurableCore {
         fault::hit(FaultPoint::IntentWrite);
         let sum = intent_checksum(handle as u64, seq, opcode as u64, a, b);
         self.w(off + 4).store(sum, Ordering::Release);
-    }
-
-    /// The durable combiner body: under the apply lock, applies each
-    /// request to the in-memory structure via `apply`, logs the batch
-    /// (one record per batch or per op, by policy), and commits before
-    /// returning — the engine publishes results only after this
-    /// returns, so a published result is always a logged result.
-    ///
-    /// # Safety
-    /// `reqs` must point to live `DurableReq`s owned by announcers
-    /// currently parked in this batch (the engine's slot discipline).
-    pub(crate) unsafe fn combine_batch(
-        &self,
-        shard: usize,
-        reqs: &[*mut DurableReq],
-        mut apply: impl FnMut(&mut DurableReq),
-    ) {
-        let _g = self.apply_lock.lock().unwrap();
-        let mut entries: Vec<[u64; ENTRY_WORDS]> = Vec::with_capacity(reqs.len());
-        for &r in reqs {
-            // SAFETY: caller contract — r is a live announced request.
-            let req = unsafe { &mut *r };
-            fault::hit(FaultPoint::MidCombine);
-            apply(req);
-            let e = Self::entry_words(req);
-            match self.granularity {
-                LogGranularity::PerOp => self.append(shard, core::slice::from_ref(&e)),
-                LogGranularity::PerBatch => entries.push(e),
-            }
-        }
-        if self.granularity == LogGranularity::PerBatch && !entries.is_empty() {
-            self.append(shard, &entries);
-        }
+        seq
     }
 
     fn entry_words(req: &DurableReq) -> [u64; ENTRY_WORDS] {
@@ -1103,6 +1070,140 @@ impl DurableCore {
     }
 }
 
+// ---- the engine's durable path ------------------------------------
+
+impl<O: CombineOp> CombineEngine<O> {
+    /// The redo log and intent cells, when the engine was built durable.
+    pub(crate) fn durable(&self) -> Option<&DurableCore> {
+        self.durable.as_deref()
+    }
+
+    /// One detectable operation of the calling thread: persist its
+    /// intent, announce a [`DurableReq`] on the thread's durable shard,
+    /// and return the result the combiner logged for it. The only op
+    /// path of a durable structure.
+    pub(crate) fn run_durable(
+        &self,
+        reclaim: &ReclaimHandle<'_>,
+        opcode: u8,
+        operand: u64,
+        operand2: u64,
+    ) -> OpResult {
+        let d = self
+            .durable()
+            .expect("durable op on a non-durable structure");
+        let tid = reclaim.slot();
+        let seq = d.write_intent(tid, opcode, operand, operand2);
+        let mut req = DurableReq::new(tid, seq, opcode, operand, operand2);
+        // Type erasure as in the bulk paths: the engine never looks
+        // inside announcement pointers, and `combine_durable` knows the
+        // durable shards carry requests.
+        let node = (&mut req as *mut DurableReq).cast::<O::Node>();
+        self.run(
+            Lane::At(self.dur_base + d.shard_of(tid)),
+            Role::Remove,
+            node,
+            reclaim,
+        );
+        req.take_result()
+    }
+
+    /// The durable combiner: under the apply lock, applies each frozen
+    /// request through the family's [`CombineOp::apply_logged`] hook,
+    /// logs the batch (one record per batch or per op, by policy) and
+    /// commits before returning. The engine publishes results only
+    /// after this returns, so a published result is always a logged
+    /// result. The lock spans all shards, and every op of a durable
+    /// structure comes through here, so log order is exactly
+    /// application order — the property replay relies on.
+    pub(super) fn combine_durable(
+        &self,
+        batch: &CombineBatch<O::Node>,
+        my_seq: usize,
+        agg_idx: usize,
+        guard: &Guard<'_, '_>,
+    ) {
+        let d = self
+            .durable()
+            .expect("durable shard without a durable core");
+        let shard = agg_idx - self.dur_base;
+        let reqs: Vec<*mut DurableReq> = batch.slots[my_seq..batch.frozen_cut(Role::Remove)]
+            .iter()
+            .map(|s| wait_ptr(s, self.config.wait).cast::<DurableReq>())
+            .collect();
+        let _g = d
+            .apply_lock
+            .lock()
+            .expect("a combiner panicked under the durable apply lock");
+        let mut entries: Vec<[u64; ENTRY_WORDS]> = Vec::with_capacity(reqs.len());
+        for &r in &reqs {
+            // Safety: every pointer was announced into this frozen
+            // batch as a request, and its owner blocks until `applied`.
+            let req = unsafe { &mut *r };
+            fault::hit(FaultPoint::MidCombine);
+            let result = self
+                .op
+                .apply_logged(req.opcode, req.operand, req.operand2, guard)
+                .unwrap_or_else(|| unreachable!("{}: foreign opcode {}", self.name, req.opcode));
+            req.set_result(result);
+            let e = DurableCore::entry_words(req);
+            match d.granularity {
+                LogGranularity::PerOp => d.append(shard, core::slice::from_ref(&e)),
+                LogGranularity::PerBatch => entries.push(e),
+            }
+        }
+        if !entries.is_empty() {
+            d.append(shard, &entries);
+        }
+    }
+
+    /// Recovery replay: applies `ops` (a recovered log, in global
+    /// order) to this freshly built structure through the family's
+    /// [`CombineOp::apply_logged`] hook — the same rule the live
+    /// combiner applied — and refuses the log with
+    /// [`DurableError::Corrupt`] at the first foreign opcode or at
+    /// the first result that differs from the logged one. Runs before
+    /// any handle registers, on a collector slot it frees again.
+    pub(crate) fn replay(&self, ops: &[LoggedOp]) -> Result<(), DurableError> {
+        let reclaim = self
+            .collector
+            .register()
+            .expect("replay runs before any thread registers");
+        for op in ops {
+            // One pin per op, so the husks replayed pops retire are
+            // reclaimed as the epoch advances instead of piling up
+            // behind one guard for the whole replay.
+            let guard = reclaim.pin();
+            let replayed = self
+                .op
+                .apply_logged(op.opcode, op.operand, op.operand2, &guard)
+                .ok_or_else(|| {
+                    DurableError::Corrupt(format!(
+                        "{} log holds foreign opcode {}",
+                        self.name, op.opcode
+                    ))
+                })?;
+            if replayed != op.result {
+                return Err(DurableError::Corrupt(format!(
+                    "replay diverged at handle {} op {}: logged {:?}, replayed {:?}",
+                    op.handle, op.op_seq, op.result, replayed
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The backing heap (durable structures only).
+    pub(crate) fn durable_heap(&self) -> Option<Arc<PersistentHeap>> {
+        self.durable().map(DurableCore::heap)
+    }
+
+    /// Redo-log counters (durable structures only).
+    pub(crate) fn durable_stats(&self) -> Option<DurableStats> {
+        self.durable().map(DurableCore::stats)
+    }
+}
+
 impl core::fmt::Debug for DurableCore {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DurableCore")
@@ -1112,5 +1213,48 @@ impl core::fmt::Debug for DurableCore {
             .field("entries_cap", &self.entries_cap)
             .field("heap", &self.heap)
             .finish()
+    }
+}
+
+/// Forged logs for the families' replay-verification tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// One forged log entry: `(opcode, operand, operand2, logged result)`.
+    pub(crate) type Entry = (u8, u64, u64, OpResult);
+
+    /// Writes `ops` as handle 0's ops 1..=n into one committed record
+    /// of a fresh `family` heap, then recovers it through `recover`.
+    pub(crate) fn recover_forged<S>(
+        family: Family,
+        family_param: u64,
+        ops: &[Entry],
+        recover: fn(DurablePolicy) -> Result<(S, RecoveryReport), DurableError>,
+    ) -> Result<S, DurableError> {
+        let policy = DurablePolicy::volatile().batch_entries(ops.len().max(1));
+        let core = DurableCore::create(&policy, family, family_param, 1).unwrap();
+        let entries: Vec<_> = ops
+            .iter()
+            .zip(1..)
+            .map(|(&(opcode, a, b, result), seq)| {
+                let mut req = DurableReq::new(0, seq, opcode, a, b);
+                req.set_result(result);
+                DurableCore::entry_words(&req)
+            })
+            .collect();
+        core.append(0, &entries);
+        recover(DurablePolicy::heap(core.heap())).map(|(s, _)| s)
+    }
+
+    /// Asserts that recovery refused its log as corrupt, for the
+    /// reason `needle` names.
+    #[track_caller]
+    pub(crate) fn assert_corrupt<S>(r: Result<S, DurableError>, needle: &str) {
+        match r {
+            Err(DurableError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            Err(e) => panic!("expected Corrupt({needle}), got {e}"),
+            Ok(_) => panic!("expected Corrupt({needle}), but the log replayed"),
+        }
     }
 }

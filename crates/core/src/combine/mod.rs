@@ -12,12 +12,15 @@
 //! * elastic-K re-mapping — the contention monitor, the epoch fence,
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
-//! * per-batch stats recording ([`SecStats`]).
+//! * per-batch stats recording ([`SecStats`]),
+//! * the crash-durable path — intents, redo log, recovery replay
+//!   (`durable.rs`, DESIGN.md §16).
 //!
 //! A data structure instantiates the engine by implementing
 //! [`CombineOp`]: a sequential "apply this frozen batch to the shared
 //! structure" for each lane, plus hooks for elimination and result
-//! consumption. `SecStack`, `SecQueue`, `SecDeque` and `SecCounter`
+//! consumption, and — for durable families — "apply this one logged
+//! operation". `SecStack`, `SecQueue`, `SecDeque` and `SecCounter`
 //! are all such instantiations (`SecPool` composes single-aggregator
 //! stacks and therefore instantiates it transitively); see DESIGN.md
 //! §12 for the state machine and the `CombineOp` contract.
@@ -47,6 +50,8 @@ pub(crate) use batch::{
 };
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
+use durable::fault::{self, FaultPoint};
+use durable::{DurableCore, OpResult};
 use sec_reclaim::{Collector, Guard, Handle as ReclaimHandle};
 use sec_sync::event::spin_wait;
 use sec_sync::CachePadded;
@@ -87,12 +92,16 @@ impl Role {
 ///   same-sequence add partner in the batch;
 /// * [`take_result`] runs once per surviving remove, strictly after
 ///   `applied` (publication order makes the combiner's writes
-///   visible).
+///   visible);
+/// * [`apply_logged`] runs one operation at a time, never concurrently
+///   with itself or with any other mutation of the structure (see
+///   its docs).
 ///
 /// [`combine_add`]: CombineOp::combine_add
 /// [`combine_remove`]: CombineOp::combine_remove
 /// [`eliminate`]: CombineOp::eliminate
 /// [`take_result`]: CombineOp::take_result
+/// [`apply_logged`]: CombineOp::apply_logged
 pub(crate) trait CombineOp: Sized + Send + Sync {
     /// The node type flowing through announcement slots and result
     /// chains.
@@ -158,6 +167,30 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
         agg_idx: usize,
         guard: &Guard<'_, '_>,
     ) -> Option<Self::Value>;
+
+    /// The durable families' one replay rule (DESIGN.md §16): apply
+    /// the redo-logged operation `(opcode, operand, operand2)` to the
+    /// shared structure and return its result, or `None` when `opcode`
+    /// is not this family's. The engine calls it from exactly two
+    /// places — its durable combiner (under the durable core's apply
+    /// lock) and recovery replay (single-threaded) — so what an op did
+    /// and what replaying it does cannot drift apart. The contract:
+    /// *sequential* (never concurrent with itself or any other
+    /// mutation, so plain loads and stores suffice), *deterministic*
+    /// (same structure state and op, same result) and *total* on the
+    /// family's own opcodes. Allocation and husk retirement go through
+    /// `guard`, as in the combiners. Non-durable families keep the
+    /// default.
+    fn apply_logged(
+        &self,
+        opcode: u8,
+        operand: u64,
+        operand2: u64,
+        guard: &Guard<'_, '_>,
+    ) -> Option<OpResult> {
+        let _ = (opcode, operand, operand2, guard);
+        None
+    }
 }
 
 /// Per-thread announcement-mapping state: which aggregator this thread
@@ -250,6 +283,17 @@ pub(crate) struct CombineEngine<O: CombineOp> {
     /// prefix length for [`AggLayout::Mapped`]; past the end when the
     /// layout carries none).
     bulk_base: usize,
+    /// Redo log + intent cells when the structure is crash-durable
+    /// (DESIGN.md §16). Every operation of a durable structure then
+    /// routes through [`CombineEngine::run_durable`] onto one of the
+    /// durable shards, which sit after the bulk aggregators. Padded:
+    /// every batch writes its apply lock and log counters, which must
+    /// not share a cache line with the read-mostly fields every
+    /// operation loads.
+    durable: Option<CachePadded<DurableCore>>,
+    /// Index of the first durable shard's aggregator (== `aggs.len()`
+    /// when the engine is not durable, so no index reaches it).
+    dur_base: usize,
     collector: Collector,
     stats: SecStats,
     /// Construction instant, anchoring [`TraceSnapshot::at_ns`].
@@ -271,13 +315,20 @@ unsafe impl<O: CombineOp> Send for CombineEngine<O> {}
 unsafe impl<O: CombineOp> Sync for CombineEngine<O> {}
 
 impl<O: CombineOp> CombineEngine<O> {
-    /// Builds an engine from a family's apply logic and configuration.
+    /// Builds an engine from a family's apply logic and configuration,
+    /// crash-durable when `durable` carries a core.
     ///
     /// Normalizes the two aggregator knobs first: `aggregators`
     /// (allocated slots) and `policy` are kept in sync by the config
     /// builders, but the fields are public — make the
     /// direct-assignment path behave like the documented one.
-    pub(crate) fn new(name: &'static str, op: O, config: SecConfig, layout: AggLayout<'_>) -> Self {
+    pub(crate) fn new(
+        name: &'static str,
+        op: O,
+        config: SecConfig,
+        layout: AggLayout<'_>,
+        durable: Option<DurableCore>,
+    ) -> Self {
         let mut config = config;
         match config.policy {
             AggregatorPolicy::Fixed(k) if k != config.aggregators => {
@@ -289,9 +340,10 @@ impl<O: CombineOp> CombineEngine<O> {
         let cap = config.per_aggregator_capacity();
         // (with_slots, capacity) per aggregator: the mapped prefix and
         // fixed ends use the policy-derived capacity; dedicated bulk
-        // aggregators must admit every thread (any thread may issue a
-        // bulk call regardless of its mapped aggregator).
-        let (slotting, bulk_base): (Vec<(bool, usize)>, usize) = match layout {
+        // aggregators and durable shards must admit every thread (any
+        // thread may issue a bulk call regardless of its mapped
+        // aggregator, and durable shards are mapped by thread id).
+        let (mut slotting, bulk_base): (Vec<(bool, usize)>, usize) = match layout {
             AggLayout::Mapped { with_slots, bulk } => {
                 let mut v = vec![(with_slots, cap); config.aggregators];
                 v.extend((0..bulk).map(|_| (true, config.max_threads)));
@@ -304,9 +356,14 @@ impl<O: CombineOp> CombineEngine<O> {
                 (v, base)
             }
         };
+        let dur_base = slotting.len();
+        let shards = durable.as_ref().map_or(0, DurableCore::shards);
+        slotting.extend((0..shards).map(|_| (true, config.max_threads)));
         Self {
             name,
             op,
+            durable: durable.map(CachePadded::new),
+            dur_base,
             aggs: slotting
                 .iter()
                 .map(|&(ws, c)| CachePadded::new(CombineAggregator::new(c, ws)))
@@ -950,7 +1007,11 @@ impl<O: CombineOp> CombineEngine<O> {
                     // Line 69: combiner test.
                     if my_seq == other_cut {
                         self.traced_combine(trace, tid, agg_idx, role, || {
-                            self.op.combine_remove(self, batch, my_seq, agg_idx, &guard);
+                            if agg_idx >= self.dur_base {
+                                self.combine_durable(batch, my_seq, agg_idx, &guard);
+                            } else {
+                                self.op.combine_remove(self, batch, my_seq, agg_idx, &guard);
+                            }
                         });
                         // Line 71 — and wake the batch's waiters.
                         mark_applied(agg, batch, batch_ptr, self.stats.wait());
@@ -958,6 +1019,14 @@ impl<O: CombineOp> CombineEngine<O> {
                     } else {
                         // Line 73: parked wait for the combiner.
                         self.traced_wait_applied(trace, tid, agg_idx, agg, batch, batch_ptr);
+                    }
+                    if agg_idx >= self.dur_base {
+                        // Durable requests carry their logged results
+                        // in the request itself. This is the kill-9
+                        // harness's mid-publish crash point: results
+                        // committed, not all consumed yet.
+                        fault::hit(FaultPoint::MidPublish);
+                        return None;
                     }
                     // Line 76: consume our offset of the result chain.
                     return self

@@ -115,6 +115,7 @@ fn engine(config: SecConfig) -> CombineEngine<TallyOp> {
             with_slots: true,
             bulk: 0,
         },
+        None,
     )
 }
 
@@ -315,6 +316,7 @@ fn excluded_announcements_retry_on_the_remapped_aggregator() {
             ends: &[true, true],
             bulk: 0,
         },
+        None,
     );
     let (reclaim, _st) = eng.register();
     for _ in 0..3 {

@@ -24,8 +24,8 @@
 //! for free.
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    opcode, DurableCore, DurableError, DurablePolicy, DurableStats, Family, OpResult,
+    RecoveryReport,
 };
 use crate::combine::{AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role};
 use crate::config::SecConfig;
@@ -43,15 +43,7 @@ struct CounterOp {
     /// operations of a frozen batch linearize consecutively, in slot
     /// order, at the combiner's single `fetch_add` on this word.
     total: CachePadded<AtomicU64>,
-    /// Redo log + intent cells when built durable (DESIGN.md §16).
-    /// When set, every `fetch_add` routes through the dedicated
-    /// durable aggregators at `bulk_agg(DUR_BASE..)`.
-    durable: Option<DurableCore>,
 }
-
-/// Bulk-aggregator index of the first durable shard (the `add_many`
-/// aggregator sits at `bulk_agg(0)`).
-const DUR_BASE: usize = 1;
 
 /// A bulk `add_many` announcement: the node flowing through the
 /// counter's dedicated bulk aggregator. Lives on the announcer's stack
@@ -89,17 +81,6 @@ impl CombineOp for CounterOp {
     ) {
         if agg_idx == eng.bulk_agg(0) {
             return self.combine_add_many(eng, batch, my_seq);
-        }
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                return self.combine_durable(
-                    eng,
-                    batch,
-                    my_seq,
-                    agg_idx - eng.bulk_agg(DUR_BASE),
-                    d,
-                );
-            }
         }
         let cut = batch.frozen_cut(Role::Remove);
 
@@ -145,14 +126,6 @@ impl CombineOp for CounterOp {
         if agg_idx == eng.bulk_agg(0) {
             return None;
         }
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct; nothing to take. The hook is the harness's
-            // mid-publish crash point: results are committed but some
-            // announcers may not have consumed them yet.
-            fault::hit(FaultPoint::MidPublish);
-            return None;
-        }
         let n = batch.slots[offset].load(Ordering::Acquire);
         debug_assert!(
             !n.is_null(),
@@ -163,6 +136,18 @@ impl CombineOp for CounterOp {
         let value = unsafe { Node::take_value(n) };
         unsafe { guard.retire_recycle(n) };
         Some(value)
+    }
+
+    /// A durable `fetch_add`: the previous value is the op's result.
+    fn apply_logged(
+        &self,
+        opcode: u8,
+        operand: u64,
+        _operand2: u64,
+        _guard: &Guard<'_, '_>,
+    ) -> Option<OpResult> {
+        (opcode == opcode::ADD)
+            .then(|| OpResult::Value(self.total.fetch_add(operand, Ordering::AcqRel)))
     }
 }
 
@@ -206,30 +191,6 @@ impl CounterOp {
             }
         }
     }
-
-    /// The durable combiner: applies each frozen `fetch_add` and logs
-    /// the batch under the core's apply lock; the record is committed
-    /// before this returns, so the engine's publish never exposes an
-    /// unlogged result.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<u64>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| {
-                let prev = self.total.fetch_add(req.operand, Ordering::AcqRel);
-                req.set_result(OpResult::Value(prev));
-            });
-        }
-    }
 }
 
 /// A linearizable combining fetch-and-add counter.
@@ -264,26 +225,24 @@ impl SecCounter {
     /// count, elastic policy, freezer backoff, recycle and wait
     /// policies all apply exactly as they do to the stack.
     pub fn with_config(config: SecConfig) -> Self {
-        Self::build(config, None, 0)
+        Self::build(config, None)
     }
 
-    fn build(config: SecConfig, durable: Option<DurableCore>, initial: u64) -> Self {
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
+    fn build(config: SecConfig, durable: Option<DurableCore>) -> Self {
         Self {
             engine: CombineEngine::new(
                 "SecCounter",
                 CounterOp {
-                    total: CachePadded::new(AtomicU64::new(initial)),
-                    durable,
+                    total: CachePadded::new(AtomicU64::new(0)),
                 },
                 config,
                 // One dedicated bulk aggregator after the mapped
-                // prefix, carrying `add_many` request batches; durable
-                // shards (if any) follow it.
+                // prefix, carrying `add_many` request batches.
                 AggLayout::Mapped {
                     with_slots: true,
-                    bulk: 1 + shards,
+                    bulk: 1,
                 },
+                durable,
             ),
         }
     }
@@ -294,7 +253,7 @@ impl SecCounter {
     /// before the result is published. See DESIGN.md §16.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
         let core = DurableCore::create(&policy, Family::Counter, 0, max_threads)?;
-        Ok(Self::build(SecConfig::new(2, max_threads), Some(core), 0))
+        Ok(Self::build(SecConfig::new(2, max_threads), Some(core)))
     }
 
     /// Recovers a durable counter from `policy.mode`'s existing heap:
@@ -303,51 +262,29 @@ impl SecCounter {
     /// whether its last announced op executed and with what result.
     pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
         let (core, report) = DurableCore::open(&policy, Family::Counter)?;
-        let mut total = 0u64;
-        for op in &report.ops {
-            if op.opcode != opcode::ADD {
-                return Err(DurableError::Corrupt(format!(
-                    "counter log holds foreign opcode {}",
-                    op.opcode
-                )));
-            }
-            if op.result != OpResult::Value(total) {
-                return Err(DurableError::Corrupt(format!(
-                    "replay diverged: logged {:?}, replayed value {total}",
-                    op.result
-                )));
-            }
-            total = total.wrapping_add(op.operand);
-        }
-        let config = SecConfig::new(2, core.max_handles());
-        Ok((Self::build(config, Some(core), total), report))
+        let counter = Self::build(SecConfig::new(2, core.max_handles()), Some(core));
+        counter.engine.replay(&report.ops)?;
+        Ok((counter, report))
     }
 
     /// The persistent heap backing this counter (durable counters
     /// only) — hold it across a drop to recover a Volatile-mode heap.
     pub fn durable_heap(&self) -> Option<std::sync::Arc<sec_reclaim::PersistentHeap>> {
-        self.engine.op().durable.as_ref().map(|d| d.heap())
+        self.engine.durable_heap()
     }
 
     /// Redo-log counters (durable counters only).
     pub fn durable_stats(&self) -> Option<DurableStats> {
-        self.engine.op().durable.as_ref().map(|d| d.stats())
+        self.engine.durable_stats()
     }
 
     /// Registers the calling thread and returns its operation handle.
     pub fn register(&self) -> SecCounterHandle<'_> {
         let (reclaim, state) = self.engine.register();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(state.tid()));
         SecCounterHandle {
             counter: self,
             state,
             reclaim,
-            dur_seq,
         }
     }
 
@@ -420,9 +357,6 @@ pub struct SecCounterHandle<'a> {
     counter: &'a SecCounter,
     state: OpState,
     reclaim: ReclaimHandle<'a>,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable counters, unused otherwise).
-    dur_seq: u64,
 }
 
 impl SecCounterHandle<'_> {
@@ -447,8 +381,12 @@ impl SecCounterHandle<'_> {
     /// [`AtomicU64::fetch_add`], delivered through one combined RMW
     /// per batch.
     pub fn fetch_add(&mut self, n: u64) -> u64 {
-        if self.counter.engine.op().durable.is_some() {
-            return self.durable_add(n);
+        let eng = &self.counter.engine;
+        if eng.durable().is_some() {
+            return eng
+                .run_durable(&self.reclaim, opcode::ADD, n, 0)
+                .value()
+                .expect("a logged add returns the previous value");
         }
         let node = Node::alloc_with(&self.reclaim, n);
         self.counter
@@ -460,32 +398,6 @@ impl SecCounterHandle<'_> {
                 &self.reclaim,
             )
             .expect("counter combiner always produces a result")
-    }
-
-    /// The durable `fetch_add` path: persist the intent, announce a
-    /// request on this thread's durable shard, read the logged result
-    /// back out of the request after publish.
-    fn durable_add(&mut self, n: u64) -> u64 {
-        let eng = &self.counter.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let tid = self.state.tid();
-        let seq = self.dur_seq;
-        d.write_intent(tid, seq, opcode::ADD, n, 0);
-        let mut req = DurableReq::new(tid, seq, opcode::ADD, n, 0);
-        let node = (&mut req as *mut DurableReq).cast::<Node<u64>>();
-        let shard = d.shard_of(tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        match req.take_result() {
-            OpResult::Value(v) => v,
-            other => unreachable!("durable add produced {other:?}"),
-        }
     }
 
     /// Convenience for `fetch_add(1)`.
@@ -510,14 +422,14 @@ impl SecCounterHandle<'_> {
         if deltas.is_empty() {
             return self.load();
         }
-        if self.counter.engine.op().durable.is_some() {
+        if self.counter.engine.durable().is_some() {
             // Durable counters make every delta an individually
             // detectable logged op; the bulk is a fold of singles
             // (chunks of a non-durable bulk may interleave with other
             // threads too, so the contract is unchanged).
-            let base = self.durable_add(deltas[0]);
+            let base = self.fetch_add(deltas[0]);
             for &d in &deltas[1..] {
-                self.durable_add(d);
+                self.fetch_add(d);
             }
             return base;
         }
@@ -730,11 +642,17 @@ mod tests {
         const THREADS: usize = 4;
         const PER: usize = 100;
         let c = SecCounter::durable(THREADS, DurablePolicy::volatile().shards(2)).unwrap();
+        // Durable identity is the collector slot, and a dropped handle
+        // frees its slot for the next registration (slot inheritance).
+        // The barrier holds all four handles live at once, so they
+        // occupy four distinct slots and each logs exactly PER ops.
+        let registered = std::sync::Barrier::new(THREADS);
         thread::scope(|scope| {
             for t in 0..THREADS {
-                let c = &c;
+                let (c, registered) = (&c, &registered);
                 scope.spawn(move || {
                     let mut h = c.register();
+                    registered.wait();
                     for i in 0..PER {
                         h.fetch_add((t + i) as u64 % 5);
                     }
@@ -769,6 +687,23 @@ mod tests {
         let mut h = r.register();
         assert_eq!(h.fetch_add(1), expect);
         assert_eq!(r.load(), expect + 1);
+    }
+
+    #[test]
+    fn durable_counter_replay_refuses_a_diverged_or_foreign_log() {
+        use crate::combine::durable::testing::{assert_corrupt, recover_forged, Entry};
+        use crate::combine::durable::OpResult::*;
+        let recover = |ops: &[Entry]| recover_forged(Family::Counter, 0, ops, SecCounter::recover);
+        // Control: a faithful log replays.
+        let c = recover(&[(opcode::ADD, 5, 0, Value(0)), (opcode::ADD, 2, 0, Value(5))]).unwrap();
+        assert_eq!(c.load(), 7);
+        // An add logged as seeing 3 where the replay sees 5.
+        assert_corrupt(
+            recover(&[(opcode::ADD, 5, 0, Value(0)), (opcode::ADD, 2, 0, Value(3))]),
+            "replay diverged",
+        );
+        // A map op in a counter log.
+        assert_corrupt(recover(&[(opcode::MAP_GET, 1, 0, Empty)]), "foreign opcode");
     }
 
     #[test]

@@ -221,6 +221,7 @@ impl<T: Send + 'static> SecDeque<T> {
                     ends: &[true, true],
                     bulk: 0,
                 },
+                None,
             ),
         }
     }

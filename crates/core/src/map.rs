@@ -40,8 +40,8 @@
 //!   combiners run one batch at a time, so the lock is uncontended.
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    self, opcode, DurableCore, DurableError, DurablePolicy, DurableStats, Family, OpResult,
+    RecoveryReport,
 };
 use crate::combine::{AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role};
 use crate::config::{AggregatorPolicy, SecConfig};
@@ -133,16 +133,7 @@ struct MapOp<K, V> {
     /// hashes to `i`. Individually locked — see the module docs for why
     /// a shard cannot simply own its buckets unlocked.
     buckets: Box<[Bucket<K, V>]>,
-    /// Redo log + intent cells when built durable (DESIGN.md §16);
-    /// when set, every operation routes through the dedicated durable
-    /// aggregators at `bulk_agg(DUR_BASE..)`.
-    durable: Option<DurableCore>,
 }
-
-/// Bulk-aggregator index of the first durable shard (the map has no
-/// other bulk aggregators — its bulk ops ride weighted announcements
-/// on the mapped shards).
-const DUR_BASE: usize = 0;
 
 /// One association-list bucket: the live `(key, value)` pairs under
 /// their per-bucket lock.
@@ -152,7 +143,6 @@ impl<K: Hash + Eq, V> MapOp<K, V> {
     fn with_buckets(n: usize) -> Self {
         Self {
             buckets: (0..n.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            durable: None,
         }
     }
 
@@ -197,47 +187,6 @@ impl<K: Hash + Eq, V> MapOp<K, V> {
     }
 }
 
-impl<K, V> MapOp<K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    /// The durable combiner: applies each frozen get/insert/remove
-    /// under its bucket lock and redo-logs the batch under the core's
-    /// apply lock. On a durable map *every* operation routes here, so
-    /// the apply lock serializes all bucket mutations and log order
-    /// equals application order — the property replay relies on.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<MapNode<K, V>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| {
-                let key: K = durable::from_word(req.operand);
-                let bucket = self.bucket_of(&key);
-                let cmd = match req.opcode {
-                    opcode::MAP_GET => MapCmd::Get(key),
-                    opcode::MAP_INSERT => MapCmd::Insert(key, durable::from_word(req.operand2)),
-                    opcode::MAP_REMOVE => MapCmd::Remove(key),
-                    other => unreachable!("map durable opcode {other}"),
-                };
-                req.set_result(match self.apply(bucket, cmd) {
-                    None => OpResult::Empty,
-                    Some(v) => OpResult::Value(durable::to_word(v)),
-                });
-            });
-        }
-    }
-}
-
 impl<K, V> CombineOp for MapOp<K, V>
 where
     K: Hash + Eq + Send + Sync + 'static,
@@ -262,15 +211,9 @@ where
         eng: &CombineEngine<Self>,
         batch: &CombineBatch<MapNode<K, V>>,
         my_seq: usize,
-        agg_idx: usize,
+        _agg_idx: usize,
         _guard: &Guard<'_, '_>,
     ) {
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                let shard = agg_idx - eng.bulk_agg(DUR_BASE);
-                return self.combine_durable(eng, batch, my_seq, shard, d);
-            }
-        }
         let cut = batch.frozen_cut(Role::Remove);
         for slot in &batch.slots[my_seq..cut] {
             let n = crate::combine::wait_ptr(slot, eng.config().wait);
@@ -327,19 +270,12 @@ where
     /// the operation's own sequence number.
     fn take_result(
         &self,
-        eng: &CombineEngine<Self>,
+        _eng: &CombineEngine<Self>,
         batch: &CombineBatch<MapNode<K, V>>,
         offset: usize,
-        agg_idx: usize,
+        _agg_idx: usize,
         guard: &Guard<'_, '_>,
     ) -> Option<Option<V>> {
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct. The hook is the harness's mid-publish crash
-            // point (results committed, not all consumed yet).
-            fault::hit(FaultPoint::MidPublish);
-            return None;
-        }
         let n = batch.slots[offset].load(Ordering::Acquire);
         debug_assert!(
             !n.is_null(),
@@ -351,6 +287,29 @@ where
         let result = unsafe { ManuallyDrop::take(&mut (*n).result) };
         unsafe { guard.retire_recycle(n) };
         Some(result)
+    }
+
+    /// A durable get, insert or remove, applied under its bucket lock
+    /// exactly like a live command.
+    fn apply_logged(
+        &self,
+        opcode: u8,
+        operand: u64,
+        operand2: u64,
+        _guard: &Guard<'_, '_>,
+    ) -> Option<OpResult> {
+        let key: K = durable::from_word(operand);
+        let bucket = self.bucket_of(&key);
+        let cmd = match opcode {
+            opcode::MAP_GET => MapCmd::Get(key),
+            opcode::MAP_INSERT => MapCmd::Insert(key, durable::from_word(operand2)),
+            opcode::MAP_REMOVE => MapCmd::Remove(key),
+            _ => return None,
+        };
+        Some(match self.apply(bucket, cmd) {
+            None => OpResult::Empty,
+            Some(v) => OpResult::Value(durable::to_word(v)),
+        })
     }
 }
 
@@ -418,19 +377,16 @@ where
             }
             AggregatorPolicy::Adaptive { .. } => config,
         };
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
-        let mut op = MapOp::with_buckets(buckets);
-        op.durable = durable;
         Self {
             engine: CombineEngine::new(
                 "SecMap",
-                op,
+                MapOp::with_buckets(buckets),
                 config,
-                // Durable shards (if any) are the whole bulk suffix.
                 AggLayout::Mapped {
                     with_slots: true,
-                    bulk: shards,
+                    bulk: 0,
                 },
+                durable,
             ),
         }
     }
@@ -447,27 +403,17 @@ where
     /// correctness — bucket placement never affects results — but the
     /// recovered map won't mirror a post-hoc resize).
     pub fn bucket_count(mut self, n: usize) -> Self {
-        let durable = self.engine.op_mut().durable.take();
-        let mut op = MapOp::with_buckets(n);
-        op.durable = durable;
-        *self.engine.op_mut() = op;
+        *self.engine.op_mut() = MapOp::with_buckets(n);
         self
     }
 
     /// Registers the calling thread and returns its operation handle.
     pub fn register(&self) -> SecMapHandle<'_, K, V> {
         let (reclaim, state) = self.engine.register();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(state.tid()));
         SecMapHandle {
             map: self,
             state,
             reclaim,
-            dur_seq,
         }
     }
 
@@ -575,45 +521,21 @@ impl SecMap<u64, u64> {
     pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
         let (core, report) = DurableCore::open(&policy, Family::Map)?;
         let config = SecConfig::new(2, core.max_handles());
-        let buckets = core.family_param() as usize;
-        let map = Self::build(config, buckets.max(1), Some(core));
-        let op = map.engine.op();
-        for logged in &report.ops {
-            let key: u64 = logged.operand;
-            let bucket = op.bucket_of(&key);
-            let cmd = match logged.opcode {
-                opcode::MAP_GET => MapCmd::Get(key),
-                opcode::MAP_INSERT => MapCmd::Insert(key, logged.operand2),
-                opcode::MAP_REMOVE => MapCmd::Remove(key),
-                other => {
-                    return Err(DurableError::Corrupt(format!(
-                        "map log holds foreign opcode {other}"
-                    )))
-                }
-            };
-            let replayed = match op.apply(bucket, cmd) {
-                None => OpResult::Empty,
-                Some(v) => OpResult::Value(v),
-            };
-            if replayed != logged.result {
-                return Err(DurableError::Corrupt(format!(
-                    "replay diverged: logged {:?}, replayed {:?}",
-                    logged.result, replayed
-                )));
-            }
-        }
+        let buckets = (core.family_param() as usize).max(1);
+        let map = Self::build(config, buckets, Some(core));
+        map.engine.replay(&report.ops)?;
         Ok((map, report))
     }
 
     /// The persistent heap backing this map (durable maps only) —
     /// hold it across a drop to recover a Volatile-mode heap.
     pub fn durable_heap(&self) -> Option<std::sync::Arc<sec_reclaim::PersistentHeap>> {
-        self.engine.op().durable.as_ref().map(|d| d.heap())
+        self.engine.durable_heap()
     }
 
     /// Redo-log counters (durable maps only).
     pub fn durable_stats(&self) -> Option<DurableStats> {
-        self.engine.op().durable.as_ref().map(|d| d.stats())
+        self.engine.durable_stats()
     }
 }
 
@@ -660,9 +582,6 @@ where
     map: &'a SecMap<K, V>,
     state: OpState,
     reclaim: ReclaimHandle<'a>,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable maps, unused otherwise).
-    dur_seq: u64,
 }
 
 impl<K, V> SecMapHandle<'_, K, V>
@@ -703,8 +622,8 @@ where
     where
         K: Clone,
     {
-        if self.map.engine.op().durable.is_some() {
-            return self.durable_op(opcode::MAP_GET, durable::word_of(key), 0);
+        if self.map.engine.durable().is_some() {
+            return self.run_durable(opcode::MAP_GET, durable::word_of(key), 0);
         }
         let bucket = self.map.engine.op().bucket_of(key);
         self.run_op(bucket, MapCmd::Get(key.clone()))
@@ -713,10 +632,9 @@ where
     /// Maps `key` to `value`, returning the previously mapped value (or
     /// `None` when the key was absent).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if self.map.engine.op().durable.is_some() {
-            let k = durable::to_word(key);
-            let v = durable::to_word(value);
-            return self.durable_op(opcode::MAP_INSERT, k, v);
+        if self.map.engine.durable().is_some() {
+            let (k, v) = (durable::to_word(key), durable::to_word(value));
+            return self.run_durable(opcode::MAP_INSERT, k, v);
         }
         let bucket = self.map.engine.op().bucket_of(&key);
         self.run_op(bucket, MapCmd::Insert(key, value))
@@ -728,38 +646,20 @@ where
     where
         K: Clone,
     {
-        if self.map.engine.op().durable.is_some() {
-            return self.durable_op(opcode::MAP_REMOVE, durable::word_of(key), 0);
+        if self.map.engine.durable().is_some() {
+            return self.run_durable(opcode::MAP_REMOVE, durable::word_of(key), 0);
         }
         let bucket = self.map.engine.op().bucket_of(key);
         self.run_op(bucket, MapCmd::Remove(key.clone()))
     }
 
-    /// The durable op path: persist the intent, announce a request on
-    /// this thread's durable shard, read the logged result back out of
-    /// the request after publish.
-    fn durable_op(&mut self, op: u8, operand: u64, operand2: u64) -> Option<V> {
-        let eng = &self.map.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let tid = self.state.tid();
-        let seq = self.dur_seq;
-        d.write_intent(tid, seq, op, operand, operand2);
-        let mut req = DurableReq::new(tid, seq, op, operand, operand2);
-        let node = (&mut req as *mut DurableReq).cast::<MapNode<K, V>>();
-        let shard = d.shard_of(tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        match req.take_result() {
-            OpResult::Empty => None,
-            OpResult::Value(w) => Some(durable::from_word(w)),
-            OpResult::Unit => unreachable!("map ops always log a value-or-empty result"),
-        }
+    /// A durable map op: one detectable logged op on the engine's
+    /// durable path.
+    fn run_durable(&mut self, opcode: u8, operand: u64, operand2: u64) -> Option<V> {
+        self.map
+            .engine
+            .run_durable(&self.reclaim, opcode, operand, operand2)
+            .value()
     }
 
     /// Bulk `get`: looks up every key of `keys`, writing `results[i]`
@@ -786,11 +686,11 @@ where
         if keys.is_empty() {
             return;
         }
-        if self.map.engine.op().durable.is_some() {
+        if self.map.engine.durable().is_some() {
             // Durable maps make every lookup an individually
             // detectable logged op.
             for (k, r) in keys.iter().zip(results.iter_mut()) {
-                *r = self.durable_op(opcode::MAP_GET, durable::word_of(k), 0);
+                *r = self.run_durable(opcode::MAP_GET, durable::word_of(k), 0);
             }
             return;
         }
@@ -826,12 +726,12 @@ where
         if entries.is_empty() {
             return;
         }
-        if self.map.engine.op().durable.is_some() {
+        if self.map.engine.durable().is_some() {
             // Durable maps make every insert an individually
             // detectable logged op.
             for (i, (k, v)) in entries.drain(..).enumerate() {
                 prevs[i] =
-                    self.durable_op(opcode::MAP_INSERT, durable::to_word(k), durable::to_word(v));
+                    self.run_durable(opcode::MAP_INSERT, durable::to_word(k), durable::to_word(v));
             }
             return;
         }
@@ -1253,6 +1153,42 @@ mod tests {
         for (k, v) in live {
             assert_eq!(h.get(&k), Some(v), "key {k}");
         }
+    }
+
+    #[test]
+    fn durable_map_replay_refuses_a_diverged_or_foreign_log() {
+        use crate::combine::durable::testing::{assert_corrupt, recover_forged, Entry};
+        use crate::combine::durable::OpResult::*;
+        let recover = |ops: &[Entry]| {
+            recover_forged(
+                Family::Map,
+                DEFAULT_BUCKETS as u64,
+                ops,
+                SecMap::<u64, u64>::recover,
+            )
+        };
+        // Control: a faithful log replays.
+        let m = recover(&[
+            (opcode::MAP_INSERT, 1, 10, Empty),
+            (opcode::MAP_INSERT, 1, 11, Value(10)),
+        ])
+        .unwrap();
+        assert_eq!(m.register().get(&1), Some(11));
+        // A get logged as finding 7 in an empty map.
+        assert_corrupt(
+            recover(&[(opcode::MAP_GET, 1, 0, Value(7))]),
+            "replay diverged",
+        );
+        // A remove logged as missing a key the replay holds.
+        assert_corrupt(
+            recover(&[
+                (opcode::MAP_INSERT, 1, 10, Empty),
+                (opcode::MAP_REMOVE, 1, 0, Empty),
+            ]),
+            "replay diverged",
+        );
+        // A counter op in a map log.
+        assert_corrupt(recover(&[(opcode::ADD, 1, 0, Value(0))]), "foreign opcode");
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! retired by a later combiner).
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    self, opcode, DurableCore, DurableError, DurablePolicy, DurableStats, Family, OpResult,
+    RecoveryReport,
 };
 use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, Role};
 use crate::config::{RecyclePolicy, SecConfig, WaitPolicy};
@@ -72,11 +72,6 @@ const DEFAULT_RENDEZVOUS_SPINS: u32 = 128;
 const HEAD: usize = 0;
 const TAIL: usize = 1;
 const HEAD_BULK: usize = 2;
-
-/// Bulk-aggregator index of the first durable shard. The queue's three
-/// fixed aggregators are the whole `Fixed` prefix, so the bulk suffix
-/// holds nothing *but* durable shards: shard `s` is `bulk_agg(s)`.
-const DUR_BASE: usize = 0;
 
 /// A queue node. `value` is `MaybeUninit` (not `ManuallyDrop` as in the
 /// stack) because the MS-queue representation needs nodes with *no*
@@ -191,10 +186,6 @@ struct QueueOp<T: Send + 'static> {
     /// an enqueue batch through the rendezvous window (the queue's
     /// elimination counter).
     rendezvous_hits: AtomicU64,
-    /// Redo log + intent cells when built durable (DESIGN.md §16);
-    /// when set, every mutating op routes through the dedicated
-    /// durable aggregators at `bulk_agg(DUR_BASE..)`.
-    durable: Option<DurableCore>,
 }
 
 impl<T: Send + 'static> QueueOp<T> {
@@ -309,57 +300,6 @@ impl<T: Send + 'static> QueueOp<T> {
             unsafe { (*req).taken = got };
         }
     }
-
-    /// The durable combiner: applies each frozen enqueue/dequeue to
-    /// the MS list and redo-logs the batch under the core's apply
-    /// lock. On a durable queue *every* mutating op routes here, so
-    /// the apply lock is the only `head`/`tail` writer and log order
-    /// equals application order — the property replay relies on.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<QNode<T>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-        guard: &Guard<'_, '_>,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`; the apply lock makes
-        // this the list's unique mutator.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| match req.opcode {
-                opcode::ENQUEUE => {
-                    let value: T = durable::from_word(req.operand);
-                    let n = Box::into_raw(Box::new(QNode {
-                        value: MaybeUninit::new(value),
-                        next: AtomicPtr::new(ptr::null_mut()),
-                    }));
-                    let t = self.tail.load(Ordering::Relaxed);
-                    (*t).next.store(n, Ordering::Release);
-                    self.tail.store(n, Ordering::Release);
-                    req.set_result(OpResult::Unit);
-                }
-                opcode::DEQUEUE => {
-                    let h = self.head.load(Ordering::Relaxed);
-                    let n = (*h).next.load(Ordering::Relaxed);
-                    if n.is_null() {
-                        req.set_result(OpResult::Empty);
-                    } else {
-                        // MS discipline: `n` becomes the new dummy;
-                        // its value moves out, its husk stays linked.
-                        let value = QNode::take_value(n);
-                        self.head.store(n, Ordering::Release);
-                        guard.retire_recycle(h);
-                        req.set_result(OpResult::Value(durable::to_word(value)));
-                    }
-                }
-                other => unreachable!("queue durable opcode {other}"),
-            });
-        }
-    }
 }
 
 impl<T: Send + 'static> CombineOp for QueueOp<T> {
@@ -451,12 +391,6 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         // nodes — its batches take whole blocks per request.
         if agg_idx == HEAD_BULK {
             return self.combine_dequeue_many(eng, batch, my_seq, guard);
-        }
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                let shard = agg_idx - eng.bulk_agg(DUR_BASE);
-                return self.combine_durable(eng, batch, my_seq, shard, d, guard);
-            }
         }
         let wanted = batch.frozen_cut(Role::Remove) - my_seq;
         debug_assert!(wanted >= 1);
@@ -561,7 +495,7 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
     /// whose `next` keeps evolving), hence the published `taken` bound.
     fn take_result(
         &self,
-        eng: &CombineEngine<Self>,
+        _eng: &CombineEngine<Self>,
         batch: &CombineBatch<QNode<T>>,
         offset: usize,
         agg_idx: usize,
@@ -570,13 +504,6 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         if agg_idx == HEAD_BULK {
             // Bulk dequeues received their values through their
             // request's buffer; there is no result chain to consume.
-            return None;
-        }
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct. The hook is the harness's mid-publish crash
-            // point (results committed, not all consumed yet).
-            fault::hit(FaultPoint::MidPublish);
             return None;
         }
         let taken = batch.taken.load(Ordering::Acquire) as usize;
@@ -602,6 +529,46 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         // The last taken node is the live dummy: a later dequeue
         // combiner retires it when `head` moves past it.
         Some(value)
+    }
+
+    /// A durable enqueue or dequeue, applied one at a time (sequential
+    /// by the hook's contract): plain link-then-swing at the tail, and
+    /// the MS dummy discipline at the head.
+    fn apply_logged(
+        &self,
+        opcode: u8,
+        operand: u64,
+        _operand2: u64,
+        guard: &Guard<'_, '_>,
+    ) -> Option<OpResult> {
+        Some(match opcode {
+            opcode::ENQUEUE => {
+                let n = QNode::alloc_with(guard.handle(), durable::from_word::<T>(operand));
+                let t = self.tail.load(Ordering::Relaxed);
+                // Safety: `t` is the live tail, which only we mutate.
+                unsafe { (*t).next.store(n, Ordering::Release) };
+                self.tail.store(n, Ordering::Release);
+                OpResult::Unit
+            }
+            opcode::DEQUEUE => {
+                let h = self.head.load(Ordering::Relaxed);
+                // Safety: `h` is the live dummy.
+                let n = unsafe { (*h).next.load(Ordering::Relaxed) };
+                if n.is_null() {
+                    OpResult::Empty
+                } else {
+                    // Safety: `n` becomes the new dummy, so we are its
+                    // value's unique consumer; the old dummy's value
+                    // was consumed (or never present) — the husk
+                    // recycles.
+                    let value = unsafe { QNode::take_value(n) };
+                    self.head.store(n, Ordering::Release);
+                    unsafe { guard.retire_recycle(h) };
+                    OpResult::Value(durable::to_word(value))
+                }
+            }
+            _ => return None,
+        })
     }
 }
 
@@ -660,9 +627,7 @@ impl<T: Send + 'static> SecQueue<T> {
         // carry no slots — single dequeuers bring no nodes; the bulk
         // aggregator's slots carry requests. Bulk *enqueues* need no
         // aggregator of their own: they announce chains on TAIL, whose
-        // combiner is chain-aware. Durable shards (if any) follow as
-        // the bulk suffix.
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
+        // combiner is chain-aware.
         let dummy = QNode::alloc_dummy();
         Self {
             engine: CombineEngine::new(
@@ -672,13 +637,13 @@ impl<T: Send + 'static> SecQueue<T> {
                     tail: CachePadded::new(AtomicPtr::new(dummy)),
                     rendezvous_spins: DEFAULT_RENDEZVOUS_SPINS,
                     rendezvous_hits: AtomicU64::new(0),
-                    durable,
                 },
                 SecConfig::new(1, max_threads),
                 AggLayout::Fixed {
                     ends: &[false, true, true],
-                    bulk: shards,
+                    bulk: 0,
                 },
+                durable,
             ),
         }
     }
@@ -734,19 +699,10 @@ impl<T: Send + 'static> SecQueue<T> {
     ///
     /// If more threads register than the queue was constructed for.
     pub fn register(&self) -> SecQueueHandle<'_, T> {
-        let (reclaim, state) = self.engine.register();
-        let tid = state.tid();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(tid));
+        let (reclaim, _) = self.engine.register();
         SecQueueHandle {
             queue: self,
             reclaim,
-            tid,
-            dur_seq,
         }
     }
 
@@ -816,67 +772,19 @@ impl SecQueue<u64> {
     pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
         let (core, report) = DurableCore::open(&policy, Family::Queue)?;
         let queue = Self::build(core.max_handles(), Some(core));
-        let op = queue.engine.op();
-        for logged in &report.ops {
-            match logged.opcode {
-                opcode::ENQUEUE => {
-                    if logged.result != OpResult::Unit {
-                        return Err(DurableError::Corrupt(format!(
-                            "enqueue logged a non-unit result {:?}",
-                            logged.result
-                        )));
-                    }
-                    // Replay is single-threaded: plain link-then-swing.
-                    let n = Box::into_raw(Box::new(QNode {
-                        value: MaybeUninit::new(logged.operand),
-                        next: AtomicPtr::new(ptr::null_mut()),
-                    }));
-                    let t = op.tail.load(Ordering::Relaxed);
-                    // Safety: `t` is the replay list's live tail.
-                    unsafe { (*t).next.store(n, Ordering::Relaxed) };
-                    op.tail.store(n, Ordering::Relaxed);
-                }
-                opcode::DEQUEUE => {
-                    let h = op.head.load(Ordering::Relaxed);
-                    // Safety: `h` is the replay list's live dummy.
-                    let n = unsafe { (*h).next.load(Ordering::Relaxed) };
-                    let replayed = if n.is_null() {
-                        OpResult::Empty
-                    } else {
-                        // Safety: single-threaded replay; `n` becomes
-                        // the dummy, the old dummy's husk (value
-                        // already out or never present) frees here.
-                        let v = unsafe { QNode::take_value(n) };
-                        op.head.store(n, Ordering::Relaxed);
-                        drop(unsafe { Box::from_raw(h) });
-                        OpResult::Value(v)
-                    };
-                    if replayed != logged.result {
-                        return Err(DurableError::Corrupt(format!(
-                            "replay diverged: logged {:?}, replayed {:?}",
-                            logged.result, replayed
-                        )));
-                    }
-                }
-                other => {
-                    return Err(DurableError::Corrupt(format!(
-                        "queue log holds foreign opcode {other}"
-                    )))
-                }
-            }
-        }
+        queue.engine.replay(&report.ops)?;
         Ok((queue, report))
     }
 
     /// The persistent heap backing this queue (durable queues only) —
     /// hold it across a drop to recover a Volatile-mode heap.
     pub fn durable_heap(&self) -> Option<std::sync::Arc<sec_reclaim::PersistentHeap>> {
-        self.engine.op().durable.as_ref().map(|d| d.heap())
+        self.engine.durable_heap()
     }
 
     /// Redo-log counters (durable queues only).
     pub fn durable_stats(&self) -> Option<DurableStats> {
-        self.engine.op().durable.as_ref().map(|d| d.stats())
+        self.engine.durable_stats()
     }
 }
 
@@ -908,11 +816,6 @@ impl<T: Send + 'static> ConcurrentQueue<T> for SecQueue<T> {
 pub struct SecQueueHandle<'a, T: Send + 'static> {
     queue: &'a SecQueue<T>,
     reclaim: ReclaimHandle<'a>,
-    /// This thread's dense id (the durable intent-cell index).
-    tid: usize,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable queues, unused otherwise).
-    dur_seq: u64,
 }
 
 impl<T: Send + 'static> SecQueueHandle<'_, T> {
@@ -925,9 +828,9 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
     /// Appends `value` at the tail. Returns when the enqueue is
     /// linearized (its batch's splice CAS has landed).
     pub fn enqueue(&mut self, value: T) {
-        if self.queue.engine.op().durable.is_some() {
-            let w = durable::to_word(value);
-            self.durable_op(opcode::ENQUEUE, w);
+        let eng = &self.queue.engine;
+        if eng.durable().is_some() {
+            eng.run_durable(&self.reclaim, opcode::ENQUEUE, durable::to_word(value), 0);
             return;
         }
         // One node per enqueue, reused across batch retries — popped
@@ -943,38 +846,15 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
     /// taken chain is its sequence number: the batch's dequeues drain
     /// in announcement order, which is what makes the block FIFO.
     pub fn dequeue(&mut self) -> Option<T> {
-        if self.queue.engine.op().durable.is_some() {
-            return match self.durable_op(opcode::DEQUEUE, 0) {
-                OpResult::Empty => None,
-                OpResult::Value(w) => Some(durable::from_word(w)),
-                OpResult::Unit => unreachable!("dequeue produced a unit result"),
-            };
+        let eng = &self.queue.engine;
+        if eng.durable().is_some() {
+            return eng
+                .run_durable(&self.reclaim, opcode::DEQUEUE, 0, 0)
+                .value();
         }
         self.queue
             .engine
             .run(Lane::At(HEAD), Role::Remove, ptr::null_mut(), &self.reclaim)
-    }
-
-    /// The durable op path: persist the intent, announce a request on
-    /// this thread's durable shard, read the logged result back out of
-    /// the request after publish.
-    fn durable_op(&mut self, op: u8, operand: u64) -> OpResult {
-        let eng = &self.queue.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let seq = self.dur_seq;
-        d.write_intent(self.tid, seq, op, operand, 0);
-        let mut req = DurableReq::new(self.tid, seq, op, operand, 0);
-        let node = (&mut req as *mut DurableReq).cast::<QNode<T>>();
-        let shard = d.shard_of(self.tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        req.take_result()
     }
 
     /// Bulk enqueue: appends every value of `values`, in slice order,
@@ -989,7 +869,7 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
     where
         T: Clone,
     {
-        if self.queue.engine.op().durable.is_some() {
+        if self.queue.engine.durable().is_some() {
             // Durable queues make every enqueue an individually
             // detectable logged op.
             for v in values {
@@ -1033,7 +913,7 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
     /// queue runs dry.
     ///
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if self.queue.engine.op().durable.is_some() {
+        if self.queue.engine.durable().is_some() {
             // Durable queues make every dequeue an individually
             // detectable logged op.
             let mut total = 0usize;
@@ -1533,6 +1413,33 @@ mod tests {
         }
         rec.sort_unstable();
         assert_eq!(rec, live);
+    }
+
+    #[test]
+    fn durable_queue_replay_refuses_a_diverged_or_foreign_log() {
+        use crate::combine::durable::testing::{assert_corrupt, recover_forged, Entry};
+        use crate::combine::durable::{Family, OpResult::*};
+        let recover =
+            |ops: &[Entry]| recover_forged(Family::Queue, 0, ops, SecQueue::<u64>::recover);
+        // Control: a faithful log replays.
+        let q = recover(&[(opcode::ENQUEUE, 7, 0, Unit), (opcode::ENQUEUE, 8, 0, Unit)]).unwrap();
+        assert_eq!(q.register().dequeue(), Some(7));
+        // A dequeue logged as returning 7 from an empty queue.
+        assert_corrupt(
+            recover(&[(opcode::DEQUEUE, 0, 0, Value(7))]),
+            "replay diverged",
+        );
+        // A dequeue logged with the wrong end's value.
+        assert_corrupt(
+            recover(&[
+                (opcode::ENQUEUE, 7, 0, Unit),
+                (opcode::ENQUEUE, 8, 0, Unit),
+                (opcode::DEQUEUE, 0, 0, Value(8)),
+            ]),
+            "replay diverged",
+        );
+        // A stack op in a queue log.
+        assert_corrupt(recover(&[(opcode::PUSH, 7, 0, Unit)]), "foreign opcode");
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub(crate) mod node;
 pub mod stats;
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    self, opcode, DurableCore, DurableError, DurablePolicy, DurableStats, Family, OpResult,
+    RecoveryReport,
 };
 use crate::combine::{
     wait_ptr, AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role,
@@ -59,15 +59,7 @@ struct StackOp<T: Send + 'static> {
     /// `stackTop` (paper line 2): the *only* cross-aggregator
     /// contention point, touched once per batch by each combiner.
     top: CachePadded<AtomicPtr<Node<T>>>,
-    /// Redo log + intent cells when built durable (DESIGN.md §16);
-    /// when set, every mutating op routes through the dedicated
-    /// durable aggregators at `bulk_agg(DUR_BASE..)`.
-    durable: Option<DurableCore>,
 }
-
-/// Bulk-aggregator index of the first durable shard (`bulk_agg(0)` is
-/// `push_many`, `bulk_agg(1)` is `pop_many`).
-const DUR_BASE: usize = 2;
 
 /// A bulk-pop announcement: `pop_many` announces one of these (cast to
 /// the node type — the engine never dereferences announcement
@@ -183,54 +175,6 @@ impl<T: Send + 'static> StackOp<T> {
             unsafe { (*req).taken = taken };
         }
     }
-
-    /// The durable combiner: applies each frozen push/pop to the
-    /// shared stack and redo-logs the batch under the core's apply
-    /// lock. On a durable stack *every* mutating op routes here, so
-    /// the apply lock is the only `top` writer and log order equals
-    /// application order — the property replay relies on.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<T>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-        guard: &Guard<'_, '_>,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`; pops are each node's
-        // unique consumer under the apply lock.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| match req.opcode {
-                opcode::PUSH => {
-                    let value: T = durable::from_word(req.operand);
-                    let cur = self.top.load(Ordering::Relaxed);
-                    let n = Box::into_raw(Box::new(Node {
-                        value: core::mem::ManuallyDrop::new(value),
-                        next: AtomicPtr::new(cur),
-                    }));
-                    self.top.store(n, Ordering::Release);
-                    req.set_result(OpResult::Unit);
-                }
-                opcode::POP => {
-                    let t = self.top.load(Ordering::Relaxed);
-                    if t.is_null() {
-                        req.set_result(OpResult::Empty);
-                    } else {
-                        let next = (*t).next.load(Ordering::Relaxed);
-                        self.top.store(next, Ordering::Release);
-                        let value = Node::take_value(t);
-                        guard.retire_recycle(t);
-                        req.set_result(OpResult::Value(durable::to_word(value)));
-                    }
-                }
-                other => unreachable!("stack durable opcode {other}"),
-            });
-        }
-    }
 }
 
 impl<T: Send + 'static> CombineOp for StackOp<T> {
@@ -324,12 +268,6 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         if agg_idx == eng.bulk_agg(1) {
             return self.combine_pop_many(eng, batch, my_seq, guard);
         }
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                let shard = agg_idx - eng.bulk_agg(DUR_BASE);
-                return self.combine_durable(eng, batch, my_seq, shard, d, guard);
-            }
-        }
         let remove_at_freeze = batch.frozen_cut(Role::Remove);
         // One node per non-eliminated pop. (Erratum fix, DESIGN.md
         // §2.2: the paper's `while ++i < popCountAtFreeze` advances
@@ -397,13 +335,6 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
             // buffer; there is no result chain to consume.
             return None;
         }
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct. The hook is the harness's mid-publish crash
-            // point (results committed, not all consumed yet).
-            fault::hit(FaultPoint::MidPublish);
-            return None;
-        }
         let mut cur = batch.result_head.load(Ordering::Acquire);
         for _ in 0..offset {
             if cur.is_null() {
@@ -421,6 +352,39 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         let value = unsafe { Node::take_value(cur) };
         unsafe { guard.retire_recycle(cur) };
         Some(value)
+    }
+
+    /// A durable push or pop, applied one at a time (sequential by the
+    /// hook's contract, so `top` needs no CAS). The Release stores keep
+    /// concurrent `peek`s safe.
+    fn apply_logged(
+        &self,
+        opcode: u8,
+        operand: u64,
+        _operand2: u64,
+        guard: &Guard<'_, '_>,
+    ) -> Option<OpResult> {
+        let top = self.top.load(Ordering::Relaxed);
+        Some(match opcode {
+            opcode::PUSH => {
+                let n = Node::alloc_with(guard.handle(), durable::from_word::<T>(operand));
+                // Safety: `n` is fresh and still private to us.
+                unsafe { (*n).next.store(top, Ordering::Relaxed) };
+                self.top.store(n, Ordering::Release);
+                OpResult::Unit
+            }
+            opcode::POP if top.is_null() => OpResult::Empty,
+            opcode::POP => {
+                // Safety: the sole mutator unlinks `top`, so it is the
+                // node's unique consumer; payload out, husk recycles.
+                let next = unsafe { (*top).next.load(Ordering::Relaxed) };
+                self.top.store(next, Ordering::Release);
+                let value = unsafe { Node::take_value(top) };
+                unsafe { guard.retire_recycle(top) };
+                OpResult::Value(durable::to_word(value))
+            }
+            _ => return None,
+        })
     }
 }
 
@@ -483,13 +447,11 @@ impl<T: Send + 'static> SecStack<T> {
     }
 
     fn build(config: SecConfig, durable: Option<DurableCore>) -> Self {
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
         Self {
             engine: CombineEngine::new(
                 "SecStack",
                 StackOp {
                     top: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-                    durable,
                 },
                 config,
                 // Two bulk aggregators past the mapped prefix:
@@ -497,11 +459,12 @@ impl<T: Send + 'static> SecStack<T> {
                 // `bulk_agg(1)` carries `pop_many` requests (remove
                 // lane). Each is single-lane, so its batches degenerate
                 // to pure combining — elimination never applies to a
-                // bulk announcement. Durable shards (if any) follow.
+                // bulk announcement.
                 AggLayout::Mapped {
                     with_slots: true,
-                    bulk: 2 + shards,
+                    bulk: 2,
                 },
+                durable,
             ),
         }
     }
@@ -511,17 +474,10 @@ impl<T: Send + 'static> SecStack<T> {
     /// callers don't need the trait in scope.
     pub fn register(&self) -> SecHandle<'_, T> {
         let (reclaim, state) = self.engine.register();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(state.tid()));
         SecHandle {
             stack: self,
             state,
             reclaim,
-            dur_seq,
         }
     }
 
@@ -603,64 +559,20 @@ impl SecStack<u64> {
     /// whether its last announced op executed and with what result.
     pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
         let (core, report) = DurableCore::open(&policy, Family::Stack)?;
-        let config = SecConfig::new(2, core.max_handles());
-        let stack = Self::build(config, Some(core));
-        let top = &stack.engine.op().top;
-        for op in &report.ops {
-            match op.opcode {
-                opcode::PUSH => {
-                    if op.result != OpResult::Unit {
-                        return Err(DurableError::Corrupt(format!(
-                            "push logged a non-unit result {:?}",
-                            op.result
-                        )));
-                    }
-                    let n = Box::into_raw(Box::new(Node {
-                        value: core::mem::ManuallyDrop::new(op.operand),
-                        next: AtomicPtr::new(top.load(Ordering::Relaxed)),
-                    }));
-                    top.store(n, Ordering::Relaxed);
-                }
-                opcode::POP => {
-                    let t = top.load(Ordering::Relaxed);
-                    let replayed = if t.is_null() {
-                        OpResult::Empty
-                    } else {
-                        // Safety: replay is single-threaded and the
-                        // chain was built above; the husk is a plain
-                        // Box allocation.
-                        let next = unsafe { (*t).next.load(Ordering::Relaxed) };
-                        top.store(next, Ordering::Relaxed);
-                        let v = unsafe { Node::take_value(t) };
-                        drop(unsafe { Box::from_raw(t) });
-                        OpResult::Value(v)
-                    };
-                    if replayed != op.result {
-                        return Err(DurableError::Corrupt(format!(
-                            "replay diverged: logged {:?}, replayed {:?}",
-                            op.result, replayed
-                        )));
-                    }
-                }
-                other => {
-                    return Err(DurableError::Corrupt(format!(
-                        "stack log holds foreign opcode {other}"
-                    )))
-                }
-            }
-        }
+        let stack = Self::build(SecConfig::new(2, core.max_handles()), Some(core));
+        stack.engine.replay(&report.ops)?;
         Ok((stack, report))
     }
 
     /// The persistent heap backing this stack (durable stacks only) —
     /// hold it across a drop to recover a Volatile-mode heap.
     pub fn durable_heap(&self) -> Option<std::sync::Arc<sec_reclaim::PersistentHeap>> {
-        self.engine.op().durable.as_ref().map(|d| d.heap())
+        self.engine.durable_heap()
     }
 
     /// Redo-log counters (durable stacks only).
     pub fn durable_stats(&self) -> Option<DurableStats> {
-        self.engine.op().durable.as_ref().map(|d| d.stats())
+        self.engine.durable_stats()
     }
 }
 
@@ -696,9 +608,6 @@ pub struct SecHandle<'a, T: Send + 'static> {
     /// index) — the engine re-maps it lazily on elastic resizes.
     state: OpState,
     reclaim: ReclaimHandle<'a>,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable stacks, unused otherwise).
-    dur_seq: u64,
 }
 
 impl<'a, T: Send + 'static> SecHandle<'a, T> {
@@ -722,9 +631,9 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
 
     /// Algorithm 1. Returns when the push is linearized.
     pub fn push(&mut self, value: T) {
-        if self.stack.engine.op().durable.is_some() {
-            let w = durable::to_word(value);
-            self.durable_op(opcode::PUSH, w);
+        let eng = &self.stack.engine;
+        if eng.durable().is_some() {
+            eng.run_durable(&self.reclaim, opcode::PUSH, durable::to_word(value), 0);
             return;
         }
         // Line 3: one node per push, reused across batch retries —
@@ -741,12 +650,9 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
 
     /// Algorithm 2. Returns the popped value, or `None` for EMPTY.
     pub fn pop(&mut self) -> Option<T> {
-        if self.stack.engine.op().durable.is_some() {
-            return match self.durable_op(opcode::POP, 0) {
-                OpResult::Empty => None,
-                OpResult::Value(w) => Some(durable::from_word(w)),
-                OpResult::Unit => unreachable!("pop produced a unit result"),
-            };
+        let eng = &self.stack.engine;
+        if eng.durable().is_some() {
+            return eng.run_durable(&self.reclaim, opcode::POP, 0, 0).value();
         }
         // Lines 54–78 are the engine's driver; elimination, the
         // combiner's unlink and `GetValue` come back through the
@@ -757,29 +663,6 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
             ptr::null_mut(),
             &self.reclaim,
         )
-    }
-
-    /// The durable op path: persist the intent, announce a request on
-    /// this thread's durable shard, read the logged result back out of
-    /// the request after publish.
-    fn durable_op(&mut self, op: u8, operand: u64) -> OpResult {
-        let eng = &self.stack.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let tid = self.state.tid();
-        let seq = self.dur_seq;
-        d.write_intent(tid, seq, op, operand, 0);
-        let mut req = DurableReq::new(tid, seq, op, operand, 0);
-        let node = (&mut req as *mut DurableReq).cast::<Node<T>>();
-        let shard = d.shard_of(tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        req.take_result()
     }
 
     /// Bulk push: pushes every value of `values`, in slice order, as
@@ -795,7 +678,7 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
     where
         T: Clone,
     {
-        if self.stack.engine.op().durable.is_some() {
+        if self.stack.engine.durable().is_some() {
             // Durable stacks make every push an individually
             // detectable logged op.
             for v in values {
@@ -833,7 +716,7 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
     /// EMPTY for the remainder, exactly like sequential pops.
     ///
     pub fn pop_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if self.stack.engine.op().durable.is_some() {
+        if self.stack.engine.durable().is_some() {
             let mut taken = 0usize;
             while taken < max {
                 match self.pop() {

@@ -801,3 +801,86 @@ fn durable_stack_bulk_ops_route_through_the_log() {
     let mut h = r.register();
     assert_eq!(h.pop(), Some(3));
 }
+
+#[test]
+fn durable_stack_replay_refuses_a_diverged_or_foreign_log() {
+    use crate::combine::durable::testing::{assert_corrupt, recover_forged, Entry};
+    use crate::combine::durable::{opcode, Family, OpResult::*};
+    let recover = |ops: &[Entry]| recover_forged(Family::Stack, 0, ops, SecStack::<u64>::recover);
+    // Control: a faithful log replays.
+    let s = recover(&[(opcode::PUSH, 7, 0, Unit), (opcode::PUSH, 8, 0, Unit)]).unwrap();
+    assert_eq!(s.register().pop(), Some(8));
+    // A pop logged as returning 7 from an empty stack.
+    assert_corrupt(recover(&[(opcode::POP, 0, 0, Value(7))]), "replay diverged");
+    // A push whose logged result is not the unit a push produces.
+    assert_corrupt(recover(&[(opcode::PUSH, 7, 0, Empty)]), "replay diverged");
+    // A queue op in a stack log.
+    assert_corrupt(
+        recover(&[(opcode::PUSH, 7, 0, Unit), (opcode::ENQUEUE, 8, 0, Unit)]),
+        "foreign opcode",
+    );
+}
+
+#[test]
+fn durable_identity_is_inherited_with_the_collector_slot() {
+    use crate::combine::durable::OpResult;
+    use crate::{DurablePolicy, PendingOutcome};
+    const N: u64 = 30;
+    let s = SecStack::<u64>::durable(2, DurablePolicy::volatile()).unwrap();
+    let first = {
+        let mut h = s.register();
+        for v in 0..N {
+            if v % 3 == 2 {
+                h.pop();
+            } else {
+                h.push(v);
+            }
+        }
+        h.tid()
+    };
+    // The dropped handle freed its slot; the next registration takes
+    // it, and with it the durable identity: its ops continue the
+    // sequence at N + 1 instead of restarting at 1.
+    let mut h = s.register();
+    assert_eq!(
+        h.tid(),
+        first,
+        "the next registration reuses the freed slot"
+    );
+    for v in 0..N {
+        h.push(100 + v);
+    }
+    drop(h);
+    let heap = s.durable_heap().unwrap();
+    drop(s);
+    let (r, report) = SecStack::<u64>::recover(DurablePolicy::heap(Arc::clone(&heap))).unwrap();
+    let seqs: Vec<u64> = report
+        .ops
+        .iter()
+        .filter(|op| op.handle as usize == first)
+        .map(|op| op.op_seq)
+        .collect();
+    assert_eq!(seqs, (1..=2 * N).collect::<Vec<_>>());
+    assert_eq!(report.handles[first].executed, 2 * N);
+    assert_eq!(
+        report.handles[first].pending,
+        PendingOutcome::Executed {
+            op_seq: 2 * N,
+            result: OpResult::Unit
+        }
+    );
+    assert!(report
+        .handles
+        .iter()
+        .enumerate()
+        .all(|(i, h)| i == first || h.executed == 0));
+    // A handle on the recovered stack inherits the slot again.
+    {
+        let mut h = r.register();
+        assert_eq!(h.tid(), first);
+        h.push(1);
+    }
+    drop(r);
+    let (_, report) = SecStack::<u64>::recover(DurablePolicy::heap(heap)).unwrap();
+    assert_eq!(report.handles[first].executed, 2 * N + 1);
+}

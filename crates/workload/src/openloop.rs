@@ -35,7 +35,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sec_core::{SecMap, SecQueue};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 use std::time::Instant;
 
 /// One scheduled request: when it arrives and which tenant sent it.
@@ -401,6 +401,15 @@ struct WindowTally {
 /// inserts, the rest gets, keys uniform within the request's tenant
 /// range).
 pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) -> ReplayReport {
+    replay(trace, cfg, seed).0
+}
+
+/// [`replay_open_loop`], also returning the merged latency histogram.
+fn replay(
+    trace: &ArrivalTrace,
+    cfg: &ServiceConfig,
+    seed: u64,
+) -> (ReplayReport, LatencyHistogram) {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.drain_batch >= 1, "drain batch must be positive");
     let window_ns = cfg.window_ms.max(1) * 1_000_000;
@@ -409,9 +418,13 @@ pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) ->
     let queue: SecQueue<Request> = SecQueue::new(cfg.workers + 1);
     let map: SecMap<u64, u64> = SecMap::new(cfg.workers);
     let done = AtomicBool::new(false);
-    // Dispatcher + workers start together; the epoch is taken by the
-    // dispatcher right after the barrier drops.
+    // Dispatcher + workers start together, and all of them schedule
+    // and measure against one epoch: the first thread past the barrier
+    // takes it. Per-thread epochs would skew by the threads' wake-up
+    // order, and a late worker would then record latencies too short
+    // (down to zero).
     let barrier = Barrier::new(cfg.workers + 1);
+    let origin = OnceLock::new();
 
     // Pre-draw each request's key and kind so the dispatcher's paced
     // loop does no RNG work between deadline and enqueue.
@@ -433,7 +446,7 @@ pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) ->
                 let queue = &queue;
                 let map = &map;
                 let done = &done;
-                let barrier = &barrier;
+                let (barrier, origin) = (&barrier, &origin);
                 scope.spawn(move || {
                     let mut q = queue.register();
                     let mut m = map.register();
@@ -441,12 +454,17 @@ pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) ->
                     let mut tallies = vec![WindowTally::default(); n_windows];
                     let mut buf: Vec<Request> = Vec::with_capacity(cfg.drain_batch);
                     barrier.wait();
-                    let epoch = Instant::now();
+                    let epoch = *origin.get_or_init(Instant::now);
                     let mut idle = 0u32;
                     loop {
+                        // `done` is stored after the last enqueue, so an
+                        // empty drain that starts after seeing it means
+                        // nothing is left; every request a drain takes
+                        // is served below before the next check.
+                        let finished = done.load(Ordering::Acquire);
                         let got = q.dequeue_many(&mut buf, cfg.drain_batch);
                         if got == 0 {
-                            if done.load(Ordering::Acquire) && q.dequeue_many(&mut buf, 1) == 0 {
+                            if finished {
                                 break;
                             }
                             // Spin a while before yielding: at low load
@@ -487,7 +505,7 @@ pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) ->
         // Dispatcher (this thread): pace the schedule.
         let mut d = queue.register();
         barrier.wait();
-        let epoch = Instant::now();
+        let epoch = *origin.get_or_init(Instant::now);
         for (a, &(key, insert)) in trace.arrivals().iter().zip(&requests) {
             // Spin-then-yield until the scheduled time. If we are
             // already past it (the enqueue path itself fell behind),
@@ -541,7 +559,7 @@ pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) ->
     }
 
     let completed = merged.count();
-    ReplayReport {
+    let report = ReplayReport {
         offered_per_s: trace.offered_per_s(),
         completed,
         wall_ms: wall_ns as f64 / 1e6,
@@ -554,7 +572,8 @@ pub fn replay_open_loop(trace: &ArrivalTrace, cfg: &ServiceConfig, seed: u64) ->
         windows,
         violated_windows: violated,
         worst_window_frac: worst,
-    }
+    };
+    (report, merged)
 }
 
 #[cfg(test)]
@@ -617,5 +636,25 @@ mod tests {
         let max = rep.latency.max;
         assert!(rep.latency.p99 <= max + max / 16 + 1);
         assert!((0.0..=1.0).contains(&rep.worst_window_frac));
+    }
+
+    #[test]
+    fn every_replayed_latency_is_positive() {
+        // A completion happens after its enqueue, which happens at or
+        // after its scheduled arrival — on the shared epoch, no
+        // latency can come out as zero. The skew this guards against
+        // depends on thread wake-up order, so several short runs each
+        // get a chance to show it.
+        let cfg = ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        };
+        for seed in 0..6 {
+            let trace = ArrivalTrace::steady(20_000.0, 25, seed);
+            let (rep, hist) = replay(&trace, &cfg, seed);
+            assert_eq!(rep.completed, trace.len() as u64);
+            let min = hist.inner().min();
+            assert!(min > 0, "run {seed} recorded a latency of {min} ns");
+        }
     }
 }
