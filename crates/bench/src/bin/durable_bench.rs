@@ -35,7 +35,7 @@
 //!
 //! [`SyncMode::Sync`]: sec_core::SyncMode::Sync
 
-use sec_bench::BenchOpts;
+use sec_bench::{write_bench_json, write_reported, BenchOpts, Json};
 use sec_core::{LogGranularity, SyncMode};
 use sec_workload::stats::Summary;
 use sec_workload::{run_algo, Algo, DurableSetup, MapMix, Mix, RunConfig};
@@ -112,32 +112,24 @@ struct Row {
     rel_off: f64,
 }
 
-/// Hand-rolled JSON encoding (the workspace carries no serde; same
-/// policy as the `families` and `replay` binaries).
-fn durable_json(opts: &BenchOpts, threads: usize, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"durable\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"runs\": {},\n", opts.runs));
-    out.push_str(&format!(
-        "  \"duration_ms\": {},\n",
-        opts.duration.as_millis()
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"mode\": \"{}\", \"mops_mean\": {:.4}, \
-             \"cv_pct\": {:.2}, \"rel_off\": {:.4}}}{}\n",
-            r.family,
-            r.mode,
-            r.mops_mean,
-            r.cv_pct,
-            r.rel_off,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The sweep as `BENCH_durable.json`.
+fn durable_json(opts: &BenchOpts, threads: usize, rows: &[Row]) -> Json {
+    let row = |r: &Row| {
+        Json::Object(vec![
+            ("family", Json::str(r.family.as_str())),
+            ("mode", Json::str(r.mode)),
+            ("mops_mean", Json::Fixed(r.mops_mean, 4)),
+            ("cv_pct", Json::Fixed(r.cv_pct, 2)),
+            ("rel_off", Json::Fixed(r.rel_off, 4)),
+        ])
+    };
+    Json::Object(vec![
+        ("bench", Json::str("durable")),
+        ("threads", Json::Int(threads as u64)),
+        ("runs", Json::Int(opts.runs as u64)),
+        ("duration_ms", Json::Int(opts.duration.as_millis() as u64)),
+        ("rows", Json::Array(rows.iter().map(row).collect())),
+    ])
 }
 
 fn durable_csv(rows: &[Row]) -> String {
@@ -209,19 +201,10 @@ fn main() {
         }
     }
 
-    let csv = durable_csv(&rows);
-    let json = durable_json(&opts, threads, &rows);
-    let _ = std::fs::create_dir_all(&opts.csv_dir);
-    for (path, body) in [
-        (opts.csv_dir.join("durable.csv"), &csv),
-        (opts.csv_dir.join("BENCH_durable.json"), &json),
-        // Repo-root copy so trend tooling finds every BENCH_* drop in
-        // one place (same policy as BENCH_families.json).
-        (std::path::PathBuf::from("BENCH_durable.json"), &json),
-    ] {
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    write_reported(&opts.csv_dir.join("durable.csv"), &durable_csv(&rows));
+    write_bench_json(
+        &opts.csv_dir,
+        "BENCH_durable.json",
+        &durable_json(&opts, threads, &rows),
+    );
 }

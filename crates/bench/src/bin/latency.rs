@@ -8,67 +8,12 @@
 //! cargo run -p sec-bench --release --bin latency
 //! ```
 
-use sec_baselines::{
-    CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
-    TreiberStack, TsiStack,
-};
-use sec_bench::BenchOpts;
-use sec_core::counter::SecCounter;
-use sec_core::{SecConfig, SecMap, SecQueue, SecStack, WaitPolicy};
+use sec_bench::{algo_latency, BenchOpts};
+use sec_core::{SecConfig, SecQueue, SecStack, WaitPolicy};
 use sec_workload::{
-    measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency, Algo,
-    KeyDist, LatencyReport, MapMix, Mix, ALL_COMPETITORS, MAP_LINEUP, QUEUE_LINEUP,
+    measure_latency, measure_queue_latency, Algo, MapMix, Mix, ALL_COMPETITORS, MAP_LINEUP,
+    QUEUE_LINEUP,
 };
-
-fn measure(algo: Algo, threads: usize, ops: u64, mix: Mix) -> LatencyReport {
-    let cap = threads + 1;
-    match algo {
-        Algo::Sec { aggregators } => measure_latency(
-            &SecStack::<u64>::with_config(SecConfig::new(aggregators, cap)),
-            threads,
-            ops,
-            mix,
-        ),
-        Algo::SecAdaptive { min_k, max_k } => measure_latency(
-            &SecStack::<u64>::with_config(SecConfig::adaptive(min_k, max_k, cap)),
-            threads,
-            ops,
-            mix,
-        ),
-        Algo::Trb => measure_latency(&TreiberStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Eb => measure_latency(&EbStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Fc => measure_latency(&FcStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Cc => measure_latency(&CcStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Tsi => measure_latency(&TsiStack::<u64>::new(cap), threads, ops, mix),
-        Algo::TrbHp => measure_latency(&TreiberHpStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Lck => measure_latency(&LockedStack::<u64>::new(cap), threads, ops, mix),
-        Algo::SecQueue => measure_queue_latency(&SecQueue::<u64>::new(cap), threads, ops, mix),
-        Algo::MsQ => measure_queue_latency(&MsQueue::<u64>::new(cap), threads, ops, mix),
-        Algo::LckQ => measure_queue_latency(&LockedQueue::<u64>::new(cap), threads, ops, mix),
-        Algo::SecCounter => measure_counter_latency(
-            &SecCounter::with_config(SecConfig::new(2, cap)),
-            threads,
-            ops,
-            mix,
-        ),
-        // The map family reads the Mix as its keyed counterpart:
-        // peek→get, push→insert, pop→remove, keys uniform over 1024.
-        Algo::SecMap => measure_map_latency(
-            &SecMap::<u64, u64>::with_config(SecConfig::new(2, cap)),
-            threads,
-            ops,
-            MapMix::new(mix.peek, mix.push, mix.pop),
-            KeyDist::Uniform { keys: 1024 },
-        ),
-        Algo::LckMap => measure_map_latency(
-            &LockedHashMap::<u64, u64>::new(cap),
-            threads,
-            ops,
-            MapMix::new(mix.peek, mix.push, mix.pop),
-            KeyDist::Uniform { keys: 1024 },
-        ),
-    }
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -97,7 +42,10 @@ fn main() {
             "algo", "p50", "p90", "p99", "p999", "max"
         );
         for &algo in lineup {
-            let r = measure(algo, threads, ops_per_thread, mix);
+            // The map family reads the Mix as its keyed counterpart:
+            // peek→get, push→insert, pop→remove.
+            let map_mix = MapMix::new(mix.peek, mix.push, mix.pop);
+            let r = algo_latency(algo, threads, ops_per_thread, mix, map_mix);
             println!(
                 "{:>8} {:>10} {:>10} {:>10} {:>10} {:>12}",
                 algo.label(),

@@ -30,6 +30,7 @@
 //! `FAIL` in the table and the process exits non-zero after the
 //! sweep (all rows still run and all outputs are still written).
 
+use sec_bench::{write_bench_json, write_reported, Json};
 use sec_workload::openloop::{replay_open_loop, ArrivalTrace, ReplayReport, ServiceConfig};
 
 /// Command-line options (this binary's axes — offered load and
@@ -147,37 +148,30 @@ fn scenarios(opts: &ReplayOpts) -> Vec<(&'static str, ArrivalTrace)> {
     ]
 }
 
-/// Hand-rolled JSON encoding of the sweep (the workspace carries no
-/// serde; same policy as the `families` binary).
-fn replay_json(opts: &ReplayOpts, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"replay\",\n");
-    out.push_str(&format!("  \"workers\": {},\n", opts.workers));
-    out.push_str(&format!("  \"duration_ms\": {},\n", opts.duration_ms));
-    out.push_str(&format!("  \"slo_us\": {},\n", opts.slo_us));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"load\": {:.2}, \"offered_per_s\": {:.0}, \
-             \"achieved_per_s\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"max_ns\": {}, \"windows\": {}, \"violated_windows\": {}, \
-             \"worst_window_frac\": {:.4}}}{}\n",
-            r.scenario,
-            r.load,
-            r.rep.offered_per_s,
-            r.rep.achieved_per_s,
-            r.rep.latency.p50,
-            r.rep.latency.p99,
-            r.rep.latency.p999,
-            r.rep.latency.max,
-            r.rep.windows,
-            r.rep.violated_windows,
-            r.rep.worst_window_frac,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The sweep as `BENCH_replay.json`.
+fn replay_json(opts: &ReplayOpts, rows: &[Row]) -> Json {
+    let row = |r: &Row| {
+        Json::Object(vec![
+            ("scenario", Json::str(r.scenario)),
+            ("load", Json::Fixed(r.load, 2)),
+            ("offered_per_s", Json::Fixed(r.rep.offered_per_s, 0)),
+            ("achieved_per_s", Json::Fixed(r.rep.achieved_per_s, 0)),
+            ("p50_ns", Json::Int(r.rep.latency.p50)),
+            ("p99_ns", Json::Int(r.rep.latency.p99)),
+            ("p999_ns", Json::Int(r.rep.latency.p999)),
+            ("max_ns", Json::Int(r.rep.latency.max)),
+            ("windows", Json::Int(r.rep.windows as u64)),
+            ("violated_windows", Json::Int(r.rep.violated_windows as u64)),
+            ("worst_window_frac", Json::Fixed(r.rep.worst_window_frac, 4)),
+        ])
+    };
+    Json::Object(vec![
+        ("bench", Json::str("replay")),
+        ("workers", Json::Int(opts.workers as u64)),
+        ("duration_ms", Json::Int(opts.duration_ms)),
+        ("slo_us", Json::Int(opts.slo_us)),
+        ("rows", Json::Array(rows.iter().map(row).collect())),
+    ])
 }
 
 fn replay_csv(rows: &[Row]) -> String {
@@ -271,23 +265,12 @@ fn main() {
         }
     }
 
-    let csv = replay_csv(&rows);
-    let json = replay_json(&opts, &rows);
-    if let Err(e) = std::fs::create_dir_all(&opts.csv_dir) {
-        eprintln!("warning: could not create {}: {e}", opts.csv_dir.display());
-    }
-    for (path, body) in [
-        (opts.csv_dir.join("replay.csv"), &csv),
-        (opts.csv_dir.join("BENCH_replay.json"), &json),
-        // Repo-root copy so trend tooling finds every BENCH_* drop in
-        // one place (same policy as BENCH_families.json).
-        (std::path::PathBuf::from("BENCH_replay.json"), &json),
-    ] {
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    write_reported(&opts.csv_dir.join("replay.csv"), &replay_csv(&rows));
+    write_bench_json(
+        &opts.csv_dir,
+        "BENCH_replay.json",
+        &replay_json(&opts, &rows),
+    );
 
     if !gate_failures.is_empty() {
         eprintln!(

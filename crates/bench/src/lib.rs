@@ -1,31 +1,37 @@
 //! # `sec-bench` — the paper's evaluation, regenerated
 //!
-//! Two kinds of benchmarks live here:
+//! The binaries in `src/bin/` regenerate the paper's figures and
+//! tables as text tables + ASCII plots + CSV:
 //!
-//! * **Figure/table binaries** (`src/bin/`): each regenerates one
-//!   figure or table of the paper as text tables + ASCII plots + CSV —
-//!   `fig2` (throughput vs threads × 3 mixes × 6 algorithms),
-//!   `fig3` (push-only / pop-only), `fig4` (aggregator ablation),
-//!   `table1` (batching/elimination/combining degrees, with the
-//!   binomial-model companion rows), the extension ablations
+//! * `sweep` — every throughput-vs-threads figure, selected by name:
+//!   `fig2` (3 mixes × 6 algorithms), `fig3` (push-only / pop-only),
+//!   `fig4` (aggregator ablation), `adaptive_k` (elastic vs best
+//!   static K), `queue_bench`, `map_bench` and `families` (every SEC
+//!   family on one axis, plus `BENCH_families.json`);
+//! * `table1` (batching/elimination/combining degrees, with the
+//!   binomial-model companion rows) and the extension ablations
 //!   `faa_ablation` (aggregating funnel vs hardware F&A vs lock),
 //!   `freezer_backoff` (the §3.1 backoff tunable), `recl_ablation`
 //!   (EBR vs hazard pointers vs leak floor), `lock_ablation`
-//!   (Mutex/TTAS/MCS/CLH), `shard_policy` (Block vs RoundRobin), and
-//!   `latency` (per-op percentiles), plus the artifact checks
-//!   `validate` (seconds-scale PASS/FAIL) and `soak` (sustained-load
-//!   conservation). Run e.g.:
+//!   (Mutex/TTAS/MCS/CLH), `shard_policy` (Block vs RoundRobin),
+//!   `oversub` (wait policies), `latency` (per-op percentiles),
+//!   `durable_bench` (durable-logging modes) and `replay` (open-loop
+//!   latency vs offered load);
+//! * the artifact checks `validate` (seconds-scale PASS/FAIL) and
+//!   `soak` (sustained-load conservation).
 //!
-//!   ```text
-//!   cargo run -p sec-bench --release --bin fig2 -- --duration-ms 5000 --runs 5
-//!   ```
+//! Run e.g.:
 //!
-//! * **Criterion benches** (`benches/`): statistically disciplined
-//!   latency/throughput microbenchmarks backing the same experiments at
-//!   fixed thread counts (`cargo bench --workspace`).
+//! ```text
+//! cargo run -p sec-bench --release --bin sweep -- fig2 --duration-ms 5000 --runs 5
+//! ```
 //!
-//! This module provides the shared command-line parsing and the
-//! fixed-work contended-run helper the Criterion benches use.
+//! The Criterion benches in `benches/` cover what no binary measures:
+//! adversarial schedules, the substrate primitives and the extension
+//! structures (`cargo bench -p sec-bench`).
+//!
+//! This module provides the shared command-line parsing, the
+//! fixed-work latency dispatch and the `BENCH_*.json` writer.
 
 #![warn(missing_docs)]
 
@@ -33,14 +39,14 @@ use sec_baselines::{
     CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
     TreiberStack, TsiStack,
 };
-use sec_core::counter::SecCounter;
-use sec_core::{
-    ConcurrentMap, ConcurrentQueue, ConcurrentStack, MapHandle, QueueHandle, SecConfig, SecMap,
-    SecQueue, SecStack, StackHandle,
+use sec_core::{SecConfig, SecCounter, SecMap, SecQueue, SecStack};
+use sec_workload::{
+    measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency, Algo,
+    KeyDist, LatencyReport, MapMix, Mix,
 };
-use sec_workload::{Algo, KeyDist, Mix};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Command-line options shared by every figure binary.
 ///
@@ -62,7 +68,7 @@ pub struct BenchOpts {
     /// Prefill size (paper: 1000).
     pub prefill: usize,
     /// Directory for CSV output (`results/` by default).
-    pub csv_dir: std::path::PathBuf,
+    pub csv_dir: PathBuf,
 }
 
 impl Default for BenchOpts {
@@ -80,10 +86,22 @@ impl Default for BenchOpts {
 
 impl BenchOpts {
     /// Parses `--duration-ms N --runs N --max-threads N --prefill N
-    /// --csv DIR` from the process arguments; unknown flags abort with
-    /// a usage message.
+    /// --csv DIR` from the process arguments; unknown flags and
+    /// positional arguments abort with a usage message.
     pub fn from_args() -> Self {
+        let (opts, names) = Self::from_args_and_names();
+        if let Some(name) = names.first() {
+            panic!("unknown flag {name}; try --help");
+        }
+        opts
+    }
+
+    /// Like [`from_args`](Self::from_args), but also returns the
+    /// positional arguments in order (the `sweep` binary's figure
+    /// names) instead of rejecting them.
+    pub fn from_args_and_names() -> (Self, Vec<String>) {
         let mut opts = Self::default();
+        let mut names = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(flag) = args.next() {
             let mut value = |name: &str| {
@@ -117,10 +135,11 @@ impl BenchOpts {
                     );
                     std::process::exit(0);
                 }
+                name if !name.starts_with('-') => names.push(flag),
                 other => panic!("unknown flag {other}; try --help"),
             }
         }
-        opts
+        (opts, names)
     }
 
     /// The thread sweep for this host, capped by `--max-threads`, or
@@ -154,319 +173,195 @@ impl BenchOpts {
     }
 }
 
-/// Runs `ops_per_thread` operations of `mix` on each of `threads`
-/// workers against `stack` and returns the wall-clock duration from the
-/// moment all workers are released to the moment the last one finishes
-/// (fixed-work measurement for Criterion's `iter_custom`).
-pub fn timed_fixed_work<S: ConcurrentStack<u64>>(
-    stack: &S,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-) -> Duration {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use sec_workload::OpKind;
-
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let stack = &stack;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut h = stack.register();
-                    let mut rng = SmallRng::seed_from_u64(0xFEED ^ (t as u64) << 7);
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        match mix.classify(rng.gen_range(0..100)) {
-                            OpKind::Push => h.push(rng.gen_range(0..100_000)),
-                            OpKind::Pop => {
-                                let _ = h.pop();
-                            }
-                            OpKind::Peek => {
-                                let _ = h.peek();
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        // Clock before the release barrier: see sec_workload::trace —
-        // starting it after can miss the entire run on an oversubscribed
-        // host (the workers finish while this thread is descheduled).
-        let start = Instant::now();
-        barrier.wait();
-        for h in handles {
-            h.join().expect("bench worker panicked");
-        }
-        start.elapsed()
-    })
-}
-
-/// Fixed-work measurement for the queue family — the queue twin of
-/// [`timed_fixed_work`]. A [`Mix`] draw that would `peek` a stack
-/// performs a `dequeue` (queues have no read-only operation).
-pub fn timed_queue_fixed_work<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-) -> Duration {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use sec_workload::OpKind;
-
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let queue = &queue;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut h = queue.register();
-                    let mut rng = SmallRng::seed_from_u64(0xFEED ^ (t as u64) << 7);
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        match mix.classify(rng.gen_range(0..100)) {
-                            OpKind::Push => h.enqueue(rng.gen_range(0..100_000)),
-                            OpKind::Pop | OpKind::Peek => {
-                                let _ = h.dequeue();
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        barrier.wait();
-        for h in handles {
-            h.join().expect("bench worker panicked");
-        }
-        start.elapsed()
-    })
-}
-
-/// Fixed-work measurement for the counter family. A [`Mix`] draw that
-/// would `push` or `pop` performs a `fetch_add`; a `peek` draw performs
-/// a `load` (the counter's read-only operation).
-pub fn timed_counter_fixed_work(
-    counter: &SecCounter,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-) -> Duration {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use sec_workload::OpKind;
-
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let counter = &counter;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut h = counter.register();
-                    let mut rng = SmallRng::seed_from_u64(0xFEED ^ (t as u64) << 7);
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        match mix.classify(rng.gen_range(0..100)) {
-                            OpKind::Push | OpKind::Pop => {
-                                let _ = h.fetch_add(rng.gen_range(0..100_000));
-                            }
-                            OpKind::Peek => {
-                                let _ = h.load();
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        barrier.wait();
-        for h in handles {
-            h.join().expect("bench worker panicked");
-        }
-        start.elapsed()
-    })
-}
-
-/// Fixed-work measurement for the map family. A [`Mix`] draw that would
-/// `push` performs an `insert`, a `pop` draw a `remove`, and a `peek`
-/// draw a `get`; keys come from `dist`.
-pub fn timed_map_fixed_work<M: ConcurrentMap<u64, u64>>(
-    map: &M,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-    dist: KeyDist,
-) -> Duration {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use sec_workload::OpKind;
-
-    let sampler = dist.sampler();
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let map = &map;
-                let barrier = &barrier;
-                let sampler = &sampler;
-                scope.spawn(move || {
-                    let mut h = map.register();
-                    let mut rng = SmallRng::seed_from_u64(0xFEED ^ (t as u64) << 7);
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        let key = sampler.sample(&mut rng);
-                        match mix.classify(rng.gen_range(0..100)) {
-                            OpKind::Push => {
-                                let _ = h.insert(key, rng.gen_range(0..100_000));
-                            }
-                            OpKind::Pop => {
-                                let _ = h.remove(&key);
-                            }
-                            OpKind::Peek => {
-                                let _ = h.get(&key);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        barrier.wait();
-        for h in handles {
-            h.join().expect("bench worker panicked");
-        }
-        start.elapsed()
-    })
-}
-
-/// Prefills `stack` with `prefill` pseudo-random values.
-fn prefill_stack<S: ConcurrentStack<u64>>(stack: &S, prefill: usize) {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut h = stack.register();
-    let mut rng = SmallRng::seed_from_u64(0x5EED);
-    for _ in 0..prefill {
-        h.push(rng.gen_range(0..100_000));
-    }
-}
-
-/// Prefills `queue` with `prefill` pseudo-random values.
-fn prefill_queue<Q: ConcurrentQueue<u64>>(queue: &Q, prefill: usize) {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut h = queue.register();
-    let mut rng = SmallRng::seed_from_u64(0x5EED);
-    for _ in 0..prefill {
-        h.enqueue(rng.gen_range(0..100_000));
-    }
-}
-
-/// Prefills `map` with `prefill` uniformly drawn key/value pairs
-/// (duplicate keys overwrite — the map ends up warm, not full).
-fn prefill_map<M: ConcurrentMap<u64, u64>>(map: &M, prefill: usize, dist: KeyDist) {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let sampler = dist.sampler();
-    let mut h = map.register();
-    let mut rng = SmallRng::seed_from_u64(0x5EED);
-    for _ in 0..prefill {
-        let key = sampler.sample(&mut rng);
-        h.insert(key, rng.gen_range(0..100_000));
-    }
-}
-
-/// Constructs a fresh instance of `algo`, prefills it, and measures the
-/// fixed-work duration (Criterion `iter_custom` building block; one
-/// stack or queue per call so iterations are independent).
-pub fn timed_algo(
+/// Runs `ops` timed operations per thread of `mix` (`map_mix` for the
+/// map family, keys uniform over 1024) on `threads` workers against a
+/// fresh instance of `algo`, and returns the latency percentiles.
+pub fn algo_latency(
     algo: Algo,
     threads: usize,
-    ops_per_thread: u64,
+    ops: u64,
     mix: Mix,
-    prefill: usize,
-) -> Duration {
+    map_mix: MapMix,
+) -> LatencyReport {
     let cap = threads + 1;
+    let keys = KeyDist::Uniform { keys: 1024 };
     match algo {
-        Algo::Sec { aggregators } => {
-            let s: SecStack<u64> = SecStack::with_config(SecConfig::new(aggregators, cap));
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
+        Algo::Sec { aggregators } => measure_latency(
+            &SecStack::<u64>::with_config(SecConfig::new(aggregators, cap)),
+            threads,
+            ops,
+            mix,
+        ),
+        Algo::SecAdaptive { min_k, max_k } => measure_latency(
+            &SecStack::<u64>::with_config(SecConfig::adaptive(min_k, max_k, cap)),
+            threads,
+            ops,
+            mix,
+        ),
+        Algo::Trb => measure_latency(&TreiberStack::<u64>::new(cap), threads, ops, mix),
+        Algo::Eb => measure_latency(&EbStack::<u64>::new(cap), threads, ops, mix),
+        Algo::Fc => measure_latency(&FcStack::<u64>::new(cap), threads, ops, mix),
+        Algo::Cc => measure_latency(&CcStack::<u64>::new(cap), threads, ops, mix),
+        Algo::Tsi => measure_latency(&TsiStack::<u64>::new(cap), threads, ops, mix),
+        Algo::TrbHp => measure_latency(&TreiberHpStack::<u64>::new(cap), threads, ops, mix),
+        Algo::Lck => measure_latency(&LockedStack::<u64>::new(cap), threads, ops, mix),
+        Algo::SecQueue => measure_queue_latency(&SecQueue::<u64>::new(cap), threads, ops, mix),
+        Algo::MsQ => measure_queue_latency(&MsQueue::<u64>::new(cap), threads, ops, mix),
+        Algo::LckQ => measure_queue_latency(&LockedQueue::<u64>::new(cap), threads, ops, mix),
+        Algo::SecCounter => measure_counter_latency(
+            &SecCounter::with_config(SecConfig::new(2, cap)),
+            threads,
+            ops,
+            mix,
+        ),
+        Algo::SecMap => measure_map_latency(
+            &SecMap::<u64, u64>::with_config(SecConfig::new(2, cap)),
+            threads,
+            ops,
+            map_mix,
+            keys,
+        ),
+        Algo::LckMap => measure_map_latency(
+            &LockedHashMap::<u64, u64>::new(cap),
+            threads,
+            ops,
+            map_mix,
+            keys,
+        ),
+    }
+}
+
+/// A `BENCH_*.json` document (the workspace carries no serde; the
+/// drops are flat enough that formatting by hand is the smaller
+/// liability).
+///
+/// [`render`](Self::render) lays the document out the way every drop
+/// has always been laid out: the top-level object one field per line,
+/// every array of objects one element per line, everything else
+/// inline.
+#[derive(Debug)]
+pub enum Json {
+    /// An integer.
+    Int(u64),
+    /// A number printed with a fixed count of decimals (`{:.N}`).
+    Fixed(f64, usize),
+    /// A string, written unescaped (the drops only carry labels and
+    /// names, none of which contain `"` or `\`).
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, fields in order.
+    Object(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Self {
+        Json::Str(s.into())
+    }
+
+    /// The document text, newline-terminated.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    /// Writes `self` into `out`, where `indent` is the indentation of
+    /// the line the value starts on (0 only for the top-level object).
+    fn write(&self, out: &mut String, indent: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Int(n) => return out.push_str(&n.to_string()),
+            Json::Fixed(x, decimals) => return out.push_str(&format!("{x:.decimals$}")),
+            Json::Str(s) => return out.push_str(&format!("\"{s}\"")),
+            Json::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Object(fields) => {
+                let fields = fields.iter().map(|(k, v)| (Some(*k), v)).collect();
+                ('{', '}', fields)
+            }
+        };
+        // The top level and every container of objects put one element
+        // per line, indented one step deeper than the line they open on.
+        let multiline = indent == 0 || matches!(items.first(), Some((_, Json::Object(_))));
+        let inner = if multiline { indent + 2 } else { indent };
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(match (i, multiline) {
+                (0, false) => "",
+                (_, false) => ", ",
+                (0, true) => "\n",
+                (_, true) => ",\n",
+            });
+            if multiline {
+                out.push_str(&" ".repeat(inner));
+            }
+            if let Some(key) = key {
+                let _ = write!(out, "\"{key}\": ");
+            }
+            value.write(out, inner);
         }
-        Algo::SecAdaptive { min_k, max_k } => {
-            let s: SecStack<u64> = SecStack::with_config(SecConfig::adaptive(min_k, max_k, cap));
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
+        if multiline {
+            let _ = write!(out, "\n{}", " ".repeat(indent));
         }
-        Algo::Trb => {
-            let s: TreiberStack<u64> = TreiberStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::Eb => {
-            let s: EbStack<u64> = EbStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::Fc => {
-            let s: FcStack<u64> = FcStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::Cc => {
-            let s: CcStack<u64> = CcStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::Tsi => {
-            let s: TsiStack<u64> = TsiStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::TrbHp => {
-            let s: TreiberHpStack<u64> = TreiberHpStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::Lck => {
-            let s: LockedStack<u64> = LockedStack::new(cap);
-            prefill_stack(&s, prefill);
-            timed_fixed_work(&s, threads, ops_per_thread, mix)
-        }
-        Algo::SecQueue => {
-            let q: SecQueue<u64> = SecQueue::new(cap);
-            prefill_queue(&q, prefill);
-            timed_queue_fixed_work(&q, threads, ops_per_thread, mix)
-        }
-        Algo::MsQ => {
-            let q: MsQueue<u64> = MsQueue::new(cap);
-            prefill_queue(&q, prefill);
-            timed_queue_fixed_work(&q, threads, ops_per_thread, mix)
-        }
-        Algo::LckQ => {
-            let q: LockedQueue<u64> = LockedQueue::new(cap);
-            prefill_queue(&q, prefill);
-            timed_queue_fixed_work(&q, threads, ops_per_thread, mix)
-        }
-        Algo::SecCounter => {
-            let c = SecCounter::with_config(SecConfig::new(2, cap));
-            timed_counter_fixed_work(&c, threads, ops_per_thread, mix)
-        }
-        Algo::SecMap => {
-            let dist = KeyDist::Uniform { keys: 1024 };
-            let m: SecMap<u64, u64> = SecMap::with_config(SecConfig::new(2, cap));
-            prefill_map(&m, prefill, dist);
-            timed_map_fixed_work(&m, threads, ops_per_thread, mix, dist)
-        }
-        Algo::LckMap => {
-            let dist = KeyDist::Uniform { keys: 1024 };
-            let m: LockedHashMap<u64, u64> = LockedHashMap::new(cap);
-            prefill_map(&m, prefill, dist);
-            timed_map_fixed_work(&m, threads, ops_per_thread, mix, dist)
-        }
+        out.push(close);
+    }
+}
+
+/// Writes `body` to `path` (creating its directory) and reports the
+/// outcome on stderr; a failed write warns instead of aborting the
+/// sweep that produced it.
+pub fn write_reported(path: &Path, body: &str) {
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    match std::fs::write(path, body) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
+
+/// Writes the `file_name` drop (e.g. `BENCH_families.json`) twice:
+/// into `csv_dir` for the artifact bundle, and into the current
+/// directory — the repo root when run from a checkout — so trend
+/// tooling finds every `BENCH_*` file in one place without knowing
+/// each binary's `--csv` dir.
+pub fn write_bench_json(csv_dir: &Path, file_name: &str, json: &Json) {
+    let body = json.render();
+    for path in [csv_dir.join(file_name), PathBuf::from(file_name)] {
+        write_reported(&path, &body);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Json;
+
+    #[test]
+    fn json_layout_matches_the_committed_drops() {
+        let point = |x: f64| Json::Object(vec![("t", Json::Int(1)), ("x", Json::Fixed(x, 4))]);
+        let doc = Json::Object(vec![
+            ("bench", Json::str("families")),
+            ("threads", Json::Array(vec![Json::Int(1), Json::Int(2)])),
+            (
+                "rows",
+                Json::Array(vec![Json::Object(vec![
+                    ("name", Json::str("SEC")),
+                    ("points", Json::Array(vec![point(2.07156), point(0.5)])),
+                ])]),
+            ),
+        ]);
+        let expected = r#"{
+  "bench": "families",
+  "threads": [1, 2],
+  "rows": [
+    {"name": "SEC", "points": [
+      {"t": 1, "x": 2.0716},
+      {"t": 1, "x": 0.5000}
+    ]}
+  ]
+}
+"#;
+        assert_eq!(doc.render(), expected);
     }
 }

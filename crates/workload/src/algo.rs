@@ -64,8 +64,8 @@ pub enum Algo {
     LckMap,
 }
 
-/// The lineup of Figure 2/3: SEC (2 aggregators) plus the five
-/// competitors, in the paper's legend order.
+/// The lineup of Figure 2/3 (`sweep fig2`, `sweep fig3`): SEC (2
+/// aggregators) plus the five competitors, in the paper's legend order.
 pub const ALL_COMPETITORS: [Algo; 6] = [
     Algo::Cc,
     Algo::Eb,
@@ -89,17 +89,17 @@ pub const EXTENDED_LINEUP: [Algo; 8] = [
     Algo::Lck,
 ];
 
-/// The queue lineup of the `queue_bench` binary: the SEC-derived queue
+/// The queue lineup of `sweep queue_bench`: the SEC-derived queue
 /// against the Michael–Scott reference and the locked floor.
 pub const QUEUE_LINEUP: [Algo; 3] = [Algo::SecQueue, Algo::MsQ, Algo::LckQ];
 
-/// The map lineup of the `map_bench` binary: the SEC-derived map
-/// against the locked floor.
+/// The map lineup of `sweep map_bench`: the SEC-derived map against
+/// the locked floor.
 pub const MAP_LINEUP: [Algo; 2] = [Algo::SecMap, Algo::LckMap];
 
 /// One SEC family per structure kind — the validation/soak sweep that
 /// proves every family is reachable from the harness (stack, elastic
-/// stack, queue, counter, map).
+/// stack, queue, counter, map), and the lineup of `sweep families`.
 pub const SEC_FAMILIES: [Algo; 5] = [
     Algo::Sec { aggregators: 2 },
     Algo::SecAdaptive { min_k: 1, max_k: 4 },
@@ -131,8 +131,8 @@ impl Algo {
         }
     }
 
-    /// The label for the aggregator-count ablations (`fig4`,
-    /// `adaptive_k`): like [`label`](Self::label), except a static
+    /// The label for the aggregator-count ablations (`sweep fig4`,
+    /// `sweep adaptive_k`): like [`label`](Self::label), except a static
     /// SEC series always carries its K — `SEC_Agg2`, not the
     /// fig2-legend `SEC` — so the ablation columns stay comparable
     /// across K. Single owner of that naming rule; the bench binaries

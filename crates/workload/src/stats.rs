@@ -12,7 +12,7 @@ use sec_core::{BatchReport, CollectorStats};
 /// [`DegreeDist`](sec_core::DegreeDist) every SEC [`BatchReport`] now
 /// carries (sourced from the engine's per-batch degree histogram).
 ///
-/// The `map_bench`/`queue_bench` binaries render the fold as the
+/// The `sweep` figures `map_bench`/`queue_bench` render the fold as the
 /// `<series>_degree_{min,p50,p99,max}` extra CSV columns: min/max are
 /// the extrema across runs, p50/p99 the mean of the per-run
 /// percentiles (percentiles don't sum; averaging them over the

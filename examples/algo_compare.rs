@@ -6,8 +6,8 @@
 //! cargo run --release --example algo_compare
 //! ```
 //!
-//! (For full sweeps with CSV output use the figure binaries:
-//! `cargo run -p sec-bench --release --bin fig2`.)
+//! (For full sweeps with CSV output use the `sweep` binary:
+//! `cargo run -p sec-bench --release --bin sweep -- fig2`.)
 
 use sec_repro::workload::{run_algo, Mix, RunConfig, ALL_COMPETITORS};
 use std::time::Duration;
