@@ -93,7 +93,8 @@ fn main() {
         let stack: SecStack<u64> =
             SecStack::with_config(SecConfig::new(2, over + 1).wait_policy(policy));
         let rs = measure_latency(&stack, over, ops_per_thread, Mix::UPDATE_100);
-        let queue: SecQueue<u64> = SecQueue::new(over + 1).wait_policy(policy);
+        let queue: SecQueue<u64> =
+            SecQueue::with_config(SecConfig::new(1, over + 1).wait_policy(policy));
         let rq = measure_queue_latency(&queue, over, ops_per_thread, Mix::UPDATE_100);
         for (label, r) in [("SEC", rs), ("SEC-Q", rq)] {
             println!(

@@ -36,28 +36,36 @@ use sec_workload::{
     measure_latency, measure_queue_latency, run_algo, Algo, LatencyReport, Mix, RunConfig,
 };
 
-/// One fixed-work latency pass for a (family, policy, threads) cell.
-fn cell_latency(algo: Algo, policy: WaitPolicy, threads: usize, ops: u64) -> LatencyReport {
+/// One fixed-work latency pass for a (family, policy, threads) cell,
+/// on a structure built with the throughput runs' `sec` patch.
+fn cell_latency(algo: Algo, sec: Patch, threads: usize, ops: u64) -> LatencyReport {
     let cap = threads + 1;
     match algo {
         Algo::SecQueue => {
-            let queue: SecQueue<u64> = SecQueue::new(cap).wait_policy(policy);
+            let queue: SecQueue<u64> = SecQueue::with_config(sec(SecConfig::new(1, cap)));
             measure_queue_latency(&queue, threads, ops, Mix::UPDATE_100)
         }
         _ => {
-            let stack: SecStack<u64> =
-                SecStack::with_config(SecConfig::new(2, cap).wait_policy(policy));
+            let stack: SecStack<u64> = SecStack::with_config(sec(SecConfig::new(2, cap)));
             measure_latency(&stack, threads, ops, Mix::UPDATE_100)
         }
     }
 }
 
-/// The swept wait policies, with the series labels used in the CSVs.
-const POLICIES: [WaitPolicy; 3] = [
-    WaitPolicy::Spin,
-    WaitPolicy::SpinThenYield,
-    WaitPolicy::spin_then_park(),
+/// A [`RunConfig::sec`] patch.
+type Patch = fn(SecConfig) -> SecConfig;
+
+/// The swept wait policies, as the patches that set them.
+const POLICIES: [Patch; 3] = [
+    |c| c.wait_policy(WaitPolicy::Spin),
+    |c| c.wait_policy(WaitPolicy::SpinThenYield),
+    |c| c.wait_policy(WaitPolicy::spin_then_park()),
 ];
+
+/// The wait policy a patch sets, whose label names the CSV series.
+fn policy_of(sec: Patch) -> WaitPolicy {
+    sec(SecConfig::new(1, 1)).wait
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -98,11 +106,11 @@ fn main() {
         let mut waits = vec![vec![WaitTotals::new(); sweep.len()]; POLICIES.len()];
         for r in 0..opts.runs {
             for (ti, &threads) in sweep.iter().enumerate() {
-                for (pi, policy) in POLICIES.into_iter().enumerate() {
+                for (pi, sec) in POLICIES.into_iter().enumerate() {
                     let cfg = RunConfig {
                         duration: opts.duration,
                         prefill: opts.prefill,
-                        wait: Some(policy),
+                        sec,
                         seed: 0xC0FFEE ^ (r as u64) << 32,
                         ..RunConfig::new(threads, Mix::UPDATE_100)
                     };
@@ -113,7 +121,8 @@ fn main() {
             }
         }
         let mut extras: Vec<(String, Vec<f64>)> = Vec::new();
-        for (pi, policy) in POLICIES.into_iter().enumerate() {
+        for (pi, sec) in POLICIES.into_iter().enumerate() {
+            let policy = policy_of(sec);
             let label = format!("{}_{}", algo.label(), policy.label());
             let mut ys = Vec::with_capacity(sweep.len());
             for (ti, &threads) in sweep.iter().enumerate() {
@@ -136,7 +145,7 @@ fn main() {
             let mut p99s = Vec::with_capacity(sweep.len());
             let mut p999s = Vec::with_capacity(sweep.len());
             for &threads in &sweep {
-                let r = cell_latency(algo, policy, threads, 2_000);
+                let r = cell_latency(algo, sec, threads, 2_000);
                 p50s.push(r.p50 as f64);
                 p99s.push(r.p99 as f64);
                 p999s.push(r.p999 as f64);

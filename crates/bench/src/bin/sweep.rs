@@ -27,8 +27,9 @@
 //! family's batching degree and fixed-work p99 latency in `families`
 //! (EXPERIMENTS.md reads each block).
 
-use sec_bench::{algo_latency, write_bench_json, BenchOpts, Json};
-use sec_core::AggregatorPolicy;
+use sec_bench::{
+    algo_latency, map_bench_capacity, map_bench_sec, write_bench_json, BenchOpts, Json,
+};
 use sec_workload::stats::{DegreeTotals, ReclaimTotals, ResizeTotals, Summary};
 use sec_workload::table::Figure;
 use sec_workload::{
@@ -232,35 +233,14 @@ fn spec(name: &str, opts: &BenchOpts) -> Option<Spec> {
                 cfg: RunConfig {
                     map_mix,
                     key_dist,
-                    // Elastic across the shard range: the key
-                    // distribution, not the construction-time K, decides
-                    // how many shards stay active (DESIGN.md §8, §13).
-                    // min_k = 3, not 2: a two-way split is too coarse to
-                    // tell the distributions apart on a small host (both
-                    // halves stay crowded), while from three shards up
-                    // evenly spread announcements dilute per shard but
-                    // the zipfian hot keys' shard keeps its whole mass.
-                    sec_policy: Some(AggregatorPolicy::Adaptive {
-                        min_k: 3,
-                        max_k: 6,
-                        window: 2048,
-                    }),
+                    sec: map_bench_sec,
                     ..mix_cfg(opts, upd100)
                 },
             };
             Spec {
-                // Provision registration capacity for peak load (~2.3x
-                // the worker count plus a spare pool), as a deployment
-                // sized for a worst-case fan-in would. The monitor's
-                // per-shard share is capacity / active (DESIGN.md §8),
-                // and this curve puts the grow threshold (half the
-                // share) between the two workloads' min_k batching
-                // degrees: evenly spread announcements stay under it,
-                // while the crowded shard serving the zipfian hot keys
-                // clears it and votes the active count up. Below 4
-                // threads keep the tight default — there the share
-                // guard disables resizing for any input.
-                capacity: |threads| (threads >= 4).then_some(7 * threads / 3 + 6),
+                // Below 4 threads keep the tight default — there the
+                // share guard disables resizing for any input.
+                capacity: |threads| (threads >= 4).then(|| map_bench_capacity(threads)),
                 counted: |a| *a == Algo::SecMap,
                 counters: SEC_BLOCK,
                 ..Spec::new(

@@ -26,9 +26,9 @@
 //! [`SecMap`]: sec_core::SecMap
 //! [`TraceSnapshot`]: sec_core::TraceSnapshot
 
-use sec_bench::BenchOpts;
+use sec_bench::{map_bench_capacity, map_bench_sec, BenchOpts};
 use sec_core::trace::{chrome_trace_json, Histogram};
-use sec_core::{AggregatorPolicy, SecConfig, SecMap, TraceConfig};
+use sec_core::{SecConfig, SecMap, TraceConfig};
 use sec_workload::{run_map_throughput, KeyDist, MapMix, Mix, RunConfig};
 
 /// One percentile row of the phase-histogram table.
@@ -64,19 +64,14 @@ fn main() {
             keys: 1024,
             theta: 3.0,
         },
-        // Provisioned headroom so the elastic monitor can vote shards
-        // up when the zipfian hot keys crowd one (the same sizing rule
-        // map_bench documents).
-        sec_capacity: Some(7 * THREADS / 3 + 6),
+        // map_bench's shard policy and provisioned headroom, so the
+        // elastic monitor can vote shards up when the zipfian hot keys
+        // crowd one.
+        sec_capacity: Some(map_bench_capacity(THREADS)),
         ..RunConfig::new(THREADS, Mix::UPDATE_100)
     };
     let map: SecMap<u64, u64> = SecMap::with_config(
-        SecConfig::new(6, cfg.sec_capacity.unwrap_or(THREADS + 1).max(THREADS + 1))
-            .aggregator_policy(AggregatorPolicy::Adaptive {
-                min_k: 3,
-                max_k: 6,
-                window: 2048,
-            })
+        map_bench_sec(SecConfig::new(2, cfg.capacity()))
             // Sample 1 in 4 ops: dense enough that the dump shows the
             // per-op protocol steps, cheap enough not to distort the
             // batch shapes being recorded.

@@ -458,7 +458,7 @@ fn main() {
     // Short runs on a shared host are noisy, so the gate retries up to
     // three times before declaring a regression.
     {
-        use sec_core::TraceConfig;
+        use sec_core::{SecConfig, TraceConfig};
         use sec_workload::{run_algo, Algo, Mix, RunConfig};
         use std::time::Duration;
 
@@ -472,12 +472,8 @@ fn main() {
             prefill: 1000,
             ..RunConfig::new(4.min(THREADS), Mix::UPDATE_100)
         };
-        let measure = |trace: TraceConfig, seed: u64| {
-            let cfg = RunConfig {
-                trace: Some(trace),
-                seed,
-                ..base
-            };
+        let measure = |sec: fn(SecConfig) -> SecConfig, seed: u64| {
+            let cfg = RunConfig { sec, seed, ..base };
             run_algo(Algo::Sec { aggregators: 2 }, &cfg).result.mops()
         };
         let (floor, budget_pct, arm) = if cfg!(feature = "trace") {
@@ -491,8 +487,11 @@ fn main() {
             let mut on = Vec::with_capacity(5);
             for r in 0u64..5 {
                 let seed = 0x7ACE ^ (attempt << 8) ^ r;
-                off.push(measure(TraceConfig::off(), seed));
-                on.push(measure(TraceConfig::on().sample_shift(8), seed));
+                off.push(measure(|c| c.trace(TraceConfig::off()), seed));
+                on.push(measure(
+                    |c| c.trace(TraceConfig::on().sample_shift(8)),
+                    seed,
+                ));
             }
             ratio = median(on) / median(off);
             if ratio >= floor {

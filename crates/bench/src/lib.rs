@@ -27,8 +27,8 @@
 //! ```
 //!
 //! The Criterion benches in `benches/` cover what no binary measures:
-//! adversarial schedules, the substrate primitives and the extension
-//! structures (`cargo bench -p sec-bench`).
+//! adversarial schedules and the substrate primitives
+//! (`cargo bench -p sec-bench`).
 //!
 //! This module provides the shared command-line parsing, the
 //! fixed-work latency dispatch and the `BENCH_*.json` writer.
@@ -39,7 +39,7 @@ use sec_baselines::{
     CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
     TreiberStack, TsiStack,
 };
-use sec_core::{SecConfig, SecCounter, SecMap, SecQueue, SecStack};
+use sec_core::{AggregatorPolicy, SecConfig, SecCounter, SecMap, SecQueue, SecStack};
 use sec_workload::{
     measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency, Algo,
     KeyDist, LatencyReport, MapMix, Mix,
@@ -171,6 +171,36 @@ impl BenchOpts {
             self.prefill
         )
     }
+}
+
+/// `sweep map_bench`'s shard policy, as a [`RunConfig::sec`] patch:
+/// elastic across the shard range, so the key distribution, not the
+/// construction-time K, decides how many shards stay active
+/// (DESIGN.md §8, §13). `min_k = 3`, not 2: a two-way split is too
+/// coarse to tell the distributions apart on a small host (both halves
+/// stay crowded), while from three shards up evenly spread
+/// announcements dilute per shard but the zipfian hot keys' shard
+/// keeps its whole mass.
+///
+/// [`RunConfig::sec`]: sec_workload::RunConfig::sec
+pub fn map_bench_sec(config: SecConfig) -> SecConfig {
+    config.aggregator_policy(AggregatorPolicy::Adaptive {
+        min_k: 3,
+        max_k: 6,
+        window: 2048,
+    })
+}
+
+/// `sweep map_bench`'s registration capacity at `threads` workers:
+/// ~2.3x the worker count plus a spare pool, as a deployment sized for
+/// a worst-case fan-in would provision. The monitor's per-shard share
+/// is capacity / active (DESIGN.md §8), and this curve puts the grow
+/// threshold (half the share) between the two workloads' `min_k`
+/// batching degrees: evenly spread announcements stay under it, while
+/// the crowded shard serving the zipfian hot keys clears it and votes
+/// the active count up.
+pub fn map_bench_capacity(threads: usize) -> usize {
+    7 * threads / 3 + 6
 }
 
 /// Runs `ops` timed operations per thread of `mix` (`map_mix` for the

@@ -365,7 +365,7 @@ pub(crate) fn mark_applied<N>(
 
 /// Waits (policy-aware, never parking) for a slot another announcer is
 /// about to publish — the "line 38" wait shared by the push combiner,
-/// the eliminating pop, the deque combiners, the queue's enqueue
+/// the eliminating pop, the queue's enqueue
 /// combiner and the counter's summing combiner. The publisher is
 /// between its `fetch&increment` and its slot store — a few
 /// instructions — so there is no waker to register with and nothing

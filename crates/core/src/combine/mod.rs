@@ -20,10 +20,9 @@
 //! [`CombineOp`]: a sequential "apply this frozen batch to the shared
 //! structure" for each lane, plus hooks for elimination and result
 //! consumption, and — for durable families — "apply this one logged
-//! operation". `SecStack`, `SecQueue`, `SecDeque` and `SecCounter`
-//! are all such instantiations (`SecPool` composes single-aggregator
-//! stacks and therefore instantiates it transitively); see DESIGN.md
-//! §12 for the state machine and the `CombineOp` contract.
+//! operation". `SecStack`, `SecQueue`, `SecCounter` and `SecMap` are
+//! all such instantiations; see DESIGN.md §12 for the state machine
+//! and the `CombineOp` contract.
 //!
 //! ## One driver for mixed and homogeneous batches
 //!
@@ -44,7 +43,7 @@ pub(crate) mod durable;
 use crate::config::{AggregatorPolicy, SecConfig};
 use crate::sec::elastic::{self, ContentionMonitor, Direction};
 use crate::sec::stats::SecStats;
-use crate::trace::{TraceConfig, TraceEventKind, TraceLane, TraceRecorder, TraceSnapshot};
+use crate::trace::{TraceEventKind, TraceLane, TraceRecorder, TraceSnapshot};
 pub(crate) use batch::{
     mark_applied, wait_applied, wait_ptr, CombineAggregator, CombineBatch, Role, MAX_BULK_OPS,
 };
@@ -80,8 +79,8 @@ impl Role {
 
 /// A family's sequential apply logic — everything the engine does
 /// *not* own. Implementors hold the shared structure itself (the
-/// stack's top pointer, the queue's head/tail, the deque's locked
-/// `VecDeque`, the counter's accumulator) and apply frozen batches to
+/// stack's top pointer, the queue's head/tail, the counter's
+/// accumulator, the map's buckets) and apply frozen batches to
 /// it; the engine guarantees each hook's calling discipline:
 ///
 /// * [`combine_add`]/[`combine_remove`] run on exactly one thread per
@@ -140,9 +139,9 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     );
 
     /// A remove whose sequence number pairs with an add of the batch:
-    /// consume the partner's announced node. Only mixed-batch families
-    /// (stack, deque) pair operations; homogeneous families keep the
-    /// default.
+    /// consume the partner's announced node. Only the stack, the one
+    /// mixed-batch family, pairs operations; homogeneous families keep
+    /// the default.
     fn eliminate(
         &self,
         eng: &CombineEngine<Self>,
@@ -222,8 +221,8 @@ pub(crate) enum Lane<'s> {
     /// Policy-mapped (and elastically re-mapped) by thread id — the
     /// stack's and counter's announcement path.
     Mapped(&'s mut OpState),
-    /// A fixed aggregator index — the queue's and deque's per-end
-    /// path.
+    /// A fixed aggregator index — the queue's per-end path and every
+    /// family's bulk aggregators.
     At(usize),
 }
 
@@ -299,8 +298,9 @@ pub(crate) struct CombineEngine<O: CombineOp> {
     /// Construction instant, anchoring [`TraceSnapshot::at_ns`].
     born: Instant,
     /// The sec-trace recording substrate (DESIGN.md §14), built only
-    /// when [`TraceConfig::enabled`] is set. The field itself exists
-    /// only under the `trace` cargo feature; every hook goes through
+    /// when [`TraceConfig::enabled`](crate::TraceConfig::enabled) is
+    /// set. The field itself exists only under the `trace` cargo
+    /// feature; every hook goes through
     /// [`CombineEngine::tracer`], which degenerates to a constant
     /// `None` without it — the optimizer then erases the hooks
     /// entirely, so default builds pay nothing.
@@ -410,19 +410,6 @@ impl<O: CombineOp> CombineEngine<O> {
         &self.config
     }
 
-    /// Pre-registration configuration access for family builders
-    /// (consuming-receiver builders guarantee exclusivity).
-    pub(crate) fn config_mut(&mut self) -> &mut SecConfig {
-        &mut self.config
-    }
-
-    /// Re-points the collector's recycle policy (builder path; must
-    /// run before any thread registers, which `&mut` guarantees).
-    pub(crate) fn set_recycle_policy(&mut self, recycle: crate::config::RecyclePolicy) {
-        self.config.recycle = recycle;
-        self.collector.set_recycle_policy(recycle);
-    }
-
     /// The family's apply logic / shared structure.
     pub(crate) fn op(&self) -> &O {
         &self.op
@@ -452,20 +439,6 @@ impl<O: CombineOp> CombineEngine<O> {
         #[cfg(not(feature = "trace"))]
         {
             None
-        }
-    }
-
-    /// Re-points the tracing configuration (builder path; `&mut`
-    /// guarantees no thread has registered yet). Rebuilds the recorder
-    /// to match under the `trace` feature; without it only the stored
-    /// config changes.
-    pub(crate) fn set_trace_config(&mut self, trace: TraceConfig) {
-        self.config.trace = trace;
-        #[cfg(feature = "trace")]
-        {
-            self.tracer = trace
-                .enabled
-                .then(|| Box::new(TraceRecorder::new(&trace, self.config.max_threads)));
         }
     }
 

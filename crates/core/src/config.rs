@@ -1,4 +1,4 @@
-//! Construction-time tunables of the SEC stack.
+//! Construction-time tunables of the SEC structures.
 //!
 //! Two orthogonal knobs shape the aggregator layer:
 //!
@@ -146,7 +146,12 @@ impl AggregatorPolicy {
     }
 }
 
-/// Configuration of a [`SecStack`](crate::SecStack).
+/// Configuration of a SEC structure: the one value every family's
+/// `with_config` and `durable_with_config` constructors take.
+///
+/// The stack, counter and map honour every field. The queue's
+/// aggregators are its two ends, a fixed layout, so it ignores
+/// `aggregators`, `policy` and `shard_policy` and honours the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecConfig {
     /// Number of aggregator slots allocated by the stack (≥ 1). Under

@@ -252,8 +252,17 @@ impl SecCounter {
     /// and is redo-logged (with its result) by its batch's combiner
     /// before the result is published. See DESIGN.md §16.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
-        let core = DurableCore::create(&policy, Family::Counter, 0, max_threads)?;
-        Ok(Self::build(SecConfig::new(2, max_threads), Some(core)))
+        Self::durable_with_config(SecConfig::new(2, max_threads), policy)
+    }
+
+    /// [`SecCounter::durable`] from an explicit [`SecConfig`]: every
+    /// field applies as it does to [`SecCounter::with_config`].
+    pub fn durable_with_config(
+        config: SecConfig,
+        policy: DurablePolicy,
+    ) -> Result<Self, DurableError> {
+        let core = DurableCore::create(&policy, Family::Counter, 0, config.max_threads)?;
+        Ok(Self::build(config, Some(core)))
     }
 
     /// Recovers a durable counter from `policy.mode`'s existing heap:

@@ -73,9 +73,7 @@
 pub(crate) mod combine;
 mod config;
 pub mod counter;
-pub mod deque;
 pub mod map;
-pub mod pool;
 pub mod queue;
 pub mod sec;
 pub mod trace;

@@ -396,12 +396,12 @@ where
     /// mean shorter association lists and finer re-sharding granularity;
     /// the default is 512.
     ///
-    /// On a durable map prefer passing the count to
-    /// [`SecMap::durable`]-time construction: this builder keeps the
-    /// log but the heap header retains the creation-time count, which
-    /// is what [`SecMap::recover`] rebuilds with (harmless for
-    /// correctness — bucket placement never affects results — but the
-    /// recovered map won't mirror a post-hoc resize).
+    /// On a durable map the redo log keeps working, but the heap
+    /// header still records the default count of 512 that
+    /// [`SecMap::durable`] creates it with, and [`SecMap::recover`]
+    /// rebuilds with that count. Results are unaffected — bucket
+    /// placement never changes them — but the recovered map does not
+    /// mirror this resize.
     pub fn bucket_count(mut self, n: usize) -> Self {
         *self.engine.op_mut() = MapOp::with_buckets(n);
         self
@@ -505,12 +505,18 @@ impl SecMap<u64, u64> {
     /// bucket count is recorded in the heap header so
     /// [`SecMap::recover`] rebuilds identically.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
+        Self::durable_with_config(SecConfig::new(2, max_threads), policy)
+    }
+
+    /// [`SecMap::durable`] from an explicit [`SecConfig`], read as
+    /// [`SecMap::with_config`] reads it.
+    pub fn durable_with_config(
+        config: SecConfig,
+        policy: DurablePolicy,
+    ) -> Result<Self, DurableError> {
+        let max_threads = config.max_threads;
         let core = DurableCore::create(&policy, Family::Map, DEFAULT_BUCKETS as u64, max_threads)?;
-        Ok(Self::build(
-            SecConfig::new(2, max_threads),
-            DEFAULT_BUCKETS,
-            Some(core),
-        ))
+        Ok(Self::build(config, DEFAULT_BUCKETS, Some(core)))
     }
 
     /// Recovers a durable map from `policy.mode`'s existing heap:

@@ -47,7 +47,7 @@ use crate::combine::durable::{
     RecoveryReport,
 };
 use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, Role};
-use crate::config::{RecyclePolicy, SecConfig, WaitPolicy};
+use crate::config::{AggregatorPolicy, SecConfig, WaitPolicy};
 use crate::sec::stats::SecStats;
 use crate::traits::{ConcurrentQueue, QueueHandle};
 use core::fmt;
@@ -591,10 +591,10 @@ impl<T: Send + 'static> Drop for QueueOp<T> {
 
 /// The SEC-derived FIFO queue (blocking, linearizable).
 ///
-/// Construct with [`SecQueue::new`]; each thread obtains a
-/// [`SecQueueHandle`] via [`SecQueue::register`] (or the
-/// [`ConcurrentQueue`] trait) and performs `enqueue`/`dequeue` through
-/// it.
+/// Construct with [`SecQueue::new`] or [`SecQueue::with_config`]; each
+/// thread obtains a [`SecQueueHandle`] via [`SecQueue::register`] (or
+/// the [`ConcurrentQueue`] trait) and performs `enqueue`/`dequeue`
+/// through it.
 ///
 /// # Examples
 ///
@@ -616,10 +616,20 @@ pub struct SecQueue<T: Send + 'static> {
 impl<T: Send + 'static> SecQueue<T> {
     /// Creates a queue for up to `max_threads` threads.
     pub fn new(max_threads: usize) -> Self {
-        Self::build(max_threads, None)
+        Self::with_config(SecConfig::new(1, max_threads))
     }
 
-    fn build(max_threads: usize, durable: Option<DurableCore>) -> Self {
+    /// Creates a queue from an explicit [`SecConfig`]. Capacity,
+    /// freezer backoff, recycle, wait and trace settings apply as they
+    /// do to the stack, and `wait` also decides whether the empty-queue
+    /// rendezvous window yields inside its budget. `aggregators`,
+    /// `policy` and `shard_policy` are ignored, because the queue's
+    /// aggregators are its two ends, not shards.
+    pub fn with_config(config: SecConfig) -> Self {
+        Self::build(config, None)
+    }
+
+    fn build(config: SecConfig, durable: Option<DurableCore>) -> Self {
         // One engine aggregator per end plus the bulk dequeue
         // aggregator; every thread may operate on either end, so all
         // batch layers admit all of them (the k = 1 configuration pins
@@ -638,7 +648,7 @@ impl<T: Send + 'static> SecQueue<T> {
                     rendezvous_spins: DEFAULT_RENDEZVOUS_SPINS,
                     rendezvous_hits: AtomicU64::new(0),
                 },
-                SecConfig::new(1, max_threads),
+                config.aggregator_policy(AggregatorPolicy::Fixed(1)),
                 AggLayout::Fixed {
                     ends: &[false, true, true],
                     bulk: 0,
@@ -653,43 +663,6 @@ impl<T: Send + 'static> SecQueue<T> {
     /// a dequeue batch that validates emptiness reports EMPTY at once.
     pub fn rendezvous_spins(mut self, spins: u32) -> Self {
         self.engine.op_mut().rendezvous_spins = spins;
-        self
-    }
-
-    /// Sets the node-recycling policy (builder style; the default is
-    /// [`RecyclePolicy::per_thread`]). Must be applied before any
-    /// thread registers, which the consuming receiver guarantees.
-    pub fn recycle_policy(mut self, recycle: RecyclePolicy) -> Self {
-        self.engine.set_recycle_policy(recycle);
-        self
-    }
-
-    /// Sets the blocking-wait policy (builder style; the default is
-    /// [`WaitPolicy::spin_then_park`] — DESIGN.md §11). Governs both
-    /// ends' combiner waits and batch-pointer swaps, and whether the
-    /// empty-queue rendezvous window yields inside its budget.
-    pub fn wait_policy(mut self, wait: WaitPolicy) -> Self {
-        self.engine.config_mut().wait = wait;
-        self
-    }
-
-    /// Sets the freezer's aggregation backoff in `yield_now` calls
-    /// (builder style) — the queue twin of
-    /// [`SecConfig::freezer_yields`]. Widening the window lets more
-    /// announcers join each batch before it freezes, which matters
-    /// most when threads outnumber cores (see the `freezer_backoff`
-    /// ablation). Apply before any thread registers.
-    pub fn freezer_yields(mut self, yields: u32) -> Self {
-        self.engine.config_mut().freezer_yields = yields;
-        self
-    }
-
-    /// Sets the sec-trace configuration (builder style; DESIGN.md
-    /// §14). Rebuilds the recorder when the crate was built with the
-    /// `trace` cargo feature; inert otherwise. Apply before any thread
-    /// registers, which the consuming receiver guarantees.
-    pub fn trace_config(mut self, trace: crate::TraceConfig) -> Self {
-        self.engine.set_trace_config(trace);
         self
     }
 
@@ -748,7 +721,7 @@ impl<T: Send + 'static> SecQueue<T> {
     }
 
     /// The sec-trace recorder: `Some` only when configured via
-    /// [`SecQueue::trace_config`] under the `trace` cargo feature.
+    /// [`SecConfig::trace`] under the `trace` cargo feature.
     pub fn tracer(&self) -> Option<&crate::TraceRecorder> {
         self.engine.tracer()
     }
@@ -761,8 +734,17 @@ impl SecQueue<u64> {
     /// before the result is published (DESIGN.md §16). Durable
     /// structures carry `u64` payloads.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
-        let core = DurableCore::create(&policy, Family::Queue, 0, max_threads)?;
-        Ok(Self::build(max_threads, Some(core)))
+        Self::durable_with_config(SecConfig::new(1, max_threads), policy)
+    }
+
+    /// [`SecQueue::durable`] from an explicit [`SecConfig`], read as
+    /// [`SecQueue::with_config`] reads it.
+    pub fn durable_with_config(
+        config: SecConfig,
+        policy: DurablePolicy,
+    ) -> Result<Self, DurableError> {
+        let core = DurableCore::create(&policy, Family::Queue, 0, config.max_threads)?;
+        Ok(Self::build(config, Some(core)))
     }
 
     /// Recovers a durable queue from `policy.mode`'s existing heap:
@@ -771,7 +753,7 @@ impl SecQueue<u64> {
     /// whether its last announced op executed and with what result.
     pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
         let (core, report) = DurableCore::open(&policy, Family::Queue)?;
-        let queue = Self::build(core.max_handles(), Some(core));
+        let queue = Self::build(SecConfig::new(1, core.max_handles()), Some(core));
         queue.engine.replay(&report.ops)?;
         Ok((queue, report))
     }

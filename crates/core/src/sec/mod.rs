@@ -549,8 +549,17 @@ impl SecStack<u64> {
     /// the result is published (DESIGN.md §16). Durable structures
     /// carry `u64` payloads.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
-        let core = DurableCore::create(&policy, Family::Stack, 0, max_threads)?;
-        Ok(Self::build(SecConfig::new(2, max_threads), Some(core)))
+        Self::durable_with_config(SecConfig::new(2, max_threads), policy)
+    }
+
+    /// [`SecStack::durable`] from an explicit [`SecConfig`]: every
+    /// field applies as it does to [`SecStack::with_config`].
+    pub fn durable_with_config(
+        config: SecConfig,
+        policy: DurablePolicy,
+    ) -> Result<Self, DurableError> {
+        let core = DurableCore::create(&policy, Family::Stack, 0, config.max_threads)?;
+        Ok(Self::build(config, Some(core)))
     }
 
     /// Recovers a durable stack from `policy.mode`'s existing heap:

@@ -4,8 +4,8 @@
 //! [`check_history`](crate::check_history) is specialized (and
 //! undo-optimized) for the stack spec; this module provides the same
 //! Wing–Gong search for *any* sequential object — used by the test
-//! suite to check the `SecDeque` extension, and available for further
-//! data structures built on the paper's mechanisms.
+//! suite to check the queue, counter and map families, and available
+//! for further data structures built on the paper's mechanisms.
 
 use crate::checker::Violation;
 use core::hash::Hash;
@@ -133,55 +133,6 @@ pub fn check_generic<S: SeqSpec>(events: &[TimedOp<S::Op>]) -> Result<Vec<usize>
     }
 }
 
-/// The deque sequential specification (for `SecDeque`-style tests).
-pub mod deque {
-    use super::SeqSpec;
-    use std::collections::VecDeque;
-
-    /// A deque operation with its observed result.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    pub enum DequeOp<T> {
-        /// `push_front(value)`.
-        PushFront(T),
-        /// `push_back(value)`.
-        PushBack(T),
-        /// `pop_front()` and its result.
-        PopFront(Option<T>),
-        /// `pop_back()` and its result.
-        PopBack(Option<T>),
-    }
-
-    /// Marker type implementing [`SeqSpec`] for deques over `T`.
-    pub struct DequeSpec<T>(core::marker::PhantomData<T>);
-
-    impl<T: Clone + Eq + core::hash::Hash> SeqSpec for DequeSpec<T> {
-        type Op = DequeOp<T>;
-        type State = VecDeque<T>;
-
-        fn apply(state: &Self::State, op: &Self::Op) -> Option<Self::State> {
-            let mut next = state.clone();
-            match op {
-                DequeOp::PushFront(v) => {
-                    next.push_front(v.clone());
-                    Some(next)
-                }
-                DequeOp::PushBack(v) => {
-                    next.push_back(v.clone());
-                    Some(next)
-                }
-                DequeOp::PopFront(expect) => {
-                    let got = next.pop_front();
-                    (&got == expect).then_some(next)
-                }
-                DequeOp::PopBack(expect) => {
-                    let got = next.pop_back();
-                    (&got == expect).then_some(next)
-                }
-            }
-        }
-    }
-}
-
 /// The FIFO queue sequential specification.
 ///
 /// Not used by a data structure in this repository directly, but the
@@ -262,57 +213,6 @@ pub mod counter {
     }
 }
 
-/// The pool (unordered bag) sequential specification — the weakest
-/// correctness contract `SecPool` must satisfy: `get` returns *some*
-/// previously-put value (each value exactly once), or `None` only when
-/// the pool is empty at the linearization point.
-pub mod pool {
-    use super::SeqSpec;
-    use std::collections::BTreeMap;
-
-    /// A pool operation with its observed result.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    pub enum PoolOp<T> {
-        /// `put(value)`.
-        Put(T),
-        /// `get()` and its result.
-        Get(Option<T>),
-    }
-
-    /// Marker type implementing [`SeqSpec`] for pools over `T`.
-    ///
-    /// State is a multiset (value → multiplicity); `BTreeMap` rather
-    /// than `HashMap` because the checker hashes states.
-    pub struct PoolSpec<T>(core::marker::PhantomData<T>);
-
-    impl<T: Clone + Ord + core::hash::Hash> SeqSpec for PoolSpec<T> {
-        type Op = PoolOp<T>;
-        type State = BTreeMap<T, u32>;
-
-        fn apply(state: &Self::State, op: &Self::Op) -> Option<Self::State> {
-            let mut next = state.clone();
-            match op {
-                PoolOp::Put(v) => {
-                    *next.entry(v.clone()).or_insert(0) += 1;
-                    Some(next)
-                }
-                PoolOp::Get(Some(v)) => match next.get_mut(v) {
-                    Some(n) if *n > 1 => {
-                        *n -= 1;
-                        Some(next)
-                    }
-                    Some(_) => {
-                        next.remove(v);
-                        Some(next)
-                    }
-                    None => None,
-                },
-                PoolOp::Get(None) => next.is_empty().then_some(next),
-            }
-        }
-    }
-}
-
 /// The keyed map sequential specification (for `SecMap`-style tests):
 /// `get` must observe exactly the mapping produced by the
 /// inserts/removes linearized before it, and `insert`/`remove` must
@@ -385,9 +285,7 @@ pub mod map {
 #[cfg(test)]
 mod tests {
     use super::counter::{CounterOp, CounterSpec};
-    use super::deque::{DequeOp, DequeSpec};
     use super::map::{MapOp, MapSpec};
-    use super::pool::{PoolOp, PoolSpec};
     use super::queue::{QueueOp, QueueSpec};
     use super::*;
 
@@ -401,73 +299,32 @@ mod tests {
 
     #[test]
     fn empty_history_checks() {
-        let h: Vec<TimedOp<DequeOp<u32>>> = vec![];
-        assert_eq!(check_generic::<DequeSpec<u32>>(&h), Ok(vec![]));
-    }
-
-    #[test]
-    fn sequential_deque_history_checks() {
-        let h = vec![
-            t(DequeOp::PushBack(1), 0, 1),
-            t(DequeOp::PushBack(2), 2, 3),
-            t(DequeOp::PushFront(0), 4, 5),
-            t(DequeOp::PopFront(Some(0)), 6, 7),
-            t(DequeOp::PopBack(Some(2)), 8, 9),
-            t(DequeOp::PopFront(Some(1)), 10, 11),
-            t(DequeOp::PopFront(None), 12, 13),
-        ];
-        assert!(check_generic::<DequeSpec<u32>>(&h).is_ok());
-    }
-
-    #[test]
-    fn wrong_end_order_is_rejected() {
-        // Two completed push_backs, then pop_back returns the *older*:
-        // impossible on a deque.
-        let h = vec![
-            t(DequeOp::PushBack(1), 0, 1),
-            t(DequeOp::PushBack(2), 2, 3),
-            t(DequeOp::PopBack(Some(1)), 4, 5),
-        ];
-        assert_eq!(
-            check_generic::<DequeSpec<u32>>(&h),
-            Err(Violation::NotLinearizable)
-        );
-    }
-
-    #[test]
-    fn concurrent_pushes_may_reorder() {
-        let h = vec![
-            t(DequeOp::PushFront(1), 0, 10),
-            t(DequeOp::PushFront(2), 0, 10),
-            t(DequeOp::PopFront(Some(1)), 11, 12),
-            t(DequeOp::PopFront(Some(2)), 13, 14),
-        ];
-        assert!(check_generic::<DequeSpec<u32>>(&h).is_ok());
-    }
-
-    #[test]
-    fn elimination_style_front_pair_checks() {
-        // Overlapping push_front / pop_front exchanging a value with
-        // the deque otherwise untouched — SecDeque's elimination.
-        let h = vec![
-            t(DequeOp::PushBack(9), 0, 1),
-            t(DequeOp::PushFront(42), 2, 10),
-            t(DequeOp::PopFront(Some(42)), 3, 9),
-            t(DequeOp::PopFront(Some(9)), 11, 12),
-        ];
-        assert!(check_generic::<DequeSpec<u32>>(&h).is_ok());
+        let h: Vec<TimedOp<QueueOp<u32>>> = vec![];
+        assert_eq!(check_generic::<QueueSpec<u32>>(&h), Ok(vec![]));
     }
 
     #[test]
     fn real_time_order_is_enforced() {
         let h = vec![
-            t(DequeOp::PopFront(Some(5)), 0, 1),
-            t(DequeOp::PushFront(5), 2, 3),
+            t(QueueOp::Dequeue(Some(5)), 0, 1),
+            t(QueueOp::Enqueue(5), 2, 3),
         ];
         assert_eq!(
-            check_generic::<DequeSpec<u32>>(&h),
+            check_generic::<QueueSpec<u32>>(&h),
             Err(Violation::NotLinearizable)
         );
+    }
+
+    #[test]
+    fn elimination_style_front_pair_checks() {
+        // Overlapping enqueue / dequeue exchanging a value while the
+        // queue is empty — the queue's empty-only rendezvous.
+        let h = vec![
+            t(QueueOp::Enqueue(42), 2, 10),
+            t(QueueOp::Dequeue(Some(42)), 3, 9),
+            t(QueueOp::Dequeue(None), 11, 12),
+        ];
+        assert!(check_generic::<QueueSpec<u32>>(&h).is_ok());
     }
 
     #[test]
@@ -501,64 +358,6 @@ mod tests {
             t(QueueOp::Dequeue(Some(1)), 13, 14),
         ];
         assert!(check_generic::<QueueSpec<u32>>(&h).is_ok());
-    }
-
-    #[test]
-    fn pool_accepts_any_extraction_order() {
-        let h = vec![
-            t(PoolOp::Put(1), 0, 1),
-            t(PoolOp::Put(2), 2, 3),
-            t(PoolOp::Get(Some(1)), 4, 5), // neither LIFO nor FIFO required
-            t(PoolOp::Get(Some(2)), 6, 7),
-            t(PoolOp::Get(None), 8, 9),
-        ];
-        assert!(check_generic::<PoolSpec<u32>>(&h).is_ok());
-    }
-
-    #[test]
-    fn pool_rejects_phantom_and_double_get() {
-        let phantom = vec![t(PoolOp::Get(Some(7)), 0, 1)];
-        assert_eq!(
-            check_generic::<PoolSpec<u32>>(&phantom),
-            Err(Violation::NotLinearizable)
-        );
-
-        let double = vec![
-            t(PoolOp::Put(7), 0, 1),
-            t(PoolOp::Get(Some(7)), 2, 3),
-            t(PoolOp::Get(Some(7)), 4, 5),
-        ];
-        assert_eq!(
-            check_generic::<PoolSpec<u32>>(&double),
-            Err(Violation::NotLinearizable)
-        );
-    }
-
-    #[test]
-    fn pool_rejects_empty_answer_when_nonempty() {
-        // `Get(None)` completed strictly between a completed Put and
-        // any Get: the pool cannot have been empty.
-        let h = vec![
-            t(PoolOp::Put(1), 0, 1),
-            t(PoolOp::Get(None), 2, 3),
-            t(PoolOp::Get(Some(1)), 4, 5),
-        ];
-        assert_eq!(
-            check_generic::<PoolSpec<u32>>(&h),
-            Err(Violation::NotLinearizable)
-        );
-    }
-
-    #[test]
-    fn pool_multiset_counts_duplicates() {
-        let h = vec![
-            t(PoolOp::Put(5), 0, 1),
-            t(PoolOp::Put(5), 2, 3),
-            t(PoolOp::Get(Some(5)), 4, 5),
-            t(PoolOp::Get(Some(5)), 6, 7),
-            t(PoolOp::Get(None), 8, 9),
-        ];
-        assert!(check_generic::<PoolSpec<u32>>(&h).is_ok());
     }
 
     #[test]
@@ -772,11 +571,11 @@ mod tests {
 
     #[test]
     fn too_large_history_is_refused() {
-        let h: Vec<TimedOp<DequeOp<u32>>> = (0..129)
-            .map(|i| t(DequeOp::PushBack(i), (2 * i) as u64, (2 * i + 1) as u64))
+        let h: Vec<TimedOp<QueueOp<u32>>> = (0..129)
+            .map(|i| t(QueueOp::Enqueue(i), (2 * i) as u64, (2 * i + 1) as u64))
             .collect();
         assert!(matches!(
-            check_generic::<DequeSpec<u32>>(&h),
+            check_generic::<QueueSpec<u32>>(&h),
             Err(Violation::TooLarge(129))
         ));
     }

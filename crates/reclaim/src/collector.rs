@@ -90,14 +90,6 @@ impl Collector {
         }
     }
 
-    /// Replaces the recycling policy. Must be called before any handle
-    /// registers (the `&mut` receiver enforces exclusive access); used
-    /// by the data structures' builder-style toggles.
-    pub fn set_recycle_policy(&mut self, recycle: RecyclePolicy) {
-        self.recycle = recycle;
-        self.pool = GlobalPool::new(recycle.cache_cap().saturating_mul(self.slots.len()));
-    }
-
     /// The recycling policy in force.
     pub fn recycle_policy(&self) -> RecyclePolicy {
         self.recycle

@@ -11,8 +11,8 @@ use sec_baselines::{
     TreiberStack, TsiStack,
 };
 use sec_core::{
-    AggregatorPolicy, BatchReport, CollectorStats, SecConfig, SecCounter, SecMap, SecQueue,
-    SecStack,
+    BatchReport, CollectorStats, DurableError, DurablePolicy, SecConfig, SecCounter, SecMap,
+    SecQueue, SecStack,
 };
 
 /// One of the evaluated stack algorithms.
@@ -191,207 +191,122 @@ pub struct AlgoRun {
     pub reclaim: Option<CollectorStats>,
 }
 
+impl AlgoRun {
+    /// A run of a non-SEC algorithm: no engine to report on.
+    fn plain(result: RunResult) -> Self {
+        Self {
+            result,
+            sec_report: None,
+            sec_active: None,
+            reclaim: None,
+        }
+    }
+}
+
+/// The four SEC families as [`run_algo`] builds, measures and reads
+/// them.
+trait SecFamily: Sized {
+    fn build(config: SecConfig, durable: Option<DurablePolicy>) -> Result<Self, DurableError>;
+    fn measure(&self, cfg: &RunConfig) -> RunResult;
+    /// The active aggregator count (`None` for the queue, whose
+    /// aggregators are its fixed ends).
+    fn active(&self) -> Option<usize>;
+    fn report(&self) -> BatchReport;
+    fn reclaim(&self) -> CollectorStats;
+}
+
+/// Implements [`SecFamily`] over a family's `with_config` /
+/// `durable_with_config` constructors, its runner `$measure`, and
+/// `$active` as the family reports its active aggregator count.
+macro_rules! sec_family {
+    ($family:ty, $measure:ident, $active:expr) => {
+        impl SecFamily for $family {
+            fn build(
+                config: SecConfig,
+                durable: Option<DurablePolicy>,
+            ) -> Result<Self, DurableError> {
+                match durable {
+                    Some(policy) => Self::durable_with_config(config, policy),
+                    None => Ok(Self::with_config(config)),
+                }
+            }
+            fn measure(&self, cfg: &RunConfig) -> RunResult {
+                $measure(self, cfg)
+            }
+            fn active(&self) -> Option<usize> {
+                $active(self)
+            }
+            fn report(&self) -> BatchReport {
+                self.stats().report()
+            }
+            fn reclaim(&self) -> CollectorStats {
+                self.reclaim_stats()
+            }
+        }
+    };
+}
+
+sec_family!(SecStack<u64>, run_throughput, |s: &Self| Some(
+    s.active_aggregators()
+));
+sec_family!(SecQueue<u64>, run_queue_throughput, |_| None);
+sec_family!(SecCounter, run_counter_throughput, |s: &Self| Some(
+    s.active_aggregators()
+));
+sec_family!(SecMap<u64, u64>, run_map_throughput, |s: &Self| Some(s.active_aggregators()));
+
+/// Builds a SEC family from `config` patched by [`RunConfig::sec`] —
+/// durable when [`RunConfig::durable`] is set — measures it, reads its
+/// reports, and removes a file-backed run's heap once the structure is
+/// dropped.
+fn run_sec<S: SecFamily>(config: SecConfig, cfg: &RunConfig) -> AlgoRun {
+    let durable = cfg.durable.map(|setup| setup.policy());
+    let structure = S::build(
+        (cfg.sec)(config),
+        durable.as_ref().map(|(policy, _)| policy.clone()),
+    )
+    .unwrap_or_else(|e| panic!("create a durable SEC structure: {e}"));
+    let result = structure.measure(cfg);
+    let run = AlgoRun {
+        result,
+        sec_report: Some(structure.report()),
+        sec_active: structure.active(),
+        reclaim: Some(structure.reclaim()),
+    };
+    drop(structure);
+    if let Some((_, Some(path))) = durable {
+        let _ = std::fs::remove_file(path);
+    }
+    run
+}
+
 /// Constructs a fresh instance of `algo` sized for the run and measures
 /// it under `cfg`.
 pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
-    // One extra registration slot for the prefill handle; an explicit
-    // capacity override models provisioned headroom (never less).
-    let cap = cfg.sec_capacity.unwrap_or(0).max(cfg.threads + 1);
-    // The RunConfig overrides, applied uniformly to every SEC family
-    // that takes a whole `SecConfig` (stack, counter, map; the queue
-    // applies the same overrides through its builders below).
-    let overridden = |sec_config: SecConfig| {
-        let sec_config = match cfg.sec_policy {
-            Some(policy) => sec_config.aggregator_policy(policy),
-            None => sec_config,
-        };
-        let sec_config = match cfg.recycle {
-            Some(recycle) => sec_config.recycle(recycle),
-            None => sec_config,
-        };
-        let sec_config = match cfg.wait {
-            Some(wait) => sec_config.wait_policy(wait),
-            None => sec_config,
-        };
-        let sec_config = match cfg.freezer_yields {
-            Some(yields) => sec_config.freezer_yields(yields),
-            None => sec_config,
-        };
-        match cfg.trace {
-            Some(trace) => sec_config.trace(trace),
-            None => sec_config,
-        }
-    };
-    // Durable runs build through the family's `durable()` constructor
-    // (which owns its SecConfig — see `RunConfig::durable`); the temp
-    // heap file of a file-backed run is removed once the measurement
-    // is torn down.
-    let durable = cfg.durable.map(|setup| setup.policy());
-    let cleanup_heap = |path: &Option<std::path::PathBuf>| {
-        if let Some(p) = path {
-            let _ = std::fs::remove_file(p);
-        }
-    };
-    let run_sec = |sec_config: SecConfig| {
-        let stack: SecStack<u64> = match &durable {
-            Some((policy, _)) => {
-                SecStack::durable(cap, policy.clone()).expect("create durable stack")
-            }
-            None => SecStack::with_config(overridden(sec_config)),
-        };
-        let result = run_throughput(&stack, cfg);
-        let run = AlgoRun {
-            result,
-            sec_report: Some(stack.stats().report()),
-            sec_active: Some(stack.active_aggregators()),
-            reclaim: Some(stack.reclaim_stats()),
-        };
-        drop(stack);
-        if let Some((_, path)) = &durable {
-            cleanup_heap(path);
-        }
-        run
-    };
+    let cap = cfg.capacity();
     match algo {
-        Algo::Sec { aggregators } => run_sec(SecConfig::new(aggregators, cap)),
-        Algo::SecAdaptive { min_k, max_k } => run_sec(
-            SecConfig::new(max_k, cap).aggregator_policy(AggregatorPolicy::adaptive(min_k, max_k)),
-        ),
-        Algo::Trb => AlgoRun {
-            result: run_throughput(&TreiberStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Eb => AlgoRun {
-            result: run_throughput(&EbStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Fc => AlgoRun {
-            result: run_throughput(&FcStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Cc => AlgoRun {
-            result: run_throughput(&CcStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Tsi => AlgoRun {
-            result: run_throughput(&TsiStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::TrbHp => AlgoRun {
-            result: run_throughput(&TreiberHpStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Lck => AlgoRun {
-            result: run_throughput(&LockedStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::SecQueue => {
-            let queue: SecQueue<u64> = match &durable {
-                Some((policy, _)) => {
-                    SecQueue::durable(cap, policy.clone()).expect("create durable queue")
-                }
-                None => {
-                    let mut queue: SecQueue<u64> = SecQueue::new(cap);
-                    if let Some(recycle) = cfg.recycle {
-                        queue = queue.recycle_policy(recycle);
-                    }
-                    if let Some(wait) = cfg.wait {
-                        queue = queue.wait_policy(wait);
-                    }
-                    if let Some(yields) = cfg.freezer_yields {
-                        queue = queue.freezer_yields(yields);
-                    }
-                    if let Some(trace) = cfg.trace {
-                        queue = queue.trace_config(trace);
-                    }
-                    queue
-                }
-            };
-            let result = run_queue_throughput(&queue, cfg);
-            let run = AlgoRun {
-                result,
-                sec_report: Some(queue.stats().report()),
-                sec_active: None,
-                reclaim: Some(queue.reclaim_stats()),
-            };
-            drop(queue);
-            if let Some((_, path)) = &durable {
-                cleanup_heap(path);
-            }
-            run
+        Algo::Sec { aggregators } => {
+            run_sec::<SecStack<u64>>(SecConfig::new(aggregators, cap), cfg)
         }
-        Algo::MsQ => AlgoRun {
-            result: run_queue_throughput(&MsQueue::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::LckQ => AlgoRun {
-            result: run_queue_throughput(&LockedQueue::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::SecCounter => {
-            let counter = match &durable {
-                Some((policy, _)) => {
-                    SecCounter::durable(cap, policy.clone()).expect("create durable counter")
-                }
-                None => SecCounter::with_config(overridden(SecConfig::new(2, cap))),
-            };
-            let result = run_counter_throughput(&counter, cfg);
-            let run = AlgoRun {
-                result,
-                sec_report: Some(counter.stats().report()),
-                sec_active: Some(counter.active_aggregators()),
-                reclaim: Some(counter.reclaim_stats()),
-            };
-            drop(counter);
-            if let Some((_, path)) = &durable {
-                cleanup_heap(path);
-            }
-            run
+        Algo::SecAdaptive { min_k, max_k } => {
+            run_sec::<SecStack<u64>>(SecConfig::adaptive(min_k, max_k, cap), cfg)
         }
-        Algo::SecMap => {
-            let map: SecMap<u64, u64> = match &durable {
-                Some((policy, _)) => {
-                    SecMap::durable(cap, policy.clone()).expect("create durable map")
-                }
-                None => SecMap::with_config(overridden(SecConfig::new(2, cap))),
-            };
-            let result = run_map_throughput(&map, cfg);
-            let run = AlgoRun {
-                result,
-                sec_report: Some(map.stats().report()),
-                sec_active: Some(map.active_aggregators()),
-                reclaim: Some(map.reclaim_stats()),
-            };
-            drop(map);
-            if let Some((_, path)) = &durable {
-                cleanup_heap(path);
-            }
-            run
-        }
-        Algo::LckMap => AlgoRun {
-            result: run_map_throughput(&LockedHashMap::<u64, u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
+        Algo::SecQueue => run_sec::<SecQueue<u64>>(SecConfig::new(1, cap), cfg),
+        Algo::SecCounter => run_sec::<SecCounter>(SecConfig::new(2, cap), cfg),
+        Algo::SecMap => run_sec::<SecMap<u64, u64>>(SecConfig::new(2, cap), cfg),
+        Algo::Trb => AlgoRun::plain(run_throughput(&TreiberStack::<u64>::new(cap), cfg)),
+        Algo::Eb => AlgoRun::plain(run_throughput(&EbStack::<u64>::new(cap), cfg)),
+        Algo::Fc => AlgoRun::plain(run_throughput(&FcStack::<u64>::new(cap), cfg)),
+        Algo::Cc => AlgoRun::plain(run_throughput(&CcStack::<u64>::new(cap), cfg)),
+        Algo::Tsi => AlgoRun::plain(run_throughput(&TsiStack::<u64>::new(cap), cfg)),
+        Algo::TrbHp => AlgoRun::plain(run_throughput(&TreiberHpStack::<u64>::new(cap), cfg)),
+        Algo::Lck => AlgoRun::plain(run_throughput(&LockedStack::<u64>::new(cap), cfg)),
+        Algo::MsQ => AlgoRun::plain(run_queue_throughput(&MsQueue::<u64>::new(cap), cfg)),
+        Algo::LckQ => AlgoRun::plain(run_queue_throughput(&LockedQueue::<u64>::new(cap), cfg)),
+        Algo::LckMap => AlgoRun::plain(run_map_throughput(
+            &LockedHashMap::<u64, u64>::new(cap),
+            cfg,
+        )),
     }
 }
 
@@ -436,7 +351,7 @@ mod tests {
         let cfg = RunConfig {
             duration: Duration::from_millis(10),
             prefill: 16,
-            sec_policy: Some(AggregatorPolicy::Fixed(3)),
+            sec: |c| c.aggregator_policy(AggregatorPolicy::Fixed(3)),
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         let out = run_algo(Algo::Sec { aggregators: 1 }, &cfg);
@@ -455,6 +370,31 @@ mod tests {
             };
             let out = run_algo(algo, &cfg);
             assert!(out.result.ops > 0, "{algo} made no durable progress");
+        }
+    }
+
+    #[test]
+    fn durable_runs_honour_the_sec_patch() {
+        use crate::DurableSetup;
+        use sec_core::RecyclePolicy;
+        let cfg = RunConfig {
+            duration: Duration::from_millis(15),
+            prefill: 64,
+            sec: |c| c.recycle(RecyclePolicy::Off),
+            durable: Some(DurableSetup::volatile()),
+            ..RunConfig::new(2, Mix::UPDATE_50)
+        };
+        for algo in [
+            Algo::Sec { aggregators: 2 },
+            Algo::SecQueue,
+            Algo::SecCounter,
+            Algo::SecMap,
+        ] {
+            let out = run_algo(algo, &cfg);
+            assert!(out.result.ops > 0, "{algo} made no durable progress");
+            let rs = out.reclaim.expect("SEC runs report reclaim stats");
+            assert_eq!(rs.recycle_hits, 0, "{algo}: durable Off must not hit");
+            assert_eq!(rs.cached, 0, "{algo}: durable Off must not cache");
         }
     }
 
@@ -571,7 +511,7 @@ mod tests {
         );
 
         let cfg_off = RunConfig {
-            recycle: Some(RecyclePolicy::Off),
+            sec: |c| c.recycle(RecyclePolicy::Off),
             ..cfg
         };
         for algo in [Algo::Sec { aggregators: 2 }, Algo::SecQueue] {
@@ -604,8 +544,10 @@ mod tests {
                 let cfg = RunConfig {
                     duration: Duration::from_millis(20),
                     prefill: 64,
-                    wait: Some(WaitPolicy::SpinThenPark { spin_rounds: 0 }),
-                    freezer_yields: Some(4),
+                    sec: |c| {
+                        c.wait_policy(WaitPolicy::SpinThenPark { spin_rounds: 0 })
+                            .freezer_yields(4)
+                    },
                     seed: 0xBEEF ^ round,
                     ..RunConfig::new(4, Mix::UPDATE_100)
                 };
@@ -681,11 +623,13 @@ mod tests {
         let cfg = RunConfig {
             duration: Duration::from_millis(10),
             prefill: 16,
-            sec_policy: Some(AggregatorPolicy::Adaptive {
-                min_k: 3,
-                max_k: 3,
-                window: 64,
-            }),
+            sec: |c| {
+                c.aggregator_policy(AggregatorPolicy::Adaptive {
+                    min_k: 3,
+                    max_k: 3,
+                    window: 64,
+                })
+            },
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         for algo in [Algo::SecCounter, Algo::SecMap] {

@@ -5,8 +5,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sec_core::counter::SecCounter;
 use sec_core::{
-    AggregatorPolicy, ConcurrentMap, ConcurrentQueue, ConcurrentStack, DurablePolicy,
-    LogGranularity, MapHandle, QueueHandle, RecyclePolicy, StackHandle, SyncMode, WaitPolicy,
+    ConcurrentMap, ConcurrentQueue, ConcurrentStack, DurablePolicy, LogGranularity, MapHandle,
+    QueueHandle, SecConfig, StackHandle, SyncMode,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -31,38 +31,17 @@ pub struct RunConfig {
     /// Base RNG seed; thread `t` of run `r` uses a deterministic
     /// function of (seed, t, r) so runs are reproducible.
     pub seed: u64,
-    /// Aggregator policy applied when the measured algorithm is SEC
-    /// (`None` keeps the policy implied by the [`Algo`] variant:
-    /// `Fixed(k)` for [`Algo::Sec`], the variant's own range for
-    /// [`Algo::SecAdaptive`]). Ignored by the other algorithms.
+    /// The SEC families' configuration patch: [`run_algo`] builds the
+    /// structure's default [`SecConfig`] for the run — the [`Algo`]
+    /// variant's aggregator policy, [`RunConfig::capacity`] threads —
+    /// and hands it through this function before constructing the
+    /// stack, queue, counter or map, durable or not. The default
+    /// leaves it unchanged. A plain `fn` keeps `RunConfig` `Copy`;
+    /// the non-SEC algorithms ignore it.
     ///
+    /// [`run_algo`]: crate::run_algo
     /// [`Algo`]: crate::Algo
-    /// [`Algo::Sec`]: crate::Algo::Sec
-    /// [`Algo::SecAdaptive`]: crate::Algo::SecAdaptive
-    pub sec_policy: Option<AggregatorPolicy>,
-    /// Node-recycling policy override for the SEC family (`None` keeps
-    /// each structure's default, [`RecyclePolicy::per_thread`]).
-    /// Ignored by the non-SEC algorithms. Lets the benches sweep the
-    /// recycling ablation without a separate [`Algo`] variant.
-    ///
-    /// [`Algo`]: crate::Algo
-    pub recycle: Option<RecyclePolicy>,
-    /// Blocking-wait policy override for the SEC family (`None` keeps
-    /// each structure's default, [`WaitPolicy::spin_then_park`]).
-    /// Ignored by the non-SEC algorithms. Lets the `oversub` bench
-    /// sweep spin/yield/park without a separate [`Algo`] variant.
-    ///
-    /// [`Algo`]: crate::Algo
-    pub wait: Option<WaitPolicy>,
-    /// Freezer aggregation-backoff override for the SEC family, in
-    /// `yield_now` calls (`None` keeps each structure's default —
-    /// `SecConfig::freezer_yields`). Ignored by the non-SEC
-    /// algorithms. Widening the window grows batches when threads
-    /// outnumber cores (the `freezer_backoff` ablation); tests also
-    /// use it to manufacture deterministic waiter/combiner overlap on
-    /// hosts whose scheduler would otherwise run short workloads
-    /// near-sequentially.
-    pub freezer_yields: Option<u32>,
+    pub sec: fn(SecConfig) -> SecConfig,
     /// Operation mix for the map family (used instead of `mix` by
     /// [`run_map_throughput`]; ignored by the stack/queue runners).
     pub map_mix: MapMix,
@@ -78,21 +57,13 @@ pub struct RunConfig {
     /// per-shard share (capacity / active shards — DESIGN.md §8).
     /// Values below `threads + 1` are clamped up to it.
     pub sec_capacity: Option<usize>,
-    /// sec-trace configuration for the SEC family (`None` keeps
-    /// tracing off, the zero-overhead default). Only takes effect when
-    /// the workspace is built with the `trace` cargo feature; without
-    /// it the config is carried but no recorder is constructed.
-    /// Ignored by the non-SEC algorithms.
-    pub trace: Option<sec_core::TraceConfig>,
     /// Durable-logging setup for the SEC families (`None` keeps the
     /// ordinary in-memory structures). When set, [`run_algo`] builds
-    /// the SEC structure with its `durable()` constructor instead, so
-    /// every operation flows through the persistent redo log
-    /// (DESIGN.md §16) — the knob `durable_bench` sweeps to price the
-    /// flush-per-batch discipline. Durable construction bypasses
-    /// `SecConfig`, so `sec_policy`/`recycle`/`wait`/`freezer_yields`
-    /// are ignored on durable runs; non-SEC algorithms ignore this
-    /// entirely.
+    /// the SEC structure with its `durable_with_config()` constructor
+    /// instead, so every operation flows through the persistent redo
+    /// log (DESIGN.md §16) — the knob `durable_bench` sweeps to price
+    /// the flush-per-batch discipline. The [`RunConfig::sec`] patch
+    /// applies all the same; non-SEC algorithms ignore this entirely.
     ///
     /// [`run_algo`]: crate::run_algo
     pub durable: Option<DurableSetup>,
@@ -109,16 +80,19 @@ impl RunConfig {
             mix,
             value_range: 100_000,
             seed: 0xC0FFEE,
-            sec_policy: None,
-            recycle: None,
-            wait: None,
-            freezer_yields: None,
+            sec: |config| config,
             map_mix: MapMix::READ_HEAVY,
             key_dist: KeyDist::Uniform { keys: 1024 },
             sec_capacity: None,
-            trace: None,
             durable: None,
         }
+    }
+
+    /// Registration capacity every structure of the run is built for:
+    /// one slot per worker plus one for the prefill handle, raised to
+    /// [`RunConfig::sec_capacity`] when that asks for more.
+    pub fn capacity(&self) -> usize {
+        self.sec_capacity.unwrap_or(0).max(self.threads + 1)
     }
 }
 

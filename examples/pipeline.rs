@@ -1,24 +1,19 @@
-//! A two-stage producer/consumer pipeline on the extension types: a
-//! sharded [`SecPool`] as the hot free-buffer pool, a [`SecQueue`] as
-//! the stage-1 → stage-2 hand-off (a true FIFO — producers `enqueue`,
-//! consumers `dequeue`, batch splices preserve arrival order), and a
-//! [`SecDeque`] as the urgent-items lane (urgent jobs `push_front` and
-//! are drained before the main queue is consulted).
-//!
-//! Earlier revisions emulated FIFO by pushing one end of the deque and
-//! popping the other; the dedicated queue makes the hand-off's contract
-//! explicit and keeps the deque for what actually needs double-ended
-//! access — line-jumping.
+//! A two-stage producer/consumer pipeline: a [`SecStack`] as the hot
+//! free-buffer pool (a buffer put back is the next one handed out, so
+//! it stays cache-hot), a [`SecQueue`] as the stage-1 → stage-2
+//! hand-off (a true FIFO — producers `enqueue`, consumers `dequeue`,
+//! batch splices preserve arrival order), and a second [`SecQueue`] as
+//! the urgent-items lane, drained before the main queue is consulted.
 //!
 //! ```text
 //! cargo run --release --example pipeline
 //! ```
 //!
-//! [`SecPool`]: sec_repro::ext::SecPool
+//! [`SecStack`]: sec_repro::SecStack
 //! [`SecQueue`]: sec_repro::ext::SecQueue
-//! [`SecDeque`]: sec_repro::ext::SecDeque
 
-use sec_repro::ext::{SecDeque, SecPool, SecQueue};
+use sec_repro::ext::SecQueue;
+use sec_repro::SecStack;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A work item travelling through the pipeline.
@@ -34,16 +29,16 @@ fn main() {
     const JOBS_PER_PRODUCER: usize = 50_000;
     const POOL_BUFFERS: usize = 128;
 
-    let pool: SecPool<Vec<u8>> = SecPool::new(2, PRODUCERS + CONSUMERS + 1);
+    let pool: SecStack<Vec<u8>> = SecStack::new(PRODUCERS + CONSUMERS + 1);
     {
         let mut h = pool.register();
         for _ in 0..POOL_BUFFERS {
-            h.put(vec![0u8; 1024]);
+            h.push(vec![0u8; 1024]);
         }
     }
 
     let queue: SecQueue<Job> = SecQueue::new(PRODUCERS + CONSUMERS + 1);
-    let urgent_lane: SecDeque<Job> = SecDeque::new(PRODUCERS + CONSUMERS + 1);
+    let urgent_lane: SecQueue<Job> = SecQueue::new(PRODUCERS + CONSUMERS + 1);
     let produced_done = AtomicUsize::new(0);
     let consumed = AtomicUsize::new(0);
     let urgent_seen = AtomicUsize::new(0);
@@ -52,7 +47,7 @@ fn main() {
     std::thread::scope(|scope| {
         // Stage 1: producers draw a buffer from the pool, "fill" it,
         // and enqueue a job. Every 1000th job is urgent and takes the
-        // deque lane, jumping everything queued in stage 2.
+        // urgent lane, jumping everything queued in stage 2.
         for p in 0..PRODUCERS {
             let queue = &queue;
             let urgent_lane = &urgent_lane;
@@ -63,16 +58,16 @@ fn main() {
                 let mut u = urgent_lane.register();
                 let mut b = pool.register();
                 for i in 0..JOBS_PER_PRODUCER {
-                    let buf = b.get().unwrap_or_else(|| vec![0u8; 1024]);
+                    let buf = b.pop().unwrap_or_else(|| vec![0u8; 1024]);
                     let payload = buf.len() as u64; // pretend-work
-                    b.put(buf); // recycle immediately (cache-hot)
+                    b.push(buf); // recycle immediately (cache-hot)
                     let job = Job {
                         id: (p * JOBS_PER_PRODUCER + i) as u64,
                         urgent: i % 1000 == 0,
                         payload,
                     };
                     if job.urgent {
-                        u.push_front(job);
+                        u.enqueue(job);
                     } else {
                         q.enqueue(job);
                     }
@@ -101,13 +96,13 @@ fn main() {
                     consumed.fetch_add(1, Ordering::Relaxed);
                 };
                 loop {
-                    match u.pop_front().or_else(|| q.dequeue()) {
+                    match u.dequeue().or_else(|| q.dequeue()) {
                         Some(job) => process(job, &mut checksum),
                         None => {
                             if produced_done.load(Ordering::SeqCst) == PRODUCERS {
                                 // Producers finished; one more look in
                                 // case of a late hand-off on either lane.
-                                match u.pop_front().or_else(|| q.dequeue()) {
+                                match u.dequeue().or_else(|| q.dequeue()) {
                                     Some(job) => process(job, &mut checksum),
                                     None => break,
                                 }
@@ -133,7 +128,7 @@ fn main() {
     println!(
         "urgent jobs expedited: {} (pool elimination: {:.0}%, queue rendezvous hits: {})",
         urgent_seen.load(Ordering::Relaxed),
-        pool.pct_eliminated(),
+        pool.stats().report().pct_eliminated(),
         queue.rendezvous_hits()
     );
     assert_eq!(done, total, "every job must be consumed exactly once");

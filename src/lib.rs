@@ -76,16 +76,13 @@ pub mod elastic {
     pub use sec_core::sec::elastic::{decide, ContentionMonitor, Direction, WindowSample};
 }
 
-/// Extensions built from the paper's mechanisms (DESIGN.md §7, §9,
-/// §12 and §13): a sharded pool, a deque with per-end elimination +
-/// combining, the batched-combining FIFO queue, the combining
+/// Extensions built from the paper's mechanisms (DESIGN.md §9, §12
+/// and §13): the batched-combining FIFO queue, the combining
 /// fetch-add counter that exercises the generic engine seam, and the
 /// batched-combining keyed hash map.
 pub mod ext {
     pub use sec_core::counter::{SecCounter, SecCounterHandle};
-    pub use sec_core::deque::{DequeHandle, End, SecDeque};
     pub use sec_core::map::{SecMap, SecMapHandle};
-    pub use sec_core::pool::{PoolHandle, SecPool};
     pub use sec_core::queue::{SecQueue, SecQueueHandle};
 }
 

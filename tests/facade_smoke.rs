@@ -119,15 +119,7 @@ fn facade_re_exports_are_live() {
         sec_repro::workload::run_algo(sec_repro::workload::Algo::Sec { aggregators: 2 }, &cfg);
     assert!(run.result.ops > 0, "throughput run must complete ops");
 
-    // ext: the pool, deque and queue extensions.
-    let pool: sec_repro::ext::SecPool<u64> = sec_repro::ext::SecPool::new(1, 1);
-    let mut ph = pool.register();
-    ph.put(3);
-    assert_eq!(ph.get(), Some(3));
-    let deque: sec_repro::ext::SecDeque<u64> = sec_repro::ext::SecDeque::new(1);
-    let mut dh = deque.register();
-    dh.push_back(4);
-    assert_eq!(dh.pop_front(), Some(4));
+    // ext: the queue extension.
     let queue: sec_repro::ext::SecQueue<u64> = sec_repro::ext::SecQueue::new(1);
     let mut qh = queue.register();
     qh.enqueue(5);

@@ -10,18 +10,18 @@
 //!    seed-derived yield schedules, and every run must terminate.
 //!    `SCHEDULE_SEEDS=N` widens the sweep (the nightly CI job raises
 //!    it); `SCHEDULE_SEED=s` replays one seed.
-//! 2. **Oversubscribed liveness** — all four families (stack, queue,
-//!    deque, pool) at 4× the host's hardware threads under each of the
-//!    three [`WaitPolicy`] settings: mixed workloads must complete.
-//!    This is the tier-1 oversubscription smoke gate.
-//! 3. **Semantics under forced parking** — conservation for all four
-//!    families and small-history linearizability for the stack with
+//! 2. **Oversubscribed liveness** — the stack and the queue at 4× the
+//!    host's hardware threads under each of the three [`WaitPolicy`]
+//!    settings: mixed workloads must complete. This is the tier-1
+//!    oversubscription smoke gate.
+//! 3. **Semantics under forced parking** — conservation for the stack
+//!    and the queue and small-history linearizability for the stack with
 //!    `SpinThenPark { spin_rounds: 0 }` forced on (the minimum spin
 //!    phase maximizes park traffic, so a lost wakeup or a broken
 //!    handshake surfaces as a hang or a checker violation), plus the
 //!    counter plumbing: parks/wakes must reach `SecStats` reports.
 
-use sec_repro::ext::{SecDeque, SecPool, SecQueue};
+use sec_repro::ext::SecQueue;
 use sec_repro::linearize::{check_conservation, check_history, Event, Op, Recorder};
 use sec_repro::sync::{WaitCell, WaitPolicy, WaitQueue, WaitStats};
 use sec_repro::{SecConfig, SecStack};
@@ -207,7 +207,7 @@ fn wait_queue_spurious_wakeups_reregister_and_survive() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Oversubscribed liveness: 4× hardware threads, all families,
+// 2. Oversubscribed liveness: 4× hardware threads, stack and queue,
 //    all policies
 // ---------------------------------------------------------------------
 
@@ -245,7 +245,8 @@ fn oversubscribed_liveness_all_families_all_policies() {
             }
         });
 
-        let queue: SecQueue<u64> = SecQueue::new(threads).wait_policy(policy);
+        let queue: SecQueue<u64> =
+            SecQueue::with_config(SecConfig::new(1, threads).wait_policy(policy));
         thread::scope(|s| {
             for t in 0..threads {
                 let queue = &queue;
@@ -256,44 +257,6 @@ fn oversubscribed_liveness_all_families_all_policies() {
                             h.enqueue((t * ops + i) as u64);
                         } else {
                             let _ = h.dequeue();
-                        }
-                    }
-                });
-            }
-        });
-
-        let deque: SecDeque<u64> = SecDeque::new(threads).wait_policy(policy);
-        thread::scope(|s| {
-            for t in 0..threads {
-                let deque = &deque;
-                s.spawn(move || {
-                    let mut h = deque.register();
-                    for i in 0..ops {
-                        match (t + i) % 4 {
-                            0 => h.push_front((t * ops + i) as u64),
-                            1 => h.push_back((t * ops + i) as u64),
-                            2 => {
-                                let _ = h.pop_front();
-                            }
-                            _ => {
-                                let _ = h.pop_back();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        let pool: SecPool<u64> = SecPool::with_wait(2, threads, policy);
-        thread::scope(|s| {
-            for t in 0..threads {
-                let pool = &pool;
-                s.spawn(move || {
-                    let mut h = pool.register();
-                    for i in 0..ops {
-                        h.put((t * ops + i) as u64);
-                        if i % 2 == 0 {
-                            let _ = h.get();
                         }
                     }
                 });
@@ -349,7 +312,8 @@ fn conservation_under_forced_park_all_families() {
     assert_eq!(seen.len(), THREADS * PER, "stack: values lost");
 
     // Queue.
-    let queue: SecQueue<u64> = SecQueue::new(THREADS + 1).wait_policy(PARK_NOW);
+    let queue: SecQueue<u64> =
+        SecQueue::with_config(SecConfig::new(1, THREADS + 1).wait_policy(PARK_NOW));
     let got: Vec<Vec<u64>> = thread::scope(|scope| {
         (0..THREADS)
             .map(|t| {
@@ -383,94 +347,6 @@ fn conservation_under_forced_park_all_families() {
     }
     drop(h);
     assert_eq!(seen.len(), THREADS * PER, "queue: values lost");
-
-    // Deque (both ends).
-    let deque: SecDeque<u64> = SecDeque::new(THREADS + 1).wait_policy(PARK_NOW);
-    let got: Vec<Vec<u64>> = thread::scope(|scope| {
-        (0..THREADS)
-            .map(|t| {
-                let deque = &deque;
-                scope.spawn(move || {
-                    let mut h = deque.register();
-                    let mut got = Vec::new();
-                    for i in 0..PER {
-                        let v = (t * PER + i) as u64;
-                        match (t + i) % 4 {
-                            0 => h.push_front(v),
-                            1 => h.push_back(v),
-                            2 => {
-                                if let Some(x) = h.pop_front() {
-                                    got.push(x);
-                                }
-                            }
-                            _ => {
-                                if let Some(x) = h.pop_back() {
-                                    got.push(x);
-                                }
-                            }
-                        }
-                    }
-                    got
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|j| j.join().unwrap())
-            .collect()
-    });
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut popped = 0usize;
-    for v in got.into_iter().flatten() {
-        assert!(seen.insert(v), "deque: duplicate {v}");
-        popped += 1;
-    }
-    let mut h = deque.register();
-    let mut remaining = 0usize;
-    while let Some(v) = h.pop_front() {
-        assert!(seen.insert(v), "deque: duplicate {v} in drain");
-        remaining += 1;
-    }
-    drop(h);
-    let pushed: usize = (0..THREADS)
-        .map(|t| (0..PER).filter(|i| (t + i) % 4 < 2).count())
-        .sum();
-    assert_eq!(popped + remaining, pushed, "deque: values conserved");
-
-    // Pool (across shards).
-    let pool: SecPool<u64> = SecPool::with_wait(2, THREADS + 1, PARK_NOW);
-    let got: Vec<Vec<u64>> = thread::scope(|scope| {
-        (0..THREADS)
-            .map(|t| {
-                let pool = &pool;
-                scope.spawn(move || {
-                    let mut h = pool.register();
-                    let mut got = Vec::new();
-                    for i in 0..PER {
-                        h.put((t * PER + i) as u64);
-                        if i % 2 == 0 {
-                            if let Some(v) = h.get() {
-                                got.push(v);
-                            }
-                        }
-                    }
-                    got
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|j| j.join().unwrap())
-            .collect()
-    });
-    let mut seen: HashSet<u64> = HashSet::new();
-    for v in got.into_iter().flatten() {
-        assert!(seen.insert(v), "pool: duplicate {v}");
-    }
-    let mut h = pool.register();
-    while let Some(v) = h.get() {
-        assert!(seen.insert(v), "pool: duplicate {v} in drain");
-    }
-    drop(h);
-    assert_eq!(seen.len(), THREADS * PER, "pool: values lost");
 }
 
 #[test]
@@ -582,9 +458,11 @@ fn park_and_wake_counters_reach_reports() {
     let mut queue_parks = 0;
     let mut queue_wakes = 0;
     for _ in 0..20 {
-        let queue: SecQueue<u64> = SecQueue::new(threads)
-            .wait_policy(PARK_NOW)
-            .freezer_yields(4);
+        let queue: SecQueue<u64> = SecQueue::with_config(
+            SecConfig::new(1, threads)
+                .wait_policy(PARK_NOW)
+                .freezer_yields(4),
+        );
         thread::scope(|s| {
             for t in 0..threads {
                 let queue = &queue;
@@ -612,62 +490,9 @@ fn park_and_wake_counters_reach_reports() {
 }
 
 #[test]
-fn deque_and_pool_surface_wait_counters() {
-    let threads = oversub_threads();
-    let deque: SecDeque<u64> = SecDeque::new(threads).wait_policy(PARK_NOW);
-    thread::scope(|s| {
-        for t in 0..threads {
-            let deque = &deque;
-            s.spawn(move || {
-                let mut h = deque.register();
-                for i in 0..300 {
-                    if (t + i) % 2 == 0 {
-                        h.push_back(i as u64);
-                    } else {
-                        let _ = h.pop_front();
-                    }
-                }
-            });
-        }
-    });
-    // The deque newly exposes SecStats: batches must have been
-    // recorded, and the wait counters must be coherent (every wake
-    // unparked something that parked or was about to).
-    let r = deque.stats().report();
-    assert!(r.batches > 0, "deque records batches now");
-    assert_eq!(r.eliminated + r.combined, r.ops);
-
-    let pool: SecPool<u64> = SecPool::with_wait(2, threads, PARK_NOW);
-    thread::scope(|s| {
-        for t in 0..threads {
-            let pool = &pool;
-            s.spawn(move || {
-                let mut h = pool.register();
-                for i in 0..200 {
-                    h.put((t * 200 + i) as u64);
-                    let _ = h.get();
-                }
-            });
-        }
-    });
-    let (parks, _wakes, spurious) = pool.wait_counters();
-    // Counts are scheduling-dependent; assert the invariant that is
-    // not: a spurious wakeup is counted only after a park returned.
-    assert!(
-        spurious <= parks,
-        "pool: spurious ({spurious}) cannot exceed parks ({parks})"
-    );
-    let dr = deque.stats().report();
-    assert!(
-        dr.spurious_wakes <= dr.parks,
-        "deque: spurious cannot exceed parks: {dr:?}"
-    );
-}
-
-#[test]
 fn policies_are_configurable_per_structure() {
-    // The builder surface: every family accepts every policy and
-    // still round-trips a value.
+    // The `SecConfig` route: the stack and the queue take every
+    // policy and still round-trip a value.
     for policy in ALL_POLICIES {
         let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(1, 1).wait_policy(policy));
         assert_eq!(stack.config().wait, policy);
@@ -676,22 +501,10 @@ fn policies_are_configurable_per_structure() {
         assert_eq!(h.pop(), Some(1));
         drop(h);
 
-        let queue: SecQueue<u64> = SecQueue::new(1).wait_policy(policy);
+        let queue: SecQueue<u64> = SecQueue::with_config(SecConfig::new(1, 1).wait_policy(policy));
         assert_eq!(queue.config().wait, policy);
         let mut h = queue.register();
         h.enqueue(2);
         assert_eq!(h.dequeue(), Some(2));
-        drop(h);
-
-        let deque: SecDeque<u64> = SecDeque::new(1).wait_policy(policy);
-        let mut h = deque.register();
-        h.push_front(3);
-        assert_eq!(h.pop_back(), Some(3));
-        drop(h);
-
-        let pool: SecPool<u64> = SecPool::with_wait(1, 1, policy);
-        let mut h = pool.register();
-        h.put(4);
-        assert_eq!(h.get(), Some(4));
     }
 }

@@ -16,8 +16,8 @@
 //!   mid-traversal (stack `pop`/`peek` vs reuse, queue `head.next`
 //!   rendezvous vs reuse) under seed-derived schedules, asserting
 //!   conservation and that no resurrected value ever appears;
-//! * leak-accounting tests drive every family (stack, queue, deque,
-//!   pool) through a conservation-style run + drain and assert the
+//! * leak-accounting tests drive every family (stack, queue, counter,
+//!   map) through a conservation-style run + drain and assert the
 //!   retirement identity `retired − freed − cached == 0` once the
 //!   collector quiesces — recycling must not leak and must not
 //!   double-account.
@@ -26,7 +26,7 @@
 //! with `SCHEDULE_SEED=<seed> cargo test --test recycling`, widen the
 //! sweep with `SCHEDULE_SEEDS=N` (the nightly CI job raises it).
 
-use sec_repro::ext::{SecDeque, SecPool, SecQueue};
+use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::reclaim::{Collector, CollectorStats, RecyclePolicy};
 use sec_repro::{SecConfig, SecStack};
 use std::collections::HashSet;
@@ -248,9 +248,8 @@ fn queue_head_rendezvous_vs_reuse_churn() {
         let mut s = seed | 1;
         let rounds = 1_500 + (xorshift(&mut s) % 1_000);
         let spins = [16u32, 128, 256][(xorshift(&mut s) % 3) as usize];
-        let queue: SecQueue<u64> = SecQueue::new(3)
-            .rendezvous_spins(spins)
-            .recycle_policy(TINY_CACHE);
+        let queue: SecQueue<u64> =
+            SecQueue::with_config(SecConfig::new(1, 3).recycle(TINY_CACHE)).rendezvous_spins(spins);
 
         let consumed: Vec<u64> = thread::scope(|scope| {
             let producer = &queue;
@@ -351,7 +350,8 @@ fn leak_identity_holds_across_all_families_and_policies() {
         }
         // Queue.
         {
-            let queue: SecQueue<u64> = SecQueue::new(THREADS + 1).recycle_policy(policy);
+            let queue: SecQueue<u64> =
+                SecQueue::with_config(SecConfig::new(1, THREADS + 1).recycle(policy));
             thread::scope(|scope| {
                 for t in 0..THREADS {
                     let queue = &queue;
@@ -371,55 +371,47 @@ fn leak_identity_holds_across_all_families_and_policies() {
             drop(h);
             assert_leak_identity(&format!("queue/{policy:?}"), queue.quiesce_reclamation(64));
         }
-        // Deque.
+        // Counter.
         {
-            let deque: SecDeque<u64> = SecDeque::new(THREADS + 1).recycle_policy(policy);
+            let counter = SecCounter::with_config(SecConfig::new(2, THREADS + 1).recycle(policy));
             thread::scope(|scope| {
-                for t in 0..THREADS {
-                    let deque = &deque;
+                for _ in 0..THREADS {
+                    let counter = &counter;
                     scope.spawn(move || {
-                        let mut h = deque.register();
-                        for i in 0..PER {
-                            match (t + i) % 4 {
-                                0 => h.push_front((t * PER + i) as u64),
-                                1 => h.push_back((t * PER + i) as u64),
-                                2 => {
-                                    let _ = h.pop_front();
-                                }
-                                _ => {
-                                    let _ = h.pop_back();
-                                }
-                            }
+                        let mut h = counter.register();
+                        for _ in 0..PER {
+                            h.fetch_add(1);
                         }
                     });
                 }
             });
-            let mut h = deque.register();
-            while h.pop_front().is_some() {}
-            drop(h);
-            assert_leak_identity(&format!("deque/{policy:?}"), deque.quiesce_reclamation(64));
+            assert_eq!(counter.load(), (THREADS * PER) as u64);
+            assert_leak_identity(
+                &format!("counter/{policy:?}"),
+                counter.quiesce_reclamation(64),
+            );
         }
-        // Pool.
+        // Map.
         {
-            let pool: SecPool<u64> = SecPool::with_recycle(2, THREADS + 1, policy);
+            let map: SecMap<u64, u64> =
+                SecMap::with_config(SecConfig::new(2, THREADS + 1).recycle(policy));
             thread::scope(|scope| {
                 for t in 0..THREADS {
-                    let pool = &pool;
+                    let map = &map;
                     scope.spawn(move || {
-                        let mut h = pool.register();
+                        let mut h = map.register();
                         for i in 0..PER {
-                            h.put((t * PER + i) as u64);
-                            if i % 2 == 0 {
-                                let _ = h.get();
+                            let key = ((t * PER + i) % 64) as u64;
+                            if i % 3 != 0 {
+                                h.insert(key, i as u64);
+                            } else {
+                                let _ = h.remove(&key);
                             }
                         }
                     });
                 }
             });
-            let mut h = pool.register();
-            while h.get().is_some() {}
-            drop(h);
-            assert_leak_identity(&format!("pool/{policy:?}"), pool.quiesce_reclamation(64));
+            assert_leak_identity(&format!("map/{policy:?}"), map.quiesce_reclamation(64));
         }
     }
 }

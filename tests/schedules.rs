@@ -22,10 +22,9 @@
 //! preemption (yield points) and where the aggregator set is resized,
 //! which is exactly the surface elastic sharding added.
 //!
-//! All six families are derived here — stack, queue, deque, pool,
-//! counter and map schedules, each checked against its sequential
-//! spec — and
-//! every schedule additionally draws a **recycling policy** (off, tiny
+//! All four families are derived here — stack, queue, counter and map
+//! schedules, each checked against its sequential spec — and every
+//! schedule additionally draws a **recycling policy** (off, tiny
 //! overflowing cache, default), so node reuse across epochs
 //! (DESIGN.md §10) is exercised under the same permuted interleavings
 //! as everything else.
@@ -33,12 +32,10 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sec_linearize::spec::counter::{CounterOp, CounterSpec};
-use sec_linearize::spec::deque::{DequeOp, DequeSpec};
 use sec_linearize::spec::map::{MapOp, MapSpec};
-use sec_linearize::spec::pool::{PoolOp, PoolSpec};
 use sec_linearize::spec::queue::{QueueOp, QueueSpec};
 use sec_linearize::spec::{check_generic, TimedOp};
-use sec_repro::ext::{SecCounter, SecDeque, SecMap, SecPool, SecQueue};
+use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::linearize::{check_conservation, check_history, Event, Op, Recorder};
 use sec_repro::{RecyclePolicy, SecConfig, SecStack};
 use std::sync::Mutex;
@@ -510,9 +507,9 @@ impl QueueSchedule {
 /// final handle, so lost values are detectable).
 fn run_queue_schedule(s: &QueueSchedule) -> (Vec<TimedOp<QueueOp<u64>>>, Vec<u64>) {
     // One extra slot for the drain handle below.
-    let queue: SecQueue<u64> = SecQueue::new(s.scripts.len() + 1)
-        .rendezvous_spins(s.rendezvous_spins)
-        .recycle_policy(s.recycle);
+    let queue: SecQueue<u64> =
+        SecQueue::with_config(SecConfig::new(1, s.scripts.len() + 1).recycle(s.recycle))
+            .rendezvous_spins(s.rendezvous_spins);
     let rec = Recorder::new();
     let events: Mutex<Vec<TimedOp<QueueOp<u64>>>> = Mutex::new(Vec::new());
 
@@ -716,449 +713,6 @@ fn identical_seeds_derive_identical_queue_schedules() {
     assert_eq!(a.rendezvous_spins, b.rendezvous_spins);
     assert_eq!(a.recycle, b.recycle);
     assert_eq!(a.seed, b.seed);
-    assert_eq!(format!("{:?}", a.scripts), format!("{:?}", b.scripts));
-}
-
-// ----------------------------------------------------------------------
-// Deque schedules: the same seed-derived harness over the two-ended
-// extension (today's third family with its own batch layer per end),
-// checked against the generic deque spec — with recycling on and off,
-// since combiners both retire and re-allocate result nodes mid-batch.
-// ----------------------------------------------------------------------
-
-/// One step of a deque thread's script.
-#[derive(Debug, Clone, Copy)]
-enum DequeAction {
-    /// Push the next globally-unique value at the given end.
-    PushFront,
-    PushBack,
-    PopFront,
-    PopBack,
-    /// Offer preemption `n` times before the next step.
-    Yield(u8),
-}
-
-/// A seed-derived deque schedule.
-#[derive(Debug)]
-struct DequeSchedule {
-    recycle: RecyclePolicy,
-    scripts: Vec<Vec<DequeAction>>,
-}
-
-impl DequeSchedule {
-    fn derive(seed: u64, small: bool) -> Self {
-        // Distinct stream from the other families' schedules.
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x00DE_00E5_EC0D_E00E);
-        let threads = if small {
-            2 + rng.gen_range(0..2) as usize
-        } else {
-            4 + rng.gen_range(0..4) as usize
-        };
-        let ops_per_thread = if small {
-            4 + rng.gen_range(0..4) as usize
-        } else {
-            150 + rng.gen_range(0..250) as usize
-        };
-        let recycle = derive_recycle(&mut rng);
-        let scripts = (0..threads)
-            .map(|_| {
-                let mut script = Vec::new();
-                for _ in 0..ops_per_thread {
-                    if rng.gen_range(0..3) == 0 {
-                        script.push(DequeAction::Yield(1 + rng.gen_range(0..3) as u8));
-                    }
-                    script.push(match rng.gen_range(0..4) {
-                        0 => DequeAction::PushFront,
-                        1 => DequeAction::PushBack,
-                        2 => DequeAction::PopFront,
-                        _ => DequeAction::PopBack,
-                    });
-                }
-                script
-            })
-            .collect();
-        DequeSchedule { recycle, scripts }
-    }
-}
-
-/// Runs a deque schedule, returning the recorded history plus the
-/// values left in the deque at the end (drained front-first).
-fn run_deque_schedule(s: &DequeSchedule) -> (Vec<TimedOp<DequeOp<u64>>>, Vec<u64>) {
-    // One extra slot for the drain handle below.
-    let deque: SecDeque<u64> = SecDeque::new(s.scripts.len() + 1).recycle_policy(s.recycle);
-    let rec = Recorder::new();
-    let events: Mutex<Vec<TimedOp<DequeOp<u64>>>> = Mutex::new(Vec::new());
-
-    thread::scope(|scope| {
-        for (t, script) in s.scripts.iter().enumerate() {
-            let deque = &deque;
-            let rec = &rec;
-            let events = &events;
-            scope.spawn(move || {
-                let mut h = deque.register();
-                let mut local = Vec::new();
-                let mut pushed = 0usize;
-                for action in script {
-                    if let DequeAction::Yield(n) = *action {
-                        for _ in 0..n {
-                            thread::yield_now();
-                        }
-                        continue;
-                    }
-                    let mut next_value = || {
-                        let v = (t * 1_000_000 + pushed) as u64;
-                        pushed += 1;
-                        v
-                    };
-                    let invoke = rec.now();
-                    let op = match *action {
-                        DequeAction::PushFront => {
-                            let v = next_value();
-                            h.push_front(v);
-                            DequeOp::PushFront(v)
-                        }
-                        DequeAction::PushBack => {
-                            let v = next_value();
-                            h.push_back(v);
-                            DequeOp::PushBack(v)
-                        }
-                        DequeAction::PopFront => DequeOp::PopFront(h.pop_front()),
-                        DequeAction::PopBack => DequeOp::PopBack(h.pop_back()),
-                        DequeAction::Yield(_) => unreachable!(),
-                    };
-                    let response = rec.now();
-                    local.push(TimedOp {
-                        op,
-                        invoke,
-                        response,
-                    });
-                }
-                events.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let mut drain = deque.register();
-    let mut drained = Vec::new();
-    while let Some(v) = drain.pop_front() {
-        drained.push(v);
-    }
-    (events.into_inner().unwrap(), drained)
-}
-
-/// Linear-time conservation pass over a deque history + final drain.
-fn check_deque_conservation(
-    history: &[TimedOp<DequeOp<u64>>],
-    drained: &[u64],
-) -> Result<(), String> {
-    let mut pushed: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut popped: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    for e in history {
-        match &e.op {
-            DequeOp::PushFront(v) | DequeOp::PushBack(v) => {
-                if !pushed.insert(*v) {
-                    return Err(format!("value {v} pushed twice (test bug)"));
-                }
-            }
-            DequeOp::PopFront(Some(v)) | DequeOp::PopBack(Some(v)) => {
-                if !popped.insert(*v) {
-                    return Err(format!("value {v} popped twice"));
-                }
-            }
-            DequeOp::PopFront(None) | DequeOp::PopBack(None) => {}
-        }
-    }
-    for v in drained {
-        if !popped.insert(*v) {
-            return Err(format!("value {v} popped twice (drain)"));
-        }
-    }
-    if let Some(v) = popped.difference(&pushed).next() {
-        return Err(format!("value {v} popped but never pushed"));
-    }
-    if popped.len() != pushed.len() {
-        let lost: Vec<u64> = pushed.difference(&popped).copied().collect();
-        return Err(format!("{} value(s) lost: {lost:?}", lost.len()));
-    }
-    Ok(())
-}
-
-#[test]
-fn small_deque_schedules_are_linearizable() {
-    let mut saw_recycle_on = false;
-    let mut saw_recycle_off = false;
-    let seeds = sweep_seeds(24);
-    let full_sweep = coverage_asserts_apply(seeds.len());
-    for seed in seeds {
-        let schedule = DequeSchedule::derive(seed, true);
-        if schedule.recycle.is_on() {
-            saw_recycle_on = true;
-        } else {
-            saw_recycle_off = true;
-        }
-        let (history, drained) = run_deque_schedule(&schedule);
-        check_deque_conservation(&history, &drained).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed} ({:?}): deque conservation violated: {e}\n{}",
-                schedule.recycle,
-                replay_hint(seed)
-            )
-        });
-        check_generic::<DequeSpec<u64>>(&history).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed} ({:?}): deque history not linearizable: {e}\n{}\n{history:#?}",
-                schedule.recycle,
-                replay_hint(seed)
-            )
-        });
-    }
-    if full_sweep {
-        assert!(
-            saw_recycle_on && saw_recycle_off,
-            "deque sweep must cover recycling both on and off"
-        );
-    }
-}
-
-#[test]
-fn large_deque_schedules_conserve_values() {
-    for seed in sweep_seeds(6) {
-        let schedule = DequeSchedule::derive(seed, false);
-        let (history, drained) = run_deque_schedule(&schedule);
-        check_deque_conservation(&history, &drained).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed}: deque conservation violated: {e}\n{}",
-                replay_hint(seed)
-            )
-        });
-    }
-}
-
-#[test]
-fn identical_seeds_derive_identical_deque_schedules() {
-    let a = DequeSchedule::derive(0xD15EA5E, true);
-    let b = DequeSchedule::derive(0xD15EA5E, true);
-    assert_eq!(a.recycle, b.recycle);
-    assert_eq!(format!("{:?}", a.scripts), format!("{:?}", b.scripts));
-}
-
-// ----------------------------------------------------------------------
-// Pool schedules: the sharded-stack extension under the multiset spec
-// (put/get with stealing destroy LIFO order — the bag contract is what
-// must survive recycling).
-// ----------------------------------------------------------------------
-
-/// One step of a pool thread's script.
-#[derive(Debug, Clone, Copy)]
-enum PoolAction {
-    /// Put the next globally-unique value.
-    Put,
-    Get,
-    /// Offer preemption `n` times before the next step.
-    Yield(u8),
-}
-
-/// A seed-derived pool schedule.
-#[derive(Debug)]
-struct PoolSchedule {
-    shards: usize,
-    recycle: RecyclePolicy,
-    scripts: Vec<Vec<PoolAction>>,
-}
-
-impl PoolSchedule {
-    fn derive(seed: u64, small: bool) -> Self {
-        // Distinct stream from the other families' schedules.
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x0000_B00C_5EC0_0701);
-        let threads = if small {
-            2 + rng.gen_range(0..2) as usize
-        } else {
-            4 + rng.gen_range(0..4) as usize
-        };
-        let ops_per_thread = if small {
-            4 + rng.gen_range(0..4) as usize
-        } else {
-            150 + rng.gen_range(0..250) as usize
-        };
-        let shards = 1 + rng.gen_range(0..3) as usize;
-        let recycle = derive_recycle(&mut rng);
-        let scripts = (0..threads)
-            .map(|_| {
-                let mut script = Vec::new();
-                for _ in 0..ops_per_thread {
-                    if rng.gen_range(0..3) == 0 {
-                        script.push(PoolAction::Yield(1 + rng.gen_range(0..3) as u8));
-                    }
-                    script.push(if rng.gen_range(0..2) == 0 {
-                        PoolAction::Put
-                    } else {
-                        PoolAction::Get
-                    });
-                }
-                script
-            })
-            .collect();
-        PoolSchedule {
-            shards,
-            recycle,
-            scripts,
-        }
-    }
-}
-
-/// Runs a pool schedule, returning the history plus the final drain.
-fn run_pool_schedule(s: &PoolSchedule) -> (Vec<TimedOp<PoolOp<u64>>>, Vec<u64>) {
-    // One extra slot for the drain handle below.
-    let pool: SecPool<u64> = SecPool::with_recycle(s.shards, s.scripts.len() + 1, s.recycle);
-    let rec = Recorder::new();
-    let events: Mutex<Vec<TimedOp<PoolOp<u64>>>> = Mutex::new(Vec::new());
-
-    thread::scope(|scope| {
-        for (t, script) in s.scripts.iter().enumerate() {
-            let pool = &pool;
-            let rec = &rec;
-            let events = &events;
-            scope.spawn(move || {
-                let mut h = pool.register();
-                let mut local = Vec::new();
-                let mut pushed = 0usize;
-                for action in script {
-                    if let PoolAction::Yield(n) = *action {
-                        for _ in 0..n {
-                            thread::yield_now();
-                        }
-                        continue;
-                    }
-                    let invoke = rec.now();
-                    let op = match *action {
-                        PoolAction::Put => {
-                            let v = (t * 1_000_000 + pushed) as u64;
-                            pushed += 1;
-                            h.put(v);
-                            PoolOp::Put(v)
-                        }
-                        PoolAction::Get => PoolOp::Get(h.get()),
-                        PoolAction::Yield(_) => unreachable!(),
-                    };
-                    let response = rec.now();
-                    local.push(TimedOp {
-                        op,
-                        invoke,
-                        response,
-                    });
-                }
-                events.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let mut drain = pool.register();
-    let mut drained = Vec::new();
-    while let Some(v) = drain.get() {
-        drained.push(v);
-    }
-    (events.into_inner().unwrap(), drained)
-}
-
-/// Linear-time conservation pass over a pool history + final drain.
-fn check_pool_conservation(
-    history: &[TimedOp<PoolOp<u64>>],
-    drained: &[u64],
-) -> Result<(), String> {
-    let mut put: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut got: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    for e in history {
-        match &e.op {
-            PoolOp::Put(v) => {
-                if !put.insert(*v) {
-                    return Err(format!("value {v} put twice (test bug)"));
-                }
-            }
-            PoolOp::Get(Some(v)) => {
-                if !got.insert(*v) {
-                    return Err(format!("value {v} got twice"));
-                }
-            }
-            PoolOp::Get(None) => {}
-        }
-    }
-    for v in drained {
-        if !got.insert(*v) {
-            return Err(format!("value {v} got twice (drain)"));
-        }
-    }
-    if let Some(v) = got.difference(&put).next() {
-        return Err(format!("value {v} got but never put"));
-    }
-    if got.len() != put.len() {
-        let lost: Vec<u64> = put.difference(&got).copied().collect();
-        return Err(format!("{} value(s) lost: {lost:?}", lost.len()));
-    }
-    Ok(())
-}
-
-#[test]
-fn small_pool_schedules_are_linearizable() {
-    let mut saw_recycle_on = false;
-    let mut saw_recycle_off = false;
-    let mut saw_multi_shard = false;
-    let seeds = sweep_seeds(24);
-    let full_sweep = coverage_asserts_apply(seeds.len());
-    for seed in seeds {
-        let schedule = PoolSchedule::derive(seed, true);
-        if schedule.recycle.is_on() {
-            saw_recycle_on = true;
-        } else {
-            saw_recycle_off = true;
-        }
-        if schedule.shards > 1 {
-            saw_multi_shard = true;
-        }
-        let (history, drained) = run_pool_schedule(&schedule);
-        check_pool_conservation(&history, &drained).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed} ({:?}, {} shards): pool conservation violated: {e}\n{}",
-                schedule.recycle,
-                schedule.shards,
-                replay_hint(seed)
-            )
-        });
-        check_generic::<PoolSpec<u64>>(&history).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed} ({:?}, {} shards): pool history not linearizable: {e}\n{}\n{history:#?}",
-                schedule.recycle,
-                schedule.shards,
-                replay_hint(seed)
-            )
-        });
-    }
-    if full_sweep {
-        assert!(
-            saw_recycle_on && saw_recycle_off,
-            "pool sweep must cover recycling both on and off"
-        );
-        assert!(saw_multi_shard, "pool sweep must cover multi-shard pools");
-    }
-}
-
-#[test]
-fn large_pool_schedules_conserve_values() {
-    for seed in sweep_seeds(6) {
-        let schedule = PoolSchedule::derive(seed, false);
-        let (history, drained) = run_pool_schedule(&schedule);
-        check_pool_conservation(&history, &drained).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed}: pool conservation violated: {e}\n{}",
-                replay_hint(seed)
-            )
-        });
-    }
-}
-
-#[test]
-fn identical_seeds_derive_identical_pool_schedules() {
-    let a = PoolSchedule::derive(0xD15EA5E, true);
-    let b = PoolSchedule::derive(0xD15EA5E, true);
-    assert_eq!(a.recycle, b.recycle);
-    assert_eq!(a.shards, b.shards);
     assert_eq!(format!("{:?}", a.scripts), format!("{:?}", b.scripts));
 }
 
