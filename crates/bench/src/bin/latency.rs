@@ -8,12 +8,8 @@
 //! cargo run -p sec-bench --release --bin latency
 //! ```
 
-use sec_bench::{algo_latency, BenchOpts};
-use sec_core::{SecConfig, SecQueue, SecStack, WaitPolicy};
-use sec_workload::{
-    measure_latency, measure_queue_latency, Algo, MapMix, Mix, ALL_COMPETITORS, MAP_LINEUP,
-    QUEUE_LINEUP,
-};
+use sec_bench::{algo_latency, wait_label, BenchOpts, WAIT_POLICIES};
+use sec_workload::{Algo, MapMix, Mix, ALL_COMPETITORS, MAP_LINEUP, QUEUE_LINEUP};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -45,7 +41,7 @@ fn main() {
             // The map family reads the Mix as its keyed counterpart:
             // peek→get, push→insert, pop→remove.
             let map_mix = MapMix::new(mix.peek, mix.push, mix.pop);
-            let r = algo_latency(algo, threads, ops_per_thread, mix, map_mix);
+            let r = algo_latency(algo, |c| c, threads, ops_per_thread, mix, map_mix);
             println!(
                 "{:>8} {:>10} {:>10} {:>10} {:>10} {:>12}",
                 algo.label(),
@@ -85,35 +81,18 @@ fn main() {
         "{:>14} {:>10} {:>10} {:>10} {:>10} {:>12}",
         "algo[policy]", "p50", "p90", "p99", "p999", "max"
     );
-    for policy in [
-        WaitPolicy::Spin,
-        WaitPolicy::SpinThenYield,
-        WaitPolicy::spin_then_park(),
-    ] {
-        let stack: SecStack<u64> =
-            SecStack::with_config(SecConfig::new(2, over + 1).wait_policy(policy));
-        let rs = measure_latency(&stack, over, ops_per_thread, Mix::UPDATE_100);
-        let queue: SecQueue<u64> =
-            SecQueue::with_config(SecConfig::new(1, over + 1).wait_policy(policy));
-        let rq = measure_queue_latency(&queue, over, ops_per_thread, Mix::UPDATE_100);
-        for (label, r) in [("SEC", rs), ("SEC-Q", rq)] {
+    let (mix, map_mix) = (Mix::UPDATE_100, MapMix::WRITE_HEAVY);
+    for sec in WAIT_POLICIES {
+        for algo in [Algo::Sec { aggregators: 2 }, Algo::SecQueue] {
+            let r = algo_latency(algo, sec, over, ops_per_thread, mix, map_mix);
+            let label = format!("{algo}[{}]", wait_label(sec));
             println!(
-                "{:>14} {:>10} {:>10} {:>10} {:>10} {:>12}",
-                format!("{label}[{}]", policy.label()),
-                r.p50,
-                r.p90,
-                r.p99,
-                r.p999,
-                r.max
+                "{label:>14} {:>10} {:>10} {:>10} {:>10} {:>12}",
+                r.p50, r.p90, r.p99, r.p999, r.max
             );
             csv.push_str(&format!(
-                "upd100@4x,{label}[{}],{},{},{},{},{}\n",
-                policy.label(),
-                r.p50,
-                r.p90,
-                r.p99,
-                r.p999,
-                r.max
+                "upd100@4x,{label},{},{},{},{},{}\n",
+                r.p50, r.p90, r.p99, r.p999, r.max
             ));
         }
     }

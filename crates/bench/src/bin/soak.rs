@@ -17,8 +17,10 @@
 //! ```
 
 use sec_bench::BenchOpts;
-use sec_core::{ConcurrentQueue, ConcurrentStack, QueueHandle, StackHandle};
-use sec_workload::{EXTENDED_LINEUP, MAP_LINEUP, QUEUE_LINEUP};
+use sec_core::{
+    ConcurrentMap, ConcurrentQueue, ConcurrentStack, QueueHandle, SecCounter, StackHandle,
+};
+use sec_workload::{SecReadout, Visitor, CHECKED_LINEUP};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -225,11 +227,7 @@ fn soak_queue_one<Q: ConcurrentQueue<u64>>(
 /// The counter-family soak: every worker tallies the deltas it added;
 /// at the end the counter's value must equal the grand total (no lost
 /// or duplicated batch slots).
-fn soak_counter_one(
-    counter: &sec_core::counter::SecCounter,
-    threads: usize,
-    opts: &BenchOpts,
-) -> Result<(), String> {
+fn soak_counter_one(counter: &SecCounter, threads: usize, opts: &BenchOpts) -> Result<(), String> {
     let barrier = Barrier::new(threads + 1);
     let stop = AtomicBool::new(false);
 
@@ -290,7 +288,7 @@ fn soak_counter_one(
 /// values); draining the map at the end must balance the books —
 /// inserts = displacements + removals + drained remainder, by count and
 /// by value sum, and every drained value decodes to a valid worker.
-fn soak_map_one<M: sec_core::ConcurrentMap<u64, u64>>(
+fn soak_map_one<M: ConcurrentMap<u64, u64>>(
     map: &M,
     threads: usize,
     opts: &BenchOpts,
@@ -420,15 +418,13 @@ fn main() {
     println!("# {threads} threads, {:?} per algorithm\n", opts.duration);
 
     let mut failures = 0u32;
-    for algo in EXTENDED_LINEUP
-        .into_iter()
-        .chain(QUEUE_LINEUP)
-        .chain([sec_workload::Algo::SecCounter])
-        .chain(MAP_LINEUP)
-    {
+    for algo in CHECKED_LINEUP {
         println!("  soaking {algo} ...");
-        let result = run(algo, threads, &opts);
-        if let Err(e) = result {
+        let soak = Soak {
+            threads,
+            opts: &opts,
+        };
+        if let Err(e) = algo.build(threads + 1, |c| c, None, soak) {
             println!("    FAIL: {e}");
             failures += 1;
         }
@@ -441,50 +437,24 @@ fn main() {
     }
 }
 
-/// Constructs the stack for `algo` and soaks it. (Mirrors
-/// `sec_workload::run_algo`, but the soak needs direct generic access
-/// to drain through the same handle type.)
-fn run(algo: sec_workload::Algo, threads: usize, opts: &BenchOpts) -> Result<(), String> {
-    use sec_baselines::{
-        CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue,
-        TreiberHpStack, TreiberStack, TsiStack,
-    };
-    use sec_core::counter::SecCounter;
-    use sec_core::{SecConfig, SecMap, SecQueue, SecStack};
-    use sec_workload::Algo;
+/// The registry visit that soaks whatever structure `algo` builds.
+struct Soak<'a> {
+    threads: usize,
+    opts: &'a BenchOpts,
+}
 
-    let cap = threads + 1;
-    match algo {
-        Algo::Sec { aggregators } => soak_one(
-            &SecStack::<u64>::with_config(SecConfig::new(aggregators, cap)),
-            threads,
-            opts,
-        ),
-        Algo::SecAdaptive { min_k, max_k } => soak_one(
-            &SecStack::<u64>::with_config(SecConfig::adaptive(min_k, max_k, cap)),
-            threads,
-            opts,
-        ),
-        Algo::Trb => soak_one(&TreiberStack::<u64>::new(cap), threads, opts),
-        Algo::Eb => soak_one(&EbStack::<u64>::new(cap), threads, opts),
-        Algo::Fc => soak_one(&FcStack::<u64>::new(cap), threads, opts),
-        Algo::Cc => soak_one(&CcStack::<u64>::new(cap), threads, opts),
-        Algo::Tsi => soak_one(&TsiStack::<u64>::new(cap), threads, opts),
-        Algo::TrbHp => soak_one(&TreiberHpStack::<u64>::new(cap), threads, opts),
-        Algo::Lck => soak_one(&LockedStack::<u64>::new(cap), threads, opts),
-        Algo::SecQueue => soak_queue_one(&SecQueue::<u64>::new(cap), threads, opts),
-        Algo::MsQ => soak_queue_one(&MsQueue::<u64>::new(cap), threads, opts),
-        Algo::LckQ => soak_queue_one(&LockedQueue::<u64>::new(cap), threads, opts),
-        Algo::SecCounter => soak_counter_one(
-            &SecCounter::with_config(SecConfig::new(2, cap)),
-            threads,
-            opts,
-        ),
-        Algo::SecMap => soak_map_one(
-            &SecMap::<u64, u64>::with_config(SecConfig::new(2, cap)),
-            threads,
-            opts,
-        ),
-        Algo::LckMap => soak_map_one(&LockedHashMap::<u64, u64>::new(cap), threads, opts),
+impl Visitor for Soak<'_> {
+    type Out = Result<(), String>;
+    fn stack<S: ConcurrentStack<u64>>(self, s: &S, _: Option<&dyn SecReadout>) -> Self::Out {
+        soak_one(s, self.threads, self.opts)
+    }
+    fn queue<Q: ConcurrentQueue<u64>>(self, q: &Q, _: Option<&dyn SecReadout>) -> Self::Out {
+        soak_queue_one(q, self.threads, self.opts)
+    }
+    fn counter(self, c: &SecCounter, _: Option<&dyn SecReadout>) -> Self::Out {
+        soak_counter_one(c, self.threads, self.opts)
+    }
+    fn map<M: ConcurrentMap<u64, u64>>(self, m: &M, _: Option<&dyn SecReadout>) -> Self::Out {
+        soak_map_one(m, self.threads, self.opts)
     }
 }

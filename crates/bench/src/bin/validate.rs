@@ -7,15 +7,11 @@
 //! cargo run -p sec-bench --release --bin validate
 //! ```
 
-use sec_baselines::{
-    CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
-    TreiberStack, TsiStack,
-};
-use sec_core::counter::SecCounter;
 use sec_core::{
-    ConcurrentMap, ConcurrentQueue, ConcurrentStack, MapHandle, QueueHandle, SecConfig, SecMap,
-    SecQueue, SecStack, StackHandle,
+    ConcurrentMap, ConcurrentQueue, ConcurrentStack, MapHandle, QueueHandle, SecCounter, SecQueue,
+    StackHandle,
 };
+use sec_workload::{SecReadout, Visitor, CHECKED_LINEUP};
 use std::collections::HashSet;
 use std::thread;
 
@@ -293,147 +289,92 @@ fn check_map_conservation<M: ConcurrentMap<u64, u64>>(
 
 fn report(name: &str, what: &str, r: Result<(), String>, failures: &mut u32) {
     match r {
-        Ok(()) => println!("  PASS  {name:<6} {what}"),
+        Ok(()) => println!("  PASS  {name:<10} {what}"),
         Err(e) => {
-            println!("  FAIL  {name:<6} {what}: {e}");
+            println!("  FAIL  {name:<10} {what}: {e}");
             *failures += 1;
         }
     }
 }
 
+/// One half of a structure's validation, as a registry visit: the
+/// single-threaded semantics check, or the concurrent conservation
+/// check. Each half gets a fresh instance.
+#[derive(Clone, Copy)]
+struct Validate {
+    concurrent: bool,
+}
+
+/// The checks a visit ran: `(what, outcome)` pairs.
+type Checks = Vec<(&'static str, Result<(), String>)>;
+
+/// The concurrent half's conservation outcome, followed for a SEC
+/// family by its batch accounting identity; `homogeneous` families
+/// (every kind but the stack) never eliminate, so every operation must
+/// be combined.
+fn conserved(
+    conservation: Result<(), String>,
+    sec: Option<&dyn SecReadout>,
+    homogeneous: bool,
+) -> Checks {
+    let mut checks = vec![("concurrent conservation", conservation)];
+    if let Some(sec) = sec {
+        let r = sec.report();
+        let holds = r.eliminated + r.combined == r.ops && !(homogeneous && r.eliminated > 0);
+        let identity = if holds { Ok(()) } else { Err(format!("{r:?}")) };
+        checks.push(("batch accounting identity", identity));
+    }
+    checks
+}
+
+impl Visitor for Validate {
+    type Out = Checks;
+    fn stack<S: ConcurrentStack<u64>>(self, s: &S, sec: Option<&dyn SecReadout>) -> Checks {
+        match self.concurrent {
+            false => vec![("sequential LIFO", check_lifo(s))],
+            true => conserved(check_conservation(s, THREADS), sec, false),
+        }
+    }
+    fn queue<Q: ConcurrentQueue<u64>>(self, q: &Q, sec: Option<&dyn SecReadout>) -> Checks {
+        match self.concurrent {
+            false => vec![("sequential FIFO", check_fifo(q))],
+            true => conserved(check_queue_conservation(q, THREADS), sec, true),
+        }
+    }
+    fn counter(self, c: &SecCounter, sec: Option<&dyn SecReadout>) -> Checks {
+        match self.concurrent {
+            false => vec![("sequential prefix sums", check_counter_sequential(c))],
+            true => conserved(check_counter_conservation(c, THREADS), sec, true),
+        }
+    }
+    fn map<M: ConcurrentMap<u64, u64>>(self, m: &M, sec: Option<&dyn SecReadout>) -> Checks {
+        match self.concurrent {
+            false => vec![("sequential round-trip", check_map_sequential(m))],
+            true => conserved(check_map_conservation(m, THREADS), sec, true),
+        }
+    }
+}
+
+const THREADS: usize = 8;
+
 fn main() {
-    const THREADS: usize = 8;
     let mut failures = 0u32;
-    println!("validating all stack implementations ({THREADS} threads)...");
-
-    macro_rules! validate {
-        ($name:expr, $make:expr) => {{
-            let s = $make;
-            report($name, "sequential LIFO", check_lifo(&s), &mut failures);
-            let s = $make;
-            report(
-                $name,
-                "concurrent conservation",
-                check_conservation(&s, THREADS),
-                &mut failures,
-            );
-        }};
+    println!("validating every stack, queue, counter and map ({THREADS} threads)...");
+    for algo in CHECKED_LINEUP {
+        for concurrent in [false, true] {
+            let visit = Validate { concurrent };
+            for (what, r) in algo.build(THREADS + 1, |c| c, None, visit) {
+                report(&algo.label(), what, r, &mut failures);
+            }
+        }
     }
-
-    validate!(
-        "SEC",
-        SecStack::<u64>::with_config(SecConfig::new(2, THREADS + 1))
-    );
-    validate!("TRB", TreiberStack::<u64>::new(THREADS + 1));
-    validate!("EB", EbStack::<u64>::new(THREADS + 1));
-    validate!("FC", FcStack::<u64>::new(THREADS + 1));
-    validate!("CC", CcStack::<u64>::new(THREADS + 1));
-    validate!("TSI", TsiStack::<u64>::new(THREADS + 1));
-    validate!("TRB-HP", TreiberHpStack::<u64>::new(THREADS + 1));
-    validate!("LCK", LockedStack::<u64>::new(THREADS + 1));
-
-    println!("validating all queue implementations ({THREADS} threads)...");
-
-    macro_rules! validate_queue {
-        ($name:expr, $make:expr) => {{
-            let q = $make;
-            report($name, "sequential FIFO", check_fifo(&q), &mut failures);
-            let q = $make;
-            report(
-                $name,
-                "concurrent conservation",
-                check_queue_conservation(&q, THREADS),
-                &mut failures,
-            );
-        }};
-    }
-
-    validate_queue!("SEC-Q", SecQueue::<u64>::new(THREADS + 1));
-    validate_queue!(
-        "SEC-Q0",
-        SecQueue::<u64>::new(THREADS + 1).rendezvous_spins(0)
-    );
-    validate_queue!("MS", MsQueue::<u64>::new(THREADS + 1));
-    validate_queue!("LCK-Q", LockedQueue::<u64>::new(THREADS + 1));
-
-    println!("validating the counter implementation ({THREADS} threads)...");
-    {
-        let c = SecCounter::with_config(SecConfig::new(2, THREADS + 1));
-        report(
-            "SEC-C",
-            "sequential prefix sums",
-            check_counter_sequential(&c),
-            &mut failures,
-        );
-        let c = SecCounter::with_config(SecConfig::new(2, THREADS + 1));
-        report(
-            "SEC-C",
-            "concurrent conservation",
-            check_counter_conservation(&c, THREADS),
-            &mut failures,
-        );
-    }
-
-    println!("validating all map implementations ({THREADS} threads)...");
-
-    macro_rules! validate_map {
-        ($name:expr, $make:expr) => {{
-            let m = $make;
-            report(
-                $name,
-                "sequential round-trip",
-                check_map_sequential(&m),
-                &mut failures,
-            );
-            let m = $make;
-            report(
-                $name,
-                "concurrent conservation",
-                check_map_conservation(&m, THREADS),
-                &mut failures,
-            );
-        }};
-    }
-
-    validate_map!(
-        "SEC-M",
-        SecMap::<u64, u64>::with_config(SecConfig::new(2, THREADS + 1))
-    );
-    validate_map!("LCK-M", LockedHashMap::<u64, u64>::new(THREADS + 1));
-
-    // SEC accounting identity under load.
-    {
-        let s: SecStack<u64> = SecStack::with_config(SecConfig::new(2, THREADS + 1));
-        let _ = check_conservation(&s, THREADS);
-        let r = s.stats().report();
-        report(
-            "SEC",
-            "batch accounting identity",
-            if r.eliminated + r.combined == r.ops {
-                Ok(())
-            } else {
-                Err(format!("{r:?}"))
-            },
-            &mut failures,
-        );
-    }
-
-    // SEC-M accounting identity under load: a map op can never
-    // eliminate, so every operation must be combined.
-    {
-        let m: SecMap<u64, u64> = SecMap::with_config(SecConfig::new(2, THREADS + 1));
-        let _ = check_map_conservation(&m, THREADS);
-        let r = m.stats().report();
-        report(
-            "SEC-M",
-            "batch accounting identity",
-            if r.eliminated == 0 && r.combined == r.ops {
-                Ok(())
-            } else {
-                Err(format!("{r:?}"))
-            },
-            &mut failures,
-        );
+    // The queue's empty-queue rendezvous window is a queue setting, not
+    // a `SecConfig` one, so its disabled variant is built here.
+    for concurrent in [false, true] {
+        let q = SecQueue::<u64>::new(THREADS + 1).rendezvous_spins(0);
+        for (what, r) in (Validate { concurrent }).queue(&q, Some(&q)) {
+            report("SEC-Q0", what, r, &mut failures);
+        }
     }
 
     // sec-trace overhead gate (DESIGN.md §14). Two claims guard the

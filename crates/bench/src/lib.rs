@@ -6,15 +6,18 @@
 //! * `sweep` — every throughput-vs-threads figure, selected by name:
 //!   `fig2` (3 mixes × 6 algorithms), `fig3` (push-only / pop-only),
 //!   `fig4` (aggregator ablation), `adaptive_k` (elastic vs best
-//!   static K), `queue_bench`, `map_bench` and `families` (every SEC
-//!   family on one axis, plus `BENCH_families.json`);
+//!   static K), `queue_bench`, `map_bench`, `families` (every SEC
+//!   family on one axis, plus `BENCH_families.json`), `oversub` (wait
+//!   policies at 1×/2×/4×/8× the hardware threads) and `shard_policy`
+//!   (Block vs RoundRobin);
 //! * `table1` (batching/elimination/combining degrees, with the
 //!   binomial-model companion rows) and the extension ablations
 //!   `faa_ablation` (aggregating funnel vs hardware F&A vs lock),
-//!   `freezer_backoff` (the §3.1 backoff tunable), `recl_ablation`
-//!   (EBR vs hazard pointers vs leak floor), `lock_ablation`
-//!   (Mutex/TTAS/MCS/CLH), `shard_policy` (Block vs RoundRobin),
-//!   `oversub` (wait policies), `latency` (per-op percentiles),
+//!   `freezer_backoff` (the §3.1 backoff tunable — not a `sweep`
+//!   figure: its x-axis is (spins, yields) configurations, not thread
+//!   counts, and the backoff it sweeps is due to be reworked),
+//!   `recl_ablation` (EBR vs hazard pointers vs leak floor), `lock_ablation`
+//!   (Mutex/TTAS/MCS/CLH), `latency` (per-op percentiles),
 //!   `durable_bench` (durable-logging modes) and `replay` (open-loop
 //!   latency vs offered load);
 //! * the artifact checks `validate` (seconds-scale PASS/FAIL) and
@@ -31,18 +34,18 @@
 //! (`cargo bench -p sec-bench`).
 //!
 //! This module provides the shared command-line parsing, the
-//! fixed-work latency dispatch and the `BENCH_*.json` writer.
+//! fixed-work latency visit over the structure registry, the wait
+//! policy patches and the `BENCH_*.json` writer.
 
 #![warn(missing_docs)]
 
-use sec_baselines::{
-    CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
-    TreiberStack, TsiStack,
+use sec_core::{
+    AggregatorPolicy, ConcurrentMap, ConcurrentQueue, ConcurrentStack, SecConfig, SecCounter,
+    WaitPolicy,
 };
-use sec_core::{AggregatorPolicy, SecConfig, SecCounter, SecMap, SecQueue, SecStack};
 use sec_workload::{
     measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency, Algo,
-    KeyDist, LatencyReport, MapMix, Mix,
+    KeyDist, LatencyReport, MapMix, Mix, SecPatch, SecReadout, Visitor,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -203,62 +206,62 @@ pub fn map_bench_capacity(threads: usize) -> usize {
     7 * threads / 3 + 6
 }
 
+/// The three wait policies (DESIGN.md §11) as [`RunConfig::sec`]
+/// patches, in `sweep oversub`'s series order.
+///
+/// [`RunConfig::sec`]: sec_workload::RunConfig::sec
+pub const WAIT_POLICIES: [SecPatch; 3] = [
+    |c| c.wait_policy(WaitPolicy::Spin),
+    |c| c.wait_policy(WaitPolicy::SpinThenYield),
+    |c| c.wait_policy(WaitPolicy::spin_then_park()),
+];
+
+/// The label of the wait policy `patch` sets (`spin`, `yield`, `park`).
+pub fn wait_label(patch: SecPatch) -> &'static str {
+    patch(SecConfig::new(1, 1)).wait.label()
+}
+
 /// Runs `ops` timed operations per thread of `mix` (`map_mix` for the
 /// map family, keys uniform over 1024) on `threads` workers against a
-/// fresh instance of `algo`, and returns the latency percentiles.
+/// fresh instance of `algo`, SEC families patched by `sec`, and
+/// returns the latency percentiles.
 pub fn algo_latency(
     algo: Algo,
+    sec: SecPatch,
     threads: usize,
     ops: u64,
     mix: Mix,
     map_mix: MapMix,
 ) -> LatencyReport {
-    let cap = threads + 1;
-    let keys = KeyDist::Uniform { keys: 1024 };
-    match algo {
-        Algo::Sec { aggregators } => measure_latency(
-            &SecStack::<u64>::with_config(SecConfig::new(aggregators, cap)),
-            threads,
-            ops,
-            mix,
-        ),
-        Algo::SecAdaptive { min_k, max_k } => measure_latency(
-            &SecStack::<u64>::with_config(SecConfig::adaptive(min_k, max_k, cap)),
-            threads,
-            ops,
-            mix,
-        ),
-        Algo::Trb => measure_latency(&TreiberStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Eb => measure_latency(&EbStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Fc => measure_latency(&FcStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Cc => measure_latency(&CcStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Tsi => measure_latency(&TsiStack::<u64>::new(cap), threads, ops, mix),
-        Algo::TrbHp => measure_latency(&TreiberHpStack::<u64>::new(cap), threads, ops, mix),
-        Algo::Lck => measure_latency(&LockedStack::<u64>::new(cap), threads, ops, mix),
-        Algo::SecQueue => measure_queue_latency(&SecQueue::<u64>::new(cap), threads, ops, mix),
-        Algo::MsQ => measure_queue_latency(&MsQueue::<u64>::new(cap), threads, ops, mix),
-        Algo::LckQ => measure_queue_latency(&LockedQueue::<u64>::new(cap), threads, ops, mix),
-        Algo::SecCounter => measure_counter_latency(
-            &SecCounter::with_config(SecConfig::new(2, cap)),
-            threads,
-            ops,
-            mix,
-        ),
-        Algo::SecMap => measure_map_latency(
-            &SecMap::<u64, u64>::with_config(SecConfig::new(2, cap)),
-            threads,
-            ops,
-            map_mix,
-            keys,
-        ),
-        Algo::LckMap => measure_map_latency(
-            &LockedHashMap::<u64, u64>::new(cap),
-            threads,
-            ops,
-            map_mix,
-            keys,
-        ),
+    struct Latency {
+        threads: usize,
+        ops: u64,
+        mix: Mix,
+        map_mix: MapMix,
     }
+    impl Visitor for Latency {
+        type Out = LatencyReport;
+        fn stack<S: ConcurrentStack<u64>>(self, s: &S, _: Option<&dyn SecReadout>) -> Self::Out {
+            measure_latency(s, self.threads, self.ops, self.mix)
+        }
+        fn queue<Q: ConcurrentQueue<u64>>(self, q: &Q, _: Option<&dyn SecReadout>) -> Self::Out {
+            measure_queue_latency(q, self.threads, self.ops, self.mix)
+        }
+        fn counter(self, c: &SecCounter, _: Option<&dyn SecReadout>) -> Self::Out {
+            measure_counter_latency(c, self.threads, self.ops, self.mix)
+        }
+        fn map<M: ConcurrentMap<u64, u64>>(self, m: &M, _: Option<&dyn SecReadout>) -> Self::Out {
+            let keys = KeyDist::Uniform { keys: 1024 };
+            measure_map_latency(m, self.threads, self.ops, self.map_mix, keys)
+        }
+    }
+    let visit = Latency {
+        threads,
+        ops,
+        mix,
+        map_mix,
+    };
+    algo.build(threads + 1, sec, None, visit)
 }
 
 /// A `BENCH_*.json` document (the workspace carries no serde; the

@@ -19,7 +19,10 @@ fn sweep_writes_every_figure_csv_with_the_committed_header() {
     // Run from the temp directory: `families` also writes its
     // BENCH_families.json into the current directory.
     let status = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args("fig2 fig3 fig4 adaptive_k queue_bench map_bench families".split(' '))
+        .args(
+            "fig2 fig3 fig4 adaptive_k queue_bench map_bench families oversub shard_policy"
+                .split(' '),
+        )
         .args("--duration-ms 5 --runs 1 --threads 1,2 --csv".split(' '))
         .arg(&out)
         .current_dir(&out)
@@ -46,8 +49,8 @@ fn sweep_writes_every_figure_csv_with_the_committed_header() {
         }
     }
     // 3 (fig2) + 2 (fig3) + 5 (fig4) + 3 (adaptive_k) + 3 (queue_bench)
-    // + 4 (map_bench) + 1 (families).
-    assert_eq!(csvs, 21, "sweep wrote {csvs} CSVs");
+    // + 4 (map_bench) + 1 (families) + 2 (oversub) + 2 (shard_policy).
+    assert_eq!(csvs, 25, "sweep wrote {csvs} CSVs");
     assert!(out.join("BENCH_families.json").is_file());
     let _ = std::fs::remove_dir_all(&out);
 }

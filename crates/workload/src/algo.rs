@@ -1,5 +1,6 @@
-//! Algorithm dispatch: construct any of the evaluated stacks, queues,
-//! counters or maps and run a measurement against it.
+//! The structure registry: [`Algo::build`] turns any of the evaluated
+//! stacks, queues, counters or maps into a structure and hands it to a
+//! [`Visitor`]; [`run_algo`] is the visit that measures throughput.
 
 use crate::runner::{
     run_counter_throughput, run_map_throughput, run_queue_throughput, run_throughput, RunConfig,
@@ -11,8 +12,8 @@ use sec_baselines::{
     TreiberStack, TsiStack,
 };
 use sec_core::{
-    BatchReport, CollectorStats, DurableError, DurablePolicy, SecConfig, SecCounter, SecMap,
-    SecQueue, SecStack,
+    BatchReport, CollectorStats, ConcurrentMap, ConcurrentQueue, ConcurrentStack, DurableError,
+    DurablePolicy, SecConfig, SecCounter, SecMap, SecQueue, SecStack,
 };
 
 /// One of the evaluated stack algorithms.
@@ -108,6 +109,25 @@ pub const SEC_FAMILIES: [Algo; 5] = [
     Algo::SecMap,
 ];
 
+/// The structures `validate` and `soak` check: the extended stack
+/// lineup, the queue lineup, the counter and the map lineup.
+pub const CHECKED_LINEUP: [Algo; 14] = [
+    Algo::Cc,
+    Algo::Eb,
+    Algo::Fc,
+    Algo::Sec { aggregators: 2 },
+    Algo::Trb,
+    Algo::Tsi,
+    Algo::TrbHp,
+    Algo::Lck,
+    Algo::SecQueue,
+    Algo::MsQ,
+    Algo::LckQ,
+    Algo::SecCounter,
+    Algo::SecMap,
+    Algo::LckMap,
+];
+
 impl Algo {
     /// The paper's legend label.
     pub fn label(&self) -> String {
@@ -144,23 +164,61 @@ impl Algo {
         }
     }
 
-    /// `true` for the queue-family variants (dispatched through
-    /// [`run_queue_throughput`]).
-    pub fn is_queue(&self) -> bool {
-        matches!(self, Algo::SecQueue | Algo::MsQ | Algo::LckQ)
-    }
-
-    /// `true` for the map-family variants (dispatched through
-    /// [`run_map_throughput`], driven by [`RunConfig::map_mix`] and
-    /// [`RunConfig::key_dist`]).
-    pub fn is_map(&self) -> bool {
-        matches!(self, Algo::SecMap | Algo::LckMap)
-    }
-
-    /// `true` for the counter family (dispatched through
-    /// [`run_counter_throughput`]).
-    pub fn is_counter(&self) -> bool {
-        matches!(self, Algo::SecCounter)
+    /// Builds a fresh instance of `self` for `cap` registered threads
+    /// and hands it to the `visitor` method of its kind — the one place
+    /// an [`Algo`] becomes a structure.
+    ///
+    /// The SEC families start from their default [`SecConfig`] — the
+    /// stack `new(K, cap)` or `adaptive(min_k, max_k, cap)`, the queue
+    /// `new(1, cap)`, the counter and the map `new(2, cap)` — patched
+    /// by `sec`, and are built durable under `durable`; they also hand
+    /// the visitor their [`SecReadout`]. The other structures ignore
+    /// `sec` and `durable`.
+    ///
+    /// # Panics
+    ///
+    /// If a durable SEC structure cannot be created.
+    pub fn build<V: Visitor>(
+        self,
+        cap: usize,
+        sec: SecPatch,
+        durable: Option<DurablePolicy>,
+        visitor: V,
+    ) -> V::Out {
+        let config = |aggregators| sec(SecConfig::new(aggregators, cap));
+        match self {
+            Algo::Sec { aggregators } => {
+                let s: SecStack<u64> = build_sec(config(aggregators), durable);
+                visitor.stack(&s, Some(&s))
+            }
+            Algo::SecAdaptive { min_k, max_k } => {
+                let config = sec(SecConfig::adaptive(min_k, max_k, cap));
+                let s: SecStack<u64> = build_sec(config, durable);
+                visitor.stack(&s, Some(&s))
+            }
+            Algo::SecQueue => {
+                let q: SecQueue<u64> = build_sec(config(1), durable);
+                visitor.queue(&q, Some(&q))
+            }
+            Algo::SecCounter => {
+                let c: SecCounter = build_sec(config(2), durable);
+                visitor.counter(&c, Some(&c))
+            }
+            Algo::SecMap => {
+                let m: SecMap<u64, u64> = build_sec(config(2), durable);
+                visitor.map(&m, Some(&m))
+            }
+            Algo::Trb => visitor.stack(&TreiberStack::<u64>::new(cap), None),
+            Algo::Eb => visitor.stack(&EbStack::<u64>::new(cap), None),
+            Algo::Fc => visitor.stack(&FcStack::<u64>::new(cap), None),
+            Algo::Cc => visitor.stack(&CcStack::<u64>::new(cap), None),
+            Algo::Tsi => visitor.stack(&TsiStack::<u64>::new(cap), None),
+            Algo::TrbHp => visitor.stack(&TreiberHpStack::<u64>::new(cap), None),
+            Algo::Lck => visitor.stack(&LockedStack::<u64>::new(cap), None),
+            Algo::MsQ => visitor.queue(&MsQueue::<u64>::new(cap), None),
+            Algo::LckQ => visitor.queue(&LockedQueue::<u64>::new(cap), None),
+            Algo::LckMap => visitor.map(&LockedHashMap::<u64, u64>::new(cap), None),
+        }
     }
 }
 
@@ -169,6 +227,82 @@ impl fmt::Display for Algo {
         f.write_str(&self.label())
     }
 }
+
+/// A [`RunConfig::sec`] patch: a plain `fn`, so configurations that
+/// carry one stay `Copy`.
+pub type SecPatch = fn(SecConfig) -> SecConfig;
+
+/// What [`Algo::build`] hands a structure to: one method per structure
+/// kind. The structure lives for the call; `sec` is its engine readout
+/// when it is a SEC family. The counter method takes the one counter
+/// there is.
+pub trait Visitor {
+    /// What the visit returns.
+    type Out;
+    /// Visits a stack.
+    fn stack<S: ConcurrentStack<u64>>(self, stack: &S, sec: Option<&dyn SecReadout>) -> Self::Out;
+    /// Visits a FIFO queue.
+    fn queue<Q: ConcurrentQueue<u64>>(self, queue: &Q, sec: Option<&dyn SecReadout>) -> Self::Out;
+    /// Visits the combining counter.
+    fn counter(self, counter: &SecCounter, sec: Option<&dyn SecReadout>) -> Self::Out;
+    /// Visits a map.
+    fn map<M: ConcurrentMap<u64, u64>>(self, map: &M, sec: Option<&dyn SecReadout>) -> Self::Out;
+}
+
+/// What a SEC family reports beyond its structure interface.
+pub trait SecReadout {
+    /// The batching/elimination/combining report.
+    fn report(&self) -> BatchReport;
+    /// Reclamation and recycling counters.
+    fn reclaim(&self) -> CollectorStats;
+    /// The active aggregator count (`None` for the queue, whose
+    /// aggregators are its fixed ends).
+    fn active(&self) -> Option<usize>;
+}
+
+/// A SEC family as [`Algo::build`] constructs it.
+trait SecFamily: SecReadout + Sized {
+    fn build(config: SecConfig, durable: Option<DurablePolicy>) -> Result<Self, DurableError>;
+}
+
+fn build_sec<S: SecFamily>(config: SecConfig, durable: Option<DurablePolicy>) -> S {
+    S::build(config, durable).unwrap_or_else(|e| panic!("create a durable SEC structure: {e}"))
+}
+
+/// Implements [`SecReadout`] and [`SecFamily`] over a family's
+/// `with_config` / `durable_with_config` constructors, with `$active`
+/// as the family reports its active aggregator count.
+macro_rules! sec_family {
+    ($family:ty, $active:expr) => {
+        impl SecReadout for $family {
+            fn report(&self) -> BatchReport {
+                self.stats().report()
+            }
+            fn reclaim(&self) -> CollectorStats {
+                self.reclaim_stats()
+            }
+            fn active(&self) -> Option<usize> {
+                $active(self)
+            }
+        }
+        impl SecFamily for $family {
+            fn build(
+                config: SecConfig,
+                durable: Option<DurablePolicy>,
+            ) -> Result<Self, DurableError> {
+                match durable {
+                    Some(policy) => Self::durable_with_config(config, policy),
+                    None => Ok(Self::with_config(config)),
+                }
+            }
+        }
+    };
+}
+
+sec_family!(SecStack<u64>, |s: &Self| Some(s.active_aggregators()));
+sec_family!(SecQueue<u64>, |_| None);
+sec_family!(SecCounter, |s: &Self| Some(s.active_aggregators()));
+sec_family!(SecMap<u64, u64>, |s: &Self| Some(s.active_aggregators()));
 
 /// Measurement outcome plus SEC's per-run batch instrumentation (only
 /// populated for the SEC families — [`Algo::Sec`] /
@@ -192,122 +326,48 @@ pub struct AlgoRun {
 }
 
 impl AlgoRun {
-    /// A run of a non-SEC algorithm: no engine to report on.
-    fn plain(result: RunResult) -> Self {
+    /// `result` plus what the structure's SEC readout, if any, reports.
+    fn new(result: RunResult, sec: Option<&dyn SecReadout>) -> Self {
         Self {
             result,
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
+            sec_report: sec.map(|s| s.report()),
+            sec_active: sec.and_then(|s| s.active()),
+            reclaim: sec.map(|s| s.reclaim()),
         }
     }
 }
 
-/// The four SEC families as [`run_algo`] builds, measures and reads
-/// them.
-trait SecFamily: Sized {
-    fn build(config: SecConfig, durable: Option<DurablePolicy>) -> Result<Self, DurableError>;
-    fn measure(&self, cfg: &RunConfig) -> RunResult;
-    /// The active aggregator count (`None` for the queue, whose
-    /// aggregators are its fixed ends).
-    fn active(&self) -> Option<usize>;
-    fn report(&self) -> BatchReport;
-    fn reclaim(&self) -> CollectorStats;
+/// [`run_algo`]'s visit: one throughput measurement under the config.
+struct Measure<'a>(&'a RunConfig);
+
+impl Visitor for Measure<'_> {
+    type Out = AlgoRun;
+    fn stack<S: ConcurrentStack<u64>>(self, stack: &S, sec: Option<&dyn SecReadout>) -> AlgoRun {
+        AlgoRun::new(run_throughput(stack, self.0), sec)
+    }
+    fn queue<Q: ConcurrentQueue<u64>>(self, queue: &Q, sec: Option<&dyn SecReadout>) -> AlgoRun {
+        AlgoRun::new(run_queue_throughput(queue, self.0), sec)
+    }
+    fn counter(self, counter: &SecCounter, sec: Option<&dyn SecReadout>) -> AlgoRun {
+        AlgoRun::new(run_counter_throughput(counter, self.0), sec)
+    }
+    fn map<M: ConcurrentMap<u64, u64>>(self, map: &M, sec: Option<&dyn SecReadout>) -> AlgoRun {
+        AlgoRun::new(run_map_throughput(map, self.0), sec)
+    }
 }
 
-/// Implements [`SecFamily`] over a family's `with_config` /
-/// `durable_with_config` constructors, its runner `$measure`, and
-/// `$active` as the family reports its active aggregator count.
-macro_rules! sec_family {
-    ($family:ty, $measure:ident, $active:expr) => {
-        impl SecFamily for $family {
-            fn build(
-                config: SecConfig,
-                durable: Option<DurablePolicy>,
-            ) -> Result<Self, DurableError> {
-                match durable {
-                    Some(policy) => Self::durable_with_config(config, policy),
-                    None => Ok(Self::with_config(config)),
-                }
-            }
-            fn measure(&self, cfg: &RunConfig) -> RunResult {
-                $measure(self, cfg)
-            }
-            fn active(&self) -> Option<usize> {
-                $active(self)
-            }
-            fn report(&self) -> BatchReport {
-                self.stats().report()
-            }
-            fn reclaim(&self) -> CollectorStats {
-                self.reclaim_stats()
-            }
-        }
-    };
-}
-
-sec_family!(SecStack<u64>, run_throughput, |s: &Self| Some(
-    s.active_aggregators()
-));
-sec_family!(SecQueue<u64>, run_queue_throughput, |_| None);
-sec_family!(SecCounter, run_counter_throughput, |s: &Self| Some(
-    s.active_aggregators()
-));
-sec_family!(SecMap<u64, u64>, run_map_throughput, |s: &Self| Some(s.active_aggregators()));
-
-/// Builds a SEC family from `config` patched by [`RunConfig::sec`] —
-/// durable when [`RunConfig::durable`] is set — measures it, reads its
-/// reports, and removes a file-backed run's heap once the structure is
-/// dropped.
-fn run_sec<S: SecFamily>(config: SecConfig, cfg: &RunConfig) -> AlgoRun {
+/// Constructs a fresh instance of `algo` sized for the run — SEC
+/// families patched by [`RunConfig::sec`] and durable when
+/// [`RunConfig::durable`] is set — measures it under `cfg`, and
+/// removes a file-backed run's heap once the structure is dropped.
+pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
     let durable = cfg.durable.map(|setup| setup.policy());
-    let structure = S::build(
-        (cfg.sec)(config),
-        durable.as_ref().map(|(policy, _)| policy.clone()),
-    )
-    .unwrap_or_else(|e| panic!("create a durable SEC structure: {e}"));
-    let result = structure.measure(cfg);
-    let run = AlgoRun {
-        result,
-        sec_report: Some(structure.report()),
-        sec_active: structure.active(),
-        reclaim: Some(structure.reclaim()),
-    };
-    drop(structure);
+    let policy = durable.as_ref().map(|(policy, _)| policy.clone());
+    let run = algo.build(cfg.capacity(), cfg.sec, policy, Measure(cfg));
     if let Some((_, Some(path))) = durable {
         let _ = std::fs::remove_file(path);
     }
     run
-}
-
-/// Constructs a fresh instance of `algo` sized for the run and measures
-/// it under `cfg`.
-pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
-    let cap = cfg.capacity();
-    match algo {
-        Algo::Sec { aggregators } => {
-            run_sec::<SecStack<u64>>(SecConfig::new(aggregators, cap), cfg)
-        }
-        Algo::SecAdaptive { min_k, max_k } => {
-            run_sec::<SecStack<u64>>(SecConfig::adaptive(min_k, max_k, cap), cfg)
-        }
-        Algo::SecQueue => run_sec::<SecQueue<u64>>(SecConfig::new(1, cap), cfg),
-        Algo::SecCounter => run_sec::<SecCounter>(SecConfig::new(2, cap), cfg),
-        Algo::SecMap => run_sec::<SecMap<u64, u64>>(SecConfig::new(2, cap), cfg),
-        Algo::Trb => AlgoRun::plain(run_throughput(&TreiberStack::<u64>::new(cap), cfg)),
-        Algo::Eb => AlgoRun::plain(run_throughput(&EbStack::<u64>::new(cap), cfg)),
-        Algo::Fc => AlgoRun::plain(run_throughput(&FcStack::<u64>::new(cap), cfg)),
-        Algo::Cc => AlgoRun::plain(run_throughput(&CcStack::<u64>::new(cap), cfg)),
-        Algo::Tsi => AlgoRun::plain(run_throughput(&TsiStack::<u64>::new(cap), cfg)),
-        Algo::TrbHp => AlgoRun::plain(run_throughput(&TreiberHpStack::<u64>::new(cap), cfg)),
-        Algo::Lck => AlgoRun::plain(run_throughput(&LockedStack::<u64>::new(cap), cfg)),
-        Algo::MsQ => AlgoRun::plain(run_queue_throughput(&MsQueue::<u64>::new(cap), cfg)),
-        Algo::LckQ => AlgoRun::plain(run_queue_throughput(&LockedQueue::<u64>::new(cap), cfg)),
-        Algo::LckMap => AlgoRun::plain(run_map_throughput(
-            &LockedHashMap::<u64, u64>::new(cap),
-            cfg,
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -315,6 +375,65 @@ mod tests {
     use super::*;
     use crate::Mix;
     use std::time::Duration;
+
+    /// The registry visit that names the method a structure reached,
+    /// and whether it came with a SEC readout.
+    struct KindOf;
+
+    impl Visitor for KindOf {
+        type Out = (&'static str, bool);
+        fn stack<S: ConcurrentStack<u64>>(self, _: &S, sec: Option<&dyn SecReadout>) -> Self::Out {
+            ("stack", sec.is_some())
+        }
+        fn queue<Q: ConcurrentQueue<u64>>(self, _: &Q, sec: Option<&dyn SecReadout>) -> Self::Out {
+            ("queue", sec.is_some())
+        }
+        fn counter(self, _: &SecCounter, sec: Option<&dyn SecReadout>) -> Self::Out {
+            ("counter", sec.is_some())
+        }
+        fn map<M: ConcurrentMap<u64, u64>>(self, _: &M, sec: Option<&dyn SecReadout>) -> Self::Out {
+            ("map", sec.is_some())
+        }
+    }
+
+    fn kind(algo: Algo) -> &'static str {
+        algo.build(2, |c| c, None, KindOf).0
+    }
+
+    #[test]
+    fn every_lineup_variant_reaches_the_visitor_method_of_its_kind() {
+        // An oracle written apart from the registry: each variant's
+        // kind, and whether it is a SEC family.
+        let expected = |algo: Algo| match algo {
+            Algo::Sec { .. } | Algo::SecAdaptive { .. } => ("stack", true),
+            Algo::SecQueue => ("queue", true),
+            Algo::SecCounter => ("counter", true),
+            Algo::SecMap => ("map", true),
+            Algo::MsQ | Algo::LckQ => ("queue", false),
+            Algo::LckMap => ("map", false),
+            _ => ("stack", false),
+        };
+        // The fig4 / adaptive_k ablation lineup is built in `sweep`.
+        let ablation = [1, 2, 3, 4, 5]
+            .map(|k| Algo::Sec { aggregators: k })
+            .into_iter()
+            .chain([Algo::SecAdaptive { min_k: 1, max_k: 5 }]);
+        let every = ALL_COMPETITORS
+            .into_iter()
+            .chain(EXTENDED_LINEUP)
+            .chain(QUEUE_LINEUP)
+            .chain(MAP_LINEUP)
+            .chain(SEC_FAMILIES)
+            .chain(CHECKED_LINEUP)
+            .chain(ablation);
+        for algo in every {
+            assert_eq!(algo.build(2, |c| c, None, KindOf), expected(algo), "{algo}");
+        }
+        let checked = CHECKED_LINEUP.map(kind);
+        for k in ["stack", "queue", "counter", "map"] {
+            assert!(checked.contains(&k), "CHECKED_LINEUP has no {k}");
+        }
+    }
 
     #[test]
     fn labels_match_paper_legend() {
@@ -458,7 +577,7 @@ mod tests {
     #[test]
     fn queue_lineup_runs_the_update_workload() {
         for algo in QUEUE_LINEUP {
-            assert!(algo.is_queue());
+            assert_eq!(kind(algo), "queue");
             let cfg = RunConfig {
                 duration: Duration::from_millis(15),
                 prefill: 64,
@@ -498,12 +617,26 @@ mod tests {
     #[test]
     fn sec_runs_report_reclaim_stats_and_honor_recycle_override() {
         use sec_core::RecyclePolicy;
-        let cfg = RunConfig {
+        // Reuse needs retired blocks to come back through the epoch,
+        // which takes a run of real progress, not a time window: a
+        // loaded host can give a 15 ms run almost no CPU. Retry with a
+        // doubling window until one run completes MIN_OPS, and only
+        // then ask for hits.
+        const MIN_OPS: u64 = 2_000;
+        let mut cfg = RunConfig {
             duration: Duration::from_millis(15),
             prefill: 64,
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
-        let out = run_algo(Algo::Sec { aggregators: 2 }, &cfg);
+        let mut out = run_algo(Algo::Sec { aggregators: 2 }, &cfg);
+        for _ in 0..8 {
+            if out.result.ops >= MIN_OPS {
+                break;
+            }
+            cfg.duration *= 2;
+            out = run_algo(Algo::Sec { aggregators: 2 }, &cfg);
+        }
+        assert!(out.result.ops >= MIN_OPS, "no run reached {MIN_OPS} ops");
         let rs = out.reclaim.expect("SEC reports reclaim stats");
         assert!(
             rs.recycle_hits > 0,
@@ -581,7 +714,7 @@ mod tests {
     fn map_lineup_runs_and_sec_map_reports_batch_stats() {
         use crate::spec::{KeyDist, MapMix};
         for algo in MAP_LINEUP {
-            assert!(algo.is_map());
+            assert_eq!(kind(algo), "map");
             let cfg = RunConfig {
                 duration: Duration::from_millis(15),
                 prefill: 64,
@@ -612,9 +745,10 @@ mod tests {
         assert_eq!(labels.len(), SEC_FAMILIES.len());
         assert!(labels.contains("SecCounter"));
         assert!(labels.contains("SecMap"));
-        assert!(SEC_FAMILIES.iter().any(|a| a.is_queue()));
-        assert!(SEC_FAMILIES.iter().any(|a| a.is_counter()));
-        assert!(SEC_FAMILIES.iter().any(|a| a.is_map()));
+        let kinds = SEC_FAMILIES.map(kind);
+        for k in ["stack", "queue", "counter", "map"] {
+            assert!(kinds.contains(&k), "SEC_FAMILIES has no {k}");
+        }
     }
 
     #[test]

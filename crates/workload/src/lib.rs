@@ -17,9 +17,10 @@
 //!   draws,
 //! * [`run_counter_throughput`] — the counter family
 //!   ([`Algo::SecCounter`]),
-//! * [`Algo`] / [`run_algo`] — dispatch over the stack, queue, counter
-//!   and map implementations, so the figure binaries can sweep
-//!   algorithms,
+//! * [`Algo`] / [`Algo::build`] / [`Visitor`] — the one registry that
+//!   turns an algorithm into its stack, queue, counter or map, and
+//!   [`run_algo`], the visit that measures it, so the figure binaries
+//!   can sweep algorithms,
 //! * [`stats`] — mean/σ across repeated runs, plus the elastic-resize
 //!   counter aggregation ([`stats::ResizeTotals`]),
 //! * [`table`] — the paper-style table and CSV output (plotted series
@@ -46,7 +47,8 @@ pub mod table;
 pub mod trace;
 
 pub use algo::{
-    run_algo, Algo, ALL_COMPETITORS, EXTENDED_LINEUP, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
+    run_algo, Algo, AlgoRun, SecPatch, SecReadout, Visitor, ALL_COMPETITORS, CHECKED_LINEUP,
+    EXTENDED_LINEUP, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
 };
 pub use latency::{
     measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency,

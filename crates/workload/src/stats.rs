@@ -136,7 +136,7 @@ impl ResizeTotals {
 /// wait-subsystem counters every SEC [`BatchReport`] now carries
 /// (DESIGN.md §11).
 ///
-/// The `oversub` bench renders the totals as the
+/// `sweep oversub` renders the totals as the
 /// `<series>_{parks,wakes,spurious}` extra CSV columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitTotals {

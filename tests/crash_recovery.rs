@@ -433,3 +433,18 @@ fn kill_9_during_recovery_is_harmless() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// The log is not circular: a run that outgrows `record_capacity`
+/// must stop with the log-full panic, not wrap or drop records. The
+/// harness sizes its heaps to its own op budget, so this pins the
+/// bound with a capacity small enough to overrun on purpose.
+#[test]
+#[should_panic(expected = "durable log full")]
+fn durable_log_overrun_panics_instead_of_wrapping() {
+    let policy = DurablePolicy::volatile().shards(1).record_capacity(4);
+    let s = SecStack::<u64>::durable(1, policy).expect("create durable stack");
+    let mut h = s.register();
+    for i in 0..64 {
+        h.push(i);
+    }
+}

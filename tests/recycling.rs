@@ -30,7 +30,6 @@ use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::reclaim::{Collector, CollectorStats, RecyclePolicy};
 use sec_repro::{SecConfig, SecStack};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 const SEED_BASE: u64 = 0x00AB_A5EC;
@@ -425,28 +424,22 @@ fn leak_identity_holds_after_every_soak_drain() {
     let stack: SecStack<u64> =
         SecStack::with_config(SecConfig::new(2, THREADS + 1).recycle(TINY_CACHE));
     for cycle in 0..5u64 {
-        let stop = AtomicBool::new(false);
+        // A fixed op budget per worker, not a time window: a loaded
+        // host can give a 10 ms window almost no CPU, and then no
+        // block is ever reused.
         thread::scope(|scope| {
             for t in 0..THREADS {
                 let stack = &stack;
-                let stop = &stop;
                 scope.spawn(move || {
                     let mut h = stack.register();
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    for i in 0..=4_000u64 {
                         h.push((t as u64) << 32 | i);
                         if !i.is_multiple_of(3) {
                             let _ = h.pop();
                         }
-                        i += 1;
-                        if i > 4_000 {
-                            break;
-                        }
                     }
                 });
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            stop.store(true, Ordering::Relaxed);
         });
         let mut h = stack.register();
         while h.pop().is_some() {}
