@@ -13,56 +13,11 @@
 //! cargo run -p sec-bench --release --bin faa_ablation
 //! ```
 
-use sec_bench::BenchOpts;
+use sec_bench::{mean_mops, BenchOpts};
 use sec_sync::funnel::AggregatingFunnel;
 use sec_sync::TtasLock;
-use sec_workload::stats::Summary;
 use sec_workload::table::Figure;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::time::Instant;
-
-/// Runs `threads` workers hammering `op` for `opts.duration`; returns
-/// Mops/s.
-fn measure(opts: &BenchOpts, threads: usize, op: impl Fn(usize) + Sync) -> f64 {
-    let barrier = Barrier::new(threads + 1);
-    let stop = AtomicBool::new(false);
-    let total: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let barrier = &barrier;
-                let stop = &stop;
-                let op = &op;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            op(t);
-                        }
-                        n += 64;
-                    }
-                    n
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(opts.duration);
-        stop.store(true, Ordering::Relaxed);
-        let sum = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        let _ = start;
-        sum
-    });
-    total as f64 / opts.duration.as_secs_f64() / 1e6
-}
-
-fn averaged(opts: &BenchOpts, threads: usize, op: impl Fn(usize) + Sync) -> f64 {
-    let samples: Vec<f64> = (0..opts.runs)
-        .map(|_| measure(opts, threads, &op))
-        .collect();
-    Summary::of(&samples).mean
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -77,7 +32,7 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &sweep {
         let counter = AtomicU64::new(0);
-        ys.push(averaged(&opts, n, |_| {
+        ys.push(mean_mops(&opts, n, 1, |_| {
             counter.fetch_add(1, Ordering::AcqRel);
         }));
     }
@@ -87,7 +42,7 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &sweep {
         let counter = TtasLock::new(0u64);
-        ys.push(averaged(&opts, n, |_| {
+        ys.push(mean_mops(&opts, n, 1, |_| {
             *counter.lock() += 1;
         }));
     }
@@ -98,7 +53,7 @@ fn main() {
         let mut ys = Vec::new();
         for &n in &sweep {
             let funnel = AggregatingFunnel::new(shards, 64);
-            ys.push(averaged(&opts, n, |t| {
+            ys.push(mean_mops(&opts, n, 1, |t| {
                 let _ = funnel.fetch_add_one(t);
             }));
         }

@@ -18,7 +18,7 @@
 use sec_bench::BenchOpts;
 use sec_core::{SecConfig, SecStack};
 use sec_workload::stats::Summary;
-use sec_workload::{run_throughput, Mix, RunConfig};
+use sec_workload::{ClosedLoop, Mix, RunConfig, Visitor};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -60,9 +60,9 @@ fn main() {
                     .freezer_backoff(spins)
                     .freezer_yields(yields),
             );
-            let res = run_throughput(&stack, &cfg);
-            let rep = stack.stats().report();
-            tput.push(res.mops());
+            let (run, ()) = ClosedLoop::timed(&cfg).stack(&stack, Some(&stack));
+            let rep = run.sec_report.expect("SEC reports batch stats");
+            tput.push(run.result.mops());
             degree.push(rep.batching_degree());
             elim.push(rep.pct_eliminated());
         }

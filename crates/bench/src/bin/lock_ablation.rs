@@ -4,7 +4,8 @@
 //! for what the holder does". This binary isolates the *lock* half: all
 //! four disciplines in the substrate — `std::sync::Mutex`, TTAS, MCS,
 //! CLH — guard the same sequential `Vec` stack, and each thread performs
-//! one push+pop pair per acquisition. Two readings:
+//! one push+pop pair per acquisition (two operations in Mops/s). Two
+//! readings:
 //!
 //! * the gap between any lock here and FC/CC in `fig2` is the value of
 //!   *combining* (many ops per handoff vs one), and
@@ -15,55 +16,10 @@
 //! cargo run -p sec-bench --release --bin lock_ablation
 //! ```
 
-use sec_bench::BenchOpts;
+use sec_bench::{mean_mops, BenchOpts};
 use sec_sync::{ClhLock, McsLock, TtasLock};
-use sec_workload::stats::Summary;
 use sec_workload::table::Figure;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
-
-/// Runs `threads` workers hammering `op` for `opts.duration`; returns
-/// Mops/s (one op = one push+pop pair).
-fn measure(opts: &BenchOpts, threads: usize, op: impl Fn(usize) + Sync) -> f64 {
-    let barrier = Barrier::new(threads + 1);
-    let stop = AtomicBool::new(false);
-    let total: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let barrier = &barrier;
-                let stop = &stop;
-                let op = &op;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..32 {
-                            op(t);
-                        }
-                        n += 64; // each round trip is a push and a pop
-                    }
-                    n
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(opts.duration);
-        stop.store(true, Ordering::Relaxed);
-        let sum = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        let _ = start;
-        sum
-    });
-    total as f64 / opts.duration.as_secs_f64() / 1e6
-}
-
-fn averaged(opts: &BenchOpts, threads: usize, op: impl Fn(usize) + Sync) -> f64 {
-    let samples: Vec<f64> = (0..opts.runs)
-        .map(|_| measure(opts, threads, &op))
-        .collect();
-    Summary::of(&samples).mean
-}
+use std::sync::Mutex;
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -78,7 +34,7 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &sweep {
         let stack = Mutex::new(Vec::with_capacity(opts.prefill + n));
-        ys.push(averaged(&opts, n, |t| {
+        ys.push(mean_mops(&opts, n, 2, |t| {
             let mut s = stack.lock().unwrap();
             s.push(t as u64);
             let _ = s.pop();
@@ -90,7 +46,7 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &sweep {
         let stack = TtasLock::new(Vec::with_capacity(opts.prefill + n));
-        ys.push(averaged(&opts, n, |t| {
+        ys.push(mean_mops(&opts, n, 2, |t| {
             let mut s = stack.lock();
             s.push(t as u64);
             let _ = s.pop();
@@ -102,7 +58,7 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &sweep {
         let stack = McsLock::new(Vec::with_capacity(opts.prefill + n));
-        ys.push(averaged(&opts, n, |t| {
+        ys.push(mean_mops(&opts, n, 2, |t| {
             let mut s = stack.lock();
             s.push(t as u64);
             let _ = s.pop();
@@ -114,7 +70,7 @@ fn main() {
     let mut ys = Vec::new();
     for &n in &sweep {
         let stack = ClhLock::new(Vec::with_capacity(opts.prefill + n));
-        ys.push(averaged(&opts, n, |t| {
+        ys.push(mean_mops(&opts, n, 2, |t| {
             let mut s = stack.lock();
             s.push(t as u64);
             let _ = s.pop();

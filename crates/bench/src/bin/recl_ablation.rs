@@ -26,7 +26,7 @@ use sec_core::{ConcurrentStack, StackHandle};
 use sec_sync::{Backoff, CachePadded};
 use sec_workload::stats::Summary;
 use sec_workload::table::Figure;
-use sec_workload::{run_throughput, Algo, Mix, RunConfig};
+use sec_workload::{Algo, ClosedLoop, Mix, RunConfig, Visitor};
 
 /// A Treiber stack that never frees popped nodes (reclamation cost
 /// floor). Bench-only: a real application would exhaust memory.
@@ -153,7 +153,7 @@ fn averaged_leak(opts: &BenchOpts, threads: usize) -> f64 {
                 prefill: opts.prefill,
                 ..RunConfig::new(threads, Mix::UPDATE_100)
             };
-            run_throughput(&stack, &cfg).mops()
+            ClosedLoop::timed(&cfg).stack(&stack, None).0.result.mops()
         })
         .collect();
     Summary::of(&samples).mean

@@ -20,10 +20,7 @@ use sec_bench::BenchOpts;
 use sec_core::{
     ConcurrentMap, ConcurrentQueue, ConcurrentStack, QueueHandle, SecCounter, StackHandle,
 };
-use sec_workload::{SecReadout, Visitor, CHECKED_LINEUP};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
-use std::time::Instant;
+use sec_workload::{drive, Budget, SecReadout, Visitor, CHECKED_LINEUP};
 
 /// Per-worker tally, combined after the run.
 #[derive(Default, Clone, Copy)]
@@ -34,59 +31,39 @@ struct Tally {
     pop_sum: u128,
 }
 
+/// A worker's xorshift step: cheap randomness, seeded per worker so the
+/// value tags below can encode the worker.
+fn xorshift(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
+
 fn soak_one<S: ConcurrentStack<u64>>(
     stack: &S,
     threads: usize,
     opts: &BenchOpts,
 ) -> Result<(), String> {
-    let barrier = Barrier::new(threads + 1);
-    let stop = AtomicBool::new(false);
-
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let stack = &stack;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = stack.register();
-                    let mut tally = Tally::default();
-                    // Cheap xorshift; value tags encode the worker.
-                    let mut x = (t as u64 + 1) | 1;
-                    let mut counter = 0u64;
-                    barrier.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            if x % 100 < 55 {
-                                // Slight push bias keeps the stack populated.
-                                let v = ((t as u64) << 40) | counter;
-                                counter += 1;
-                                h.push(v);
-                                tally.pushes += 1;
-                                tally.push_sum += v as u128;
-                            } else if let Some(v) = h.pop() {
-                                tally.pops += 1;
-                                tally.pop_sum += v as u128;
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        barrier.wait();
-        let deadline = Instant::now() + opts.duration;
-        while Instant::now() < deadline {
-            std::thread::sleep(opts.duration.min(std::time::Duration::from_millis(200)));
-        }
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("soak worker panicked"))
-            .collect()
+    let (tallies, _) = drive(threads, Budget::Time(opts.duration), |t, start| {
+        let mut h = stack.register();
+        let mut tally = Tally::default();
+        let mut x = (t as u64 + 1) | 1;
+        let mut counter = 0u64;
+        start.run(|| {
+            if xorshift(&mut x) % 100 < 55 {
+                // Slight push bias keeps the stack populated.
+                let v = ((t as u64) << 40) | counter;
+                counter += 1;
+                h.push(v);
+                tally.pushes += 1;
+                tally.push_sum += v as u128;
+            } else if let Some(v) = h.pop() {
+                tally.pops += 1;
+                tally.pop_sum += v as u128;
+            }
+        });
+        tally
     });
 
     let mut total = Tally::default();
@@ -136,52 +113,24 @@ fn soak_queue_one<Q: ConcurrentQueue<u64>>(
     threads: usize,
     opts: &BenchOpts,
 ) -> Result<(), String> {
-    let barrier = Barrier::new(threads + 1);
-    let stop = AtomicBool::new(false);
-
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let queue = &queue;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = queue.register();
-                    let mut tally = Tally::default();
-                    let mut x = (t as u64 + 1) | 1;
-                    let mut counter = 0u64;
-                    barrier.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            if x % 100 < 55 {
-                                let v = ((t as u64) << 40) | counter;
-                                counter += 1;
-                                h.enqueue(v);
-                                tally.pushes += 1;
-                                tally.push_sum += v as u128;
-                            } else if let Some(v) = h.dequeue() {
-                                tally.pops += 1;
-                                tally.pop_sum += v as u128;
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        barrier.wait();
-        let deadline = Instant::now() + opts.duration;
-        while Instant::now() < deadline {
-            std::thread::sleep(opts.duration.min(std::time::Duration::from_millis(200)));
-        }
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("soak worker panicked"))
-            .collect()
+    let (tallies, _) = drive(threads, Budget::Time(opts.duration), |t, start| {
+        let mut h = queue.register();
+        let mut tally = Tally::default();
+        let mut x = (t as u64 + 1) | 1;
+        let mut counter = 0u64;
+        start.run(|| {
+            if xorshift(&mut x) % 100 < 55 {
+                let v = ((t as u64) << 40) | counter;
+                counter += 1;
+                h.enqueue(v);
+                tally.pushes += 1;
+                tally.push_sum += v as u128;
+            } else if let Some(v) = h.dequeue() {
+                tally.pops += 1;
+                tally.pop_sum += v as u128;
+            }
+        });
+        tally
     });
 
     let mut total = Tally::default();
@@ -228,48 +177,21 @@ fn soak_queue_one<Q: ConcurrentQueue<u64>>(
 /// at the end the counter's value must equal the grand total (no lost
 /// or duplicated batch slots).
 fn soak_counter_one(counter: &SecCounter, threads: usize, opts: &BenchOpts) -> Result<(), String> {
-    let barrier = Barrier::new(threads + 1);
-    let stop = AtomicBool::new(false);
-
-    let sums: Vec<u128> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let counter = &counter;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = counter.register();
-                    let mut added = 0u128;
-                    let mut x = (t as u64 + 1) | 1;
-                    barrier.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            if x % 100 < 80 {
-                                let delta = x % 1_000;
-                                let _ = h.fetch_add(delta);
-                                added += delta as u128;
-                            } else {
-                                let _ = h.load();
-                            }
-                        }
-                    }
-                    added
-                })
-            })
-            .collect();
-        barrier.wait();
-        let deadline = Instant::now() + opts.duration;
-        while Instant::now() < deadline {
-            std::thread::sleep(opts.duration.min(std::time::Duration::from_millis(200)));
-        }
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("soak worker panicked"))
-            .collect()
+    let (sums, _) = drive(threads, Budget::Time(opts.duration), |t, start| {
+        let mut h = counter.register();
+        let mut added = 0u128;
+        let mut x = (t as u64 + 1) | 1;
+        start.run(|| {
+            let x = xorshift(&mut x);
+            if x % 100 < 80 {
+                let delta = x % 1_000;
+                let _ = h.fetch_add(delta);
+                added += delta as u128;
+            } else {
+                let _ = h.load();
+            }
+        });
+        added
     });
 
     let expected: u128 = sums.iter().sum();
@@ -296,8 +218,6 @@ fn soak_map_one<M: ConcurrentMap<u64, u64>>(
     use sec_core::MapHandle;
 
     const KEYS: u64 = 512;
-    let barrier = Barrier::new(threads + 1);
-    let stop = AtomicBool::new(false);
 
     /// Per-worker map tally.
     #[derive(Default, Clone, Copy)]
@@ -310,57 +230,33 @@ fn soak_map_one<M: ConcurrentMap<u64, u64>>(
         removed_sum: u128,
     }
 
-    let tallies: Vec<MapTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let map = &map;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = map.register();
-                    let mut tally = MapTally::default();
-                    let mut x = (t as u64 + 1) | 1;
-                    let mut counter = 0u64;
-                    barrier.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            let key = x % KEYS;
-                            if x % 100 < 40 {
-                                let v = ((t as u64) << 40) | counter;
-                                counter += 1;
-                                tally.inserted += 1;
-                                tally.inserted_sum += v as u128;
-                                if let Some(prev) = h.insert(key, v) {
-                                    tally.displaced += 1;
-                                    tally.displaced_sum += prev as u128;
-                                }
-                            } else if x % 100 < 80 {
-                                if let Some(v) = h.remove(&key) {
-                                    tally.removed += 1;
-                                    tally.removed_sum += v as u128;
-                                }
-                            } else {
-                                let _ = h.get(&key);
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        barrier.wait();
-        let deadline = Instant::now() + opts.duration;
-        while Instant::now() < deadline {
-            std::thread::sleep(opts.duration.min(std::time::Duration::from_millis(200)));
-        }
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("soak worker panicked"))
-            .collect()
+    let (tallies, _) = drive(threads, Budget::Time(opts.duration), |t, start| {
+        let mut h = map.register();
+        let mut tally = MapTally::default();
+        let mut x = (t as u64 + 1) | 1;
+        let mut counter = 0u64;
+        start.run(|| {
+            let x = xorshift(&mut x);
+            let key = x % KEYS;
+            if x % 100 < 40 {
+                let v = ((t as u64) << 40) | counter;
+                counter += 1;
+                tally.inserted += 1;
+                tally.inserted_sum += v as u128;
+                if let Some(prev) = h.insert(key, v) {
+                    tally.displaced += 1;
+                    tally.displaced_sum += prev as u128;
+                }
+            } else if x % 100 < 80 {
+                if let Some(v) = h.remove(&key) {
+                    tally.removed += 1;
+                    tally.removed_sum += v as u128;
+                }
+            } else {
+                let _ = h.get(&key);
+            }
+        });
+        tally
     });
 
     let mut total = MapTally::default();

@@ -29,7 +29,7 @@
 use sec_bench::{map_bench_capacity, map_bench_sec, BenchOpts};
 use sec_core::trace::{chrome_trace_json, Histogram};
 use sec_core::{SecConfig, SecMap, TraceConfig};
-use sec_workload::{run_map_throughput, KeyDist, MapMix, Mix, RunConfig};
+use sec_workload::{ClosedLoop, KeyDist, MapMix, Mix, RunConfig, Visitor};
 
 /// One percentile row of the phase-histogram table.
 fn print_phase(name: &str, h: &Histogram) {
@@ -79,7 +79,7 @@ fn main() {
     );
 
     let before = map.trace_snapshot();
-    let result = run_map_throughput(&map, &cfg);
+    let result = ClosedLoop::timed(&cfg).map(&map, None).0.result;
     let after = map.trace_snapshot();
 
     println!(

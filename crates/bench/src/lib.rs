@@ -34,18 +34,19 @@
 //! (`cargo bench -p sec-bench`).
 //!
 //! This module provides the shared command-line parsing, the
-//! fixed-work latency visit over the structure registry, the wait
-//! policy patches and the `BENCH_*.json` writer.
+//! fixed-work latency measurement of a registry structure
+//! ([`algo_latency`]), the mean-Mops sweep cell of the ablations that
+//! drive plain closures ([`mean_mops`]), the wait policy patches and
+//! the `BENCH_*.json` writer. Every closed loop runs on
+//! `sec_workload`'s one driver ([`drive`]).
 
 #![warn(missing_docs)]
 
-use sec_core::{
-    AggregatorPolicy, ConcurrentMap, ConcurrentQueue, ConcurrentStack, SecConfig, SecCounter,
-    WaitPolicy,
-};
+use sec_core::{AggregatorPolicy, SecConfig, WaitPolicy};
+use sec_workload::stats::Summary;
 use sec_workload::{
-    measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency, Algo,
-    KeyDist, LatencyReport, MapMix, Mix, SecPatch, SecReadout, Visitor,
+    drive, Algo, Budget, ClosedLoop, LatencyHistogram, LatencyReport, MapMix, Mix, RunConfig,
+    RunResult, SecPatch,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -223,8 +224,9 @@ pub fn wait_label(patch: SecPatch) -> &'static str {
 
 /// Runs `ops` timed operations per thread of `mix` (`map_mix` for the
 /// map family, keys uniform over 1024) on `threads` workers against a
-/// fresh instance of `algo`, SEC families patched by `sec`, and
-/// returns the latency percentiles.
+/// fresh, empty instance of `algo`, SEC families patched by `sec`, and
+/// returns the latency percentiles: the [`ClosedLoop`] `run_algo`
+/// uses, with an op budget and a [`LatencyHistogram`] probe.
 pub fn algo_latency(
     algo: Algo,
     sec: SecPatch,
@@ -233,35 +235,34 @@ pub fn algo_latency(
     mix: Mix,
     map_mix: MapMix,
 ) -> LatencyReport {
-    struct Latency {
-        threads: usize,
-        ops: u64,
-        mix: Mix,
-        map_mix: MapMix,
-    }
-    impl Visitor for Latency {
-        type Out = LatencyReport;
-        fn stack<S: ConcurrentStack<u64>>(self, s: &S, _: Option<&dyn SecReadout>) -> Self::Out {
-            measure_latency(s, self.threads, self.ops, self.mix)
-        }
-        fn queue<Q: ConcurrentQueue<u64>>(self, q: &Q, _: Option<&dyn SecReadout>) -> Self::Out {
-            measure_queue_latency(q, self.threads, self.ops, self.mix)
-        }
-        fn counter(self, c: &SecCounter, _: Option<&dyn SecReadout>) -> Self::Out {
-            measure_counter_latency(c, self.threads, self.ops, self.mix)
-        }
-        fn map<M: ConcurrentMap<u64, u64>>(self, m: &M, _: Option<&dyn SecReadout>) -> Self::Out {
-            let keys = KeyDist::Uniform { keys: 1024 };
-            measure_map_latency(m, self.threads, self.ops, self.map_mix, keys)
-        }
-    }
-    let visit = Latency {
-        threads,
-        ops,
-        mix,
+    let cfg = RunConfig {
+        prefill: 0,
+        sec,
         map_mix,
+        ..RunConfig::new(threads, mix)
     };
-    algo.build(threads + 1, sec, None, visit)
+    let (_, hist) = ClosedLoop::<LatencyHistogram>::new(&cfg, Budget::Ops(ops)).algo(algo);
+    LatencyReport::from_histogram(&hist)
+}
+
+/// Mean throughput in Mops/s over `opts.runs` timed [`drive`]s of
+/// `threads` workers, worker `t` calling `op(t)` until the duration
+/// passes; one call counts as `ops_per_call` operations.
+pub fn mean_mops(
+    opts: &BenchOpts,
+    threads: usize,
+    ops_per_call: u64,
+    op: impl Fn(usize) + Sync,
+) -> f64 {
+    let samples: Vec<f64> = (0..opts.runs)
+        .map(|_| {
+            let budget = Budget::Time(opts.duration);
+            let (calls, elapsed) = drive(threads, budget, |t, start| start.run(|| op(t)));
+            let ops = calls.iter().sum::<u64>() * ops_per_call;
+            RunResult { ops, elapsed }.mops()
+        })
+        .collect();
+    Summary::of(&samples).mean
 }
 
 /// A `BENCH_*.json` document (the workspace carries no serde; the

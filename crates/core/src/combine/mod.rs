@@ -40,7 +40,7 @@
 pub(crate) mod batch;
 pub(crate) mod durable;
 
-use crate::config::{AggregatorPolicy, SecConfig};
+use crate::config::SecConfig;
 use crate::sec::elastic::{self, ContentionMonitor, Direction};
 use crate::sec::stats::SecStats;
 use crate::trace::{TraceEventKind, TraceLane, TraceRecorder, TraceSnapshot};
@@ -317,11 +317,6 @@ unsafe impl<O: CombineOp> Sync for CombineEngine<O> {}
 impl<O: CombineOp> CombineEngine<O> {
     /// Builds an engine from a family's apply logic and configuration,
     /// crash-durable when `durable` carries a core.
-    ///
-    /// Normalizes the two aggregator knobs first: `aggregators`
-    /// (allocated slots) and `policy` are kept in sync by the config
-    /// builders, but the fields are public — make the
-    /// direct-assignment path behave like the documented one.
     pub(crate) fn new(
         name: &'static str,
         op: O,
@@ -329,14 +324,6 @@ impl<O: CombineOp> CombineEngine<O> {
         layout: AggLayout<'_>,
         durable: Option<DurableCore>,
     ) -> Self {
-        let mut config = config;
-        match config.policy {
-            AggregatorPolicy::Fixed(k) if k != config.aggregators => {
-                config.policy = AggregatorPolicy::Fixed(config.aggregators);
-            }
-            AggregatorPolicy::Fixed(_) => {}
-            AggregatorPolicy::Adaptive { .. } => config.aggregators = config.policy.slots(),
-        }
         let cap = config.per_aggregator_capacity();
         // (with_slots, capacity) per aggregator: the mapped prefix and
         // fixed ends use the policy-derived capacity; dedicated bulk
@@ -345,9 +332,9 @@ impl<O: CombineOp> CombineEngine<O> {
         // aggregator, and durable shards are mapped by thread id).
         let (mut slotting, bulk_base): (Vec<(bool, usize)>, usize) = match layout {
             AggLayout::Mapped { with_slots, bulk } => {
-                let mut v = vec![(with_slots, cap); config.aggregators];
+                let mut v = vec![(with_slots, cap); config.aggregators()];
                 v.extend((0..bulk).map(|_| (true, config.max_threads)));
-                (v, config.aggregators)
+                (v, config.aggregators())
             }
             AggLayout::Fixed { ends, bulk } => {
                 let mut v: Vec<_> = ends.iter().map(|&ws| (ws, cap)).collect();

@@ -151,15 +151,9 @@ impl AggregatorPolicy {
 ///
 /// The stack, counter and map honour every field. The queue's
 /// aggregators are its two ends, a fixed layout, so it ignores
-/// `aggregators`, `policy` and `shard_policy` and honours the rest.
+/// `policy` and `shard_policy` and honours the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecConfig {
-    /// Number of aggregator slots allocated by the stack (≥ 1). Under
-    /// [`AggregatorPolicy::Fixed`] all of them are active; under
-    /// [`AggregatorPolicy::Adaptive`] this equals `max_k` and the
-    /// *active* prefix grows and shrinks at runtime. Kept in sync with
-    /// `policy` by the constructors and builders.
-    pub aggregators: usize,
     /// Maximum number of threads that will ever register (≥ 1). Sizes
     /// the elimination arrays and the reclamation registry.
     pub max_threads: usize,
@@ -207,7 +201,6 @@ impl SecConfig {
         // lifts the batching degree from 1.0 to ~7 and the elimination
         // share from 0% to ~70% (the paper's Table 1 zone).
         Self {
-            aggregators: aggregators.max(1),
             max_threads: max_threads.max(1),
             freezer_backoff: 0,
             freezer_yields: 1,
@@ -271,12 +264,19 @@ impl SecConfig {
         self
     }
 
-    /// Sets the aggregator policy (builder style), re-deriving the
-    /// allocated slot count from it.
+    /// Sets the aggregator policy (builder style).
     pub fn aggregator_policy(mut self, policy: AggregatorPolicy) -> Self {
         self.policy = policy;
-        self.aggregators = policy.slots();
         self
+    }
+
+    /// Number of aggregator slots the structure allocates (≥ 1), the
+    /// policy's [`slots`](AggregatorPolicy::slots). Under
+    /// [`AggregatorPolicy::Fixed`] all of them are active; under
+    /// [`AggregatorPolicy::Adaptive`] this is `max_k` and the *active*
+    /// prefix grows and shrinks at runtime.
+    pub fn aggregators(&self) -> usize {
+        self.policy.slots()
     }
 
     /// Aggregator index for thread `tid` when `k` aggregators are
@@ -298,7 +298,7 @@ impl SecConfig {
     /// the stack remaps through [`SecConfig::aggregator_for`] with the
     /// *current* active count instead).
     pub fn aggregator_of(&self, tid: usize) -> usize {
-        self.aggregator_for(tid, self.aggregators)
+        self.aggregator_for(tid, self.aggregators())
     }
 
     /// Upper bound on threads that can announce into any single batch;
@@ -317,14 +317,14 @@ impl SecConfig {
         match self.shard_policy {
             // Ceiling division; exact for Block, an upper bound for both.
             ShardPolicy::Block | ShardPolicy::RoundRobin => {
-                self.max_threads.div_ceil(self.aggregators)
+                self.max_threads.div_ceil(self.aggregators())
             }
             // Neighbourhood granularity can overfill one aggregator
             // past ⌈N/K⌉ (e.g. 10 threads, width 4, K = 2: aggregator 0
             // serves two whole neighbourhoods = 8 threads); count the
             // actual maximum.
             ShardPolicy::Topology => {
-                let mut counts = vec![0usize; self.aggregators];
+                let mut counts = vec![0usize; self.aggregators()];
                 for t in 0..self.max_threads {
                     counts[self.aggregator_of(t)] += 1;
                 }
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_clamped() {
         let c = SecConfig::new(0, 0);
-        assert_eq!(c.aggregators, 1);
+        assert_eq!(c.aggregators(), 1);
         assert_eq!(c.max_threads, 1);
         assert_eq!(c.aggregator_of(0), 0);
         assert_eq!(c.per_aggregator_capacity(), 1);
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn default_is_two_aggregators() {
         let c = SecConfig::default();
-        assert_eq!(c.aggregators, 2);
+        assert_eq!(c.aggregators(), 2);
         assert!(c.max_threads >= 2);
     }
 
@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn adaptive_config_allocates_max_k_slots() {
         let c = SecConfig::adaptive(1, 4, 16);
-        assert_eq!(c.aggregators, 4);
+        assert_eq!(c.aggregators(), 4);
         assert!(c.policy.is_adaptive());
         assert_eq!(c.policy.min_k(), 1);
         assert_eq!(c.policy.max_k(), 4);

@@ -368,7 +368,7 @@ where
     fn build(config: SecConfig, buckets: usize, durable: Option<DurableCore>) -> Self {
         let config = match config.policy {
             AggregatorPolicy::Fixed(_) => {
-                let k = config.aggregators.max(1);
+                let k = config.aggregators();
                 config.aggregator_policy(AggregatorPolicy::Adaptive {
                     min_k: k,
                     max_k: k,

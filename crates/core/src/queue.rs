@@ -622,9 +622,9 @@ impl<T: Send + 'static> SecQueue<T> {
     /// Creates a queue from an explicit [`SecConfig`]. Capacity,
     /// freezer backoff, recycle, wait and trace settings apply as they
     /// do to the stack, and `wait` also decides whether the empty-queue
-    /// rendezvous window yields inside its budget. `aggregators`,
-    /// `policy` and `shard_policy` are ignored, because the queue's
-    /// aggregators are its two ends, not shards.
+    /// rendezvous window yields inside its budget. `policy` and
+    /// `shard_policy` are ignored, because the queue's aggregators are
+    /// its two ends, not shards.
     pub fn with_config(config: SecConfig) -> Self {
         Self::build(config, None)
     }

@@ -1,11 +1,9 @@
 //! The structure registry: [`Algo::build`] turns any of the evaluated
 //! stacks, queues, counters or maps into a structure and hands it to a
-//! [`Visitor`]; [`run_algo`] is the visit that measures throughput.
+//! [`Visitor`]; [`run_algo`] measures it with the [`ClosedLoop`]
+//! visit.
 
-use crate::runner::{
-    run_counter_throughput, run_map_throughput, run_queue_throughput, run_throughput, RunConfig,
-    RunResult,
-};
+use crate::runner::{ClosedLoop, RunConfig, RunResult};
 use core::fmt;
 use sec_baselines::{
     CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
@@ -53,13 +51,12 @@ pub enum Algo {
     MsQ,
     /// Mutex-protected `VecDeque` (the queue family's sanity floor).
     LckQ,
-    /// The combining fetch-and-add counter (DESIGN.md §12); measured
-    /// through [`run_counter_throughput`] (update draws → `fetch_add`,
-    /// peek draws → `load`).
+    /// The combining fetch-and-add counter (DESIGN.md §12); the
+    /// [`ClosedLoop`] maps update draws to `fetch_add` and peek draws
+    /// to `load`.
     SecCounter,
     /// The SEC-derived batched-combining hash map (DESIGN.md §13);
-    /// measured through [`run_map_throughput`] under
-    /// [`RunConfig::map_mix`] / [`RunConfig::key_dist`].
+    /// measured under [`RunConfig::map_mix`] / [`RunConfig::key_dist`].
     SecMap,
     /// Mutex-protected `HashMap` (the map family's sanity floor).
     LckMap,
@@ -327,7 +324,7 @@ pub struct AlgoRun {
 
 impl AlgoRun {
     /// `result` plus what the structure's SEC readout, if any, reports.
-    fn new(result: RunResult, sec: Option<&dyn SecReadout>) -> Self {
+    pub(crate) fn new(result: RunResult, sec: Option<&dyn SecReadout>) -> Self {
         Self {
             result,
             sec_report: sec.map(|s| s.report()),
@@ -337,37 +334,12 @@ impl AlgoRun {
     }
 }
 
-/// [`run_algo`]'s visit: one throughput measurement under the config.
-struct Measure<'a>(&'a RunConfig);
-
-impl Visitor for Measure<'_> {
-    type Out = AlgoRun;
-    fn stack<S: ConcurrentStack<u64>>(self, stack: &S, sec: Option<&dyn SecReadout>) -> AlgoRun {
-        AlgoRun::new(run_throughput(stack, self.0), sec)
-    }
-    fn queue<Q: ConcurrentQueue<u64>>(self, queue: &Q, sec: Option<&dyn SecReadout>) -> AlgoRun {
-        AlgoRun::new(run_queue_throughput(queue, self.0), sec)
-    }
-    fn counter(self, counter: &SecCounter, sec: Option<&dyn SecReadout>) -> AlgoRun {
-        AlgoRun::new(run_counter_throughput(counter, self.0), sec)
-    }
-    fn map<M: ConcurrentMap<u64, u64>>(self, map: &M, sec: Option<&dyn SecReadout>) -> AlgoRun {
-        AlgoRun::new(run_map_throughput(map, self.0), sec)
-    }
-}
-
 /// Constructs a fresh instance of `algo` sized for the run — SEC
 /// families patched by [`RunConfig::sec`] and durable when
-/// [`RunConfig::durable`] is set — measures it under `cfg`, and
-/// removes a file-backed run's heap once the structure is dropped.
+/// [`RunConfig::durable`] is set — and measures its throughput under
+/// `cfg` ([`ClosedLoop::timed`]).
 pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
-    let durable = cfg.durable.map(|setup| setup.policy());
-    let policy = durable.as_ref().map(|(policy, _)| policy.clone());
-    let run = algo.build(cfg.capacity(), cfg.sec, policy, Measure(cfg));
-    if let Some((_, Some(path))) = durable {
-        let _ = std::fs::remove_file(path);
-    }
-    run
+    ClosedLoop::timed(cfg).algo(algo).0
 }
 
 #[cfg(test)]

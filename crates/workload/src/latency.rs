@@ -5,18 +5,14 @@
 //! and combiner, so its latency distribution has structure that
 //! Mops/s can't show (the paper touches this when discussing TSI's
 //! interval delays "increasing latency"). This module provides a
-//! latency histogram and a fixed-work latency runner; the `latency`
-//! bench binary prints p50/p90/p99/p999/max per algorithm.
+//! latency histogram, which is also the [`Probe`] that turns a
+//! [`ClosedLoop`] into a latency measurement; the `latency` bench
+//! binary prints p50/p90/p99/p999/max per algorithm.
+//!
+//! [`ClosedLoop`]: crate::ClosedLoop
 
-use crate::spec::{KeyDist, MapMix, MapOpKind, Mix, OpKind};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use sec_core::counter::SecCounter;
+use crate::runner::Probe;
 use sec_core::trace::Histogram;
-use sec_core::{
-    ConcurrentMap, ConcurrentQueue, ConcurrentStack, MapHandle, QueueHandle, StackHandle,
-};
-use std::sync::Barrier;
 use std::time::Instant;
 
 /// A latency histogram over nanoseconds: a thin wrapper around the
@@ -102,200 +98,29 @@ impl LatencyReport {
     }
 }
 
-/// Runs `ops_per_thread` timed operations of `mix` on each of `threads`
-/// workers and returns the merged latency distribution.
-pub fn measure_latency<S: ConcurrentStack<u64>>(
-    stack: &S,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-) -> LatencyReport {
-    let barrier = Barrier::new(threads);
-    let merged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let stack = &stack;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut h = stack.register();
-                    let mut rng = SmallRng::seed_from_u64(0xA11CE ^ (t as u64) << 8);
-                    let mut hist = LatencyHistogram::new();
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        let kind = mix.classify(rng.gen_range(0..100));
-                        let start = Instant::now();
-                        match kind {
-                            OpKind::Push => h.push(rng.gen_range(0..100_000)),
-                            OpKind::Pop => {
-                                let _ = h.pop();
-                            }
-                            OpKind::Peek => {
-                                let _ = h.peek();
-                            }
-                        }
-                        hist.record(start.elapsed().as_nanos() as u64);
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut merged = LatencyHistogram::new();
-        for h in handles {
-            merged.merge(&h.join().expect("latency worker panicked"));
-        }
-        merged
-    });
-    LatencyReport::from_histogram(&merged)
-}
+/// A latency worker is a throughput worker that times each op: as a
+/// [`ClosedLoop`] probe, the histogram records every operation's
+/// duration.
+///
+/// [`ClosedLoop`]: crate::ClosedLoop
+impl Probe for LatencyHistogram {
+    #[inline]
+    fn time(&mut self, op: impl FnOnce()) {
+        let start = Instant::now();
+        op();
+        self.record(start.elapsed().as_nanos() as u64);
+    }
 
-/// The queue-family twin of [`measure_latency`]: a [`Mix`] draw that
-/// would `peek` a stack performs a `dequeue` (queues have no read-only
-/// operation).
-pub fn measure_queue_latency<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-) -> LatencyReport {
-    let barrier = Barrier::new(threads);
-    let merged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let queue = &queue;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut h = queue.register();
-                    let mut rng = SmallRng::seed_from_u64(0xA11CE ^ (t as u64) << 8);
-                    let mut hist = LatencyHistogram::new();
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        let kind = mix.classify(rng.gen_range(0..100));
-                        let start = Instant::now();
-                        match kind {
-                            OpKind::Push => h.enqueue(rng.gen_range(0..100_000)),
-                            OpKind::Pop | OpKind::Peek => {
-                                let _ = h.dequeue();
-                            }
-                        }
-                        hist.record(start.elapsed().as_nanos() as u64);
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut merged = LatencyHistogram::new();
-        for h in handles {
-            merged.merge(&h.join().expect("latency worker panicked"));
-        }
-        merged
-    });
-    LatencyReport::from_histogram(&merged)
-}
-
-/// The map-family twin of [`measure_latency`]: operations draw a key
-/// from `dist` and a get/insert/remove kind from `map_mix`.
-pub fn measure_map_latency<M: ConcurrentMap<u64, u64>>(
-    map: &M,
-    threads: usize,
-    ops_per_thread: u64,
-    map_mix: MapMix,
-    dist: KeyDist,
-) -> LatencyReport {
-    let sampler = dist.sampler();
-    let barrier = Barrier::new(threads);
-    let merged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let map = &map;
-                let barrier = &barrier;
-                let sampler = &sampler;
-                scope.spawn(move || {
-                    let mut h = map.register();
-                    let mut rng = SmallRng::seed_from_u64(0xA11CE ^ (t as u64) << 8);
-                    let mut hist = LatencyHistogram::new();
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        let key = sampler.sample(&mut rng);
-                        let kind = map_mix.classify(rng.gen_range(0..100));
-                        let value = rng.gen_range(0..100_000);
-                        let start = Instant::now();
-                        match kind {
-                            MapOpKind::Get => {
-                                let _ = h.get(&key);
-                            }
-                            MapOpKind::Insert => {
-                                let _ = h.insert(key, value);
-                            }
-                            MapOpKind::Remove => {
-                                let _ = h.remove(&key);
-                            }
-                        }
-                        hist.record(start.elapsed().as_nanos() as u64);
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut merged = LatencyHistogram::new();
-        for h in handles {
-            merged.merge(&h.join().expect("latency worker panicked"));
-        }
-        merged
-    });
-    LatencyReport::from_histogram(&merged)
-}
-
-/// The counter-family twin of [`measure_latency`]: a [`Mix`] draw that
-/// would `push` or `pop` performs a `fetch_add`; a `peek` draw performs
-/// a `load`.
-pub fn measure_counter_latency(
-    counter: &SecCounter,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-) -> LatencyReport {
-    let barrier = Barrier::new(threads);
-    let merged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let counter = &counter;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut h = counter.register();
-                    let mut rng = SmallRng::seed_from_u64(0xA11CE ^ (t as u64) << 8);
-                    let mut hist = LatencyHistogram::new();
-                    barrier.wait();
-                    for _ in 0..ops_per_thread {
-                        let kind = mix.classify(rng.gen_range(0..100));
-                        let delta = rng.gen_range(0..100_000);
-                        let start = Instant::now();
-                        match kind {
-                            OpKind::Push | OpKind::Pop => {
-                                let _ = h.fetch_add(delta);
-                            }
-                            OpKind::Peek => {
-                                let _ = h.load();
-                            }
-                        }
-                        hist.record(start.elapsed().as_nanos() as u64);
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut merged = LatencyHistogram::new();
-        for h in handles {
-            merged.merge(&h.join().expect("latency worker panicked"));
-        }
-        merged
-    });
-    LatencyReport::from_histogram(&merged)
+    fn merge(&mut self, other: Self) {
+        LatencyHistogram::merge(self, &other);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_core::SecStack;
+    use crate::{AlgoRun, Budget, ClosedLoop, KeyDist, MapMix, Mix, RunConfig, Visitor};
+    use sec_core::{SecCounter, SecStack};
 
     #[test]
     fn empty_histogram_reports_zero() {
@@ -373,10 +198,23 @@ mod tests {
         assert!(r.p999 <= r.max);
     }
 
+    /// `ops` timed operations per worker of `cfg` on `visit`'s kind.
+    fn latency(
+        cfg: &RunConfig,
+        ops: u64,
+        visit: impl FnOnce(ClosedLoop<'_, LatencyHistogram>) -> (AlgoRun, LatencyHistogram),
+    ) -> LatencyReport {
+        LatencyReport::from_histogram(&visit(ClosedLoop::new(cfg, Budget::Ops(ops))).1)
+    }
+
     #[test]
     fn end_to_end_latency_measurement() {
         let stack: SecStack<u64> = SecStack::new(3);
-        let r = measure_latency(&stack, 2, 500, Mix::UPDATE_100);
+        let cfg = RunConfig {
+            prefill: 0,
+            ..RunConfig::new(2, Mix::UPDATE_100)
+        };
+        let r = latency(&cfg, 500, |run| run.stack(&stack, None));
         assert_eq!(r.samples, 1_000);
         assert!(r.p50 > 0);
         assert!(r.p50 <= r.p99);
@@ -387,7 +225,11 @@ mod tests {
     fn end_to_end_queue_latency_measurement() {
         use sec_core::SecQueue;
         let queue: SecQueue<u64> = SecQueue::new(2);
-        let r = measure_queue_latency(&queue, 2, 500, Mix::UPDATE_100);
+        let cfg = RunConfig {
+            prefill: 0,
+            ..RunConfig::new(2, Mix::UPDATE_100)
+        };
+        let r = latency(&cfg, 500, |run| run.queue(&queue, None));
         assert_eq!(r.samples, 1_000);
         assert!(r.p50 > 0);
         assert!(r.p50 <= r.p99);
@@ -398,13 +240,13 @@ mod tests {
     fn end_to_end_map_latency_measurement() {
         use sec_core::SecMap;
         let map: SecMap<u64, u64> = SecMap::new(3);
-        let r = measure_map_latency(
-            &map,
-            2,
-            500,
-            MapMix::WRITE_HEAVY,
-            KeyDist::Uniform { keys: 64 },
-        );
+        let cfg = RunConfig {
+            prefill: 0,
+            map_mix: MapMix::WRITE_HEAVY,
+            key_dist: KeyDist::Uniform { keys: 64 },
+            ..RunConfig::new(2, Mix::UPDATE_100)
+        };
+        let r = latency(&cfg, 500, |run| run.map(&map, None));
         assert_eq!(r.samples, 1_000);
         assert!(r.p50 > 0);
         assert!(r.p50 <= r.p99);
@@ -414,7 +256,11 @@ mod tests {
     #[test]
     fn end_to_end_counter_latency_measurement() {
         let counter = SecCounter::new(3);
-        let r = measure_counter_latency(&counter, 2, 500, Mix::UPDATE_100);
+        let cfg = RunConfig {
+            prefill: 0,
+            ..RunConfig::new(2, Mix::UPDATE_100)
+        };
+        let r = latency(&cfg, 500, |run| run.counter(&counter, None));
         assert_eq!(r.samples, 1_000);
         assert!(r.p50 > 0);
         assert!(r.p50 <= r.p99);

@@ -5,22 +5,23 @@
 //!
 //! * [`Mix`] — operation mixes (the paper's read-heavy / mixed /
 //!   update-heavy / push-only / pop-only workloads),
-//! * [`RunConfig`] / [`run_throughput`] — the measurement loop: prefill
-//!   the stack, release `n` threads behind a barrier, let them draw
-//!   operations from the mix for a fixed duration, report aggregate
-//!   throughput (Mops/s),
-//! * [`run_queue_throughput`] — the same loop for the FIFO-queue family
-//!   ([`Algo::SecQueue`], [`Algo::MsQ`], [`Algo::LckQ`]),
-//! * [`run_map_throughput`] / [`MapMix`] / [`KeyDist`] — the keyed
-//!   workload for the map family ([`Algo::SecMap`], [`Algo::LckMap`]):
-//!   YCSB-style get/insert/remove shares over uniform or zipfian key
-//!   draws,
-//! * [`run_counter_throughput`] — the counter family
-//!   ([`Algo::SecCounter`]),
+//! * [`drive`] / [`Budget`] — the one closed-loop driver: `n` workers,
+//!   each built on its own thread, released together by one start
+//!   barrier and stepped until a duration passes or a fixed op count
+//!   per worker is spent,
+//! * [`RunConfig`] / [`ClosedLoop`] — the measurement on top of it:
+//!   prefill the structure, let every worker draw operations from the
+//!   mix, report aggregate throughput (Mops/s). Its [`Visitor`] methods
+//!   are the per-kind mappings from a draw to an operation — stack,
+//!   FIFO queue, counter, and the keyed map driven by [`MapMix`] /
+//!   [`KeyDist`] (YCSB-style get/insert/remove shares over uniform or
+//!   zipfian key draws). A [`Probe`] records each op: `()` for
+//!   throughput, a [`LatencyHistogram`] for the [`latency`]
+//!   percentiles,
 //! * [`Algo`] / [`Algo::build`] / [`Visitor`] — the one registry that
 //!   turns an algorithm into its stack, queue, counter or map, and
-//!   [`run_algo`], the visit that measures it, so the figure binaries
-//!   can sweep algorithms,
+//!   [`run_algo`], the timed [`ClosedLoop`] over it, so the figure
+//!   binaries can sweep algorithms,
 //! * [`stats`] — mean/σ across repeated runs, plus the elastic-resize
 //!   counter aggregation ([`stats::ResizeTotals`]),
 //! * [`table`] — the paper-style table and CSV output (plotted series
@@ -50,14 +51,8 @@ pub use algo::{
     run_algo, Algo, AlgoRun, SecPatch, SecReadout, Visitor, ALL_COMPETITORS, CHECKED_LINEUP,
     EXTENDED_LINEUP, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
 };
-pub use latency::{
-    measure_counter_latency, measure_latency, measure_map_latency, measure_queue_latency,
-    LatencyHistogram, LatencyReport,
-};
+pub use latency::{LatencyHistogram, LatencyReport};
 pub use openloop::{replay_open_loop, Arrival, ArrivalTrace, ReplayReport, ServiceConfig};
-pub use runner::{
-    run_counter_throughput, run_map_throughput, run_queue_throughput, run_throughput, DurableSetup,
-    RunConfig, RunResult,
-};
+pub use runner::{drive, Budget, ClosedLoop, DurableSetup, Probe, RunConfig, RunResult, Start};
 pub use spec::{KeyDist, KeySampler, MapMix, MapOpKind, Mix, OpKind};
 pub use trace::{replay, ReplayResult, Trace, TraceOp};

@@ -1,8 +1,8 @@
 //! Open-loop traffic replay: service-style benchmarking where *time*,
 //! not the benchmark loop, decides when work arrives.
 //!
-//! The closed-loop runners elsewhere in this crate (`run_throughput`
-//! and friends) issue the next operation the moment the previous one
+//! The closed-loop measurement elsewhere in this crate (`ClosedLoop`
+//! over `drive`) issues the next operation the moment the previous one
 //! returns — so when the structure slows down, the offered load
 //! politely slows down with it, and the measured latency suffers from
 //! coordinated omission: the stalls hide in the gaps between requests.

@@ -1,6 +1,11 @@
-//! The throughput measurement loop (§6 "Methodology").
+//! The closed-loop measurement (§6 "Methodology"): [`drive`] runs
+//! workers behind one start barrier until a [`Budget`] is spent, and
+//! [`ClosedLoop`] maps a mix's draws to each structure kind's
+//! operations on top of it.
 
+use crate::algo::{Algo, AlgoRun, SecReadout, Visitor};
 use crate::spec::{KeyDist, MapMix, MapOpKind, Mix, OpKind};
+use core::marker::PhantomData;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sec_core::counter::SecCounter;
@@ -43,7 +48,7 @@ pub struct RunConfig {
     /// [`Algo`]: crate::Algo
     pub sec: fn(SecConfig) -> SecConfig,
     /// Operation mix for the map family (used instead of `mix` by
-    /// [`run_map_throughput`]; ignored by the stack/queue runners).
+    /// [`ClosedLoop`]'s map mapping; the other kinds ignore it).
     pub map_mix: MapMix,
     /// Key distribution for the map family. Uniform spreads the
     /// announcements over the shards; zipfian concentrates them on the
@@ -197,285 +202,295 @@ impl RunResult {
     }
 }
 
-/// Runs one throughput measurement against `stack`.
-///
-/// The stack must have been constructed for at least
-/// `cfg.threads + 1` threads (one extra registration slot is used for
-/// the prefill, and is released before the workers start).
-pub fn run_throughput<S: ConcurrentStack<u64>>(stack: &S, cfg: &RunConfig) -> RunResult {
-    // Prefill from the calling thread (paper: "a stack initially
-    // prefilled with 1000 nodes").
-    {
-        let mut h = stack.register();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED);
-        for _ in 0..cfg.prefill {
-            h.push(rng.gen_range(0..cfg.value_range.max(1)));
+/// How long [`drive`] runs its workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Budget {
+    /// Until the duration has passed. Each worker checks the stop flag
+    /// once every 64 steps, which keeps the flag off the hot path, so
+    /// its step count is a multiple of 64.
+    Time(Duration),
+    /// Exactly this many steps per worker.
+    Ops(u64),
+}
+
+/// One worker's pass through [`drive`]'s start barrier.
+#[derive(Debug)]
+pub struct Start<'a> {
+    barrier: &'a Barrier,
+    stop: &'a AtomicBool,
+    budget: Budget,
+}
+
+impl Start<'_> {
+    /// Waits at the start barrier with every other worker, then calls
+    /// `step` until the budget is spent, and returns how many times it
+    /// did. A worker must call this exactly once, or the barrier never
+    /// opens.
+    // Always inlined, so `step` and the worker's state fold into one
+    // loop in the worker, as in a hand-written one.
+    #[inline(always)]
+    pub fn run(self, mut step: impl FnMut()) -> u64 {
+        // A timed run checks the stop flag once per 64-step chunk; an
+        // op budget is one chunk of its whole count.
+        let (chunk, mut chunks) = match self.budget {
+            Budget::Time(_) => (64, u64::MAX),
+            Budget::Ops(n) => (n, 1),
+        };
+        self.barrier.wait();
+        let mut steps = 0;
+        while chunks > 0 && !self.stop.load(Ordering::Relaxed) {
+            for _ in 0..chunk {
+                step();
+            }
+            steps += chunk;
+            chunks -= 1;
         }
-    }
-
-    let barrier = Barrier::new(cfg.threads + 1);
-    let stop = AtomicBool::new(false);
-    let mut per_thread_ops = vec![0u64; cfg.threads];
-
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let stack = &stack;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = stack.register();
-                    let mut rng = SmallRng::seed_from_u64(
-                        cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    barrier.wait();
-                    let mut ops = 0u64;
-                    // Check the deadline every CHUNK ops to keep the
-                    // clock off the hot path.
-                    const CHUNK: u32 = 64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..CHUNK {
-                            match cfg.mix.classify(rng.gen_range(0..100)) {
-                                OpKind::Push => h.push(rng.gen_range(0..cfg.value_range.max(1))),
-                                OpKind::Pop => {
-                                    let _ = h.pop();
-                                }
-                                OpKind::Peek => {
-                                    let _ = h.peek();
-                                }
-                            }
-                        }
-                        ops += CHUNK as u64;
-                    }
-                    ops
-                })
-            })
-            .collect();
-
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(cfg.duration);
-        stop.store(true, Ordering::Relaxed);
-        for (t, h) in handles.into_iter().enumerate() {
-            per_thread_ops[t] = h.join().expect("worker panicked");
-        }
-        start.elapsed()
-    });
-
-    RunResult {
-        ops: per_thread_ops.iter().sum(),
-        elapsed,
+        steps
     }
 }
 
-/// Runs one throughput measurement against `queue` — the queue-family
-/// twin of [`run_throughput`], sharing [`RunConfig`] so the figure
-/// binaries sweep both families with one configuration type.
-///
-/// Queues have no read-only operation, so a [`Mix`] draw that would
-/// `peek` a stack performs a `dequeue` here (the queue lineup is
-/// normally measured under the peek-free mixes: `UPDATE_100`,
-/// `PUSH_ONLY`, `POP_ONLY`).
-///
-/// The queue must have been constructed for at least `cfg.threads + 1`
-/// threads (one extra registration slot is used for the prefill).
-pub fn run_queue_throughput<Q: ConcurrentQueue<u64>>(queue: &Q, cfg: &RunConfig) -> RunResult {
-    {
-        let mut h = queue.register();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED);
-        for _ in 0..cfg.prefill {
-            h.enqueue(rng.gen_range(0..cfg.value_range.max(1)));
-        }
-    }
-
-    let barrier = Barrier::new(cfg.threads + 1);
+/// The closed-loop driver: runs `worker(t, start)` for `t` in
+/// `0..threads`, each on its own thread, so a worker registers its
+/// handles where it runs them. Every worker calls [`Start::run`], which
+/// holds it at one start barrier and then steps it until `budget` is
+/// spent. Returns each worker's output, in worker order, and the wall
+/// time from the barrier's release to the last join.
+pub fn drive<T: Send>(
+    threads: usize,
+    budget: Budget,
+    worker: impl Fn(usize, Start<'_>) -> T + Sync,
+) -> (Vec<T>, Duration) {
+    let barrier = Barrier::new(threads + 1);
     let stop = AtomicBool::new(false);
-    let mut per_thread_ops = vec![0u64; cfg.threads];
-
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
             .map(|t| {
-                let queue = &queue;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = queue.register();
-                    let mut rng = SmallRng::seed_from_u64(
-                        cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    barrier.wait();
-                    let mut ops = 0u64;
-                    const CHUNK: u32 = 64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..CHUNK {
-                            match cfg.mix.classify(rng.gen_range(0..100)) {
-                                OpKind::Push => h.enqueue(rng.gen_range(0..cfg.value_range.max(1))),
-                                OpKind::Pop | OpKind::Peek => {
-                                    let _ = h.dequeue();
-                                }
-                            }
-                        }
-                        ops += CHUNK as u64;
-                    }
-                    ops
-                })
+                let pass = Start {
+                    barrier: &barrier,
+                    stop: &stop,
+                    budget,
+                };
+                let worker = &worker;
+                scope.spawn(move || worker(t, pass))
             })
             .collect();
-
         barrier.wait();
         let start = Instant::now();
-        std::thread::sleep(cfg.duration);
-        stop.store(true, Ordering::Relaxed);
-        for (t, h) in handles.into_iter().enumerate() {
-            per_thread_ops[t] = h.join().expect("queue worker panicked");
+        if let Budget::Time(duration) = budget {
+            std::thread::sleep(duration);
+            stop.store(true, Ordering::Relaxed);
         }
-        start.elapsed()
-    });
+        let outputs = workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .collect();
+        (outputs, start.elapsed())
+    })
+}
 
-    RunResult {
-        ops: per_thread_ops.iter().sum(),
-        elapsed,
+/// What a closed-loop worker records around each operation: `()`
+/// records nothing (the throughput measurement), a
+/// [`LatencyHistogram`] times each op.
+///
+/// [`LatencyHistogram`]: crate::LatencyHistogram
+pub trait Probe: Default + Send {
+    /// Performs `op`, recording it.
+    fn time(&mut self, op: impl FnOnce());
+    /// Folds another worker's record into this one.
+    fn merge(&mut self, other: Self);
+}
+
+impl Probe for () {
+    #[inline(always)]
+    fn time(&mut self, op: impl FnOnce()) {
+        op()
+    }
+    fn merge(&mut self, _: ()) {}
+}
+
+/// One closed-loop measurement (§6 "Methodology"): prefill the
+/// structure from the calling thread with the seed `seed ^ 0x5EED`,
+/// then [`drive`] `cfg.threads` workers, worker `t` seeded with
+/// `seed ^ t·0x9E37_79B9_7F4A_7C15`, each drawing operations from the
+/// config's mix until the budget is spent and recording them with its
+/// [`Probe`].
+///
+/// It is a [`Visitor`], and its four methods are the one mapping from
+/// a mix draw to an operation per structure kind:
+///
+/// * stack: push, pop or peek;
+/// * queue: a push draw enqueues, a pop or peek draw dequeues (queues
+///   have no read-only operation);
+/// * counter: a push or pop draw is a `fetch_add`, a peek draw a
+///   `load`; no prefill, a counter has no contents to warm;
+/// * map: a key from [`RunConfig::key_dist`], then get, insert or
+///   remove under [`RunConfig::map_mix`] instead of the mix; the
+///   prefill inserts sampled keys (duplicates overwrite, so a zipfian
+///   prefill populates the hot head densely and the tail sparsely,
+///   like a warmed cache).
+///
+/// Pushed values, insert values and counter operands are drawn from
+/// `0..value_range`. [`ClosedLoop::algo`] measures a registry
+/// structure; a visitor method measures one built by hand. The
+/// structure must admit `cfg.threads + 1` registrations: the prefill
+/// handle is released before the workers register.
+#[derive(Debug)]
+pub struct ClosedLoop<'a, P = ()> {
+    cfg: &'a RunConfig,
+    budget: Budget,
+    probe: PhantomData<P>,
+}
+
+impl<'a> ClosedLoop<'a> {
+    /// The throughput measurement: runs for `cfg.duration`, records
+    /// nothing per op.
+    pub fn timed(cfg: &'a RunConfig) -> Self {
+        Self::new(cfg, Budget::Time(cfg.duration))
     }
 }
 
-/// Runs one throughput measurement against `map` — the map-family twin
-/// of [`run_throughput`], driven by [`RunConfig::map_mix`] (read/write
-/// shares) and [`RunConfig::key_dist`] (uniform or zipfian key draws)
-/// instead of the stack's `mix`.
-///
-/// The prefill inserts `cfg.prefill` keys drawn from the key
-/// distribution (duplicates overwrite, so a zipfian prefill populates
-/// the hot head densely and the tail sparsely, like a warmed cache).
-///
-/// The map must have been constructed for at least `cfg.threads + 1`
-/// threads (one extra registration slot is used for the prefill).
-pub fn run_map_throughput<M: ConcurrentMap<u64, u64>>(map: &M, cfg: &RunConfig) -> RunResult {
-    let sampler = cfg.key_dist.sampler();
-    {
-        let mut h = map.register();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED);
-        for _ in 0..cfg.prefill {
-            let k = sampler.sample(&mut rng);
-            let _ = h.insert(k, rng.gen_range(0..cfg.value_range.max(1)));
+impl<'a, P: Probe> ClosedLoop<'a, P> {
+    /// A measurement of `cfg` that runs until `budget` is spent.
+    pub fn new(cfg: &'a RunConfig, budget: Budget) -> Self {
+        Self {
+            cfg,
+            budget,
+            probe: PhantomData,
         }
     }
 
-    let barrier = Barrier::new(cfg.threads + 1);
-    let stop = AtomicBool::new(false);
-    let mut per_thread_ops = vec![0u64; cfg.threads];
-
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let map = &map;
-                let sampler = &sampler;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = map.register();
-                    let mut rng = SmallRng::seed_from_u64(
-                        cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    barrier.wait();
-                    let mut ops = 0u64;
-                    const CHUNK: u32 = 64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..CHUNK {
-                            let key = sampler.sample(&mut rng);
-                            match cfg.map_mix.classify(rng.gen_range(0..100)) {
-                                MapOpKind::Get => {
-                                    let _ = h.get(&key);
-                                }
-                                MapOpKind::Insert => {
-                                    let _ = h.insert(key, rng.gen_range(0..cfg.value_range.max(1)));
-                                }
-                                MapOpKind::Remove => {
-                                    let _ = h.remove(&key);
-                                }
-                            }
-                        }
-                        ops += CHUNK as u64;
-                    }
-                    ops
-                })
-            })
-            .collect();
-
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(cfg.duration);
-        stop.store(true, Ordering::Relaxed);
-        for (t, h) in handles.into_iter().enumerate() {
-            per_thread_ops[t] = h.join().expect("map worker panicked");
+    /// Constructs a fresh instance of `algo` sized for the run — SEC
+    /// families patched by [`RunConfig::sec`] and durable when
+    /// [`RunConfig::durable`] is set — measures it, and removes a
+    /// file-backed run's heap once the structure is dropped.
+    pub fn algo(self, algo: Algo) -> (AlgoRun, P) {
+        let cfg = self.cfg;
+        let durable = cfg.durable.map(|setup| setup.policy());
+        let policy = durable.as_ref().map(|(policy, _)| policy.clone());
+        let out = algo.build(cfg.capacity(), cfg.sec, policy, self);
+        if let Some((_, Some(path))) = durable {
+            let _ = std::fs::remove_file(path);
         }
-        start.elapsed()
-    });
+        out
+    }
 
-    RunResult {
-        ops: per_thread_ops.iter().sum(),
-        elapsed,
+    /// Exclusive bound of the drawn values.
+    fn values(&self) -> u64 {
+        self.cfg.value_range.max(1)
+    }
+
+    /// Runs `put` `cfg.prefill` times on handle `h`.
+    fn prefill<H>(&self, mut h: H, mut put: impl FnMut(&mut H, &mut SmallRng)) {
+        let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ 0x5EED);
+        for _ in 0..self.cfg.prefill {
+            put(&mut h, &mut rng);
+        }
+    }
+
+    /// Drives the workers, each stepping `op` on its own handle.
+    fn run<H>(
+        self,
+        sec: Option<&dyn SecReadout>,
+        register: impl Fn() -> H + Sync,
+        op: impl Fn(&mut H, &mut SmallRng) + Sync,
+    ) -> (AlgoRun, P) {
+        let seed = self.cfg.seed;
+        let (workers, elapsed) = drive(self.cfg.threads, self.budget, |t, start| {
+            let mut h = register();
+            let mut rng =
+                SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut probe = P::default();
+            let ops = start.run(|| probe.time(|| op(&mut h, &mut rng)));
+            (ops, probe)
+        });
+        let (mut ops, mut probe) = (0, P::default());
+        for (n, p) in workers {
+            ops += n;
+            probe.merge(p);
+        }
+        (AlgoRun::new(RunResult { ops, elapsed }, sec), probe)
     }
 }
 
-/// Runs one throughput measurement against `counter` — the
-/// counter-family twin of [`run_throughput`], sharing [`RunConfig`].
-///
-/// The counter has two operations, not three; a [`Mix`] draw that
-/// would push or pop performs a `fetch_add` (operand from
-/// `value_range`), and a peek draw performs a `load`, so
-/// [`Mix::UPDATE_10`] measures a read-heavy counter and
-/// [`Mix::UPDATE_100`] a pure-RMW one. No prefill: a counter has no
-/// contents to warm.
-pub fn run_counter_throughput(counter: &SecCounter, cfg: &RunConfig) -> RunResult {
-    let barrier = Barrier::new(cfg.threads + 1);
-    let stop = AtomicBool::new(false);
-    let mut per_thread_ops = vec![0u64; cfg.threads];
+impl<P: Probe> Visitor for ClosedLoop<'_, P> {
+    type Out = (AlgoRun, P);
 
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let counter = &counter;
-                let barrier = &barrier;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut h = counter.register();
-                    let mut rng = SmallRng::seed_from_u64(
-                        cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    barrier.wait();
-                    let mut ops = 0u64;
-                    const CHUNK: u32 = 64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..CHUNK {
-                            match cfg.mix.classify(rng.gen_range(0..100)) {
-                                OpKind::Push | OpKind::Pop => {
-                                    let _ = h.fetch_add(rng.gen_range(0..cfg.value_range.max(1)));
-                                }
-                                OpKind::Peek => {
-                                    let _ = h.load();
-                                }
-                            }
-                        }
-                        ops += CHUNK as u64;
+    fn stack<S: ConcurrentStack<u64>>(self, stack: &S, sec: Option<&dyn SecReadout>) -> Self::Out {
+        let (mix, values) = (self.cfg.mix, self.values());
+        self.prefill(stack.register(), |h, rng| h.push(rng.gen_range(0..values)));
+        self.run(
+            sec,
+            || stack.register(),
+            |h, rng| match mix.classify(rng.gen_range(0..100)) {
+                OpKind::Push => h.push(rng.gen_range(0..values)),
+                OpKind::Pop => {
+                    let _ = h.pop();
+                }
+                OpKind::Peek => {
+                    let _ = h.peek();
+                }
+            },
+        )
+    }
+
+    fn queue<Q: ConcurrentQueue<u64>>(self, queue: &Q, sec: Option<&dyn SecReadout>) -> Self::Out {
+        let (mix, values) = (self.cfg.mix, self.values());
+        self.prefill(queue.register(), |h, rng| {
+            h.enqueue(rng.gen_range(0..values))
+        });
+        self.run(
+            sec,
+            || queue.register(),
+            |h, rng| match mix.classify(rng.gen_range(0..100)) {
+                OpKind::Push => h.enqueue(rng.gen_range(0..values)),
+                OpKind::Pop | OpKind::Peek => {
+                    let _ = h.dequeue();
+                }
+            },
+        )
+    }
+
+    fn counter(self, counter: &SecCounter, sec: Option<&dyn SecReadout>) -> Self::Out {
+        let (mix, values) = (self.cfg.mix, self.values());
+        self.run(
+            sec,
+            || counter.register(),
+            |h, rng| match mix.classify(rng.gen_range(0..100)) {
+                OpKind::Push | OpKind::Pop => {
+                    let _ = h.fetch_add(rng.gen_range(0..values));
+                }
+                OpKind::Peek => {
+                    let _ = h.load();
+                }
+            },
+        )
+    }
+
+    fn map<M: ConcurrentMap<u64, u64>>(self, map: &M, sec: Option<&dyn SecReadout>) -> Self::Out {
+        let (mix, values) = (self.cfg.map_mix, self.values());
+        let keys = self.cfg.key_dist.sampler();
+        self.prefill(map.register(), |h, rng| {
+            let key = keys.sample(rng);
+            let _ = h.insert(key, rng.gen_range(0..values));
+        });
+        self.run(
+            sec,
+            || map.register(),
+            |h, rng| {
+                let key = keys.sample(rng);
+                match mix.classify(rng.gen_range(0..100)) {
+                    MapOpKind::Get => {
+                        let _ = h.get(&key);
                     }
-                    ops
-                })
-            })
-            .collect();
-
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(cfg.duration);
-        stop.store(true, Ordering::Relaxed);
-        for (t, h) in handles.into_iter().enumerate() {
-            per_thread_ops[t] = h.join().expect("counter worker panicked");
-        }
-        start.elapsed()
-    });
-
-    RunResult {
-        ops: per_thread_ops.iter().sum(),
-        elapsed,
+                    MapOpKind::Insert => {
+                        let _ = h.insert(key, rng.gen_range(0..values));
+                    }
+                    MapOpKind::Remove => {
+                        let _ = h.remove(&key);
+                    }
+                }
+            },
+        )
     }
 }
 
@@ -483,6 +498,13 @@ pub fn run_counter_throughput(counter: &SecCounter, cfg: &RunConfig) -> RunResul
 mod tests {
     use super::*;
     use sec_core::SecStack;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
+
+    /// A timed throughput run of `stack`.
+    fn stack_run<S: ConcurrentStack<u64>>(stack: &S, cfg: &RunConfig) -> RunResult {
+        ClosedLoop::timed(cfg).stack(stack, None).0.result
+    }
 
     #[test]
     fn runner_measures_positive_throughput() {
@@ -491,7 +513,7 @@ mod tests {
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         let stack: SecStack<u64> = SecStack::new(cfg.threads + 1);
-        let r = run_throughput(&stack, &cfg);
+        let r = stack_run(&stack, &cfg);
         assert!(r.ops > 0);
         assert!(r.mops() > 0.0);
         assert!(r.elapsed >= cfg.duration);
@@ -512,7 +534,7 @@ mod tests {
                 ..RunConfig::new(2, mix)
             };
             let stack: SecStack<u64> = SecStack::new(cfg.threads + 1);
-            let r = run_throughput(&stack, &cfg);
+            let r = stack_run(&stack, &cfg);
             assert!(r.ops > 0, "{mix}");
         }
     }
@@ -530,7 +552,7 @@ mod tests {
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         let queue: SecQueue<u64> = SecQueue::new(cfg.threads + 1);
-        let r = run_queue_throughput(&queue, &cfg);
+        let r = ClosedLoop::timed(&cfg).queue(&queue, None).0.result;
         assert!(r.ops > 0);
         assert!(r.mops() > 0.0);
         assert!(r.elapsed >= cfg.duration);
@@ -546,7 +568,7 @@ mod tests {
             ..RunConfig::new(2, Mix::UPDATE_10)
         };
         let queue: SecQueue<u64> = SecQueue::new(cfg.threads + 1);
-        assert!(run_queue_throughput(&queue, &cfg).ops > 0);
+        assert!(ClosedLoop::timed(&cfg).queue(&queue, None).0.result.ops > 0);
     }
 
     #[test]
@@ -557,7 +579,7 @@ mod tests {
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         let map: SecMap<u64, u64> = SecMap::new(cfg.threads + 1);
-        let r = run_map_throughput(&map, &cfg);
+        let r = ClosedLoop::timed(&cfg).map(&map, None).0.result;
         assert!(r.ops > 0);
         assert!(r.mops() > 0.0);
         assert!(r.elapsed >= cfg.duration);
@@ -579,7 +601,7 @@ mod tests {
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         let map: SecMap<u64, u64> = SecMap::new(cfg.threads + 1);
-        assert!(run_map_throughput(&map, &cfg).ops > 0);
+        assert!(ClosedLoop::timed(&cfg).map(&map, None).0.result.ops > 0);
     }
 
     #[test]
@@ -589,7 +611,7 @@ mod tests {
             ..RunConfig::new(2, Mix::UPDATE_100)
         };
         let counter = SecCounter::new(cfg.threads);
-        let r = run_counter_throughput(&counter, &cfg);
+        let r = ClosedLoop::timed(&cfg).counter(&counter, None).0.result;
         assert!(r.ops > 0);
         assert!(counter.load() > 0, "update draws reached fetch_add");
     }
@@ -602,7 +624,115 @@ mod tests {
             ..RunConfig::new(2, Mix::new(0, 0, 100))
         };
         let counter = SecCounter::new(cfg.threads);
-        assert!(run_counter_throughput(&counter, &cfg).ops > 0);
+        assert!(ClosedLoop::timed(&cfg).counter(&counter, None).0.result.ops > 0);
         assert_eq!(counter.load(), 0);
+    }
+
+    #[test]
+    fn timed_drive_outlasts_its_duration_with_one_output_per_worker() {
+        let duration = Duration::from_millis(20);
+        let (outputs, elapsed) = drive(3, Budget::Time(duration), |t, start| {
+            let mut calls = 0u64;
+            let steps = start.run(|| calls += 1);
+            assert_eq!(steps, calls);
+            (t, steps)
+        });
+        assert!(elapsed >= duration, "{elapsed:?} < {duration:?}");
+        let workers: Vec<usize> = outputs.iter().map(|&(t, _)| t).collect();
+        assert_eq!(workers, [0, 1, 2]);
+        for (t, steps) in outputs {
+            assert_eq!(steps % 64, 0, "worker {t} stopped mid-chunk");
+        }
+    }
+
+    #[test]
+    fn op_budget_drive_takes_exactly_n_steps_per_worker() {
+        let calls = AtomicU64::new(0);
+        let (steps, _) = drive(3, Budget::Ops(1_000), |_, start| {
+            start.run(|| {
+                calls.fetch_add(1, Ordering::Relaxed);
+            })
+        });
+        assert_eq!(steps, [1_000; 3]);
+        assert_eq!(calls.into_inner(), 3 * 1_000);
+    }
+
+    /// One handle's operations: the kind, and the value for a push.
+    type Log = Vec<(OpKind, u64)>;
+
+    /// A stack that keeps every handle's operation log and nothing
+    /// else: pops and peeks find it empty.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<Log>>);
+
+    struct Recorder<'a>(&'a Recording, Log);
+
+    impl StackHandle<u64> for Recorder<'_> {
+        fn push(&mut self, value: u64) {
+            self.1.push((OpKind::Push, value));
+        }
+        fn pop(&mut self) -> Option<u64> {
+            self.1.push((OpKind::Pop, 0));
+            None
+        }
+        fn peek(&mut self) -> Option<u64> {
+            self.1.push((OpKind::Peek, 0));
+            None
+        }
+    }
+
+    impl Drop for Recorder<'_> {
+        fn drop(&mut self) {
+            let log = std::mem::take(&mut self.1);
+            self.0 .0.lock().unwrap().push(log);
+        }
+    }
+
+    impl ConcurrentStack<u64> for Recording {
+        type Handle<'a> = Recorder<'a>;
+        fn register(&self) -> Recorder<'_> {
+            Recorder(self, Vec::new())
+        }
+        fn name(&self) -> &'static str {
+            "REC"
+        }
+    }
+
+    #[test]
+    fn stack_worker_draws_the_seeded_mix_stream() {
+        const STEPS: u64 = 500;
+        let cfg = RunConfig {
+            prefill: 20,
+            value_range: 1_000,
+            ..RunConfig::new(3, Mix::UPDATE_50)
+        };
+        let stack = Recording::default();
+        let (run, ()) = ClosedLoop::new(&cfg, Budget::Ops(STEPS)).stack(&stack, None);
+        assert_eq!(run.result.ops, 3 * STEPS);
+
+        // The stream each handle must have drawn, computed apart from
+        // the runner: the prefill pushes from `seed ^ 0x5EED`, worker
+        // `t` classifies a draw from its own seed and draws a value
+        // only for a push.
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED);
+        let prefill: Log = (0..cfg.prefill)
+            .map(|_| (OpKind::Push, rng.gen_range(0..cfg.value_range)))
+            .collect();
+        let mut expected = vec![prefill];
+        for t in 0..cfg.threads as u64 {
+            let mut rng = SmallRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let worker: Log = (0..STEPS)
+                .map(|_| match cfg.mix.classify(rng.gen_range(0..100)) {
+                    OpKind::Push => (OpKind::Push, rng.gen_range(0..cfg.value_range)),
+                    kind => (kind, 0),
+                })
+                .collect();
+            expected.push(worker);
+        }
+        let logs = stack.0.into_inner().unwrap();
+        assert_eq!(logs.len(), expected.len(), "one log per handle");
+        for (i, want) in expected.iter().enumerate() {
+            assert!(logs.contains(want), "no handle drew stream {i}");
+        }
     }
 }

@@ -132,12 +132,12 @@ pub mod linearize {
     pub use sec_linearize::{check_conservation, check_history, Event, Op, Recorder, Violation};
 }
 
-/// Workload generation and throughput measurement.
+/// Workload generation and the closed-loop measurement.
 pub mod workload {
     pub use sec_workload::{
-        replay, run_algo, run_counter_throughput, run_map_throughput, run_queue_throughput,
-        run_throughput, stats, table, trace, Algo, DurableSetup, KeyDist, KeySampler, MapMix,
-        MapOpKind, Mix, OpKind, ReplayResult, RunConfig, RunResult, Trace, TraceOp,
-        ALL_COMPETITORS, EXTENDED_LINEUP, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
+        drive, replay, run_algo, stats, table, trace, Algo, Budget, ClosedLoop, DurableSetup,
+        KeyDist, KeySampler, LatencyHistogram, LatencyReport, MapMix, MapOpKind, Mix, OpKind,
+        Probe, ReplayResult, RunConfig, RunResult, Start, Trace, TraceOp, Visitor, ALL_COMPETITORS,
+        EXTENDED_LINEUP, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
     };
 }
