@@ -7,9 +7,12 @@
 //! `yield_now` calls — and reports throughput *and* the resulting
 //! batching/elimination degrees, making the paper's trade-off
 //! observable: a longer window ⇒ bigger batches and more elimination,
-//! up to the point where waiting dominates. On an oversubscribed host
+//! up to the point where waiting dominates. The freezer spends both
+//! only on evidence: it skips the backoff when no other announcer can
+//! join, stops as soon as the batch is full, and yields only when
+//! threads outnumber hardware threads. So on an oversubscribed host
 //! only the yields open the window (joining threads need CPU time);
-//! on a machine with idle cores the spins do.
+//! on a machine with a core per thread the spins do.
 //!
 //! ```text
 //! cargo run -p sec-bench --release --bin freezer_backoff
@@ -34,6 +37,7 @@ fn main() {
         (1024, 0),
         (4096, 0),
         (0, 1),
+        (16, 1),
         (64, 1),
         (0, 2),
         (0, 4),
@@ -74,7 +78,7 @@ fn main() {
         println!("{spins:>8} {yields:>8} {t:>10.3} {d:>14.1} {e:>9.0}%");
         csv.push_str(&format!("{spins},{yields},{t:.4},{d:.2},{e:.2}\n"));
     }
-    println!("# at {threads} threads; defaults are spins=0, yields=1");
+    println!("# at {threads} threads; defaults are spins=16, yields=1");
     if std::fs::create_dir_all(&opts.csv_dir).is_ok() {
         let _ = std::fs::write(opts.csv_dir.join("freezer_backoff.csv"), csv);
     }

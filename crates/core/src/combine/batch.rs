@@ -30,7 +30,7 @@
 
 use core::alloc::Layout;
 use core::ptr;
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use sec_reclaim::{Guard, Handle as ReclaimHandle};
 use sec_sync::event::{spin_wait, WaitPolicy, WaitQueue, WaitStats};
 use sec_sync::CachePadded;
@@ -317,16 +317,31 @@ pub(crate) struct CombineAggregator<N> {
     /// dedicated bulk aggregators are sized for every thread (any
     /// thread may issue a bulk call).
     pub(crate) capacity: usize,
+    /// Whether this aggregator keeps a roster in `joined`: those
+    /// addressed by index (queue ends, bulk aggregators, durable
+    /// shards) do, since any thread may announce on them and their
+    /// capacity bounds nothing. A mapped aggregator's capacity is
+    /// already the share of threads the policy maps to it.
+    pub(crate) rostered: bool,
+    /// Registry slots that have announced here, on a rostered
+    /// aggregator: the most announcers a batch can expect (the freezer
+    /// backoff's bound). A slot joins on its first announcement here
+    /// and leaves when the slot is next registered
+    /// (`CombineEngine::register`), so the count is written only on
+    /// those rare events.
+    pub(crate) joined: AtomicUsize,
 }
 
 impl<N> CombineAggregator<N> {
     /// Creates an aggregator with a fresh initial batch.
-    pub(crate) fn new(capacity: usize, with_slots: bool) -> Self {
+    pub(crate) fn new(capacity: usize, with_slots: bool, rostered: bool) -> Self {
         Self {
             batch: AtomicPtr::new(CombineBatch::alloc(capacity, with_slots)),
             event: WaitQueue::new(),
             with_slots,
             capacity,
+            rostered,
+            joined: AtomicUsize::new(0),
         }
     }
 }
@@ -413,7 +428,7 @@ mod tests {
 
     #[test]
     fn aggregator_starts_with_live_batch() {
-        let a = CombineAggregator::<u32>::new(2, true);
+        let a = CombineAggregator::<u32>::new(2, true, false);
         let b = a.batch.load(Ordering::Acquire);
         assert!(!b.is_null());
         drop(unsafe { Box::from_raw(b) });

@@ -48,12 +48,12 @@ pub(crate) use batch::{
     mark_applied, wait_applied, wait_ptr, CombineAggregator, CombineBatch, Role, MAX_BULK_OPS,
 };
 use core::ptr;
-use core::sync::atomic::{AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use durable::fault::{self, FaultPoint};
 use durable::{DurableCore, OpResult};
 use sec_reclaim::{Collector, Guard, Handle as ReclaimHandle};
 use sec_sync::event::spin_wait;
-use sec_sync::CachePadded;
+use sec_sync::{topology, CachePadded};
 use std::time::Instant;
 
 impl Role {
@@ -294,6 +294,13 @@ pub(crate) struct CombineEngine<O: CombineOp> {
     /// when the engine is not durable, so no index reaches it).
     dur_base: usize,
     collector: Collector,
+    /// Which aggregators each registry slot has announced to:
+    /// `roster_words` bitmap words per slot, bit `i` for aggregator
+    /// `i`. Only the slot's current owner writes its words, and only
+    /// on a first announcement (or at registration, to leave its
+    /// predecessor's rosters); see [`CombineAggregator::joined`].
+    rosters: Box<[AtomicU64]>,
+    roster_words: usize,
     stats: SecStats,
     /// Construction instant, anchoring [`TraceSnapshot::at_ns`].
     born: Instant,
@@ -330,17 +337,19 @@ impl<O: CombineOp> CombineEngine<O> {
         // aggregators and durable shards must admit every thread (any
         // thread may issue a bulk call regardless of its mapped
         // aggregator, and durable shards are mapped by thread id).
-        let (mut slotting, bulk_base): (Vec<(bool, usize)>, usize) = match layout {
+        // Only the mapped prefix goes without a roster (see
+        // `CombineAggregator::rostered`).
+        let (mut slotting, bulk_base, mapped): (Vec<(bool, usize)>, usize, usize) = match layout {
             AggLayout::Mapped { with_slots, bulk } => {
                 let mut v = vec![(with_slots, cap); config.aggregators()];
                 v.extend((0..bulk).map(|_| (true, config.max_threads)));
-                (v, config.aggregators())
+                (v, config.aggregators(), config.aggregators())
             }
             AggLayout::Fixed { ends, bulk } => {
                 let mut v: Vec<_> = ends.iter().map(|&ws| (ws, cap)).collect();
                 let base = v.len();
                 v.extend((0..bulk).map(|_| (true, config.max_threads)));
-                (v, base)
+                (v, base, 0)
             }
         };
         let dur_base = slotting.len();
@@ -353,13 +362,21 @@ impl<O: CombineOp> CombineEngine<O> {
             dur_base,
             aggs: slotting
                 .iter()
-                .map(|&(ws, c)| CachePadded::new(CombineAggregator::new(c, ws)))
+                .enumerate()
+                .map(|(i, &(ws, c))| CachePadded::new(CombineAggregator::new(c, ws, i >= mapped)))
                 .collect(),
             active: CachePadded::new(AtomicUsize::new(config.policy.initial_active())),
             monitor: ContentionMonitor::new(),
             bulk_base,
-            collector: Collector::with_recycle(config.max_threads, config.recycle),
-            stats: SecStats::new(),
+            // The freezer never otherwise yields, so under a preempted
+            // straggler it would pile up garbage at full speed.
+            collector: Collector::with_recycle(config.max_threads, config.recycle)
+                .yielding_when_blocked(),
+            rosters: (0..config.max_threads.max(1) * slotting.len().div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            roster_words: slotting.len().div_ceil(64),
+            stats: SecStats::with_aggregators(slotting.len()),
             born: Instant::now(),
             #[cfg(feature = "trace")]
             tracer: config
@@ -380,6 +397,18 @@ impl<O: CombineOp> CombineEngine<O> {
             )
         });
         let tid = reclaim.slot();
+        // The slot's previous owner leaves the rosters it joined.
+        // (Single writer: the claim handed us the slot, and its Acquire
+        // ordered the predecessor's roster writes before these.)
+        for (w, word) in self.roster(tid).iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            word.store(0, Ordering::Relaxed);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                self.aggs[i].joined.fetch_sub(1, Ordering::Relaxed);
+                bits &= bits - 1;
+            }
+        }
         let seen_k = self.active.load(Ordering::Acquire);
         let agg_idx = self.config.aggregator_for(tid, seen_k);
         (
@@ -390,6 +419,26 @@ impl<O: CombineOp> CombineEngine<O> {
                 agg_idx,
             },
         )
+    }
+
+    /// Registry slot `tid`'s roster bitmap words.
+    fn roster(&self, tid: usize) -> &[AtomicU64] {
+        &self.rosters[tid * self.roster_words..(tid + 1) * self.roster_words]
+    }
+
+    /// Puts slot `tid` on rostered aggregator `agg_idx`'s roster, on
+    /// its first announcement there: one load and a not-taken branch
+    /// after that.
+    #[inline]
+    fn join(&self, tid: usize, agg_idx: usize) {
+        let word = &self.roster(tid)[agg_idx / 64];
+        let bit = 1u64 << (agg_idx % 64);
+        let bits = word.load(Ordering::Relaxed);
+        if bits & bit == 0 {
+            // Single writer: only the slot's owner writes its words.
+            word.store(bits | bit, Ordering::Relaxed);
+            self.aggs[agg_idx].joined.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The configuration the engine was built with.
@@ -567,6 +616,57 @@ impl<O: CombineOp> CombineEngine<O> {
     // Freezing (paper lines 28–32)
     // ------------------------------------------------------------------
 
+    /// The §3.1 freezer backoff ("a short backoff before freezing B to
+    /// increase the elimination degree"), spent only on evidence that
+    /// someone can still join. Returns the yields it spent.
+    ///
+    /// The batch can expect at most `min(live handles, capacity)`
+    /// announcers, and on a rostered aggregator (one any thread may
+    /// address) no more than the slots on its roster: a queue's
+    /// producer never announces on the dequeue end. With at most one —
+    /// a lone thread — or once the two lanes already hold that many,
+    /// waiting gathers nothing, so the freezer freezes at once.
+    /// Otherwise it spins up to `freezer_backoff` pauses, stopping as
+    /// soon as the batch is full.
+    /// Yields are for oversubscribed hosts only: a joining thread that
+    /// holds no core needs the freezer's, so `freezer_yields` are spent
+    /// only while the batch is still short and more handles are live
+    /// than the host has hardware threads.
+    fn backoff(&self, agg: &CombineAggregator<O::Node>, batch: &CombineBatch<O::Node>) -> u64 {
+        let live = self.collector.live_handles();
+        // Relaxed: the counts only steer the wait; the cut below
+        // re-reads the lanes with Acquire.
+        let mut expected = live.min(agg.capacity);
+        if expected > 1 && agg.rostered {
+            expected = expected.min(agg.joined.load(Ordering::Relaxed));
+        }
+        let short = || {
+            batch::unpack_count(batch.add_count.load(Ordering::Relaxed))
+                + batch::unpack_count(batch.remove_count.load(Ordering::Relaxed))
+                < expected
+        };
+        if expected <= 1 || !short() {
+            return 0;
+        }
+        for _ in 0..self.config.freezer_backoff {
+            core::hint::spin_loop();
+            if !short() {
+                return 0;
+            }
+        }
+        // Read (and on first use, cached) only here, off the lone
+        // thread's path.
+        if live <= topology::hardware_threads() {
+            return 0;
+        }
+        let mut yields = 0;
+        while yields < u64::from(self.config.freezer_yields) && short() {
+            std::thread::yield_now();
+            yields += 1;
+        }
+        yields
+    }
+
     /// `FreezeBatch`: aggregation backoff, snapshot both lane
     /// counters, install a fresh batch, retire the frozen one —
     /// identical for every family (a homogeneous batch simply
@@ -581,16 +681,9 @@ impl<O: CombineOp> CombineEngine<O> {
     ) {
         let batch = unsafe { &*batch_ptr };
 
-        // §3.1: the freezer backs off briefly so more operations join
-        // the batch, raising the elimination and combining degrees.
-        // The yields matter on oversubscribed hosts, where the joining
-        // threads need CPU time before the cut (see SecConfig).
-        for _ in 0..self.config.freezer_backoff {
-            core::hint::spin_loop();
-        }
-        for _ in 0..self.config.freezer_yields {
-            std::thread::yield_now();
-        }
+        // §3.1: back off so more operations join the batch, raising
+        // the elimination and combining degrees — when they can.
+        let yields = self.backoff(agg, batch);
 
         // Lines 29–30: the snapshot order (remove lane first) matches
         // the paper; any interleaved announcements simply land on one
@@ -607,7 +700,12 @@ impl<O: CombineOp> CombineEngine<O> {
         let add_ops = batch::unpack_ops(adds);
         let remove_ops = batch::unpack_ops(removes);
 
-        self.stats.record_batch(add_ops, remove_ops);
+        // Recorded before the batch-pointer swap below: that Release
+        // store is what orders this aggregator's tally writes before
+        // the next freezer's (the single-writer invariant of
+        // `SecStats::record_batch`).
+        self.stats
+            .record_batch(agg_idx, add_ops, remove_ops, yields);
         // sec-trace per-batch hooks (never sampled — batches are ~P×
         // rarer than ops): stamp the freeze instant for the combiner's
         // residency measurement and log the frozen degree. The stamp
@@ -881,6 +979,9 @@ impl<O: CombineOp> CombineEngine<O> {
                 Lane::At(i) => *i,
             };
             let agg = &*self.aggs[agg_idx];
+            if agg.rostered {
+                self.join(tid, agg_idx);
+            }
             let guard = reclaim.pin();
             // Line 5/55.
             let batch_ptr = agg.batch.load(Ordering::Acquire);

@@ -326,3 +326,42 @@ fn excluded_announcements_retry_on_the_remapped_aggregator() {
     assert_eq!(eng.op().sum.load(Ordering::Relaxed), 6);
     assert!(eng.op().log.lock().unwrap().iter().all(|a| a.agg_idx == 1));
 }
+
+#[test]
+fn rosters_track_which_slots_announce_where() {
+    // 70 ends, so aggregator 69's roster bit lives in a second word.
+    let eng = CombineEngine::new(
+        "tally-roster",
+        TallyOp::new(),
+        SecConfig::new(1, 3),
+        AggLayout::Fixed {
+            ends: &[true; 70],
+            bulk: 0,
+        },
+        None,
+    );
+    let joined = |i: usize| eng.aggs[i].joined.load(Ordering::Relaxed);
+    let add = |reclaim: &ReclaimHandle<'_>, end: usize| {
+        let n = Node::alloc_with(reclaim, 1u64);
+        eng.run(Lane::At(end), Role::Add, n, reclaim);
+    };
+    let (a, _) = eng.register();
+    let (b, _) = eng.register();
+    // A producer/consumer pair: each end's roster holds one slot, so
+    // neither freezer waits for the other.
+    add(&a, 0);
+    add(&a, 0);
+    eng.run(Lane::At(1), Role::Remove, core::ptr::null_mut(), &b);
+    assert_eq!((joined(0), joined(1)), (1, 1));
+    add(&a, 1);
+    add(&b, 69);
+    assert_eq!((joined(1), joined(69)), (2, 1));
+    // b's slot leaves its rosters when the slot is registered again.
+    let slot = b.slot();
+    drop(b);
+    let (b2, _) = eng.register();
+    assert_eq!(b2.slot(), slot);
+    assert_eq!((joined(0), joined(1), joined(69)), (1, 1, 0));
+    add(&b2, 69);
+    assert_eq!(joined(69), 1);
+}

@@ -157,15 +157,29 @@ pub struct SecConfig {
     /// Maximum number of threads that will ever register (≥ 1). Sizes
     /// the elimination arrays and the reclamation registry.
     pub max_threads: usize,
-    /// Spin iterations the freezer waits before freezing its batch
-    /// (§3.1: "the freezer thread executes a short backoff before
-    /// freezing B to increase the elimination degree"). 0 disables.
+    /// Most pause iterations the freezer spins before freezing its
+    /// batch (§3.1: "the freezer thread executes a short backoff before
+    /// freezing B to increase the elimination degree"). The spin is
+    /// spent only on evidence: the freezer expects at most `min(live
+    /// handles, aggregator capacity)` announcers (on a queue end, bulk
+    /// aggregator or durable shard, also no more than the handles that
+    /// have announced there), skips the backoff when that is one (a
+    /// lone thread, or a queue end only one thread uses) or already
+    /// reached, and stops spinning the moment the batch reaches it.
+    /// 0 disables.
     pub freezer_backoff: u32,
-    /// `yield_now` calls appended to the freezer's backoff. On a machine
-    /// with free cores a yield returns almost immediately (nothing to
-    /// switch to), so this costs little; on an *oversubscribed* host it
-    /// is the only way the backoff can achieve the paper's goal — other
-    /// threads must get CPU time to announce into the batch. 0 disables.
+    /// Most `yield_now` calls the freezer spends after its spin, and
+    /// only when the batch is still short *and* more handles are live
+    /// than the host has hardware threads
+    /// ([`sec_sync::topology::hardware_threads`]). On an oversubscribed
+    /// host a yield is the only way the backoff achieves the paper's
+    /// goal — joining threads need the freezer's core to announce; with
+    /// a core per thread a spin does the same for a fraction of a
+    /// yield's cost. It stops yielding once the batch is full; the
+    /// yields spent are reported as [`BatchReport::backoff_yields`].
+    /// 0 disables.
+    ///
+    /// [`BatchReport::backoff_yields`]: crate::BatchReport::backoff_yields
     pub freezer_yields: u32,
     /// Thread-to-aggregator mapping.
     pub shard_policy: ShardPolicy,
@@ -194,15 +208,22 @@ impl SecConfig {
     /// backoff, block sharding.
     pub fn new(aggregators: usize, max_threads: usize) -> Self {
         // Defaults from the freezer_backoff ablation (see
-        // EXPERIMENTS.md): pause-loop spins tax every batch without
-        // aggregating anything once the host is saturated, while a
-        // single yield is cheap on idle cores and is what actually
-        // fills batches when threads outnumber cores — at 16 threads it
-        // lifts the batching degree from 1.0 to ~7 and the elimination
-        // share from 0% to ~70% (the paper's Table 1 zone).
+        // EXPERIMENTS.md). Both halves of the backoff run only on
+        // evidence that another announcer can still join, so a lone
+        // thread pays for neither. 16 pauses give a partner on another
+        // core time to announce: on the one 2-hardware-thread x86 host
+        // the ablation ran on, a pause took ~21 ns, so 16 cost about
+        // one yield there and kept the 2-thread elimination share at
+        // 44%. `pause` latency differs ~10× across x86 generations, so
+        // on other hosts the same window buys a different share; rerun
+        // the ablation before relying on that figure. One yield, spent
+        // only when threads outnumber hardware threads, is what fills
+        // batches there — at 16 threads on that host it lifts the
+        // batching degree from ~1 to ~7 and the elimination share from
+        // ~10% to ~70% (the paper's Table 1 zone).
         Self {
             max_threads: max_threads.max(1),
-            freezer_backoff: 0,
+            freezer_backoff: 16,
             freezer_yields: 1,
             shard_policy: ShardPolicy::Block,
             policy: AggregatorPolicy::Fixed(aggregators.max(1)),

@@ -4,17 +4,47 @@
 //! The freezer knows, at the moment it freezes a batch, exactly how the
 //! batch will decompose: `pushes + pops` operations belong to it,
 //! `2 · min(pushes, pops)` of them eliminate each other, and the
-//! remaining `|pushes − pops|` are applied by the combiner. Recording
-//! these three numbers with relaxed counters costs three uncontended
-//! atomic adds per *batch* (not per operation) and lets the harness
-//! print the paper's Table 1 rows: batching degree, %elimination,
-//! %combining.
+//! remaining `|pushes − pops|` are applied by the combiner. It records
+//! those numbers, the batch's degree and the backoff yields it spent
+//! into its aggregator's own cache-padded `BatchTally`. Freezes of one
+//! aggregator never overlap (see `SecStats::record_batch`), so
+//! each tally has a single writer at a time and every update is a
+//! plain relaxed load+store: no locked read-modify-write and no line
+//! shared with another aggregator's freezer. [`SecStats::report`] sums
+//! the tallies. The rarer events — combiner CAS failures, elastic
+//! resizes, parks and wakes — stay on shared relaxed counters.
 
 use crate::trace::{DegreeDist, Histogram};
 use core::sync::atomic::{AtomicU64, Ordering};
 use sec_sync::event::WaitStats;
+use sec_sync::CachePadded;
+use std::sync::OnceLock;
 
-/// Relaxed counters aggregated over the lifetime of one [`SecStack`].
+/// One aggregator's per-batch counters. Written only by the freezer of
+/// that aggregator's current batch.
+#[derive(Debug, Default)]
+struct BatchTally {
+    batches: AtomicU64,
+    ops: AtomicU64,
+    eliminated: AtomicU64,
+    combined: AtomicU64,
+    /// `yield_now` calls the freezers spent in their backoff.
+    backoff_yields: AtomicU64,
+    /// Distribution of frozen batch degrees (DESIGN.md §14), one
+    /// record per batch, so the CSVs can report min/p50/p99/max
+    /// instead of only the run-wide mean. Allocated (~8 KiB) by the
+    /// first freeze, so aggregators that never freeze — and structure
+    /// construction — do not pay for it.
+    degree: OnceLock<Histogram>,
+}
+
+/// Adds `n` to a counter that has one writer at a time.
+#[inline]
+fn bump(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// Counters aggregated over the lifetime of one SEC structure.
 ///
 /// Besides the paper's Table 1 measures, elastic sharding (DESIGN.md
 /// §8) adds three counters: central-stack CAS failures (combiner
@@ -22,14 +52,11 @@ use sec_sync::event::WaitStats;
 /// grow/shrink resize transitions the monitor or a manual
 /// [`SecStack::set_active_aggregators`] performed.
 ///
-/// [`SecStack`]: crate::SecStack
 /// [`SecStack::set_active_aggregators`]: crate::SecStack::set_active_aggregators
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SecStats {
-    batches: AtomicU64,
-    ops: AtomicU64,
-    eliminated: AtomicU64,
-    combined: AtomicU64,
+    /// One tally per aggregator, indexed like the engine's aggregators.
+    tallies: Box<[CachePadded<BatchTally>]>,
     cas_failures: AtomicU64,
     grows: AtomicU64,
     shrinks: AtomicU64,
@@ -37,31 +64,58 @@ pub struct SecStats {
     /// (DESIGN.md §11): every `WaitQueue::wait_until`/`notify_key`
     /// call site passes this block through.
     wait: WaitStats,
-    /// Distribution of frozen batch degrees (DESIGN.md §14): one
-    /// wait-free histogram record per *batch*, so the CSVs can report
-    /// min/p50/p99/max instead of only the run-wide mean.
-    degree: Histogram,
+}
+
+impl Default for SecStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SecStats {
-    /// Creates zeroed stats.
+    /// Creates zeroed stats for a single aggregator.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_aggregators(1)
     }
 
-    /// Called by the freezer with the frozen counter snapshot.
+    /// Creates zeroed stats with one batch tally per aggregator
+    /// (at least one).
+    pub(crate) fn with_aggregators(n: usize) -> Self {
+        Self {
+            tallies: (0..n.max(1)).map(|_| CachePadded::default()).collect(),
+            cas_failures: AtomicU64::new(0),
+            grows: AtomicU64::new(0),
+            shrinks: AtomicU64::new(0),
+            wait: WaitStats::default(),
+        }
+    }
+
+    /// Called by the freezer of aggregator `agg` with the frozen
+    /// counter snapshot and the backoff yields it spent.
+    ///
+    /// Single-writer invariant: freezes of one aggregator are totally
+    /// ordered. The freezer of batch `n` records here *before* it
+    /// Release-stores the pointer to batch `n + 1`, and the freezer of
+    /// batch `n + 1` announced into it after Acquire-loading that
+    /// pointer. So every write to this tally happens-before the next
+    /// freezer's, and relaxed load+store loses nothing. Anything that
+    /// records into a tally outside that chain breaks the invariant.
     #[inline]
-    pub(crate) fn record_batch(&self, pushes: u64, pops: u64) {
+    pub(crate) fn record_batch(&self, agg: usize, pushes: u64, pops: u64, yields: u64) {
         let size = pushes + pops;
         if size == 0 {
             return; // cannot happen (the freezer itself announced), but harmless
         }
         let elim = 2 * pushes.min(pops);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.ops.fetch_add(size, Ordering::Relaxed);
-        self.eliminated.fetch_add(elim, Ordering::Relaxed);
-        self.combined.fetch_add(size - elim, Ordering::Relaxed);
-        self.degree.record(size);
+        let t = &self.tallies[agg];
+        bump(&t.batches, 1);
+        bump(&t.ops, size);
+        bump(&t.eliminated, elim);
+        bump(&t.combined, size - elim);
+        bump(&t.backoff_yields, yields);
+        t.degree
+            .get_or_init(Histogram::new)
+            .record_single_writer(size);
     }
 
     /// Called by a combiner whose splice/unlink CAS on `stackTop` lost
@@ -94,40 +148,64 @@ impl SecStats {
         &self.wait
     }
 
+    /// Sum of one tally field over every aggregator.
+    fn total(&self, field: fn(&BatchTally) -> &AtomicU64) -> u64 {
+        self.tallies
+            .iter()
+            .map(|t| field(t).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Snapshot of the aggregate measures.
     pub fn report(&self) -> BatchReport {
         BatchReport {
-            batches: self.batches.load(Ordering::Relaxed),
-            ops: self.ops.load(Ordering::Relaxed),
-            eliminated: self.eliminated.load(Ordering::Relaxed),
-            combined: self.combined.load(Ordering::Relaxed),
+            batches: self.total(|t| &t.batches),
+            ops: self.total(|t| &t.ops),
+            eliminated: self.total(|t| &t.eliminated),
+            combined: self.total(|t| &t.combined),
+            backoff_yields: self.total(|t| &t.backoff_yields),
             cas_failures: self.cas_failures.load(Ordering::Relaxed),
             grows: self.grows.load(Ordering::Relaxed),
             shrinks: self.shrinks.load(Ordering::Relaxed),
             parks: self.wait.parks(),
             wakes: self.wait.unparks(),
             spurious_wakes: self.wait.spurious(),
-            degree: DegreeDist::from_histogram(&self.degree),
+            degree: DegreeDist::from_histogram(&self.degree_histogram()),
         }
     }
 
-    /// The full batch-degree distribution (the report's
-    /// [`BatchReport::degree`] is its four-number summary).
-    pub fn degree_histogram(&self) -> &Histogram {
-        &self.degree
+    /// The full batch-degree distribution, merged over the aggregators
+    /// (the report's [`BatchReport::degree`] is its four-number
+    /// summary).
+    pub fn degree_histogram(&self) -> Histogram {
+        let merged = Histogram::new();
+        for h in self.tallies.iter().filter_map(|t| t.degree.get()) {
+            merged.merge(h);
+        }
+        merged
     }
 
-    /// Resets all counters (between measurement phases).
+    /// Resets all counters (between measurement phases; not atomic
+    /// with respect to freezers still running — quiesce first).
     pub fn reset(&self) {
-        self.batches.store(0, Ordering::Relaxed);
-        self.ops.store(0, Ordering::Relaxed);
-        self.eliminated.store(0, Ordering::Relaxed);
-        self.combined.store(0, Ordering::Relaxed);
+        for t in self.tallies.iter() {
+            for c in [
+                &t.batches,
+                &t.ops,
+                &t.eliminated,
+                &t.combined,
+                &t.backoff_yields,
+            ] {
+                c.store(0, Ordering::Relaxed);
+            }
+            if let Some(h) = t.degree.get() {
+                h.reset();
+            }
+        }
         self.cas_failures.store(0, Ordering::Relaxed);
         self.grows.store(0, Ordering::Relaxed);
         self.shrinks.store(0, Ordering::Relaxed);
         self.wait.reset();
-        self.degree.reset();
     }
 }
 
@@ -142,6 +220,10 @@ pub struct BatchReport {
     pub eliminated: u64,
     /// Operations applied to the shared stack by a combiner.
     pub combined: u64,
+    /// `yield_now` calls freezers spent waiting for their batch to
+    /// fill (only on evidence of oversubscription; see
+    /// [`SecConfig::freezer_yields`](crate::SecConfig::freezer_yields)).
+    pub backoff_yields: u64,
     /// Combiner CAS attempts on the shared `stackTop` that lost to
     /// another combiner.
     pub cas_failures: u64,
@@ -202,9 +284,9 @@ mod tests {
     #[test]
     fn accounting_identity_holds() {
         let s = SecStats::new();
-        s.record_batch(3, 5); // 8 ops, 6 eliminated, 2 combined
-        s.record_batch(4, 4); // 8 ops, 8 eliminated, 0 combined
-        s.record_batch(2, 0); // 2 ops, 0 eliminated, 2 combined
+        s.record_batch(0, 3, 5, 0); // 8 ops, 6 eliminated, 2 combined
+        s.record_batch(0, 4, 4, 0); // 8 ops, 8 eliminated, 0 combined
+        s.record_batch(0, 2, 0, 0); // 2 ops, 0 eliminated, 2 combined
         let r = s.report();
         assert_eq!(r.batches, 3);
         assert_eq!(r.ops, 18);
@@ -216,7 +298,7 @@ mod tests {
     #[test]
     fn derived_measures() {
         let s = SecStats::new();
-        s.record_batch(5, 5);
+        s.record_batch(0, 5, 5, 0);
         let r = s.report();
         assert!((r.batching_degree() - 10.0).abs() < 1e-9);
         assert!((r.pct_eliminated() - 100.0).abs() < 1e-9);
@@ -234,14 +316,14 @@ mod tests {
     #[test]
     fn zero_size_batch_is_ignored() {
         let s = SecStats::new();
-        s.record_batch(0, 0);
+        s.record_batch(0, 0, 0, 0);
         assert_eq!(s.report().batches, 0);
     }
 
     #[test]
     fn reset_zeroes_counters() {
         let s = SecStats::new();
-        s.record_batch(1, 1);
+        s.record_batch(0, 1, 1, 0);
         s.record_cas_failure();
         s.record_grow();
         s.record_shrink();
@@ -255,9 +337,9 @@ mod tests {
     #[test]
     fn degree_distribution_tracks_batches() {
         let s = SecStats::new();
-        s.record_batch(1, 0); // degree 1
-        s.record_batch(2, 2); // degree 4
-        s.record_batch(10, 6); // degree 16
+        s.record_batch(0, 1, 0, 0); // degree 1
+        s.record_batch(0, 2, 2, 0); // degree 4
+        s.record_batch(0, 10, 6, 0); // degree 16
         let r = s.report();
         assert_eq!(r.degree.min, 1);
         assert_eq!(r.degree.max, 16);
@@ -266,6 +348,25 @@ mod tests {
         assert_eq!(s.degree_histogram().count(), 3);
         s.reset();
         assert_eq!(s.report().degree, DegreeDist::default());
+    }
+
+    #[test]
+    fn tallies_of_every_aggregator_sum_into_the_report() {
+        let s = SecStats::with_aggregators(3);
+        s.record_batch(0, 2, 1, 0); // 3 ops, 2 eliminated
+        s.record_batch(2, 1, 0, 4); // 1 op, combined, 4 yields
+        s.record_batch(2, 3, 3, 1); // 6 ops, 6 eliminated, 1 yield
+        let r = s.report();
+        assert_eq!((r.batches, r.ops), (3, 10));
+        assert_eq!((r.eliminated, r.combined), (8, 2));
+        assert_eq!(r.backoff_yields, 5);
+        let h = s.degree_histogram();
+        assert_eq!(h.count(), 3);
+        assert_eq!((h.min(), h.max()), (1, 6));
+        assert_eq!((r.degree.min, r.degree.max), (1, 6));
+        s.reset();
+        assert_eq!(s.report().backoff_yields, 0);
+        assert!(s.degree_histogram().is_empty());
     }
 
     #[test]

@@ -111,6 +111,24 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// [`record`](Self::record) for a histogram with exactly one
+    /// recording thread at a time: plain relaxed load+store in place of
+    /// the locked `fetch_add`/`fetch_min`/`fetch_max`. Queries from
+    /// other threads stay safe (every cell is still an atomic), but two
+    /// concurrent recorders would lose samples — the caller must order
+    /// successive recorders by a happens-before edge.
+    #[inline]
+    pub(crate) fn record_single_writer(&self, v: u64) {
+        let b = &self.buckets[index_of(v)];
+        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.store(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
+    }
+
     /// Copies the bucket array into a local snapshot (one relaxed load
     /// per bucket, ~8 KiB of stack). Every statistic of one query is
     /// derived from the same snapshot — see the type-level note on
@@ -311,6 +329,20 @@ mod tests {
         assert_eq!(a.max(), c.max());
         for p in [1.0, 25.0, 50.0, 90.0, 99.0, 99.9] {
             assert_eq!(a.percentile(p), c.percentile(p));
+        }
+    }
+
+    #[test]
+    fn single_writer_recording_matches_record() {
+        let (a, b) = (Histogram::new(), Histogram::new());
+        for v in [40u64, 3, 900, 3, 1 << 33, 17] {
+            a.record(v);
+            b.record_single_writer(v);
+        }
+        assert_eq!(a.count(), b.count());
+        assert_eq!((a.min(), a.max()), (b.min(), b.max()));
+        for p in [1.0, 50.0, 99.0] {
+            assert_eq!(a.percentile(p), b.percentile(p));
         }
     }
 

@@ -16,6 +16,12 @@ pub(crate) struct Slot {
     pub(crate) state: AtomicU64,
     /// Slot allocation flag: 0 free, 1 claimed.
     pub(crate) claimed: AtomicU64,
+    /// Items retired through this slot, by every handle that has held
+    /// it. Only the slot's current owner writes it, with a plain
+    /// load+store (no locked RMW on the retire path); successive
+    /// owners are ordered by the Release store that frees the slot and
+    /// the AcqRel claim that takes it. [`Collector::stats`] sums it.
+    pub(crate) retired: AtomicUsize,
 }
 
 pub(crate) const PINNED: u64 = 1;
@@ -34,15 +40,22 @@ pub struct Collector {
     pub(crate) slots: Box<[CachePadded<Slot>]>,
     /// Garbage inherited from exited threads: `(retire_epoch, item)`.
     orphans: TtasLock<Vec<(u64, Deferred)>>,
-    /// Diagnostics: total items freed so far.
-    freed: AtomicUsize,
-    /// Diagnostics: total items retired so far.
-    retired: AtomicUsize,
+    /// Handles currently registered: a padded line that only
+    /// registration and handle drop write, so readers on the hot path
+    /// (the SEC freezer's backoff) never contend with anything.
+    live: CachePadded<AtomicUsize>,
+    /// Diagnostics: total items freed so far. Padded (as is `cached`)
+    /// away from `recycle`, which every allocation reads.
+    freed: CachePadded<AtomicUsize>,
     /// Retired blocks whose memory entered a free list after
     /// quiescence instead of being freed (DESIGN.md §10).
-    cached: AtomicUsize,
+    cached: CachePadded<AtomicUsize>,
     /// Node-recycling policy (fixed before the first registration).
     recycle: RecyclePolicy,
+    /// Whether a retire that finds its bag past `BAG_PRESSURE` and the
+    /// advance blocked by another thread's stale pin yields (opt-in
+    /// through [`Collector::yielding_when_blocked`]).
+    yield_when_blocked: bool,
     /// Shared overflow/refill pool behind the per-thread caches.
     pool: GlobalPool,
     /// Allocations served from a free list (flushed from thread-local
@@ -75,19 +88,38 @@ impl Collector {
                     CachePadded::new(Slot {
                         state: AtomicU64::new(0),
                         claimed: AtomicU64::new(0),
+                        retired: AtomicUsize::new(0),
                     })
                 })
                 .collect(),
             orphans: TtasLock::new(Vec::new()),
-            freed: AtomicUsize::new(0),
-            retired: AtomicUsize::new(0),
-            cached: AtomicUsize::new(0),
+            live: CachePadded::new(AtomicUsize::new(0)),
+            freed: CachePadded::new(AtomicUsize::new(0)),
+            cached: CachePadded::new(AtomicUsize::new(0)),
             recycle,
+            yield_when_blocked: false,
             pool: GlobalPool::new(recycle.cache_cap().saturating_mul(n)),
             rec_hits: AtomicU64::new(0),
             rec_misses: AtomicU64::new(0),
             rec_overflows: AtomicU64::new(0),
         }
+    }
+
+    /// Opts this collector into yielding under blocked bag pressure:
+    /// once a handle's bag is past `BAG_PRESSURE` items and its eager
+    /// advance fails because another thread is pinned in an older epoch
+    /// — often one the OS preempted mid-operation — each further retire
+    /// yields once, until the straggler moves. Meant for a structure
+    /// whose retiring threads never otherwise yield (the SEC freezer),
+    /// which would pile up garbage at full speed meanwhile; collectors
+    /// that do not opt in never yield on the retire path.
+    pub fn yielding_when_blocked(mut self) -> Self {
+        self.yield_when_blocked = true;
+        self
+    }
+
+    pub(crate) fn yields_when_blocked(&self) -> bool {
+        self.yield_when_blocked
     }
 
     /// The recycling policy in force.
@@ -113,10 +145,21 @@ impl Collector {
                     .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             {
+                self.live.fetch_add(1, Ordering::Relaxed);
                 return Some(Handle::new(self, i));
             }
         }
         None
+    }
+
+    /// Number of handles registered right now. A relaxed snapshot:
+    /// exact when no thread is registering or dropping a handle.
+    pub fn live_handles(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_handle_dropped(&self) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Current global epoch (diagnostic).
@@ -128,23 +171,23 @@ impl Collector {
     ///
     /// The recycle hit/miss/overflow counters are accumulated
     /// thread-locally and flushed when each [`Handle`] drops, so they
-    /// are exact only once every handle has been dropped; `retired`,
-    /// `freed` and `cached` are maintained inline (amortized per bag
-    /// drain) and always current.
+    /// are exact only once every handle has been dropped; `retired`
+    /// (summed over the per-slot counts), `freed` and `cached` are
+    /// maintained inline (amortized per bag drain) and always current.
     pub fn stats(&self) -> CollectorStats {
         CollectorStats {
             epoch: self.global_epoch(),
-            retired: self.retired.load(Ordering::Relaxed),
+            retired: self
+                .slots
+                .iter()
+                .map(|s| s.retired.load(Ordering::Relaxed))
+                .sum(),
             freed: self.freed.load(Ordering::Relaxed),
             cached: self.cached.load(Ordering::Relaxed),
             recycle_hits: self.rec_hits.load(Ordering::Relaxed),
             recycle_misses: self.rec_misses.load(Ordering::Relaxed),
             recycle_overflows: self.rec_overflows.load(Ordering::Relaxed),
         }
-    }
-
-    pub(crate) fn note_retired(&self, n: usize) {
-        self.retired.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn note_freed(&self, n: usize) {
@@ -368,6 +411,50 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.retired, 1);
         assert!(s.pending() <= 1);
+    }
+
+    #[test]
+    fn blocked_pressure_yield_is_opt_in() {
+        assert!(!Collector::new(2).yields_when_blocked());
+        assert!(Collector::new(2)
+            .yielding_when_blocked()
+            .yields_when_blocked());
+    }
+
+    #[test]
+    fn retire_identity_holds_while_handles_live() {
+        let c = Collector::new(3);
+        let a = c.register().unwrap();
+        let b = c.register().unwrap();
+        assert_eq!(c.live_handles(), 2);
+        let retire = |h: &Handle<'_>, n: u32| {
+            for i in 0..n {
+                let g = h.pin();
+                // SAFETY: a fresh, unshared allocation, retired once.
+                unsafe { g.retire(Box::into_raw(Box::new(i))) };
+            }
+        };
+        retire(&a, 40);
+        retire(&b, 25);
+        // Drain what the epochs allow while both handles stay live.
+        a.flush(4);
+        b.flush(4);
+        retire(&a, 7);
+        let s = c.stats();
+        assert_eq!(s.retired, 72, "per-slot counts sum to every retire");
+        assert_eq!(s.retired, s.freed + s.cached + s.pending());
+        assert!(s.freed > 0, "the flushes freed something: {s:?}");
+        // A dropped handle's count stays in the sum, and its slot's next
+        // owner keeps counting on top of it.
+        drop(b);
+        assert_eq!(c.live_handles(), 1);
+        let b2 = c.register().unwrap();
+        retire(&b2, 3);
+        let s = c.stats();
+        assert_eq!(s.retired, 75);
+        assert_eq!(s.retired, s.freed + s.cached + s.pending());
+        drop((a, b2));
+        assert_eq!(c.live_handles(), 0);
     }
 
     #[test]

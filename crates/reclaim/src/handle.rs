@@ -182,20 +182,36 @@ impl<'c> Handle<'c> {
             bag.epoch = tag;
         }
         bag.push(d);
-        self.collector.note_retired(1);
+        // Single writer: this handle owns the slot, so a plain
+        // load+store counts the retire without a locked RMW.
+        let retired = &self.collector.slots[self.slot_idx].retired;
+        retired.store(retired.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         if bag.len() >= BAG_PRESSURE {
-            self.advance_and_collect();
+            let pin_epoch = self.local().pin_epoch;
+            if !self.advance_and_collect()
+                && pin_epoch == tag
+                && self.collector.yields_when_blocked()
+            {
+                // Another thread is pinned in an older epoch, so nothing
+                // can drain and every retire grows the bag: yield until
+                // the straggler moves (see
+                // `Collector::yielding_when_blocked`). When our own pin
+                // is the stale one, yielding would not help.
+                std::thread::yield_now();
+            }
         }
     }
 
     /// One amortized advance attempt plus a sweep of eligible bags.
-    fn advance_and_collect(&self) {
+    /// Returns whether the epoch moved.
+    fn advance_and_collect(&self) -> bool {
         let e = self.collector.global_epoch();
         let now = self.collector.try_advance(e);
         self.collect(now);
         if now != e {
             self.collector.collect_orphans(now);
         }
+        now != e
     }
 
     /// Disposes of every local bag whose epoch is ≥ 2 behind
@@ -325,6 +341,7 @@ impl Drop for Handle<'_> {
         self.collector.adopt_orphans(orphaned);
         let slot = &self.collector.slots[self.slot_idx];
         slot.state.store(0, Ordering::Release);
+        self.collector.note_handle_dropped();
         slot.claimed.store(0, Ordering::Release);
     }
 }

@@ -15,7 +15,11 @@
 //!   thread can still hold a reference to it;
 //! * epoch-advance attempts are **amortized**: a thread only scans the
 //!   announcement array every `ADVANCE_PERIOD` pins (DEBRA's key cost
-//!   saving over scan-per-operation EBR);
+//!   saving over scan-per-operation EBR); a bag past `BAG_PRESSURE`
+//!   items tries eagerly, and on a collector built with
+//!   [`Collector::yielding_when_blocked`] also yields once per retire
+//!   while another thread's stale pin blocks the advance, so a
+//!   preempted straggler does not let garbage pile up at full speed;
 //! * quiesced blocks can be **recycled** instead of freed: under
 //!   [`RecyclePolicy::PerThread`] they enter per-thread, size-classed
 //!   free lists (bounded, overflowing to a shared pool) and
@@ -66,5 +70,7 @@ pub use recycle::RecyclePolicy;
 /// A thread scans for an epoch advance every this many pins.
 pub(crate) const ADVANCE_PERIOD: u64 = 64;
 
-/// A bag triggers an eager advance attempt past this many deferred items.
+/// A bag triggers an eager advance attempt past this many deferred
+/// items, and (on an opted-in collector) a yield when another thread's
+/// stale pin defeats it.
 pub(crate) const BAG_PRESSURE: usize = 512;

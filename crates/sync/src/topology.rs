@@ -11,13 +11,21 @@ use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 use std::thread;
 
-/// Number of hardware threads available to this process.
+/// Number of hardware threads available to this process, asked of the
+/// OS once and cached for the process (as [`smt_width`] is).
 ///
-/// Falls back to 1 when the OS refuses to answer.
+/// The first call is not cheap: on Linux `available_parallelism` reads
+/// the cgroup CPU quota files, tens of microseconds. Config defaults,
+/// bench banners and the SEC freezer's oversubscription test call this
+/// repeatedly, so every later call is one load. Falls back to 1 when
+/// the OS refuses to answer.
 pub fn hardware_threads() -> usize {
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Number of hardware threads sharing one physical core (the SMT
@@ -129,6 +137,15 @@ mod tests {
     #[test]
     fn hardware_threads_is_positive() {
         assert!(hardware_threads() >= 1);
+    }
+
+    #[test]
+    fn cached_hardware_threads_match_the_os_answer() {
+        let os = thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1);
+        assert_eq!(hardware_threads(), os);
+        assert_eq!(hardware_threads(), os, "the cached value is stable");
     }
 
     #[test]

@@ -635,13 +635,15 @@ mod tests {
     fn wait_policy_override_reaches_both_sec_families() {
         use sec_core::WaitPolicy;
         // Contention is manufactured, not hoped for: a single
-        // aggregator plus a widened freezer yield window (both plumbed
-        // through `RunConfig`, like the wait policy under test) makes
-        // the seq-0 announcer donate its quantum mid-protocol, so even
-        // a 1-core host — whose scheduler otherwise runs short rounds
-        // near-sequentially, parking nothing — gets waiters announcing
-        // into the open batch and parking on it (spin phase cut to
-        // zero). The retry loop stays as a backstop so no single
+        // aggregator plus a widened freezer backoff (both plumbed
+        // through `RunConfig`, like the wait policy under test) holds
+        // each batch open for its announcers. With a core per thread
+        // the spin window does it; with fewer cores than threads the
+        // freezer also yields, donating its quantum mid-protocol, so
+        // even a 1-core host — whose scheduler otherwise runs short
+        // rounds near-sequentially, parking nothing — gets waiters
+        // announcing into the open batch and parking on it (spin phase
+        // cut to zero). The retry loop stays as a backstop so no single
         // scheduling outcome decides the assertion.
         for algo in [Algo::Sec { aggregators: 1 }, Algo::SecQueue] {
             let mut parked = 0;
@@ -651,6 +653,7 @@ mod tests {
                     prefill: 64,
                     sec: |c| {
                         c.wait_policy(WaitPolicy::SpinThenPark { spin_rounds: 0 })
+                            .freezer_backoff(1 << 12)
                             .freezer_yields(4)
                     },
                     seed: 0xBEEF ^ round,

@@ -1,0 +1,155 @@
+//! Integration: the freezer's per-aggregator batch tallies stay exact,
+//! and its backoff yields only on evidence of oversubscription.
+//!
+//! Each aggregator's batch counters have a single writer (the freezer
+//! of its current batch) and are summed on report, so no count may be
+//! lost or doubled whatever the thread count: every op issued belongs
+//! to exactly one frozen batch, is either eliminated or combined, and
+//! every batch leaves one degree sample.
+
+use sec_repro::durable::DurablePolicy;
+use sec_repro::ext::SecQueue;
+use sec_repro::{BatchReport, SecConfig, SecStack, SecStats};
+use std::sync::Barrier;
+use std::thread;
+
+const THREADS: usize = 4;
+const OPS: usize = 5_000;
+
+/// The exactness identities, against the op weight the test issued.
+fn assert_exact(name: &str, stats: &SecStats, issued: u64) {
+    let r: BatchReport = stats.report();
+    assert_eq!(r.ops, issued, "{name}: every issued op is in one batch");
+    assert_eq!(r.eliminated + r.combined, r.ops, "{name}: {r:?}");
+    assert_eq!(
+        stats.degree_histogram().count(),
+        r.batches,
+        "{name}: one degree sample per batch"
+    );
+    assert!(r.batches > 0 && r.batches <= r.ops, "{name}: {r:?}");
+}
+
+/// Runs `THREADS` workers of `OPS` stack ops each (2:1 push:pop) and
+/// returns the ops issued.
+fn drive_stack(stack: &SecStack<u64>) -> u64 {
+    thread::scope(|s| {
+        for t in 0..THREADS {
+            s.spawn(move || {
+                let mut h = stack.register();
+                for i in 0..OPS {
+                    if (t + i) % 3 < 2 {
+                        h.push(i as u64);
+                    } else {
+                        let _ = h.pop();
+                    }
+                }
+            });
+        }
+    });
+    (THREADS * OPS) as u64
+}
+
+#[test]
+fn stack_tallies_stay_exact_across_two_aggregators() {
+    let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(2, THREADS));
+    let issued = drive_stack(&stack);
+    assert_exact("K=2 stack", stack.stats(), issued);
+}
+
+#[test]
+fn durable_stack_tallies_stay_exact() {
+    let policy = DurablePolicy::volatile().record_capacity(4 * THREADS * OPS);
+    let stack = SecStack::durable(THREADS, policy).expect("volatile durable stack");
+    let issued = drive_stack(&stack);
+    assert_exact("durable stack", stack.stats(), issued);
+}
+
+#[test]
+fn queue_tallies_stay_exact_over_fixed_ends_and_the_bulk_aggregator() {
+    let queue: SecQueue<u64> = SecQueue::new(THREADS);
+    // Each op's weight: a bulk enqueue of three values counts three.
+    let issued: u64 = thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let queue = &queue;
+                s.spawn(move || {
+                    let mut h = queue.register();
+                    let mut weight = 0u64;
+                    for i in 0..OPS as u64 {
+                        match (t as u64 + i) % 4 {
+                            0 => {
+                                h.enqueue_many(&[i, i + 1, i + 2]);
+                                weight += 3;
+                            }
+                            1 => {
+                                h.enqueue(i);
+                                weight += 1;
+                            }
+                            _ => {
+                                let _ = h.dequeue();
+                                weight += 1;
+                            }
+                        }
+                    }
+                    weight
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_exact("queue", queue.stats(), issued);
+    assert_eq!(
+        queue.stats().report().eliminated,
+        0,
+        "queue batches never pair"
+    );
+}
+
+#[test]
+fn lone_handle_never_yields_in_the_freezer() {
+    // A yield budget that an unconditional per-batch backoff would
+    // spend 10^7 times over 10k ops.
+    let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(1, 4).freezer_yields(1000));
+    let mut h = stack.register();
+    for i in 0..10_000u64 {
+        if i % 2 == 0 {
+            h.push(i);
+        } else {
+            let _ = h.pop();
+        }
+    }
+    let r = stack.stats().report();
+    assert_eq!(r.ops, 10_000);
+    assert_eq!(r.backoff_yields, 0, "nobody can join a lone thread's batch");
+}
+
+#[test]
+fn oversubscribed_freezers_spend_their_yields() {
+    // Twice the hardware threads on one aggregator, no spin window: a
+    // freezer whose batch is short has only its yields left, and with
+    // more live handles than hardware threads it must spend them.
+    let threads = 2 * sec_repro::sync::topology::hardware_threads().max(2);
+    let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(1, threads).freezer_backoff(0));
+    // Every handle is live before the first op, so no early starter
+    // runs its ops as a lone thread.
+    let registered = Barrier::new(threads);
+    thread::scope(|s| {
+        for t in 0..threads {
+            let (stack, registered) = (&stack, &registered);
+            s.spawn(move || {
+                let mut h = stack.register();
+                registered.wait();
+                for i in 0..500 {
+                    if (t + i) % 2 == 0 {
+                        h.push(i as u64);
+                    } else {
+                        let _ = h.pop();
+                    }
+                }
+            });
+        }
+    });
+    let r = stack.stats().report();
+    assert_eq!(r.ops, (threads * 500) as u64);
+    assert!(r.backoff_yields > 0, "no yield at {threads} threads: {r:?}");
+}

@@ -27,7 +27,7 @@ use sec_repro::sync::{WaitCell, WaitPolicy, WaitQueue, WaitStats};
 use sec_repro::{SecConfig, SecStack};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 /// The policy that parks the hardest: no extra snoozes before the park
@@ -408,19 +408,29 @@ fn small_histories_linearizable_under_forced_park() {
     }
 }
 
+/// Freezer spin window for the manufactured-contention tests: long
+/// enough (tens of microseconds) for announcers on other cores to join
+/// before the cut, and cut short as soon as they all have.
+const OPEN_WINDOW_SPINS: u32 = 1 << 12;
+
 #[test]
 fn park_and_wake_counters_reach_reports() {
     // Stack and queue: under forced parking with real contention, the
     // park/wake counters must populate, and wakes can never exceed
     // what was ever registered (parks + the waits that deregistered
     // themselves — conservatively, parks plus one registration per
-    // wait). Contention is manufactured, not hoped for: a single
-    // aggregator plus a widened freezer yield window means the seq-0
-    // announcer donates its quantum mid-protocol, so on any host —
-    // including a 1-core one, where short rounds otherwise run each
-    // thread to completion with zero overlap — other threads announce
-    // into the open batch and park on it. The retry loop stays as a
-    // backstop so no single scheduling outcome decides the assertion.
+    // wait). Contention is manufactured, not hoped for: every thread
+    // registers before any starts (the freezer only backs off for
+    // announcers that are live), and a single aggregator plus a
+    // widened freezer backoff holds each batch open until they
+    // arrive. The spin window does that when every thread has a core;
+    // the yield window, which the freezer spends only when threads
+    // outnumber hardware threads, does it on a small host — including
+    // a 1-core one, where short rounds otherwise run each thread to
+    // completion with zero overlap — by donating the freezer's quantum
+    // mid-protocol. Either way other threads announce into the open
+    // batch and park on it. The retry loop stays as a backstop so no
+    // single scheduling outcome decides the assertion.
     let threads = oversub_threads();
     let mut stack_parks = 0;
     let mut stack_wakes = 0;
@@ -428,13 +438,16 @@ fn park_and_wake_counters_reach_reports() {
         let stack: SecStack<u64> = SecStack::with_config(
             SecConfig::new(1, threads)
                 .wait_policy(PARK_NOW)
+                .freezer_backoff(OPEN_WINDOW_SPINS)
                 .freezer_yields(4),
         );
+        let registered = Barrier::new(threads);
         thread::scope(|s| {
             for t in 0..threads {
-                let stack = &stack;
+                let (stack, registered) = (&stack, &registered);
                 s.spawn(move || {
                     let mut h = stack.register();
+                    registered.wait();
                     for i in 0..300 {
                         if (t + i) % 3 < 2 {
                             h.push(i as u64);
@@ -461,13 +474,16 @@ fn park_and_wake_counters_reach_reports() {
         let queue: SecQueue<u64> = SecQueue::with_config(
             SecConfig::new(1, threads)
                 .wait_policy(PARK_NOW)
+                .freezer_backoff(OPEN_WINDOW_SPINS)
                 .freezer_yields(4),
         );
+        let registered = Barrier::new(threads);
         thread::scope(|s| {
             for t in 0..threads {
-                let queue = &queue;
+                let (queue, registered) = (&queue, &registered);
                 s.spawn(move || {
                     let mut h = queue.register();
+                    registered.wait();
                     for i in 0..300 {
                         if (t + i) % 3 < 2 {
                             h.enqueue(i as u64);
