@@ -13,6 +13,8 @@
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
 //! * per-batch stats recording ([`SecStats`]),
+//! * the lone-op path that skips the batch when nobody can join it
+//!   ([`CombineEngine::run_alone`]),
 //! * the crash-durable path — intents, redo log, recovery replay
 //!   (`durable.rs`, DESIGN.md §16).
 //!
@@ -94,13 +96,16 @@ impl Role {
 ///   visible);
 /// * [`apply_logged`] runs one operation at a time, never concurrently
 ///   with itself or with any other mutation of the structure (see
-///   its docs).
+///   its docs);
+/// * [`apply_alone`] runs a lone operation with no batch at all,
+///   possibly concurrently with other aggregators' combiners.
 ///
 /// [`combine_add`]: CombineOp::combine_add
 /// [`combine_remove`]: CombineOp::combine_remove
 /// [`eliminate`]: CombineOp::eliminate
 /// [`take_result`]: CombineOp::take_result
 /// [`apply_logged`]: CombineOp::apply_logged
+/// [`apply_alone`]: CombineOp::apply_alone
 pub(crate) trait CombineOp: Sized + Send + Sync {
     /// The node type flowing through announcement slots and result
     /// chains.
@@ -188,6 +193,29 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
         guard: &Guard<'_, '_>,
     ) -> Option<OpResult> {
         let _ = (opcode, operand, operand2, guard);
+        None
+    }
+
+    /// The lone-operation path (DESIGN.md §12 "Lone operations"):
+    /// apply one weight-1 operation straight to the shared structure,
+    /// exactly as the combiner of a degree-1 batch on a private
+    /// aggregator would, and return its result. `node` is the
+    /// operation's own, never-announced node (null for operations that
+    /// bring none). The engine calls this, pinned, only for
+    /// non-durable [`Lane::Mapped`] operations while at most one handle
+    /// is live. Another thread may register mid-call and its combiners
+    /// may race this one, so the hook must follow the combiners' own
+    /// discipline on the shared structure (CAS or RMW). `None` — the
+    /// default — means the family has no such path: the operation then
+    /// runs the batch protocol.
+    fn apply_alone(
+        &self,
+        eng: &CombineEngine<Self>,
+        role: Role,
+        node: *mut Self::Node,
+        guard: &Guard<'_, '_>,
+    ) -> Option<Option<Self::Value>> {
+        let _ = (eng, role, node, guard);
         None
     }
 }
@@ -376,7 +404,7 @@ impl<O: CombineOp> CombineEngine<O> {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             roster_words: slotting.len().div_ceil(64),
-            stats: SecStats::with_aggregators(slotting.len()),
+            stats: SecStats::with_tallies(slotting.len(), config.max_threads),
             born: Instant::now(),
             #[cfg(feature = "trace")]
             tracer: config
@@ -956,6 +984,35 @@ impl<O: CombineOp> CombineEngine<O> {
         out
     }
 
+    /// The lone-op route (DESIGN.md §12 "Lone operations"): no
+    /// announce, freeze, batch or wake — the pinned op goes straight
+    /// to [`CombineOp::apply_alone`] and is tallied as a degree-1,
+    /// combined batch on its registry slot. Returns `None` when the
+    /// family has no lone path. Safe whatever the live-handle evidence
+    /// says, which is why [`CombineEngine::run_inner`] may act on a
+    /// stale count.
+    pub(crate) fn run_alone(
+        &self,
+        st: &OpState,
+        role: Role,
+        node: *mut O::Node,
+        reclaim: &ReclaimHandle<'_>,
+        trace: Option<&TraceRecorder>,
+    ) -> Option<Option<O::Value>> {
+        let out = self.op.apply_alone(self, role, node, &reclaim.pin())?;
+        self.stats.record_alone(st.tid);
+        if let Some(t) = trace {
+            t.record(
+                st.tid,
+                st.agg_idx as u32,
+                TraceEventKind::Alone {
+                    lane: role.trace_lane(),
+                },
+            );
+        }
+        Some(out)
+    }
+
     /// The driver proper; `trace` is `Some` only for sampled ops of a
     /// traced structure (see [`CombineEngine::run`]).
     #[allow(clippy::too_many_arguments)]
@@ -969,6 +1026,14 @@ impl<O: CombineOp> CombineEngine<O> {
         tid: usize,
         trace: Option<&TraceRecorder>,
     ) -> Option<O::Value> {
+        // Nobody can join a lone thread's batch, so it skips the batch.
+        if let Lane::Mapped(st) = &lane {
+            if ops == 1 && self.durable.is_none() && self.collector.live_handles() <= 1 {
+                if let Some(out) = self.run_alone(st, role, node, reclaim, trace) {
+                    return out;
+                }
+            }
+        }
         loop {
             // Re-resolve the mapping each attempt: an excluded retry
             // after an elastic re-mapping must land on the thread's

@@ -138,6 +138,22 @@ impl CombineOp for CounterOp {
         Some(value)
     }
 
+    /// A lone `fetch_add` (DESIGN.md §12 "Lone operations"): the
+    /// degree-1 batch's one RMW, without the batch.
+    fn apply_alone(
+        &self,
+        _eng: &CombineEngine<Self>,
+        _role: Role,
+        node: *mut Node<u64>,
+        guard: &Guard<'_, '_>,
+    ) -> Option<Option<u64>> {
+        // Safety: the operand node was never announced, so we are its
+        // unique consumer; payload out, husk recycles.
+        let operand = unsafe { Node::take_value(node) };
+        unsafe { guard.retire_recycle(node) };
+        Some(Some(self.total.fetch_add(operand, Ordering::AcqRel)))
+    }
+
     /// A durable `fetch_add`: the previous value is the op's result.
     fn apply_logged(
         &self,

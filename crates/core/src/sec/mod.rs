@@ -354,6 +354,55 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         Some(value)
     }
 
+    /// A lone push or pop (DESIGN.md §12 "Lone operations"): what the
+    /// combiner of a degree-1 batch does, without the batch. A push
+    /// CASes its own node onto `top`; a pop CASes `top → top.next` and
+    /// consumes the unlinked node, or reports EMPTY off a null `top`.
+    /// Other aggregators' combiners may race on `top`, as they race
+    /// each other.
+    fn apply_alone(
+        &self,
+        eng: &CombineEngine<Self>,
+        role: Role,
+        node: *mut Node<T>,
+        guard: &Guard<'_, '_>,
+    ) -> Option<Option<T>> {
+        let mut backoff = Backoff::new();
+        loop {
+            let top = self.top.load(Ordering::Acquire);
+            let new = match role {
+                Role::Add => {
+                    // Safety: the node was never announced, so it is
+                    // still private to us.
+                    unsafe { (*node).next.store(top, Ordering::Relaxed) };
+                    node
+                }
+                Role::Remove if top.is_null() => return Some(None),
+                // Safety: pinned, so `top` stays allocated (and cannot
+                // be recycled into an ABA) while we read its link.
+                Role::Remove => unsafe { (*top).next.load(Ordering::Acquire) },
+            };
+            if self
+                .top
+                .compare_exchange(top, new, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some(match role {
+                    Role::Add => None,
+                    // Safety: our CAS unlinked `top`, so we are its
+                    // unique consumer; payload out, husk recycles.
+                    Role::Remove => unsafe {
+                        let value = Node::take_value(top);
+                        guard.retire_recycle(top);
+                        Some(value)
+                    },
+                });
+            }
+            eng.stats().record_cas_failure();
+            backoff.spin();
+        }
+    }
+
     /// A durable push or pop, applied one at a time (sequential by the
     /// hook's contract, so `top` needs no CAS). The Release stores keep
     /// concurrent `peek`s safe.

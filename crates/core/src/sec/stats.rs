@@ -10,9 +10,13 @@
 //! aggregator never overlap (see `SecStats::record_batch`), so
 //! each tally has a single writer at a time and every update is a
 //! plain relaxed load+store: no locked read-modify-write and no line
-//! shared with another aggregator's freezer. [`SecStats::report`] sums
-//! the tallies. The rarer events — combiner CAS failures, elastic
-//! resizes, parks and wakes — stay on shared relaxed counters.
+//! shared with another aggregator's freezer. A lone operation, which
+//! skips the batch (DESIGN.md §12 "Lone operations"), is tallied as a
+//! degree-1, combined batch in its registry slot's own tally, kept
+//! after the aggregators' and written only by the slot's owner.
+//! [`SecStats::report`] sums the tallies. The rarer events — combiner
+//! CAS failures, elastic resizes, parks and wakes — stay on shared
+//! relaxed counters.
 
 use crate::trace::{DegreeDist, Histogram};
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -20,8 +24,9 @@ use sec_sync::event::WaitStats;
 use sec_sync::CachePadded;
 use std::sync::OnceLock;
 
-/// One aggregator's per-batch counters. Written only by the freezer of
-/// that aggregator's current batch.
+/// One aggregator's per-batch counters, written only by the freezer of
+/// that aggregator's current batch — or one registry slot's lone-op
+/// counters, written only by the slot's owner.
 #[derive(Debug, Default)]
 struct BatchTally {
     batches: AtomicU64,
@@ -30,6 +35,8 @@ struct BatchTally {
     combined: AtomicU64,
     /// `yield_now` calls the freezers spent in their backoff.
     backoff_yields: AtomicU64,
+    /// Lone operations (also counted in `batches`, `ops`, `combined`).
+    alone: AtomicU64,
     /// Distribution of frozen batch degrees (DESIGN.md §14), one
     /// record per batch, so the CSVs can report min/p50/p99/max
     /// instead of only the run-wide mean. Allocated (~8 KiB) by the
@@ -55,8 +62,11 @@ fn bump(c: &AtomicU64, n: u64) {
 /// [`SecStack::set_active_aggregators`]: crate::SecStack::set_active_aggregators
 #[derive(Debug)]
 pub struct SecStats {
-    /// One tally per aggregator, indexed like the engine's aggregators.
+    /// One tally per aggregator, indexed like the engine's aggregators,
+    /// then one per registry slot for its lone operations.
     tallies: Box<[CachePadded<BatchTally>]>,
+    /// Index of registry slot 0's tally (the aggregator count).
+    slot_base: usize,
     cas_failures: AtomicU64,
     grows: AtomicU64,
     shrinks: AtomicU64,
@@ -73,16 +83,21 @@ impl Default for SecStats {
 }
 
 impl SecStats {
-    /// Creates zeroed stats for a single aggregator.
+    /// Creates zeroed stats for a single aggregator and one registry
+    /// slot.
     pub fn new() -> Self {
-        Self::with_aggregators(1)
+        Self::with_tallies(1, 1)
     }
 
-    /// Creates zeroed stats with one batch tally per aggregator
-    /// (at least one).
-    pub(crate) fn with_aggregators(n: usize) -> Self {
+    /// Creates zeroed stats with one batch tally per aggregator (at
+    /// least one) and one lone-op tally per registry slot.
+    pub(crate) fn with_tallies(aggregators: usize, slots: usize) -> Self {
+        let slot_base = aggregators.max(1);
         Self {
-            tallies: (0..n.max(1)).map(|_| CachePadded::default()).collect(),
+            tallies: (0..slot_base + slots)
+                .map(|_| CachePadded::default())
+                .collect(),
+            slot_base,
             cas_failures: AtomicU64::new(0),
             grows: AtomicU64::new(0),
             shrinks: AtomicU64::new(0),
@@ -116,6 +131,23 @@ impl SecStats {
         t.degree
             .get_or_init(Histogram::new)
             .record_single_writer(size);
+    }
+
+    /// Called by registry slot `slot`'s owner after a lone operation:
+    /// one degree-1 batch whose op was combined.
+    ///
+    /// Single-writer invariant: only the slot's current owner records
+    /// here, and a slot changes owner through the collector's Release
+    /// free and AcqRel claim, which order the old owner's writes
+    /// before the new owner's.
+    #[inline]
+    pub(crate) fn record_alone(&self, slot: usize) {
+        let t = &self.tallies[self.slot_base + slot];
+        bump(&t.batches, 1);
+        bump(&t.ops, 1);
+        bump(&t.combined, 1);
+        bump(&t.alone, 1);
+        t.degree.get_or_init(Histogram::new).record_single_writer(1);
     }
 
     /// Called by a combiner whose splice/unlink CAS on `stackTop` lost
@@ -164,6 +196,7 @@ impl SecStats {
             eliminated: self.total(|t| &t.eliminated),
             combined: self.total(|t| &t.combined),
             backoff_yields: self.total(|t| &t.backoff_yields),
+            alone: self.total(|t| &t.alone),
             cas_failures: self.cas_failures.load(Ordering::Relaxed),
             grows: self.grows.load(Ordering::Relaxed),
             shrinks: self.shrinks.load(Ordering::Relaxed),
@@ -195,6 +228,7 @@ impl SecStats {
                 &t.eliminated,
                 &t.combined,
                 &t.backoff_yields,
+                &t.alone,
             ] {
                 c.store(0, Ordering::Relaxed);
             }
@@ -224,6 +258,11 @@ pub struct BatchReport {
     /// fill (only on evidence of oversubscription; see
     /// [`SecConfig::freezer_yields`](crate::SecConfig::freezer_yields)).
     pub backoff_yields: u64,
+    /// Operations that took the lone path (DESIGN.md §12 "Lone
+    /// operations"): each is also one batch of degree 1 in `batches`,
+    /// `ops` and `combined`, so `batches - alone` batches went through
+    /// the batch protocol.
+    pub alone: u64,
     /// Combiner CAS attempts on the shared `stackTop` that lost to
     /// another combiner.
     pub cas_failures: u64,
@@ -352,7 +391,7 @@ mod tests {
 
     #[test]
     fn tallies_of_every_aggregator_sum_into_the_report() {
-        let s = SecStats::with_aggregators(3);
+        let s = SecStats::with_tallies(3, 2);
         s.record_batch(0, 2, 1, 0); // 3 ops, 2 eliminated
         s.record_batch(2, 1, 0, 4); // 1 op, combined, 4 yields
         s.record_batch(2, 3, 3, 1); // 6 ops, 6 eliminated, 1 yield
@@ -367,6 +406,22 @@ mod tests {
         s.reset();
         assert_eq!(s.report().backoff_yields, 0);
         assert!(s.degree_histogram().is_empty());
+    }
+
+    #[test]
+    fn lone_ops_count_as_degree_one_combined_batches() {
+        let s = SecStats::with_tallies(2, 3);
+        s.record_batch(1, 1, 1, 0); // 2 ops, both eliminated
+        s.record_alone(0);
+        s.record_alone(2);
+        s.record_alone(2);
+        let r = s.report();
+        assert_eq!((r.batches, r.ops, r.alone), (4, 5, 3));
+        assert_eq!((r.eliminated, r.combined), (2, 3));
+        assert_eq!(s.degree_histogram().count(), r.batches);
+        assert_eq!((r.degree.min, r.degree.max), (1, 2));
+        s.reset();
+        assert_eq!(s.report().alone, 0);
     }
 
     #[test]

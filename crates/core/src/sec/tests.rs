@@ -186,14 +186,18 @@ fn elimination_dominates_balanced_workloads() {
     // a *deterministic* alternation can phase-lock whole batches into
     // the same operation type (all ops of a batch complete together, so
     // relative phases never change), which would starve elimination by
-    // construction rather than by algorithmic behaviour.
+    // construction rather than by algorithmic behaviour. Every handle
+    // registers before the first op: a thread that ran alone would skip
+    // the batch and could finish before the next one registered.
     const THREADS: usize = 8;
     let s: SecStack<usize> = SecStack::with_config(SecConfig::new(1, THREADS));
+    let registered = std::sync::Barrier::new(THREADS);
     thread::scope(|scope| {
         for t in 0..THREADS {
-            let s = &s;
+            let (s, registered) = (&s, &registered);
             scope.spawn(move || {
                 let mut h = s.register();
+                registered.wait();
                 let mut x = (t as u64).wrapping_mul(0x9E37_79B9) | 1;
                 for i in 0..2_000 {
                     x ^= x << 13;
@@ -883,4 +887,100 @@ fn durable_identity_is_inherited_with_the_collector_slot() {
     drop(r);
     let (_, report) = SecStack::<u64>::recover(DurablePolicy::heap(heap)).unwrap();
     assert_eq!(report.handles[first].executed, 2 * N + 1);
+}
+
+#[test]
+fn forced_lone_ops_overlap_batched_ops_and_conserve_values() {
+    // Thread 0 calls the lone route directly, whatever the live-handle
+    // evidence says, while the other threads run batched ops on the
+    // same stack: the overlap DESIGN.md §12 "Lone operations" argues is
+    // safe, forced on every op instead of left to a registration race.
+    use crate::combine::Role;
+    use crate::sec::node::Node;
+    use std::sync::Barrier;
+
+    const THREADS: usize = 4;
+    const PER: usize = 3_000;
+    let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(1, THREADS));
+    // Every handle is registered before the first op and kept until the
+    // last, so the batched threads never see a lone handle themselves.
+    let registered = Barrier::new(THREADS);
+    let finished = Barrier::new(THREADS);
+    let (pushed, popped) = thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (stack, registered, finished) = (&stack, &registered, &finished);
+                s.spawn(move || {
+                    let mut h = stack.register();
+                    registered.wait();
+                    let (mut pushed, mut popped) = ((0u64, 0u64), (0u64, 0u64));
+                    for i in 0..PER {
+                        let v = (t * PER + i) as u64 + 1;
+                        let got = match (i % 3 < 2, t) {
+                            (true, 0) => {
+                                let node = Node::alloc_with(&h.reclaim, v);
+                                let out = stack.engine.run_alone(
+                                    &h.state,
+                                    Role::Add,
+                                    node,
+                                    &h.reclaim,
+                                    None,
+                                );
+                                assert_eq!(out, Some(None), "the stack has a lone path");
+                                None
+                            }
+                            (true, _) => {
+                                h.push(v);
+                                None
+                            }
+                            (false, 0) => stack
+                                .engine
+                                .run_alone(
+                                    &h.state,
+                                    Role::Remove,
+                                    core::ptr::null_mut(),
+                                    &h.reclaim,
+                                    None,
+                                )
+                                .expect("the stack has a lone path"),
+                            (false, _) => h.pop(),
+                        };
+                        if i % 3 < 2 {
+                            pushed = (pushed.0 + 1, pushed.1 + v);
+                        } else if let Some(v) = got {
+                            popped = (popped.0 + 1, popped.1 + v);
+                        }
+                    }
+                    finished.wait();
+                    (pushed, popped)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .fold(((0, 0), (0, 0)), |(a, b), (p, q)| {
+                ((a.0 + p.0, a.1 + p.1), (b.0 + q.0, b.1 + q.1))
+            })
+    });
+
+    // Conservation: what is left is exactly what was pushed and not
+    // popped, by count and by sum.
+    let mut h = stack.register();
+    let mut left = (0u64, 0u64);
+    while let Some(v) = h.pop() {
+        left = (left.0 + 1, left.1 + v);
+    }
+    drop(h);
+    assert_eq!(left, (pushed.0 - popped.0, pushed.1 - popped.1));
+
+    // Exact tallies: thread 0's ops — and only those — are lone, and
+    // every op of the run is in exactly one batch.
+    let r = stack.stats().report();
+    let drain_ops = left.0 + 1;
+    assert_eq!(r.ops, (THREADS * PER) as u64 + drain_ops, "{r:?}");
+    assert_eq!(r.alone, PER as u64 + drain_ops, "{r:?}");
+    assert_eq!(r.eliminated + r.combined, r.ops, "{r:?}");
+    assert_eq!(stack.stats().degree_histogram().count(), r.batches);
+    assert!(r.batches > r.alone, "the batch path ran too: {r:?}");
 }

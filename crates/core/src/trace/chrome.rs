@@ -161,7 +161,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     ("degree", adds as u64 + removes as u64),
                 ],
             ),
-            TraceEventKind::CombineStart { lane } => push_instant(
+            TraceEventKind::CombineStart { lane } | TraceEventKind::Alone { lane } => push_instant(
                 &mut out,
                 e.kind.name(),
                 e.ts_ns,
@@ -262,6 +262,20 @@ mod tests {
         assert!(json.contains(r#""name":"control"#));
         // No dangling comma before the array close.
         assert!(!json.contains(",\n]"));
+    }
+
+    #[test]
+    fn lone_ops_export_as_instants_with_their_lane() {
+        let json = chrome_trace_json(&[TraceEvent {
+            ts_ns: 3_000,
+            tid: 2,
+            agg: 1,
+            kind: TraceEventKind::Alone {
+                lane: TraceLane::Remove,
+            },
+        }]);
+        assert!(json.contains(r#""name":"alone","ph":"i","s":"t","ts":3.000,"pid":1,"tid":3"#));
+        assert!(json.contains(r#""agg":1,"lane":1"#));
     }
 
     /// Regression: the control lane used to be a fixed tid 999 999,

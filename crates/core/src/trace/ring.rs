@@ -102,6 +102,12 @@ pub enum TraceEventKind {
         /// Active-aggregator count after the step.
         k: u32,
     },
+    /// A lone operation skipped the batch and applied itself straight
+    /// to the shared structure (DESIGN.md §12 "Lone operations").
+    Alone {
+        /// The operation's lane.
+        lane: TraceLane,
+    },
     /// The thread's recycle cache overflowed `count` more blocks into
     /// the global pool since its last recorded overflow event.
     RecycleOverflow {
@@ -125,6 +131,7 @@ impl TraceEventKind {
             TraceEventKind::Grow { .. } => "grow",
             TraceEventKind::Shrink { .. } => "shrink",
             TraceEventKind::RecycleOverflow { .. } => "recycle_overflow",
+            TraceEventKind::Alone { .. } => "alone",
         }
     }
 
@@ -143,6 +150,7 @@ impl TraceEventKind {
             TraceEventKind::Grow { k } => (9, k as u64, 0),
             TraceEventKind::Shrink { k } => (10, k as u64, 0),
             TraceEventKind::RecycleOverflow { count } => (11, count, 0),
+            TraceEventKind::Alone { lane } => (12, lane.code(), 0),
         }
     }
 
@@ -167,6 +175,9 @@ impl TraceEventKind {
             9 => TraceEventKind::Grow { k: a as u32 },
             10 => TraceEventKind::Shrink { k: a as u32 },
             11 => TraceEventKind::RecycleOverflow { count: a },
+            12 => TraceEventKind::Alone {
+                lane: TraceLane::from_code(a),
+            },
             _ => return None,
         })
     }
@@ -382,6 +393,9 @@ mod tests {
             TraceEventKind::Grow { k: 4 },
             TraceEventKind::Shrink { k: 3 },
             TraceEventKind::RecycleOverflow { count: 2 },
+            TraceEventKind::Alone {
+                lane: TraceLane::Remove,
+            },
         ];
         let r = EventRing::new(kinds.len());
         for (i, &kind) in kinds.iter().enumerate() {

@@ -368,6 +368,7 @@ mod tests {
             eliminated: 0,
             combined: 2,
             backoff_yields: 0,
+            alone: 0,
             cas_failures: 0,
             grows,
             shrinks,

@@ -5,10 +5,12 @@
 //! of its current batch) and are summed on report, so no count may be
 //! lost or doubled whatever the thread count: every op issued belongs
 //! to exactly one frozen batch, is either eliminated or combined, and
-//! every batch leaves one degree sample.
+//! every batch leaves one degree sample. A lone handle's ops skip the
+//! batch (DESIGN.md §12 "Lone operations") and are tallied as degree-1
+//! batches on the handle's registry slot, so the same identities hold.
 
 use sec_repro::durable::DurablePolicy;
-use sec_repro::ext::SecQueue;
+use sec_repro::ext::{SecCounter, SecQueue};
 use sec_repro::{BatchReport, SecConfig, SecStack, SecStats};
 use std::sync::Barrier;
 use std::thread;
@@ -105,10 +107,69 @@ fn queue_tallies_stay_exact_over_fixed_ends_and_the_bulk_aggregator() {
     );
 }
 
+/// Ops a lone handle runs in the lone-path tests.
+const LONE_OPS: u64 = 4_000;
+
+/// `n` alternating pushes and pops on one handle, the only one live.
+fn lone_stack_ops(stack: &SecStack<u64>, n: u64) {
+    let mut h = stack.register();
+    for i in 0..n {
+        if i % 2 == 0 {
+            h.push(i);
+        } else {
+            let _ = h.pop();
+        }
+    }
+}
+
+/// Every one of `n` ops took the lone path: one degree-1, combined
+/// batch each, and no freezer ran to spend a yield.
+fn assert_all_alone(name: &str, stats: &SecStats, n: u64) {
+    let r = stats.report();
+    assert_eq!((r.alone, r.batches, r.ops), (n, n, n), "{name}: {r:?}");
+    assert_eq!((r.eliminated, r.combined), (0, n), "{name}: {r:?}");
+    assert_eq!(r.backoff_yields, 0, "{name}: {r:?}");
+    let degrees = stats.degree_histogram();
+    assert_eq!(degrees.count(), n, "{name}: one degree sample per op");
+    assert_eq!((degrees.min(), degrees.max()), (1, 1), "{name}");
+}
+
+#[test]
+fn a_lone_stack_handle_runs_every_op_alone() {
+    let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(2, 4).freezer_yields(1000));
+    lone_stack_ops(&stack, LONE_OPS);
+    assert_all_alone("lone stack", stack.stats(), LONE_OPS);
+}
+
+#[test]
+fn a_lone_counter_handle_runs_every_op_alone() {
+    let counter = SecCounter::with_config(SecConfig::new(2, 4).freezer_yields(1000));
+    let mut h = counter.register();
+    for i in 0..LONE_OPS {
+        assert_eq!(h.fetch_add(1), i);
+    }
+    drop(h);
+    assert_eq!(counter.load(), LONE_OPS);
+    assert_all_alone("lone counter", counter.stats(), LONE_OPS);
+}
+
+#[test]
+fn a_lone_durable_stack_handle_still_logs_every_op() {
+    let policy = DurablePolicy::volatile().record_capacity(4 * LONE_OPS as usize);
+    let stack = SecStack::durable(4, policy).expect("volatile durable stack");
+    lone_stack_ops(&stack, LONE_OPS);
+    let r = stack.stats().report();
+    assert_eq!(r.alone, 0, "durable ops must reach the log: {r:?}");
+    assert_exact("lone durable stack", stack.stats(), LONE_OPS);
+    assert_eq!(stack.durable_stats().expect("durable").entries, LONE_OPS);
+}
+
 #[test]
 fn lone_handle_never_yields_in_the_freezer() {
     // A yield budget that an unconditional per-batch backoff would
-    // spend 10^7 times over 10k ops.
+    // spend 10^7 times over 10k ops. Single ops of a lone handle skip
+    // the freezer, so 1k bulk calls per side keep it on the path: they
+    // still announce, on the bulk aggregators.
     let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(1, 4).freezer_yields(1000));
     let mut h = stack.register();
     for i in 0..10_000u64 {
@@ -118,8 +179,14 @@ fn lone_handle_never_yields_in_the_freezer() {
             let _ = h.pop();
         }
     }
+    let mut out = Vec::new();
+    for i in 0..1_000u64 {
+        h.push_many(&[i, i]);
+        h.pop_many(&mut out, 2);
+    }
     let r = stack.stats().report();
-    assert_eq!(r.ops, 10_000);
+    assert_eq!(r.ops, 14_000);
+    assert_eq!(r.batches - r.alone, 2_000, "every bulk call froze a batch");
     assert_eq!(r.backoff_yields, 0, "nobody can join a lone thread's batch");
 }
 

@@ -10,18 +10,24 @@ mod common;
 
 use sec_repro::{ConcurrentQueue, ConcurrentStack, QueueHandle, StackHandle};
 use std::collections::HashSet;
+use std::sync::Barrier;
 use std::thread;
 
 /// Generic conservation scenario: `threads` workers each push unique
 /// values and pop opportunistically; afterwards the drain must account
-/// for exactly the multiset difference.
+/// for exactly the multiset difference. Every worker registers before
+/// the first op, so the workers overlap: a SEC handle that ran alone
+/// would skip the batch protocol and could finish before the next
+/// worker registered.
 fn conservation<S: ConcurrentStack<u64>>(stack: &S, name: &str, threads: usize, per: usize) {
+    let registered = Barrier::new(threads);
     let popped: Vec<Vec<u64>> = thread::scope(|scope| {
         (0..threads)
             .map(|t| {
-                let stack = &stack;
+                let (stack, registered) = (&stack, &registered);
                 scope.spawn(move || {
                     let mut h = stack.register();
+                    registered.wait();
                     let mut got = Vec::new();
                     for i in 0..per {
                         h.push((t * per + i) as u64);

@@ -176,6 +176,101 @@ fn sec_adaptive_histories_with_forced_resizes_are_linearizable() {
 }
 
 #[test]
+fn sec_histories_stay_linearizable_as_handles_come_and_go() {
+    // Handles register, run a few ops and drop with staggered
+    // lifetimes, so the live-handle count crosses 1 again and again and
+    // ops switch between the lone path and the batch protocol
+    // (DESIGN.md §12 "Lone operations"). Two stints are pinned so
+    // both paths run in every round: thread 0's first stint ends
+    // before anyone else registers, and threads 1 and 2 hold their
+    // first handles together across their ops. Every other stint
+    // races freely.
+    use sec_repro::{SecConfig, SecStack};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const THREADS: usize = 3;
+    /// Ops per stint (one handle's lifetime), per thread.
+    const STINTS: [[usize; 3]; THREADS] = [[3, 3, 2], [2, 3, 3], [3, 2, 3]];
+    for round in 0..16 {
+        let stack: SecStack<u64> = SecStack::with_config(SecConfig::new(1, THREADS));
+        let rec = Recorder::new();
+        let events: Mutex<Vec<Event<u64>>> = Mutex::new(Vec::new());
+        let opened = AtomicBool::new(false);
+        let pair = Barrier::new(2);
+
+        thread::scope(|scope| {
+            for (t, stints) in STINTS.iter().enumerate() {
+                let (stack, rec, events) = (&stack, &rec, &events);
+                let (opened, pair) = (&opened, &pair);
+                scope.spawn(move || {
+                    let mut local = Vec::new();
+                    let mut i = 0usize;
+                    for (stint, &len) in stints.iter().enumerate() {
+                        let paired = t > 0 && stint == 0;
+                        if paired {
+                            while !opened.load(Ordering::Acquire) {
+                                thread::yield_now();
+                            }
+                        }
+                        let mut h = stack.register();
+                        if paired {
+                            pair.wait();
+                        }
+                        for _ in 0..len {
+                            let invoke = rec.now();
+                            let op = if (t + i + round).is_multiple_of(2) {
+                                let v = (round * 1_000_000 + t * 1_000 + i) as u64;
+                                h.push(v);
+                                Op::Push(v)
+                            } else {
+                                Op::Pop(h.pop())
+                            };
+                            let response = rec.now();
+                            local.push(Event {
+                                thread: t,
+                                op,
+                                invoke,
+                                response,
+                            });
+                            i += 1;
+                        }
+                        if paired {
+                            pair.wait();
+                        }
+                        drop(h);
+                        if t == 0 && stint == 0 {
+                            opened.store(true, Ordering::Release);
+                        }
+                        // Stagger the next registration.
+                        for _ in 0..(t + stint) % 3 {
+                            thread::yield_now();
+                        }
+                    }
+                    events.lock().unwrap().extend(local);
+                });
+            }
+        });
+
+        let history = events.into_inner().unwrap();
+        check_conservation(&history).unwrap_or_else(|e| panic!("[SEC_Churn] round {round}: {e}"));
+        check_history(&history).unwrap_or_else(|e| {
+            panic!("[SEC_Churn] round {round}: history not linearizable: {e}\n{history:#?}")
+        });
+        let r = stack.stats().report();
+        assert_eq!(
+            r.ops,
+            history.len() as u64,
+            "[SEC_Churn] round {round}: {r:?}"
+        );
+        assert!(
+            r.alone > 0 && r.batches > r.alone,
+            "[SEC_Churn] round {round}: both paths must run: {r:?}"
+        );
+    }
+}
+
+#[test]
 fn treiber_histories_are_linearizable() {
     record_and_check(
         || sec_repro::baselines::TreiberStack::new(3),

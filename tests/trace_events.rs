@@ -11,21 +11,33 @@
 //! sequence 0, elects itself freezer, freezes a degree-1 batch,
 //! combines it and publishes — so the event stream's *order* is fully
 //! determined and can be asserted exactly, not just statistically.
+//! Those runs hold a second, idle handle: a lone handle skips the batch
+//! altogether (DESIGN.md §12 "Lone operations"), which
+//! `a_lone_handle_records_alone_events_and_no_batch_lifecycle` checks.
 
 #![cfg(feature = "trace")]
 
-use sec_repro::trace::{chrome_trace_json, TraceEvent, TraceEventKind};
+use sec_repro::trace::{chrome_trace_json, TraceEvent, TraceEventKind, TraceLane};
 use sec_repro::{SecConfig, SecStack, TraceConfig};
 
-/// A traced single-threaded stack run: `ops` push/pop pairs, sampling
-/// every op, then the drained (timestamp-sorted) event stream.
-fn traced_run(ops: u64) -> (SecStack<u64>, Vec<TraceEvent>) {
-    let stack: SecStack<u64> = SecStack::with_config(
-        SecConfig::new(2, 1)
+/// The traced stack configuration: every op sampled, rings large
+/// enough to keep a whole run.
+fn traced_stack(max_threads: usize) -> SecStack<u64> {
+    SecStack::with_config(
+        SecConfig::new(2, max_threads)
             .freezer_yields(0)
             .trace(TraceConfig::on().sample_shift(0).ring_capacity(8192)),
-    );
+    )
+}
+
+/// A traced single-threaded stack run: `ops` push/pop pairs, sampling
+/// every op, then the drained (timestamp-sorted) event stream. A
+/// second handle stays registered but idle, so every op runs the batch
+/// protocol instead of the lone path.
+fn traced_run(ops: u64) -> (SecStack<u64>, Vec<TraceEvent>) {
+    let stack = traced_stack(2);
     {
+        let _idle = stack.register();
         let mut h = stack.register();
         for i in 0..ops {
             h.push(i);
@@ -108,6 +120,51 @@ fn phase_histograms_cover_every_sampled_op() {
     assert_eq!(t.batch_residency().count(), 128);
     // Residency (freeze→publish) is contained in op latency.
     assert!(t.batch_residency().max() <= t.op_latency().max());
+}
+
+#[test]
+fn a_lone_handle_records_alone_events_and_no_batch_lifecycle() {
+    let stack = traced_stack(1);
+    {
+        let mut h = stack.register();
+        for i in 0..16u64 {
+            h.push(i);
+            assert_eq!(h.pop(), Some(i));
+        }
+    }
+    let t = stack.tracer().expect("feature builds a recorder");
+    let events = t.events();
+    let lanes: Vec<TraceLane> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Alone { lane } => Some(lane),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        lanes.len(),
+        32,
+        "one alone event per sampled op: {events:?}"
+    );
+    assert!(lanes
+        .chunks(2)
+        .all(|p| p == [TraceLane::Add, TraceLane::Remove]));
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e.kind, TraceEventKind::FreezerElected)),
+        "a lone op elects no freezer"
+    );
+    assert_eq!(
+        events.len(),
+        32,
+        "nothing of the batch protocol: {events:?}"
+    );
+    assert_eq!(t.op_latency().count(), 32);
+    assert!(t.announce_to_freeze().is_empty());
+    let r = stack.stats().report();
+    assert_eq!((r.alone, r.batches, r.ops), (32, 32, 32));
+    assert!(chrome_trace_json(&events).contains("\"alone\""));
 }
 
 #[test]
