@@ -78,7 +78,7 @@ pub(crate) const fn unpack_ops(v: u64) -> u64 {
 /// the batch's slot array; removes take results out of the published
 /// chain. Same-sequence add/remove pairs eliminate in mixed batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
+pub enum Role {
     /// The inserting lane (`push`, `enqueue`, `push_front`/`push_back`).
     Add,
     /// The removing / result-bearing lane (`pop`, `dequeue`,
@@ -92,7 +92,7 @@ pub(crate) enum Role {
 /// The two announcement counters are cache-padded: they are the only
 /// fields hammered by fetch&increment from every thread of the
 /// aggregator, and the two lanes must not false-share.
-pub(crate) struct CombineBatch<N> {
+pub struct CombineBatch<N> {
     /// Announcement counter for the add lane (sequence-number source).
     pub(crate) add_count: CachePadded<AtomicU64>,
     /// Announcement counter for the remove lane.
@@ -327,7 +327,7 @@ pub(crate) struct CombineAggregator<N> {
     /// aggregator: the most announcers a batch can expect (the freezer
     /// backoff's bound). A slot joins on its first announcement here
     /// and leaves when the slot is next registered
-    /// (`CombineEngine::register`), so the count is written only on
+    /// (`Sec::register`), so the count is written only on
     /// those rare events.
     pub(crate) joined: AtomicUsize,
 }

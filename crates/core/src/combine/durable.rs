@@ -25,7 +25,7 @@
 //!   committed records by their global sequence number, verifies that
 //!   each handle's logged ops form a gap-free prefix (zero
 //!   double-applies) and classifies every pending intent;
-//!   [`CombineEngine::replay`] then re-applies the ordered op list to
+//!   [`Sec::replay`] then re-applies the ordered op list to
 //!   a fresh structure, checking every result against the log.
 //!
 //! The whole durable path is the engine's: a family contributes only
@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use sec_reclaim::{Guard, Handle as ReclaimHandle, PersistentHeap};
 
 use super::batch::{wait_ptr, CombineBatch, Role};
-use super::{CombineEngine, CombineOp, Lane};
+use super::{CombineOp, Lane, Sec};
 
 /// Magic word ("SECDUR01" in ASCII) committed last when a heap is
 /// initialised; recovery refuses heaps without it.
@@ -107,11 +107,26 @@ const RTAG_VALUE: u8 = 2;
 /// replay a stack log into a queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-pub(crate) enum Family {
+pub enum Family {
+    /// `SecStack<u64>`.
     Stack = 1,
+    /// `SecQueue<u64>`.
     Queue = 2,
+    /// `SecCounter`.
     Counter = 3,
+    /// `SecMap<u64, u64>`.
     Map = 4,
+}
+
+/// The durable-family hook: implemented by the `u64` instantiations of
+/// the four families only, which is what gives them
+/// [`Sec::durable`], [`Sec::durable_with_config`], [`Sec::recover`],
+/// [`Sec::durable_heap`] and [`Sec::durable_stats`]. Sealed like
+/// [`CombineOp`]: `pub` in a private module.
+pub trait DurableOp: CombineOp {
+    /// The family tag recorded in, and checked against, the heap
+    /// header.
+    const FAMILY: Family;
 }
 
 impl Family {
@@ -400,7 +415,7 @@ pub struct HandleRecovery {
     pub pending: PendingOutcome,
 }
 
-/// Everything [`recover()`](crate::SecStack::recover) learned from the
+/// Everything [`recover()`](crate::Sec::recover) learned from the
 /// heap: the ordered op log (already replayed into the returned
 /// structure), per-handle detectability verdicts, and scan statistics.
 #[derive(Debug)]
@@ -630,7 +645,7 @@ struct StatsInner {
     msyncs: AtomicU64,
 }
 
-/// The shared durable state a [`CombineEngine`] owns when built with a
+/// The shared durable state a [`Sec`] owns when built with a
 /// [`DurablePolicy`]: the heap, the layout geometry, the apply lock
 /// that serialises structure mutation with log append, and the
 /// per-handle resume sequence numbers recovery produced.
@@ -1072,9 +1087,9 @@ impl DurableCore {
 
 // ---- the engine's durable path ------------------------------------
 
-impl<O: CombineOp> CombineEngine<O> {
+impl<O: CombineOp> Sec<O> {
     /// The redo log and intent cells, when the engine was built durable.
-    pub(crate) fn durable(&self) -> Option<&DurableCore> {
+    pub(crate) fn durable_core(&self) -> Option<&DurableCore> {
         self.durable.as_deref()
     }
 
@@ -1090,7 +1105,7 @@ impl<O: CombineOp> CombineEngine<O> {
         operand2: u64,
     ) -> OpResult {
         let d = self
-            .durable()
+            .durable_core()
             .expect("durable op on a non-durable structure");
         let tid = reclaim.slot();
         let seq = d.write_intent(tid, opcode, operand, operand2);
@@ -1124,7 +1139,7 @@ impl<O: CombineOp> CombineEngine<O> {
         guard: &Guard<'_, '_>,
     ) {
         let d = self
-            .durable()
+            .durable_core()
             .expect("durable shard without a durable core");
         let shard = agg_idx - self.dur_base;
         let reqs: Vec<*mut DurableReq> = batch.slots[my_seq..batch.frozen_cut(Role::Remove)]
@@ -1144,7 +1159,7 @@ impl<O: CombineOp> CombineEngine<O> {
             let result = self
                 .op
                 .apply_logged(req.opcode, req.operand, req.operand2, guard)
-                .unwrap_or_else(|| unreachable!("{}: foreign opcode {}", self.name, req.opcode));
+                .unwrap_or_else(|| unreachable!("{}: foreign opcode {}", O::NAME, req.opcode));
             req.set_result(result);
             let e = DurableCore::entry_words(req);
             match d.granularity {
@@ -1180,7 +1195,8 @@ impl<O: CombineOp> CombineEngine<O> {
                 .ok_or_else(|| {
                     DurableError::Corrupt(format!(
                         "{} log holds foreign opcode {}",
-                        self.name, op.opcode
+                        O::NAME,
+                        op.opcode
                     ))
                 })?;
             if replayed != op.result {
@@ -1191,16 +1207,6 @@ impl<O: CombineOp> CombineEngine<O> {
             }
         }
         Ok(())
-    }
-
-    /// The backing heap (durable structures only).
-    pub(crate) fn durable_heap(&self) -> Option<Arc<PersistentHeap>> {
-        self.durable().map(DurableCore::heap)
-    }
-
-    /// Redo-log counters (durable structures only).
-    pub(crate) fn durable_stats(&self) -> Option<DurableStats> {
-        self.durable().map(DurableCore::stats)
     }
 }
 

@@ -7,14 +7,14 @@
 //!
 //! * announcement slots and sequence numbers ([`CombineBatch`]),
 //! * seq-0 freezer election and the freeze/publish state machine
-//!   ([`CombineEngine::freeze_batch`]),
+//!   ([`Sec::freeze_batch`]),
 //! * the `wait_applied`/`mark_applied` waiter seam (batch.rs),
 //! * elastic-K re-mapping — the contention monitor, the epoch fence,
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
 //! * per-batch stats recording ([`SecStats`]),
 //! * the lone-op path that skips the batch when nobody can join it
-//!   ([`CombineEngine::run_alone`]),
+//!   ([`Sec::run_alone`]),
 //! * the crash-durable path — intents, redo log, recovery replay
 //!   (`durable.rs`, DESIGN.md §16).
 //!
@@ -22,13 +22,15 @@
 //! [`CombineOp`]: a sequential "apply this frozen batch to the shared
 //! structure" for each lane, plus hooks for elimination and result
 //! consumption, and — for durable families — "apply this one logged
-//! operation". `SecStack`, `SecQueue`, `SecCounter` and `SecMap` are
-//! all such instantiations; see DESIGN.md §12 for the state machine
+//! operation". The engine is itself the public family type [`Sec`]:
+//! `SecStack`, `SecQueue`, `SecCounter` and `SecMap` are aliases of
+//! `Sec<O>` for their ops, and the surface every family shares is
+//! written once, in `shell.rs`. See DESIGN.md §12 for the state machine
 //! and the `CombineOp` contract.
 //!
 //! ## One driver for mixed and homogeneous batches
 //!
-//! The engine's driver ([`CombineEngine::run`]) implements the paper's
+//! The engine's driver ([`Sec::run`]) implements the paper's
 //! Algorithms 1 and 2 over the two lanes of a [`CombineBatch`]. The
 //! key observation that lets the queue's per-end (homogeneous) batches
 //! ride the same driver: a homogeneous batch is a mixed batch whose
@@ -41,6 +43,7 @@
 
 pub(crate) mod batch;
 pub(crate) mod durable;
+mod shell;
 
 use crate::config::SecConfig;
 use crate::sec::elastic::{self, ContentionMonitor, Direction};
@@ -56,6 +59,7 @@ use durable::{DurableCore, OpResult};
 use sec_reclaim::{Collector, Guard, Handle as ReclaimHandle};
 use sec_sync::event::spin_wait;
 use sec_sync::{topology, CachePadded};
+pub use shell::FamilyHandle;
 use std::time::Instant;
 
 impl Role {
@@ -106,12 +110,44 @@ impl Role {
 /// [`take_result`]: CombineOp::take_result
 /// [`apply_logged`]: CombineOp::apply_logged
 /// [`apply_alone`]: CombineOp::apply_alone
-pub(crate) trait CombineOp: Sized + Send + Sync {
+///
+/// The associated constants and the two constructors below are what
+/// differs between families in the shell they share (DESIGN.md §12
+/// "Family shell"): [`Sec::new`], [`Sec::with_config`] and the durable
+/// constructors read them, so no family writes its own.
+///
+/// The trait is `pub` only so that the public [`Sec`] may name it in a
+/// bound; it lives in a private module, so no other crate can name or
+/// implement it.
+pub trait CombineOp: Sized + Send + Sync {
     /// The node type flowing through announcement slots and result
     /// chains.
     type Node: Send;
     /// What a remove-lane operation returns.
     type Value;
+
+    /// The family's type name, for `Debug` and diagnostics.
+    const NAME: &'static str;
+    /// The aggregator count [`Sec::new`], [`Sec::durable`] and
+    /// [`Sec::recover`] configure: the paper's two by default.
+    const DEFAULT_K: usize = 2;
+    /// How the engine lays out the family's aggregators.
+    const LAYOUT: AggLayout;
+    /// The family's construction parameter, recorded in a durable
+    /// heap's header so recovery rebuilds the same geometry: the map's
+    /// bucket count, `0` for the families that have none.
+    const PARAM: u64 = 0;
+
+    /// Builds the family's empty shared structure from its
+    /// construction parameter ([`CombineOp::PARAM`], or the one a
+    /// durable heap recorded).
+    fn create(param: u64) -> Self;
+
+    /// The configuration the family actually runs with, given the
+    /// caller's. The default keeps it as it is.
+    fn normalize(config: SecConfig) -> SecConfig {
+        config
+    }
 
     /// Apply the batch's surviving adds (sequence numbers
     /// `my_seq..add_at_freeze`) to the shared structure. `my_seq ==
@@ -120,7 +156,7 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     /// this called.
     fn combine_add(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         my_seq: usize,
         agg_idx: usize,
@@ -136,7 +172,7 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     /// [`CombineOp::take_result`].
     fn combine_remove(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         my_seq: usize,
         agg_idx: usize,
@@ -149,7 +185,7 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     /// the default.
     fn eliminate(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         my_seq: usize,
         guard: &Guard<'_, '_>,
@@ -165,7 +201,7 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     /// request instead and return `None` here.
     fn take_result(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         offset: usize,
         agg_idx: usize,
@@ -210,7 +246,7 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     /// runs the batch protocol.
     fn apply_alone(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         role: Role,
         node: *mut Self::Node,
         guard: &Guard<'_, '_>,
@@ -255,7 +291,7 @@ pub(crate) enum Lane<'s> {
 }
 
 /// How the engine lays out its aggregators at construction.
-pub(crate) enum AggLayout<'a> {
+pub enum AggLayout {
     /// One aggregator per policy slot, addressed through
     /// [`Lane::Mapped`]; elastic policies resize the active prefix.
     Mapped {
@@ -273,20 +309,25 @@ pub(crate) enum AggLayout<'a> {
     /// each entry says whether that end's batches carry slots.
     Fixed {
         /// Per-end slot flags.
-        ends: &'a [bool],
+        ends: &'static [bool],
         /// Dedicated bulk aggregators appended after the fixed ends,
         /// with the same semantics as [`AggLayout::Mapped::bulk`].
         bulk: usize,
     },
 }
 
-/// The batched-combining engine: aggregators, batches, freezing,
-/// elimination pairing, combiner election, waiter parking, elastic
-/// sharding, recycling and stats — everything of the SEC protocol
-/// that is not a family's sequential apply logic.
-pub(crate) struct CombineEngine<O: CombineOp> {
-    /// Family name for diagnostics (overflow asserts, registration).
-    name: &'static str,
+/// A SEC structure: the batched-combining engine — aggregators,
+/// batches, freezing, elimination pairing, combiner election, waiter
+/// parking, elastic sharding, recycling and stats — around one
+/// family's shared structure and sequential apply logic.
+///
+/// Every family is an alias of this type: [`SecStack`](crate::SecStack),
+/// [`SecQueue`](crate::SecQueue), [`SecCounter`](crate::SecCounter) and
+/// [`SecMap`](crate::SecMap). The methods below are the surface they
+/// share; each family's module adds its own operations and builders.
+/// Threads operate through the [`FamilyHandle`] that
+/// [`Sec::register`] returns.
+pub struct Sec<O: CombineOp> {
     /// The family's apply logic + shared structure. Declared before
     /// `collector` so structure teardown (op's `Drop`) runs before the
     /// collector frees retired husks.
@@ -312,7 +353,7 @@ pub(crate) struct CombineEngine<O: CombineOp> {
     bulk_base: usize,
     /// Redo log + intent cells when the structure is crash-durable
     /// (DESIGN.md §16). Every operation of a durable structure then
-    /// routes through [`CombineEngine::run_durable`] onto one of the
+    /// routes through [`Sec::run_durable`] onto one of the
     /// durable shards, which sit after the bulk aggregators. Padded:
     /// every batch writes its apply lock and log counters, which must
     /// not share a cache line with the read-mostly fields every
@@ -336,7 +377,7 @@ pub(crate) struct CombineEngine<O: CombineOp> {
     /// when [`TraceConfig::enabled`](crate::TraceConfig::enabled) is
     /// set. The field itself exists only under the `trace` cargo
     /// feature; every hook goes through
-    /// [`CombineEngine::tracer`], which degenerates to a constant
+    /// [`Sec::tracer`], which degenerates to a constant
     /// `None` without it — the optimizer then erases the hooks
     /// entirely, so default builds pay nothing.
     #[cfg(feature = "trace")]
@@ -346,17 +387,23 @@ pub(crate) struct CombineEngine<O: CombineOp> {
 // Safety: all engine-shared state is atomics; node/batch ownership
 // transfer follows the protocol's exactly-once consumption discipline,
 // and the op is itself Send + Sync.
-unsafe impl<O: CombineOp> Send for CombineEngine<O> {}
-unsafe impl<O: CombineOp> Sync for CombineEngine<O> {}
+unsafe impl<O: CombineOp> Send for Sec<O> {}
+unsafe impl<O: CombineOp> Sync for Sec<O> {}
 
-impl<O: CombineOp> CombineEngine<O> {
-    /// Builds an engine from a family's apply logic and configuration,
-    /// crash-durable when `durable` carries a core.
-    pub(crate) fn new(
-        name: &'static str,
+impl<O: CombineOp> Sec<O> {
+    /// Builds the family's structure from its [`CombineOp`] items:
+    /// the normalized `config`, the layout, and the op built from
+    /// `param`. Crash-durable when `durable` carries a core.
+    pub(crate) fn build(config: SecConfig, param: u64, durable: Option<DurableCore>) -> Self {
+        Self::assemble(O::create(param), O::normalize(config), O::LAYOUT, durable)
+    }
+
+    /// Builds an engine from an op, its configuration and an explicit
+    /// aggregator layout.
+    pub(crate) fn assemble(
         op: O,
         config: SecConfig,
-        layout: AggLayout<'_>,
+        layout: AggLayout,
         durable: Option<DurableCore>,
     ) -> Self {
         let cap = config.per_aggregator_capacity();
@@ -384,7 +431,6 @@ impl<O: CombineOp> CombineEngine<O> {
         let shards = durable.as_ref().map_or(0, DurableCore::shards);
         slotting.extend((0..shards).map(|_| (true, config.max_threads)));
         Self {
-            name,
             op,
             durable: durable.map(CachePadded::new),
             dur_base,
@@ -415,13 +461,16 @@ impl<O: CombineOp> CombineEngine<O> {
         }
     }
 
-    /// Registers the calling thread: a reclamation handle plus the
-    /// announcement-mapping state families embed in their handles.
-    pub(crate) fn register(&self) -> (ReclaimHandle<'_>, OpState) {
+    /// Registers the calling thread and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// If more threads register than the structure was configured for.
+    pub fn register(&self) -> FamilyHandle<'_, O> {
         let reclaim = self.collector.register().unwrap_or_else(|| {
             panic!(
                 "{}: more threads registered than the configured max_threads",
-                self.name
+                O::NAME
             )
         });
         let tid = reclaim.slot();
@@ -439,14 +488,15 @@ impl<O: CombineOp> CombineEngine<O> {
         }
         let seen_k = self.active.load(Ordering::Acquire);
         let agg_idx = self.config.aggregator_for(tid, seen_k);
-        (
-            reclaim,
-            OpState {
+        FamilyHandle {
+            sec: self,
+            state: OpState {
                 tid,
                 seen_k,
                 agg_idx,
             },
-        )
+            reclaim,
+        }
     }
 
     /// Registry slot `tid`'s roster bitmap words.
@@ -469,8 +519,10 @@ impl<O: CombineOp> CombineEngine<O> {
         }
     }
 
-    /// The configuration the engine was built with.
-    pub(crate) fn config(&self) -> &SecConfig {
+    /// The configuration this structure was built with, after the
+    /// family's normalization (the queue's one fixed aggregator, the
+    /// map's `[K, K]` range).
+    pub fn config(&self) -> &SecConfig {
         &self.config
     }
 
@@ -484,18 +536,25 @@ impl<O: CombineOp> CombineEngine<O> {
         &mut self.op
     }
 
-    /// The batching/elimination/combining instrumentation.
-    pub(crate) fn stats(&self) -> &SecStats {
+    /// The batching/elimination/combining instrumentation (the
+    /// paper's Tables 1–3). Homogeneous families — the queue, the
+    /// counter, the map — never eliminate, so for them `combined /
+    /// batches` is the batching degree.
+    pub fn stats(&self) -> &SecStats {
         &self.stats
     }
 
-    /// The trace recorder, when one was configured *and* the `trace`
-    /// cargo feature is compiled in. This accessor is the hooks' single
-    /// seam: without the feature it is a constant `None`, so every
+    /// The sec-trace recorder (event rings + phase histograms,
+    /// DESIGN.md §14): `Some` only when the structure was configured
+    /// with [`TraceConfig::enabled`](crate::TraceConfig) *and* the
+    /// crate was built with the `trace` cargo feature.
+    ///
+    /// This accessor is also the engine hooks' single seam: without
+    /// the feature it is a constant `None`, so every
     /// `if let Some(t) = self.tracer()` hook folds away and the hot
     /// path is byte-identical to an untraced build.
     #[inline]
-    pub(crate) fn tracer(&self) -> Option<&TraceRecorder> {
+    pub fn tracer(&self) -> Option<&TraceRecorder> {
         #[cfg(feature = "trace")]
         {
             self.tracer.as_deref()
@@ -506,10 +565,11 @@ impl<O: CombineOp> CombineEngine<O> {
         }
     }
 
-    /// A point-in-time poll of the protocol counters (works with or
-    /// without the `trace` cargo feature — it reads the always-on
-    /// [`SecStats`]).
-    pub(crate) fn trace_snapshot(&self) -> TraceSnapshot {
+    /// A point-in-time poll of the protocol counters; two snapshots
+    /// differentiate into time-windowed rates via
+    /// [`TraceSnapshot::rates_since`]. Always available — it reads the
+    /// same counters as [`Sec::stats`].
+    pub fn trace_snapshot(&self) -> TraceSnapshot {
         let r = self.stats.report();
         TraceSnapshot {
             at_ns: self.born.elapsed().as_nanos() as u64,
@@ -525,19 +585,23 @@ impl<O: CombineOp> CombineEngine<O> {
         }
     }
 
-    /// Reclamation statistics (diagnostic).
-    pub(crate) fn reclaim_stats(&self) -> sec_reclaim::CollectorStats {
+    /// Reclamation statistics (diagnostic). The recycle hit/miss/
+    /// overflow counters are exact once every handle has dropped.
+    pub fn reclaim_stats(&self) -> sec_reclaim::CollectorStats {
         self.collector.stats()
     }
 
     /// Drives reclamation to completion (up to `rounds` epoch
-    /// advances) and returns the resulting stats.
-    pub(crate) fn quiesce_reclamation(&self, rounds: usize) -> sec_reclaim::CollectorStats {
+    /// advances) and returns the resulting stats. With every handle
+    /// dropped, a successful quiesce leaves `retired == freed +
+    /// cached` — the leak identity the test battery asserts.
+    pub fn quiesce_reclamation(&self, rounds: usize) -> sec_reclaim::CollectorStats {
         self.collector.quiesce(rounds)
     }
 
-    /// Number of currently active aggregators.
-    pub(crate) fn active_aggregators(&self) -> usize {
+    /// Number of currently active aggregators (the map's active
+    /// shards; always 1 for the queue, whose aggregators are its ends).
+    pub fn active_aggregators(&self) -> usize {
         self.active.load(Ordering::Acquire)
     }
 
@@ -549,10 +613,19 @@ impl<O: CombineOp> CombineEngine<O> {
     }
 
     /// Forces the active aggregator count to `k` (clamped into the
-    /// policy's `[min_k, max_k]`). Serializes with monitor decisions
-    /// through the same election and arms the same epoch fence; each
-    /// step is recorded in the resize counters.
-    pub(crate) fn set_active_aggregators(&self, k: usize) -> usize {
+    /// policy's `[min_k, max_k]`; a no-op for
+    /// [`AggregatorPolicy::Fixed`](crate::AggregatorPolicy::Fixed),
+    /// whose bounds coincide). Returns the count now in force.
+    ///
+    /// This is the manual override behind the stress and
+    /// linearizability suites, which drive grow/shrink transitions at
+    /// chosen points instead of waiting for the contention monitor; it
+    /// serializes with monitor decisions through the same election and
+    /// arms the same epoch fence. Each step of the change is recorded
+    /// in the [`SecStats`] resize counters. Operations already
+    /// announced drain on their old aggregator (for the map, the
+    /// bucket locks make that overlap safe).
+    pub fn set_active_aggregators(&self, k: usize) -> usize {
         let k = k.clamp(self.config.policy.min_k(), self.config.policy.max_k());
         // A blocking wait on the concurrent decider's `end_decision`:
         // policy-aware, but never parked (decisions are a few loads —
@@ -949,7 +1022,7 @@ impl<O: CombineOp> CombineEngine<O> {
         self.run_weighted(lane, role, node, 1, reclaim)
     }
 
-    /// [`CombineEngine::run`] for an announcement carrying `ops`
+    /// [`Sec::run`] for an announcement carrying `ops`
     /// operations — the bulk entry point. The node is announced once
     /// (one sequence number, one slot), but the lane counter advances
     /// by `ops` on its operation half, so freezing, stats and the
@@ -965,7 +1038,7 @@ impl<O: CombineOp> CombineEngine<O> {
         debug_assert!(
             (1..=MAX_BULK_OPS as u32).contains(&ops),
             "{}: bulk weight {} outside 1..={} (families chunk above the bound)",
-            self.name,
+            O::NAME,
             ops,
             MAX_BULK_OPS
         );
@@ -989,7 +1062,7 @@ impl<O: CombineOp> CombineEngine<O> {
     /// to [`CombineOp::apply_alone`] and is tallied as a degree-1,
     /// combined batch on its registry slot. Returns `None` when the
     /// family has no lone path. Safe whatever the live-handle evidence
-    /// says, which is why [`CombineEngine::run_inner`] may act on a
+    /// says, which is why [`Sec::run_inner`] may act on a
     /// stale count.
     pub(crate) fn run_alone(
         &self,
@@ -1014,7 +1087,7 @@ impl<O: CombineOp> CombineEngine<O> {
     }
 
     /// The driver proper; `trace` is `Some` only for sampled ops of a
-    /// traced structure (see [`CombineEngine::run`]).
+    /// traced structure (see [`Sec::run`]).
     #[allow(clippy::too_many_arguments)]
     fn run_inner(
         &self,
@@ -1064,7 +1137,7 @@ impl<O: CombineOp> CombineEngine<O> {
                 my_seq < batch.capacity,
                 "{}: more announcements ({}) than the aggregator capacity ({}) — was \
                  the structure shared by more threads than its configured max_threads?",
-                self.name,
+                O::NAME,
                 my_seq + 1,
                 batch.capacity
             );
@@ -1164,7 +1237,7 @@ impl<O: CombineOp> CombineEngine<O> {
     }
 }
 
-impl<O: CombineOp> Drop for CombineEngine<O> {
+impl<O: CombineOp> Drop for Sec<O> {
     fn drop(&mut self) {
         // No handles exist (they borrow the engine), so everything is
         // quiescent and each aggregator's current batch is virgin (any

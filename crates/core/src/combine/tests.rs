@@ -40,9 +40,19 @@ impl CombineOp for TallyOp {
     type Node = Node<u64>;
     type Value = u64;
 
+    const NAME: &'static str = "tally";
+    const LAYOUT: AggLayout = AggLayout::Mapped {
+        with_slots: true,
+        bulk: 0,
+    };
+
+    fn create(_param: u64) -> Self {
+        TallyOp::new()
+    }
+
     fn combine_add(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         my_seq: usize,
         agg_idx: usize,
@@ -64,7 +74,7 @@ impl CombineOp for TallyOp {
 
     fn combine_remove(
         &self,
-        _eng: &CombineEngine<Self>,
+        _eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         my_seq: usize,
         agg_idx: usize,
@@ -83,7 +93,7 @@ impl CombineOp for TallyOp {
 
     fn eliminate(
         &self,
-        eng: &CombineEngine<Self>,
+        eng: &Sec<Self>,
         batch: &CombineBatch<Self::Node>,
         my_seq: usize,
         guard: &Guard<'_, '_>,
@@ -96,7 +106,7 @@ impl CombineOp for TallyOp {
 
     fn take_result(
         &self,
-        _eng: &CombineEngine<Self>,
+        _eng: &Sec<Self>,
         _batch: &CombineBatch<Self::Node>,
         _offset: usize,
         _agg_idx: usize,
@@ -106,15 +116,16 @@ impl CombineOp for TallyOp {
     }
 }
 
-fn engine(config: SecConfig) -> CombineEngine<TallyOp> {
-    CombineEngine::new(
-        "tally",
+fn engine(config: SecConfig) -> Sec<TallyOp> {
+    Sec::with_config(config)
+}
+
+/// An engine over `TallyOp` with the fixed layout `ends`.
+fn fixed_engine(config: SecConfig, ends: &'static [bool]) -> Sec<TallyOp> {
+    Sec::assemble(
         TallyOp::new(),
         config,
-        AggLayout::Mapped {
-            with_slots: true,
-            bulk: 0,
-        },
+        AggLayout::Fixed { ends, bulk: 0 },
         None,
     )
 }
@@ -122,9 +133,12 @@ fn engine(config: SecConfig) -> CombineEngine<TallyOp> {
 #[test]
 fn single_add_runs_the_full_cycle() {
     let eng = engine(SecConfig::new(1, 1));
-    let (reclaim, mut st) = eng.register();
-    let n = Node::alloc_with(&reclaim, 7u64);
-    assert_eq!(eng.run(Lane::Mapped(&mut st), Role::Add, n, &reclaim), None);
+    let mut h = eng.register();
+    let n = Node::alloc_with(&h.reclaim, 7u64);
+    assert_eq!(
+        eng.run(Lane::Mapped(&mut h.state), Role::Add, n, &h.reclaim),
+        None
+    );
     assert_eq!(eng.op().sum.load(Ordering::Relaxed), 7);
     let log = eng.op().log.lock().unwrap().clone();
     assert_eq!(
@@ -142,12 +156,12 @@ fn single_add_runs_the_full_cycle() {
 #[test]
 fn single_remove_applies_and_reports_empty() {
     let eng = engine(SecConfig::new(1, 1));
-    let (reclaim, mut st) = eng.register();
+    let mut h = eng.register();
     let out = eng.run(
-        Lane::Mapped(&mut st),
+        Lane::Mapped(&mut h.state),
         Role::Remove,
         core::ptr::null_mut(),
-        &reclaim,
+        &h.reclaim,
     );
     assert_eq!(out, None);
     let log = eng.op().log.lock().unwrap().clone();
@@ -167,8 +181,8 @@ fn freeze_publishes_cut_swaps_batch_and_publish_wakes() {
     // pinned (a retired batch stays readable until quiescence —
     // exactly the discipline every waiter relies on).
     let eng = engine(SecConfig::new(1, 2));
-    let (reclaim, _st) = eng.register();
-    let guard = reclaim.pin();
+    let h = eng.register();
+    let guard = h.reclaim.pin();
     let agg = &*eng.aggs[0];
     let b0 = agg.batch.load(Ordering::Acquire);
     let batch = unsafe { &*b0 };
@@ -181,7 +195,7 @@ fn freeze_publishes_cut_swaps_batch_and_publish_wakes() {
             .fetch_add(batch::pack_announce(1), Ordering::AcqRel),
         0
     );
-    let n = Node::alloc_with(&reclaim, 41u64);
+    let n = Node::alloc_with(&h.reclaim, 41u64);
     batch.slots[0].store(n, Ordering::Release);
 
     // Freezer election: the first seq-0 announcer wins the test&set,
@@ -230,17 +244,17 @@ fn concurrent_mix_conserves_values_and_elects_unique_combiners() {
             .map(|t| {
                 let eng = &eng;
                 scope.spawn(move || {
-                    let (reclaim, mut st) = eng.register();
+                    let mut h = eng.register();
                     let mut got = 0u64;
                     for i in 0..PER {
                         if (t + i) % 2 == 0 {
-                            let n = Node::alloc_with(&reclaim, 1u64);
-                            eng.run(Lane::Mapped(&mut st), Role::Add, n, &reclaim);
+                            let n = Node::alloc_with(&h.reclaim, 1u64);
+                            eng.run(Lane::Mapped(&mut h.state), Role::Add, n, &h.reclaim);
                         } else if let Some(v) = eng.run(
-                            Lane::Mapped(&mut st),
+                            Lane::Mapped(&mut h.state),
                             Role::Remove,
                             core::ptr::null_mut(),
-                            &reclaim,
+                            &h.reclaim,
                         ) {
                             got += v;
                         }
@@ -280,10 +294,7 @@ fn forced_resize_remaps_mapped_announcements() {
     let eng = engine(SecConfig::adaptive(1, 4, MAX));
     // Register a few handles to obtain distinct dense tids.
     let handles: Vec<_> = (0..4).map(|_| eng.register()).collect();
-    let (reclaim, mut st) = {
-        let (r, s) = &handles[3];
-        (r, s.clone())
-    };
+    let (reclaim, mut st) = (&handles[3].reclaim, handles[3].state.clone());
     assert_eq!(st.tid(), 3);
 
     for k in [2usize, 4, 1, 3] {
@@ -308,20 +319,11 @@ fn excluded_announcements_retry_on_the_remapped_aggregator() {
     // mapped state; a mapped engine re-resolves each retry. Exercised
     // here by running ops through Lane::At against aggregator 0 of a
     // two-slot engine and checking they apply there.
-    let eng = CombineEngine::new(
-        "tally-at",
-        TallyOp::new(),
-        SecConfig::new(2, 2),
-        AggLayout::Fixed {
-            ends: &[true, true],
-            bulk: 0,
-        },
-        None,
-    );
-    let (reclaim, _st) = eng.register();
+    let eng = fixed_engine(SecConfig::new(2, 2), &[true, true]);
+    let h = eng.register();
     for _ in 0..3 {
-        let n = Node::alloc_with(&reclaim, 2u64);
-        eng.run(Lane::At(1), Role::Add, n, &reclaim);
+        let n = Node::alloc_with(&h.reclaim, 2u64);
+        eng.run(Lane::At(1), Role::Add, n, &h.reclaim);
     }
     assert_eq!(eng.op().sum.load(Ordering::Relaxed), 6);
     assert!(eng.op().log.lock().unwrap().iter().all(|a| a.agg_idx == 1));
@@ -330,38 +332,29 @@ fn excluded_announcements_retry_on_the_remapped_aggregator() {
 #[test]
 fn rosters_track_which_slots_announce_where() {
     // 70 ends, so aggregator 69's roster bit lives in a second word.
-    let eng = CombineEngine::new(
-        "tally-roster",
-        TallyOp::new(),
-        SecConfig::new(1, 3),
-        AggLayout::Fixed {
-            ends: &[true; 70],
-            bulk: 0,
-        },
-        None,
-    );
+    let eng = fixed_engine(SecConfig::new(1, 3), &[true; 70]);
     let joined = |i: usize| eng.aggs[i].joined.load(Ordering::Relaxed);
     let add = |reclaim: &ReclaimHandle<'_>, end: usize| {
         let n = Node::alloc_with(reclaim, 1u64);
         eng.run(Lane::At(end), Role::Add, n, reclaim);
     };
-    let (a, _) = eng.register();
-    let (b, _) = eng.register();
+    let a = eng.register();
+    let b = eng.register();
     // A producer/consumer pair: each end's roster holds one slot, so
     // neither freezer waits for the other.
-    add(&a, 0);
-    add(&a, 0);
-    eng.run(Lane::At(1), Role::Remove, core::ptr::null_mut(), &b);
+    add(&a.reclaim, 0);
+    add(&a.reclaim, 0);
+    eng.run(Lane::At(1), Role::Remove, core::ptr::null_mut(), &b.reclaim);
     assert_eq!((joined(0), joined(1)), (1, 1));
-    add(&a, 1);
-    add(&b, 69);
+    add(&a.reclaim, 1);
+    add(&b.reclaim, 69);
     assert_eq!((joined(1), joined(69)), (2, 1));
     // b's slot leaves its rosters when the slot is registered again.
-    let slot = b.slot();
+    let slot = b.tid();
     drop(b);
-    let (b2, _) = eng.register();
-    assert_eq!(b2.slot(), slot);
+    let b2 = eng.register();
+    assert_eq!(b2.tid(), slot);
     assert_eq!((joined(0), joined(1), joined(69)), (1, 1, 0));
-    add(&b2, 69);
+    add(&b2.reclaim, 69);
     assert_eq!(joined(69), 1);
 }

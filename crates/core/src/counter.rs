@@ -10,210 +10,35 @@
 //! each participant its private pre-sum (`base + Σ operands before
 //! it`) back through its announcement slot. `n` concurrent increments
 //! cost one shared-memory RMW instead of `n` — the combining degree
-//! shows up in [`SecStats`] as `combined / batches`, identically to
-//! the stack's Table 3 instrumentation.
+//! shows up in [`SecStats`](crate::SecStats) as `combined / batches`,
+//! identically to the stack's Table 3 instrumentation.
 //!
-//! The whole family is this file: no freezing, parking, elastic
-//! re-mapping or recycling code appears here — all of it is inherited
-//! from `crate::combine` (DESIGN.md §12). Operations ride the
-//! **remove** lane (the result-bearing lane); the add lane stays
-//! permanently at zero, which makes the engine's elimination test
-//! (`my_seq < add_at_freeze`) vacuously false and its combiner
-//! election (`my_seq == add_at_freeze`) pick exactly sequence number
-//! zero. A homogeneous family degenerates out of the mixed protocol
-//! for free.
+//! The whole family is this file and its `op` module: no freezing,
+//! parking, elastic re-mapping or recycling code appears here — all of
+//! it is inherited from `crate::combine` (DESIGN.md §12), and so is the
+//! surface every family shares. Operations ride the **remove** lane
+//! (the result-bearing lane); the add lane stays permanently at zero,
+//! which makes the engine's elimination test (`my_seq <
+//! add_at_freeze`) vacuously false and its combiner election (`my_seq
+//! == add_at_freeze`) pick exactly sequence number zero. A homogeneous
+//! family degenerates out of the mixed protocol for free.
 
-use crate::combine::durable::{
-    opcode, DurableCore, DurableError, DurablePolicy, DurableStats, Family, OpResult,
-    RecoveryReport,
-};
-use crate::combine::{AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role};
-use crate::config::SecConfig;
+mod op;
+
+use crate::combine::durable::opcode;
+use crate::combine::{FamilyHandle, Lane, Role, Sec};
 use crate::sec::node::Node;
-use crate::sec::stats::SecStats;
-use core::fmt;
-use core::mem::ManuallyDrop;
-use core::sync::atomic::{AtomicU64, Ordering};
-use sec_reclaim::{Guard, Handle as ReclaimHandle};
-use sec_sync::CachePadded;
-
-/// The counter's apply logic: one central word, one combiner.
-struct CounterOp {
-    /// The linearization point of every `fetch_add` and `load`: all
-    /// operations of a frozen batch linearize consecutively, in slot
-    /// order, at the combiner's single `fetch_add` on this word.
-    total: CachePadded<AtomicU64>,
-}
-
-/// A bulk `add_many` announcement: the node flowing through the
-/// counter's dedicated bulk aggregator. Lives on the announcer's stack
-/// frame (the announcer blocks until `applied`, so the frame outlives
-/// every combiner access); the engine only stores and forwards the
-/// pointer, type-erased as `*mut Node<u64>`.
-struct AddManyReq {
-    /// The caller's delta slice.
-    deltas: *const u64,
-    len: usize,
-    /// Written by the combiner: the counter's value immediately before
-    /// this request's first delta (the request's `fetch_add` base).
-    base: u64,
-}
-
-impl CombineOp for CounterOp {
-    type Node = Node<u64>;
-    type Value = u64;
-
-    // `combine_add` and `eliminate` keep their defaults: the add lane
-    // of a counter batch is always empty, so the engine never calls
-    // them.
-
-    /// Sum the frozen batch's operands, add the total to the central
-    /// counter with one RMW, and write each participant's pre-sum back
-    /// into its announcement slot. Allocation-free: two passes over
-    /// the slot array, no scratch buffer.
-    fn combine_remove(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<u64>>,
-        my_seq: usize,
-        agg_idx: usize,
-        _guard: &Guard<'_, '_>,
-    ) {
-        if agg_idx == eng.bulk_agg(0) {
-            return self.combine_add_many(eng, batch, my_seq);
-        }
-        let cut = batch.frozen_cut(Role::Remove);
-
-        // Pass 1: every included operation published its operand node
-        // (slot stores happen right after announcing; freezing only
-        // bounds *which* slots, not *when* they land — so spin on the
-        // ones still in flight).
-        let mut sum = 0u64;
-        for slot in &batch.slots[my_seq..cut] {
-            let n = crate::combine::wait_ptr(slot, eng.config().wait);
-            sum = sum.wrapping_add(unsafe { *(*n).value });
-        }
-
-        // The batch's single shared-memory RMW.
-        let mut base = self.total.fetch_add(sum, Ordering::AcqRel);
-
-        // Pass 2: hand each participant `base + Σ operands before it`
-        // by overwriting its operand in place. Exclusive access: the
-        // owners only read their slots back after observing `applied`
-        // (Release-published by the engine right after this returns),
-        // and slot `i` belongs to exactly one operation.
-        for slot in &batch.slots[my_seq..cut] {
-            let n = slot.load(Ordering::Acquire);
-            let operand = unsafe { *(*n).value };
-            unsafe { (*n).value = ManuallyDrop::new(base) };
-            base = base.wrapping_add(operand);
-        }
-    }
-
-    /// Each participant (combiner included) collects its pre-sum from
-    /// its own slot. The add lane is empty, so the engine's `offset`
-    /// is the operation's own sequence number. Bulk requests received
-    /// their base in place (the request struct), so the bulk aggregator
-    /// has nothing to take here.
-    fn take_result(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<u64>>,
-        offset: usize,
-        agg_idx: usize,
-        guard: &Guard<'_, '_>,
-    ) -> Option<u64> {
-        if agg_idx == eng.bulk_agg(0) {
-            return None;
-        }
-        let n = batch.slots[offset].load(Ordering::Acquire);
-        debug_assert!(
-            !n.is_null(),
-            "operand published before announcing completed"
-        );
-        // Safety: unique consumer of our own slot; payload out, husk
-        // recycles into this thread's node cache.
-        let value = unsafe { Node::take_value(n) };
-        unsafe { guard.retire_recycle(n) };
-        Some(value)
-    }
-
-    /// A lone `fetch_add` (DESIGN.md §12 "Lone operations"): the
-    /// degree-1 batch's one RMW, without the batch.
-    fn apply_alone(
-        &self,
-        _eng: &CombineEngine<Self>,
-        _role: Role,
-        node: *mut Node<u64>,
-        guard: &Guard<'_, '_>,
-    ) -> Option<Option<u64>> {
-        // Safety: the operand node was never announced, so we are its
-        // unique consumer; payload out, husk recycles.
-        let operand = unsafe { Node::take_value(node) };
-        unsafe { guard.retire_recycle(node) };
-        Some(Some(self.total.fetch_add(operand, Ordering::AcqRel)))
-    }
-
-    /// A durable `fetch_add`: the previous value is the op's result.
-    fn apply_logged(
-        &self,
-        opcode: u8,
-        operand: u64,
-        _operand2: u64,
-        _guard: &Guard<'_, '_>,
-    ) -> Option<OpResult> {
-        (opcode == opcode::ADD)
-            .then(|| OpResult::Value(self.total.fetch_add(operand, Ordering::AcqRel)))
-    }
-}
-
-impl CounterOp {
-    /// The bulk-aggregator combiner: the slot walk of `combine_remove`
-    /// with announcement nodes reinterpreted as [`AddManyReq`]s. Still
-    /// two passes and still exactly one shared RMW — now covering
-    /// `Σ lenᵢ` operations instead of one per slot — and each request's
-    /// base lands in its own struct rather than a result chain.
-    fn combine_add_many(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<u64>>,
-        my_seq: usize,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let mut sum = 0u64;
-        for slot in &batch.slots[my_seq..cut] {
-            let req = crate::combine::wait_ptr(slot, eng.config().wait) as *mut AddManyReq;
-            // Safety: the announcer published the request before
-            // announcing (wait_ptr's Acquire pairs with its Release
-            // slot store) and blocks until `applied`, so the struct and
-            // the delta slice behind it are live and unaliased-for-read.
-            unsafe {
-                for i in 0..(*req).len {
-                    sum = sum.wrapping_add(*(*req).deltas.add(i));
-                }
-            }
-        }
-        let mut base = self.total.fetch_add(sum, Ordering::AcqRel);
-        for slot in &batch.slots[my_seq..cut] {
-            let req = slot.load(Ordering::Acquire) as *mut AddManyReq;
-            // Safety: as above; `base` is ours to write — the owner
-            // reads it only after observing `applied` (Release-
-            // published right after this returns).
-            unsafe {
-                (*req).base = base;
-                for i in 0..(*req).len {
-                    base = base.wrapping_add(*(*req).deltas.add(i));
-                }
-            }
-        }
-    }
-}
+use core::sync::atomic::Ordering;
+use op::{AddManyReq, CounterOp};
 
 /// A linearizable combining fetch-and-add counter.
 ///
 /// `n` threads incrementing concurrently induce *one* atomic RMW per
 /// frozen batch instead of one per increment; everything else is
-/// cache-local slot traffic inside the thread's aggregator.
+/// cache-local slot traffic inside the thread's aggregator. The
+/// structure's shared surface is [`Sec`]'s; `eliminated` is always
+/// zero in its [`stats`](Sec::stats), and `combined / batches` is the
+/// counter's combining degree.
 ///
 /// # Examples
 ///
@@ -226,203 +51,46 @@ impl CounterOp {
 /// assert_eq!(h.fetch_add(1), 5);
 /// assert_eq!(counter.load(), 6);
 /// ```
-pub struct SecCounter {
-    engine: CombineEngine<CounterOp>,
-}
+pub type SecCounter = Sec<CounterOp>;
+
+/// A thread's handle to a [`SecCounter`].
+pub type SecCounterHandle<'a> = FamilyHandle<'a, CounterOp>;
 
 impl SecCounter {
-    /// Creates a counter with the paper's default configuration (two
-    /// aggregators) for up to `max_threads` threads.
-    pub fn new(max_threads: usize) -> Self {
-        Self::with_config(SecConfig::new(2, max_threads))
-    }
-
-    /// Creates a counter from an explicit [`SecConfig`] — aggregator
-    /// count, elastic policy, freezer backoff, recycle and wait
-    /// policies all apply exactly as they do to the stack.
-    pub fn with_config(config: SecConfig) -> Self {
-        Self::build(config, None)
-    }
-
-    fn build(config: SecConfig, durable: Option<DurableCore>) -> Self {
-        Self {
-            engine: CombineEngine::new(
-                "SecCounter",
-                CounterOp {
-                    total: CachePadded::new(AtomicU64::new(0)),
-                },
-                config,
-                // One dedicated bulk aggregator after the mapped
-                // prefix, carrying `add_many` request batches.
-                AggLayout::Mapped {
-                    with_slots: true,
-                    bulk: 1,
-                },
-                durable,
-            ),
-        }
-    }
-
-    /// Creates a crash-durable counter over `policy`'s persistent
-    /// heap: every `fetch_add` writes an intent cell before announcing
-    /// and is redo-logged (with its result) by its batch's combiner
-    /// before the result is published. See DESIGN.md §16.
-    pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
-        Self::durable_with_config(SecConfig::new(2, max_threads), policy)
-    }
-
-    /// [`SecCounter::durable`] from an explicit [`SecConfig`]: every
-    /// field applies as it does to [`SecCounter::with_config`].
-    pub fn durable_with_config(
-        config: SecConfig,
-        policy: DurablePolicy,
-    ) -> Result<Self, DurableError> {
-        let core = DurableCore::create(&policy, Family::Counter, 0, config.max_threads)?;
-        Ok(Self::build(config, Some(core)))
-    }
-
-    /// Recovers a durable counter from `policy.mode`'s existing heap:
-    /// replays the committed redo log in global order (verifying each
-    /// logged result against the replay) and reports, per handle,
-    /// whether its last announced op executed and with what result.
-    pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
-        let (core, report) = DurableCore::open(&policy, Family::Counter)?;
-        let counter = Self::build(SecConfig::new(2, core.max_handles()), Some(core));
-        counter.engine.replay(&report.ops)?;
-        Ok((counter, report))
-    }
-
-    /// The persistent heap backing this counter (durable counters
-    /// only) — hold it across a drop to recover a Volatile-mode heap.
-    pub fn durable_heap(&self) -> Option<std::sync::Arc<sec_reclaim::PersistentHeap>> {
-        self.engine.durable_heap()
-    }
-
-    /// Redo-log counters (durable counters only).
-    pub fn durable_stats(&self) -> Option<DurableStats> {
-        self.engine.durable_stats()
-    }
-
-    /// Registers the calling thread and returns its operation handle.
-    pub fn register(&self) -> SecCounterHandle<'_> {
-        let (reclaim, state) = self.engine.register();
-        SecCounterHandle {
-            counter: self,
-            state,
-            reclaim,
-        }
-    }
-
     /// Reads the counter. Linearizes at the load of the central word:
     /// increments whose batch has not combined yet are not visible,
     /// exactly as a `fetch_add(0)` arriving now would not see them.
     pub fn load(&self) -> u64 {
-        self.engine.op().total.load(Ordering::Acquire)
+        self.op().total.load(Ordering::Acquire)
     }
-
-    /// The configuration this counter was built with.
-    pub fn config(&self) -> &SecConfig {
-        self.engine.config()
-    }
-
-    /// The batching/combining instrumentation. `eliminated` is always
-    /// zero for a homogeneous family; `combined / batches` is the
-    /// counter's combining degree.
-    pub fn stats(&self) -> &SecStats {
-        self.engine.stats()
-    }
-
-    /// Reclamation statistics (diagnostic).
-    pub fn reclaim_stats(&self) -> sec_reclaim::CollectorStats {
-        self.engine.reclaim_stats()
-    }
-
-    /// Drives reclamation to completion (up to `rounds` epoch
-    /// advances) and returns the resulting stats.
-    pub fn quiesce_reclamation(&self, rounds: usize) -> sec_reclaim::CollectorStats {
-        self.engine.quiesce_reclamation(rounds)
-    }
-
-    /// Number of currently active aggregators.
-    pub fn active_aggregators(&self) -> usize {
-        self.engine.active_aggregators()
-    }
-
-    /// Forces the active aggregator count (see
-    /// [`SecStack::set_active_aggregators`](crate::SecStack::set_active_aggregators)).
-    pub fn set_active_aggregators(&self, k: usize) -> usize {
-        self.engine.set_active_aggregators(k)
-    }
-
-    /// A point-in-time poll of the counter's protocol counters (see
-    /// [`SecStack::trace_snapshot`](crate::SecStack::trace_snapshot)).
-    pub fn trace_snapshot(&self) -> crate::TraceSnapshot {
-        self.engine.trace_snapshot()
-    }
-
-    /// The sec-trace recorder, when configured under the `trace` cargo
-    /// feature (see [`SecStack::tracer`](crate::SecStack::tracer)).
-    pub fn tracer(&self) -> Option<&crate::TraceRecorder> {
-        self.engine.tracer()
-    }
-}
-
-impl fmt::Debug for SecCounter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SecCounter")
-            .field("value", &self.load())
-            .field("config", self.config())
-            .field("active_aggregators", &self.active_aggregators())
-            .finish()
-    }
-}
-
-/// A thread's handle to a [`SecCounter`].
-pub struct SecCounterHandle<'a> {
-    counter: &'a SecCounter,
-    state: OpState,
-    reclaim: ReclaimHandle<'a>,
 }
 
 impl SecCounterHandle<'_> {
-    /// This thread's id (dense, `0..max_threads`).
-    pub fn tid(&self) -> usize {
-        self.state.tid()
-    }
-
     /// The aggregator this thread last announced to.
     pub fn aggregator(&self) -> usize {
         self.state.aggregator()
     }
 
-    /// A point-in-time poll of the counter's protocol counters (see
-    /// [`SecCounter::trace_snapshot`]).
-    pub fn trace_snapshot(&self) -> crate::TraceSnapshot {
-        self.counter.trace_snapshot()
-    }
-
     /// Atomically adds `n` and returns the counter's value immediately
     /// before this operation — the same contract as
-    /// [`AtomicU64::fetch_add`], delivered through one combined RMW
+    /// [`AtomicU64::fetch_add`](core::sync::atomic::AtomicU64::fetch_add), delivered through one combined RMW
     /// per batch.
     pub fn fetch_add(&mut self, n: u64) -> u64 {
-        let eng = &self.counter.engine;
-        if eng.durable().is_some() {
+        let eng = self.sec;
+        if eng.durable_core().is_some() {
             return eng
                 .run_durable(&self.reclaim, opcode::ADD, n, 0)
                 .value()
                 .expect("a logged add returns the previous value");
         }
         let node = Node::alloc_with(&self.reclaim, n);
-        self.counter
-            .engine
-            .run(
-                Lane::Mapped(&mut self.state),
-                Role::Remove,
-                node,
-                &self.reclaim,
-            )
-            .expect("counter combiner always produces a result")
+        eng.run(
+            Lane::Mapped(&mut self.state),
+            Role::Remove,
+            node,
+            &self.reclaim,
+        )
+        .expect("counter combiner always produces a result")
     }
 
     /// Convenience for `fetch_add(1)`.
@@ -447,7 +115,7 @@ impl SecCounterHandle<'_> {
         if deltas.is_empty() {
             return self.load();
         }
-        if self.counter.engine.durable().is_some() {
+        if self.sec.durable_core().is_some() {
             // Durable counters make every delta an individually
             // detectable logged op; the bulk is a fold of singles
             // (chunks of a non-durable bulk may interleave with other
@@ -466,8 +134,8 @@ impl SecCounterHandle<'_> {
                 base: 0,
             };
             let node = (&mut req as *mut AddManyReq).cast::<Node<u64>>();
-            self.counter.engine.run_weighted(
-                Lane::At(self.counter.engine.bulk_agg(0)),
+            self.sec.run_weighted(
+                Lane::At(self.sec.bulk_agg(0)),
                 Role::Remove,
                 node,
                 chunk.len() as u32,
@@ -482,23 +150,15 @@ impl SecCounterHandle<'_> {
 
     /// Reads the counter (see [`SecCounter::load`]).
     pub fn load(&self) -> u64 {
-        self.counter.load()
-    }
-}
-
-impl fmt::Debug for SecCounterHandle<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SecCounterHandle")
-            .field("tid", &self.tid())
-            .field("aggregator", &self.aggregator())
-            .finish()
+        self.sec.load()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AggregatorPolicy, RecyclePolicy, WaitPolicy};
+    use crate::combine::durable::{DurableError, DurablePolicy, Family};
+    use crate::config::{AggregatorPolicy, RecyclePolicy, SecConfig, WaitPolicy};
     use std::sync::Arc;
     use std::thread;
 

@@ -26,6 +26,11 @@
 //!
 //! ## What lives where
 //!
+//! * [`Sec`] / [`FamilyHandle`] — the one SEC structure type and its
+//!   per-thread handle. Every family below is an alias of them, so the
+//!   shared surface (constructors, durable constructors, stats,
+//!   reclamation, elastic and trace accessors, [`SecReadout`]) is
+//!   written once,
 //! * [`SecStack`] / [`SecHandle`] — the stack and its per-thread handle,
 //! * [`SecConfig`] — aggregator count, capacity, freezer backoff,
 //!   sharding policy (paper §3.1 tunables), including the elastic
@@ -45,9 +50,10 @@
 //!   keyed hash map (buckets block-partitioned into shards, one
 //!   aggregator per shard, results through announcement slots;
 //!   DESIGN.md §13) and the map-family interface its baseline shares,
-//! * `combine` (crate-private) — the generic
-//!   announce → freeze → combine → publish engine all of the above
-//!   instantiate through its `CombineOp` trait (DESIGN.md §12).
+//! * `combine` (private) — the generic
+//!   announce → freeze → combine → publish engine behind [`Sec`], which
+//!   each family instantiates through its sealed `CombineOp` trait
+//!   (DESIGN.md §12).
 //!
 //! ## Quick start
 //!
@@ -83,6 +89,7 @@ pub use combine::durable::{
     fault::FaultPoint, opcode, DurableError, DurableMode, DurablePolicy, DurableStats,
     HandleRecovery, LogGranularity, LoggedOp, OpResult, PendingOutcome, RecoveryReport, SyncMode,
 };
+pub use combine::{FamilyHandle, Sec};
 pub use config::{
     topology_shard, AggregatorPolicy, RecyclePolicy, SecConfig, ShardPolicy, WaitPolicy,
 };
@@ -94,5 +101,6 @@ pub use sec::{SecHandle, SecStack};
 pub use sec_reclaim::CollectorStats;
 pub use trace::{DegreeDist, TraceConfig, TraceRates, TraceRecorder, TraceSnapshot};
 pub use traits::{
-    ConcurrentMap, ConcurrentQueue, ConcurrentStack, MapHandle, QueueHandle, StackHandle,
+    ConcurrentMap, ConcurrentQueue, ConcurrentStack, MapHandle, QueueHandle, SecReadout,
+    StackHandle,
 };

@@ -28,9 +28,11 @@
 //! * **Batches are always sized `max_threads`.** Thread-mapped families
 //!   bound a batch by the threads sharded onto its aggregator; a keyed
 //!   map cannot — a hot key legally routes *every* thread into one
-//!   shard. [`SecMap::with_config`] therefore normalizes a fixed-`K`
-//!   policy into the degenerate adaptive range `[K, K]` (same active
-//!   count forever, `max_threads`-sized batches).
+//!   shard. The map's `CombineOp::normalize` therefore turns a
+//!   fixed-`K` policy into the degenerate adaptive range `[K, K]`
+//!   (same active count forever, `max_threads`-sized batches), for
+//!   [`with_config`](crate::Sec::with_config) and the durable
+//!   constructors alike.
 //! * **Buckets are individually locked.** Successive batches of the
 //!   same shard may combine concurrently (the freezer installs the
 //!   fresh batch before the previous combiner finishes), and during an
@@ -39,279 +41,13 @@
 //!   overlaps; in steady state each bucket belongs to one shard whose
 //!   combiners run one batch at a time, so the lock is uncontended.
 
-use crate::combine::durable::{
-    self, opcode, DurableCore, DurableError, DurablePolicy, DurableStats, Family, OpResult,
-    RecoveryReport,
-};
-use crate::combine::{AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role};
-use crate::config::{AggregatorPolicy, SecConfig};
-use crate::sec::stats::SecStats;
+mod op;
+
+use crate::combine::durable::{self, opcode};
+use crate::combine::{FamilyHandle, Lane, Role, Sec};
 use crate::traits::{ConcurrentMap, MapHandle};
-use core::fmt;
-use core::hash::{Hash, Hasher};
-use core::mem::ManuallyDrop;
-use core::sync::atomic::Ordering;
-use sec_reclaim::{Guard, Handle as ReclaimHandle};
-use std::collections::hash_map::DefaultHasher;
-use std::sync::Mutex;
-
-/// Default bucket-array size (see [`SecMap::bucket_count`]).
-const DEFAULT_BUCKETS: usize = 512;
-
-/// One announced map operation, owned by its node until the combiner
-/// consumes it.
-///
-/// The bulk variants carry raw pointers into the announcing thread's
-/// frame instead of owned payloads: the announcer blocks until
-/// `applied`, so the slices are live for the combiner's whole walk, and
-/// one announcement (one sequence number, one slot) then covers the
-/// entire slice of operations.
-enum MapCmd<K, V> {
-    /// `get(key)`.
-    Get(K),
-    /// `insert(key, value)`.
-    Insert(K, V),
-    /// `remove(key)`.
-    Remove(K),
-    /// `get_many(keys)`: one lookup per key, results written through
-    /// `results` (same length).
-    GetMany {
-        /// The caller's key slice.
-        keys: *const K,
-        /// The caller's result slice (old contents dropped in place).
-        results: *mut Option<V>,
-        len: usize,
-    },
-    /// `insert_many(entries)`: entries are *moved* out of the caller's
-    /// buffer (the caller forgets them afterwards), previous mappings
-    /// written through `prevs` (same length).
-    InsertMany {
-        /// The caller's entry buffer; each element is `ptr::read` once.
-        entries: *const (K, V),
-        /// The caller's previous-mapping slice.
-        prevs: *mut Option<V>,
-        len: usize,
-    },
-}
-
-/// A map announcement node: the command in, the result out, through the
-/// same slot. `cmd` and `result` are `ManuallyDrop` because ownership
-/// moves through raw pointers (combiner consumes `cmd`, the announcer
-/// consumes `result`) before the node husk is recycled without running
-/// a destructor.
-struct MapNode<K, V> {
-    /// The target bucket, computed once by the announcing thread so the
-    /// combiner never re-hashes.
-    bucket: usize,
-    cmd: ManuallyDrop<MapCmd<K, V>>,
-    result: ManuallyDrop<Option<V>>,
-}
-
-impl<K: Send, V: Send> MapNode<K, V> {
-    /// Allocates a detached node carrying `cmd`, reusing a recycled
-    /// block from `reclaim`'s free lists when one is available.
-    fn alloc_with(reclaim: &ReclaimHandle<'_>, bucket: usize, cmd: MapCmd<K, V>) -> *mut Self {
-        reclaim.alloc_boxed(MapNode {
-            bucket,
-            cmd: ManuallyDrop::new(cmd),
-            result: ManuallyDrop::new(None),
-        })
-    }
-}
-
-// Safety: the raw pointers of the bulk `MapCmd` variants point into the
-// announcing thread's frame, which outlives the batch (the announcer
-// blocks until `applied`); the combiner is their unique accessor while
-// the batch is live, per the engine's exactly-once discipline. The
-// owned variants are Send whenever K and V are.
-unsafe impl<K: Send, V: Send> Send for MapNode<K, V> {}
-
-/// The map's apply logic: the bucket array, one combiner per frozen
-/// batch.
-struct MapOp<K, V> {
-    /// `buckets[i]` holds the live `(key, value)` pairs whose key
-    /// hashes to `i`. Individually locked — see the module docs for why
-    /// a shard cannot simply own its buckets unlocked.
-    buckets: Box<[Bucket<K, V>]>,
-}
-
-/// One association-list bucket: the live `(key, value)` pairs under
-/// their per-bucket lock.
-type Bucket<K, V> = Mutex<Vec<(K, V)>>;
-
-impl<K: Hash + Eq, V> MapOp<K, V> {
-    fn with_buckets(n: usize) -> Self {
-        Self {
-            buckets: (0..n.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// The bucket `key` hashes to. [`DefaultHasher::new`] is
-    /// deterministic, so every handle of every instance agrees.
-    fn bucket_of(&self, key: &K) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
-    }
-
-    /// Applies one command under its bucket's lock — the operation's
-    /// linearization point.
-    fn apply(&self, bucket: usize, cmd: MapCmd<K, V>) -> Option<V>
-    where
-        V: Clone,
-    {
-        let mut pairs = self.buckets[bucket].lock().unwrap();
-        match cmd {
-            MapCmd::Get(key) => pairs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.clone()),
-            MapCmd::Insert(key, value) => match pairs.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => Some(core::mem::replace(v, value)),
-                None => {
-                    pairs.push((key, value));
-                    None
-                }
-            },
-            MapCmd::Remove(key) => pairs
-                .iter()
-                .position(|(k, _)| *k == key)
-                .map(|i| pairs.swap_remove(i).1),
-            // Bulk commands are decomposed by the combiner before
-            // `apply` is reached (each constituent lookup/insert takes
-            // its own bucket's lock).
-            MapCmd::GetMany { .. } | MapCmd::InsertMany { .. } => {
-                unreachable!("bulk commands never reach apply")
-            }
-        }
-    }
-}
-
-impl<K, V> CombineOp for MapOp<K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    type Node = MapNode<K, V>;
-    type Value = Option<V>;
-
-    // `combine_add` and `eliminate` keep their defaults: every map
-    // operation is result-bearing, so the add lane of a map batch is
-    // always empty and the engine never calls them.
-
-    /// Apply the frozen batch in announcement order: for each slot,
-    /// consume the command, apply it under its bucket's lock, and write
-    /// the result back into the node in place. Exclusive node access is
-    /// the counter's argument: the owners only read their slots back
-    /// after observing `applied` (Release-published by the engine right
-    /// after this returns), and slot `i` belongs to exactly one
-    /// operation.
-    fn combine_remove(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<MapNode<K, V>>,
-        my_seq: usize,
-        _agg_idx: usize,
-        _guard: &Guard<'_, '_>,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        for slot in &batch.slots[my_seq..cut] {
-            let n = crate::combine::wait_ptr(slot, eng.config().wait);
-            // Safety: the combiner is the unique consumer of each
-            // included slot's command; the node stays allocated (owner
-            // is pinned, waiting on `applied`).
-            let cmd = unsafe { ManuallyDrop::take(&mut (*n).cmd) };
-            match cmd {
-                MapCmd::GetMany { keys, results, len } => {
-                    // Safety (both bulk arms): the slices live in the
-                    // announcer's frame, which blocks until `applied`;
-                    // result assignment (not `write`) drops whatever
-                    // the caller's slice previously held.
-                    for i in 0..len {
-                        let key = unsafe { &*keys.add(i) };
-                        let r = {
-                            let pairs = self.buckets[self.bucket_of(key)].lock().unwrap();
-                            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-                        };
-                        unsafe { *results.add(i) = r };
-                    }
-                }
-                MapCmd::InsertMany {
-                    entries,
-                    prevs,
-                    len,
-                } => {
-                    for i in 0..len {
-                        // Safety: each entry is moved out exactly once;
-                        // the caller truncates its buffer afterwards
-                        // without dropping the moved-from elements.
-                        let (key, value) = unsafe { entries.add(i).read() };
-                        let bucket = self.bucket_of(&key);
-                        let r = self.apply(bucket, MapCmd::Insert(key, value));
-                        unsafe { *prevs.add(i) = r };
-                    }
-                }
-                cmd => {
-                    let result = self.apply(unsafe { (*n).bucket }, cmd);
-                    // Safety: same exclusive access; the old `result`
-                    // is the construction-time `None`, which owns
-                    // nothing.
-                    unsafe { (*n).result = ManuallyDrop::new(result) };
-                    continue;
-                }
-            }
-            // Bulk results went through the request's slices; the node
-            // keeps its construction-time `None` for `take_result`.
-        }
-    }
-
-    /// Each participant (combiner included) collects its result from
-    /// its own slot. The add lane is empty, so the engine's `offset` is
-    /// the operation's own sequence number.
-    fn take_result(
-        &self,
-        _eng: &CombineEngine<Self>,
-        batch: &CombineBatch<MapNode<K, V>>,
-        offset: usize,
-        _agg_idx: usize,
-        guard: &Guard<'_, '_>,
-    ) -> Option<Option<V>> {
-        let n = batch.slots[offset].load(Ordering::Acquire);
-        debug_assert!(
-            !n.is_null(),
-            "command published before announcing completed"
-        );
-        // Safety: unique consumer of our own slot; result out, husk
-        // recycles into this thread's node cache. The command was
-        // consumed by the combiner, so the husk owns nothing.
-        let result = unsafe { ManuallyDrop::take(&mut (*n).result) };
-        unsafe { guard.retire_recycle(n) };
-        Some(result)
-    }
-
-    /// A durable get, insert or remove, applied under its bucket lock
-    /// exactly like a live command.
-    fn apply_logged(
-        &self,
-        opcode: u8,
-        operand: u64,
-        operand2: u64,
-        _guard: &Guard<'_, '_>,
-    ) -> Option<OpResult> {
-        let key: K = durable::from_word(operand);
-        let bucket = self.bucket_of(&key);
-        let cmd = match opcode {
-            opcode::MAP_GET => MapCmd::Get(key),
-            opcode::MAP_INSERT => MapCmd::Insert(key, durable::from_word(operand2)),
-            opcode::MAP_REMOVE => MapCmd::Remove(key),
-            _ => return None,
-        };
-        Some(match self.apply(bucket, cmd) {
-            None => OpResult::Empty,
-            Some(v) => OpResult::Value(durable::to_word(v)),
-        })
-    }
-}
+use core::hash::Hash;
+use op::{MapCmd, MapNode, MapOp};
 
 /// A linearizable batched-combining hash map.
 ///
@@ -320,7 +56,10 @@ where
 /// or CAS per operation; everything else is cache-local slot traffic
 /// inside the shard's aggregator. Under an adaptive policy the
 /// contention monitor re-shards the bucket space at runtime, exactly as
-/// it re-shards the stack's thread space (DESIGN.md §8).
+/// it re-shards the stack's thread space (DESIGN.md §8). The
+/// structure's shared surface is [`Sec`]'s; its aggregators are the
+/// map's shards, and [`with_config`](Sec::with_config) documents the
+/// fixed-`K` normalization.
 ///
 /// # Examples
 ///
@@ -334,63 +73,16 @@ where
 /// assert_eq!(h.remove(&7), Some(70));
 /// assert_eq!(h.get(&7), None);
 /// ```
-pub struct SecMap<K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    engine: CombineEngine<MapOp<K, V>>,
-}
+pub type SecMap<K, V> = Sec<MapOp<K, V>>;
+
+/// A thread's handle to a [`SecMap`].
+pub type SecMapHandle<'a, K, V> = FamilyHandle<'a, MapOp<K, V>>;
 
 impl<K, V> SecMap<K, V>
 where
     K: Hash + Eq + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// Creates a map with the paper's default configuration (two
-    /// shards) for up to `max_threads` threads.
-    pub fn new(max_threads: usize) -> Self {
-        Self::with_config(SecConfig::new(2, max_threads))
-    }
-
-    /// Creates a map from an explicit [`SecConfig`] — shard count,
-    /// elastic policy, freezer backoff, recycle and wait policies all
-    /// apply exactly as they do to the stack, with one normalization: a
-    /// [`AggregatorPolicy::Fixed`]`(K)` policy becomes the degenerate
-    /// adaptive range `[K, K]`. Keyed routing lets a hot key send every
-    /// thread into one shard, so map batches must always be sized
-    /// `max_threads` — which is the adaptive capacity rule; the
-    /// degenerate range can never actually resize.
-    pub fn with_config(config: SecConfig) -> Self {
-        Self::build(config, DEFAULT_BUCKETS, None)
-    }
-
-    fn build(config: SecConfig, buckets: usize, durable: Option<DurableCore>) -> Self {
-        let config = match config.policy {
-            AggregatorPolicy::Fixed(_) => {
-                let k = config.aggregators();
-                config.aggregator_policy(AggregatorPolicy::Adaptive {
-                    min_k: k,
-                    max_k: k,
-                    window: AggregatorPolicy::DEFAULT_WINDOW,
-                })
-            }
-            AggregatorPolicy::Adaptive { .. } => config,
-        };
-        Self {
-            engine: CombineEngine::new(
-                "SecMap",
-                MapOp::with_buckets(buckets),
-                config,
-                AggLayout::Mapped {
-                    with_slots: true,
-                    bulk: 0,
-                },
-                durable,
-            ),
-        }
-    }
-
     /// Sets the bucket-array size (builder style; apply before any
     /// thread registers, which the receiver guarantees). More buckets
     /// mean shorter association lists and finer re-sharding granularity;
@@ -398,30 +90,19 @@ where
     ///
     /// On a durable map the redo log keeps working, but the heap
     /// header still records the default count of 512 that
-    /// [`SecMap::durable`] creates it with, and [`SecMap::recover`]
-    /// rebuilds with that count. Results are unaffected — bucket
-    /// placement never changes them — but the recovered map does not
-    /// mirror this resize.
+    /// [`durable`](Sec::durable) creates it with, and
+    /// [`recover`](Sec::recover) rebuilds with that count. Results are
+    /// unaffected — bucket placement never changes them — but the
+    /// recovered map does not mirror this resize.
     pub fn bucket_count(mut self, n: usize) -> Self {
-        *self.engine.op_mut() = MapOp::with_buckets(n);
+        *self.op_mut() = MapOp::with_buckets(n);
         self
-    }
-
-    /// Registers the calling thread and returns its operation handle.
-    pub fn register(&self) -> SecMapHandle<'_, K, V> {
-        let (reclaim, state) = self.engine.register();
-        SecMapHandle {
-            map: self,
-            state,
-            reclaim,
-        }
     }
 
     /// Number of live key-value pairs (takes every bucket lock in
     /// turn; a diagnostic, not a linearizable operation).
     pub fn len(&self) -> usize {
-        self.engine
-            .op()
+        self.op()
             .buckets
             .iter()
             .map(|b| b.lock().unwrap().len())
@@ -435,128 +116,15 @@ where
 
     /// The number of buckets the key space hashes onto.
     pub fn buckets(&self) -> usize {
-        self.engine.op().buckets.len()
-    }
-
-    /// The configuration this map was built with (after the fixed-`K`
-    /// normalization documented on [`SecMap::with_config`]).
-    pub fn config(&self) -> &SecConfig {
-        self.engine.config()
-    }
-
-    /// The batching/combining instrumentation. `eliminated` is always
-    /// zero for a homogeneous family; `combined / batches` is the map's
-    /// batching degree.
-    pub fn stats(&self) -> &SecStats {
-        self.engine.stats()
-    }
-
-    /// Reclamation statistics (diagnostic).
-    pub fn reclaim_stats(&self) -> sec_reclaim::CollectorStats {
-        self.engine.reclaim_stats()
-    }
-
-    /// Drives reclamation to completion (up to `rounds` epoch
-    /// advances) and returns the resulting stats.
-    pub fn quiesce_reclamation(&self, rounds: usize) -> sec_reclaim::CollectorStats {
-        self.engine.quiesce_reclamation(rounds)
-    }
-
-    /// Number of currently active shards.
-    pub fn active_aggregators(&self) -> usize {
-        self.engine.active_aggregators()
-    }
-
-    /// Forces the active shard count (see
-    /// [`SecStack::set_active_aggregators`](crate::SecStack::set_active_aggregators)).
-    /// Operations already announced drain on their old shard; the
-    /// bucket locks make the overlap safe.
-    pub fn set_active_aggregators(&self, k: usize) -> usize {
-        self.engine.set_active_aggregators(k)
-    }
-
-    /// A point-in-time poll of the map's protocol counters (see
-    /// [`SecStack::trace_snapshot`](crate::SecStack::trace_snapshot)).
-    pub fn trace_snapshot(&self) -> crate::TraceSnapshot {
-        self.engine.trace_snapshot()
-    }
-
-    /// The sec-trace recorder, when configured under the `trace` cargo
-    /// feature (see [`SecStack::tracer`](crate::SecStack::tracer)).
-    pub fn tracer(&self) -> Option<&crate::TraceRecorder> {
-        self.engine.tracer()
+        self.op().buckets.len()
     }
 
     /// The shard currently serving `bucket`: the bucket range is
     /// block-partitioned over the active shards.
     fn shard_of(&self, bucket: usize) -> usize {
-        let k = self.engine.active_aggregators().max(1);
-        let buckets = self.engine.op().buckets.len();
+        let k = self.active_aggregators().max(1);
+        let buckets = self.op().buckets.len();
         (bucket * k / buckets).min(k - 1)
-    }
-}
-
-impl SecMap<u64, u64> {
-    /// Creates a crash-durable map over `policy`'s persistent heap:
-    /// every get/insert/remove writes an intent cell before announcing
-    /// and is redo-logged (with its result) by its batch's combiner
-    /// before the result is published (DESIGN.md §16). Durable
-    /// structures carry `u64` keys and values; the creation-time
-    /// bucket count is recorded in the heap header so
-    /// [`SecMap::recover`] rebuilds identically.
-    pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
-        Self::durable_with_config(SecConfig::new(2, max_threads), policy)
-    }
-
-    /// [`SecMap::durable`] from an explicit [`SecConfig`], read as
-    /// [`SecMap::with_config`] reads it.
-    pub fn durable_with_config(
-        config: SecConfig,
-        policy: DurablePolicy,
-    ) -> Result<Self, DurableError> {
-        let max_threads = config.max_threads;
-        let core = DurableCore::create(&policy, Family::Map, DEFAULT_BUCKETS as u64, max_threads)?;
-        Ok(Self::build(config, DEFAULT_BUCKETS, Some(core)))
-    }
-
-    /// Recovers a durable map from `policy.mode`'s existing heap:
-    /// rebuilds the creation-time bucket geometry, replays the
-    /// committed redo log in global order (verifying each logged
-    /// result against the replay) and reports, per handle, whether its
-    /// last announced op executed and with what result.
-    pub fn recover(policy: DurablePolicy) -> Result<(Self, RecoveryReport), DurableError> {
-        let (core, report) = DurableCore::open(&policy, Family::Map)?;
-        let config = SecConfig::new(2, core.max_handles());
-        let buckets = (core.family_param() as usize).max(1);
-        let map = Self::build(config, buckets, Some(core));
-        map.engine.replay(&report.ops)?;
-        Ok((map, report))
-    }
-
-    /// The persistent heap backing this map (durable maps only) —
-    /// hold it across a drop to recover a Volatile-mode heap.
-    pub fn durable_heap(&self) -> Option<std::sync::Arc<sec_reclaim::PersistentHeap>> {
-        self.engine.durable_heap()
-    }
-
-    /// Redo-log counters (durable maps only).
-    pub fn durable_stats(&self) -> Option<DurableStats> {
-        self.engine.durable_stats()
-    }
-}
-
-impl<K, V> fmt::Debug for SecMap<K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SecMap")
-            .field("len", &self.len())
-            .field("buckets", &self.buckets())
-            .field("config", self.config())
-            .field("active_shards", &self.active_aggregators())
-            .finish()
     }
 }
 
@@ -571,7 +139,7 @@ where
         Self: 'a;
 
     fn register(&self) -> SecMapHandle<'_, K, V> {
-        SecMap::register(self)
+        Sec::register(self)
     }
 
     fn name(&self) -> &'static str {
@@ -579,33 +147,11 @@ where
     }
 }
 
-/// A thread's handle to a [`SecMap`].
-pub struct SecMapHandle<'a, K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    map: &'a SecMap<K, V>,
-    state: OpState,
-    reclaim: ReclaimHandle<'a>,
-}
-
 impl<K, V> SecMapHandle<'_, K, V>
 where
     K: Hash + Eq + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// This thread's id (dense, `0..max_threads`).
-    pub fn tid(&self) -> usize {
-        self.state.tid()
-    }
-
-    /// A point-in-time poll of the map's protocol counters (see
-    /// [`SecMap::trace_snapshot`]).
-    pub fn trace_snapshot(&self) -> crate::TraceSnapshot {
-        self.map.trace_snapshot()
-    }
-
     /// Announces `cmd` on its key's shard and rides the engine to the
     /// result. The shard is resolved against the active count at
     /// announce time; an operation excluded by a freeze retries on the
@@ -613,10 +159,9 @@ where
     /// the active prefix still freezes and combines its own batches —
     /// only *routing* of fresh operations moves).
     fn run_op(&mut self, bucket: usize, cmd: MapCmd<K, V>) -> Option<V> {
-        let shard = self.map.shard_of(bucket);
+        let shard = self.sec.shard_of(bucket);
         let node = MapNode::alloc_with(&self.reclaim, bucket, cmd);
-        self.map
-            .engine
+        self.sec
             .run(Lane::At(shard), Role::Remove, node, &self.reclaim)
             .expect("map combiner always produces a result")
     }
@@ -628,21 +173,21 @@ where
     where
         K: Clone,
     {
-        if self.map.engine.durable().is_some() {
+        if self.sec.durable_core().is_some() {
             return self.run_durable(opcode::MAP_GET, durable::word_of(key), 0);
         }
-        let bucket = self.map.engine.op().bucket_of(key);
+        let bucket = self.sec.op().bucket_of(key);
         self.run_op(bucket, MapCmd::Get(key.clone()))
     }
 
     /// Maps `key` to `value`, returning the previously mapped value (or
     /// `None` when the key was absent).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if self.map.engine.durable().is_some() {
+        if self.sec.durable_core().is_some() {
             let (k, v) = (durable::to_word(key), durable::to_word(value));
             return self.run_durable(opcode::MAP_INSERT, k, v);
         }
-        let bucket = self.map.engine.op().bucket_of(&key);
+        let bucket = self.sec.op().bucket_of(&key);
         self.run_op(bucket, MapCmd::Insert(key, value))
     }
 
@@ -652,18 +197,17 @@ where
     where
         K: Clone,
     {
-        if self.map.engine.durable().is_some() {
+        if self.sec.durable_core().is_some() {
             return self.run_durable(opcode::MAP_REMOVE, durable::word_of(key), 0);
         }
-        let bucket = self.map.engine.op().bucket_of(key);
+        let bucket = self.sec.op().bucket_of(key);
         self.run_op(bucket, MapCmd::Remove(key.clone()))
     }
 
     /// A durable map op: one detectable logged op on the engine's
     /// durable path.
     fn run_durable(&mut self, opcode: u8, operand: u64, operand2: u64) -> Option<V> {
-        self.map
-            .engine
+        self.sec
             .run_durable(&self.reclaim, opcode, operand, operand2)
             .value()
     }
@@ -692,7 +236,7 @@ where
         if keys.is_empty() {
             return;
         }
-        if self.map.engine.durable().is_some() {
+        if self.sec.durable_core().is_some() {
             // Durable maps make every lookup an individually
             // detectable logged op.
             for (k, r) in keys.iter().zip(results.iter_mut()) {
@@ -702,7 +246,7 @@ where
         }
         let chunk_size = crate::combine::MAX_BULK_OPS;
         for (kc, rc) in keys.chunks(chunk_size).zip(results.chunks_mut(chunk_size)) {
-            let bucket = self.map.engine.op().bucket_of(&kc[0]);
+            let bucket = self.sec.op().bucket_of(&kc[0]);
             let cmd = MapCmd::GetMany {
                 keys: kc.as_ptr(),
                 results: rc.as_mut_ptr(),
@@ -732,7 +276,7 @@ where
         if entries.is_empty() {
             return;
         }
-        if self.map.engine.durable().is_some() {
+        if self.sec.durable_core().is_some() {
             // Durable maps make every insert an individually
             // detectable logged op.
             for (i, (k, v)) in entries.drain(..).enumerate() {
@@ -743,7 +287,7 @@ where
         }
         let chunk_size = crate::combine::MAX_BULK_OPS;
         for (ec, pc) in entries.chunks(chunk_size).zip(prevs.chunks_mut(chunk_size)) {
-            let bucket = self.map.engine.op().bucket_of(&ec[0].0);
+            let bucket = self.sec.op().bucket_of(&ec[0].0);
             let cmd = MapCmd::InsertMany {
                 entries: ec.as_ptr(),
                 prevs: pc.as_mut_ptr(),
@@ -763,10 +307,9 @@ where
     /// and blocks until it is applied. The result channel is the
     /// request's own slices; the node's in-band result stays `None`.
     fn run_bulk(&mut self, bucket: usize, cmd: MapCmd<K, V>, ops: usize) {
-        let shard = self.map.shard_of(bucket);
+        let shard = self.sec.shard_of(bucket);
         let node = MapNode::alloc_with(&self.reclaim, bucket, cmd);
-        self.map
-            .engine
+        self.sec
             .run_weighted(
                 Lane::At(shard),
                 Role::Remove,
@@ -796,22 +339,12 @@ where
     }
 }
 
-impl<K, V> fmt::Debug for SecMapHandle<'_, K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SecMapHandle")
-            .field("tid", &self.tid())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RecyclePolicy, WaitPolicy};
+    use crate::combine::durable::Family;
+    use crate::config::{RecyclePolicy, SecConfig, WaitPolicy};
+    use op::DEFAULT_BUCKETS;
     use std::thread;
 
     #[test]

@@ -12,7 +12,7 @@ use core::sync::atomic::AtomicPtr;
 /// node must not drop the payload a second time. Nodes that still own
 /// their payload when the stack is torn down are handled by
 /// [`Node::drop_in_place_with_value`].
-pub(crate) struct Node<T> {
+pub struct Node<T> {
     pub(crate) value: ManuallyDrop<T>,
     pub(crate) next: AtomicPtr<Node<T>>,
 }

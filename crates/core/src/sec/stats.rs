@@ -57,9 +57,8 @@ fn bump(c: &AtomicU64, n: u64) {
 /// §8) adds three counters: central-stack CAS failures (combiner
 /// contention on `stackTop`, one of the monitor's inputs) and the
 /// grow/shrink resize transitions the monitor or a manual
-/// [`SecStack::set_active_aggregators`] performed.
-///
-/// [`SecStack::set_active_aggregators`]: crate::SecStack::set_active_aggregators
+/// [`Sec::set_active_aggregators`](crate::Sec::set_active_aggregators)
+/// performed.
 #[derive(Debug)]
 pub struct SecStats {
     /// One tally per aggregator, indexed like the engine's aggregators,

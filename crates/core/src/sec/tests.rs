@@ -919,13 +919,8 @@ fn forced_lone_ops_overlap_batched_ops_and_conserve_values() {
                         let got = match (i % 3 < 2, t) {
                             (true, 0) => {
                                 let node = Node::alloc_with(&h.reclaim, v);
-                                let out = stack.engine.run_alone(
-                                    &h.state,
-                                    Role::Add,
-                                    node,
-                                    &h.reclaim,
-                                    None,
-                                );
+                                let out =
+                                    stack.run_alone(&h.state, Role::Add, node, &h.reclaim, None);
                                 assert_eq!(out, Some(None), "the stack has a lone path");
                                 None
                             }
@@ -934,7 +929,6 @@ fn forced_lone_ops_overlap_batched_ops_and_conserve_values() {
                                 None
                             }
                             (false, 0) => stack
-                                .engine
                                 .run_alone(
                                     &h.state,
                                     Role::Remove,

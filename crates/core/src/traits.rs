@@ -10,7 +10,8 @@
 //! reference) and a per-thread handle ([`StackHandle`] /
 //! [`QueueHandle`] / [`MapHandle`], `!Sync`, obtained via the object's
 //! `register`). The benchmark harness and the test suite are generic
-//! over these traits.
+//! over these traits. [`SecReadout`] is what SEC structures report on
+//! top.
 
 /// A concurrent stack object shared among threads.
 ///
@@ -141,4 +142,17 @@ pub trait MapHandle<K, V: Clone> {
     /// Removes `key`'s mapping, returning the removed value (or `None`
     /// when the key was absent).
     fn remove(&mut self, key: &K) -> Option<V>;
+}
+
+/// What a SEC structure reports beyond its structure interface: the
+/// type-erased readout a harness holds next to the stack, queue,
+/// counter or map it measures. Every [`Sec`](crate::Sec) implements it.
+pub trait SecReadout {
+    /// The batching/elimination/combining report.
+    fn report(&self) -> crate::BatchReport;
+    /// Reclamation and recycling counters.
+    fn reclaim(&self) -> crate::CollectorStats;
+    /// The active aggregator count (`None` for the queue, whose
+    /// aggregators are its fixed ends).
+    fn active(&self) -> Option<usize>;
 }

@@ -9,6 +9,7 @@ use sec_baselines::{
     CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
     TreiberStack, TsiStack,
 };
+pub use sec_core::SecReadout;
 use sec_core::{
     BatchReport, CollectorStats, ConcurrentMap, ConcurrentQueue, ConcurrentStack, DurableError,
     DurablePolicy, SecConfig, SecCounter, SecMap, SecQueue, SecStack,
@@ -185,24 +186,49 @@ impl Algo {
         let config = |aggregators| sec(SecConfig::new(aggregators, cap));
         match self {
             Algo::Sec { aggregators } => {
-                let s: SecStack<u64> = build_sec(config(aggregators), durable);
+                let s: SecStack<u64> = build_sec(
+                    SecStack::with_config,
+                    SecStack::durable_with_config,
+                    config(aggregators),
+                    durable,
+                );
                 visitor.stack(&s, Some(&s))
             }
             Algo::SecAdaptive { min_k, max_k } => {
                 let config = sec(SecConfig::adaptive(min_k, max_k, cap));
-                let s: SecStack<u64> = build_sec(config, durable);
+                let s: SecStack<u64> = build_sec(
+                    SecStack::with_config,
+                    SecStack::durable_with_config,
+                    config,
+                    durable,
+                );
                 visitor.stack(&s, Some(&s))
             }
             Algo::SecQueue => {
-                let q: SecQueue<u64> = build_sec(config(1), durable);
+                let q: SecQueue<u64> = build_sec(
+                    SecQueue::with_config,
+                    SecQueue::durable_with_config,
+                    config(1),
+                    durable,
+                );
                 visitor.queue(&q, Some(&q))
             }
             Algo::SecCounter => {
-                let c: SecCounter = build_sec(config(2), durable);
+                let c = build_sec(
+                    SecCounter::with_config,
+                    SecCounter::durable_with_config,
+                    config(2),
+                    durable,
+                );
                 visitor.counter(&c, Some(&c))
             }
             Algo::SecMap => {
-                let m: SecMap<u64, u64> = build_sec(config(2), durable);
+                let m: SecMap<u64, u64> = build_sec(
+                    SecMap::with_config,
+                    SecMap::durable_with_config,
+                    config(2),
+                    durable,
+                );
                 visitor.map(&m, Some(&m))
             }
             Algo::Trb => visitor.stack(&TreiberStack::<u64>::new(cap), None),
@@ -246,60 +272,20 @@ pub trait Visitor {
     fn map<M: ConcurrentMap<u64, u64>>(self, map: &M, sec: Option<&dyn SecReadout>) -> Self::Out;
 }
 
-/// What a SEC family reports beyond its structure interface.
-pub trait SecReadout {
-    /// The batching/elimination/combining report.
-    fn report(&self) -> BatchReport;
-    /// Reclamation and recycling counters.
-    fn reclaim(&self) -> CollectorStats;
-    /// The active aggregator count (`None` for the queue, whose
-    /// aggregators are its fixed ends).
-    fn active(&self) -> Option<usize>;
+/// Builds a SEC family with its `with_config` constructor, or with its
+/// `durable_with_config` one over `policy`.
+fn build_sec<S>(
+    with_config: fn(SecConfig) -> S,
+    durable_with_config: fn(SecConfig, DurablePolicy) -> Result<S, DurableError>,
+    config: SecConfig,
+    policy: Option<DurablePolicy>,
+) -> S {
+    match policy {
+        Some(p) => durable_with_config(config, p)
+            .unwrap_or_else(|e| panic!("create a durable SEC structure: {e}")),
+        None => with_config(config),
+    }
 }
-
-/// A SEC family as [`Algo::build`] constructs it.
-trait SecFamily: SecReadout + Sized {
-    fn build(config: SecConfig, durable: Option<DurablePolicy>) -> Result<Self, DurableError>;
-}
-
-fn build_sec<S: SecFamily>(config: SecConfig, durable: Option<DurablePolicy>) -> S {
-    S::build(config, durable).unwrap_or_else(|e| panic!("create a durable SEC structure: {e}"))
-}
-
-/// Implements [`SecReadout`] and [`SecFamily`] over a family's
-/// `with_config` / `durable_with_config` constructors, with `$active`
-/// as the family reports its active aggregator count.
-macro_rules! sec_family {
-    ($family:ty, $active:expr) => {
-        impl SecReadout for $family {
-            fn report(&self) -> BatchReport {
-                self.stats().report()
-            }
-            fn reclaim(&self) -> CollectorStats {
-                self.reclaim_stats()
-            }
-            fn active(&self) -> Option<usize> {
-                $active(self)
-            }
-        }
-        impl SecFamily for $family {
-            fn build(
-                config: SecConfig,
-                durable: Option<DurablePolicy>,
-            ) -> Result<Self, DurableError> {
-                match durable {
-                    Some(policy) => Self::durable_with_config(config, policy),
-                    None => Ok(Self::with_config(config)),
-                }
-            }
-        }
-    };
-}
-
-sec_family!(SecStack<u64>, |s: &Self| Some(s.active_aggregators()));
-sec_family!(SecQueue<u64>, |_| None);
-sec_family!(SecCounter, |s: &Self| Some(s.active_aggregators()));
-sec_family!(SecMap<u64, u64>, |s: &Self| Some(s.active_aggregators()));
 
 /// Measurement outcome plus SEC's per-run batch instrumentation (only
 /// populated for the SEC families — [`Algo::Sec`] /

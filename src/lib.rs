@@ -6,7 +6,8 @@
 //! member crate so applications can depend on one name:
 //!
 //! * [`SecStack`] — the paper's stack (aggregators → batches →
-//!   counter-based elimination → substack combining),
+//!   counter-based elimination → substack combining), an alias of
+//!   [`Sec`], the one SEC structure type every family shares,
 //! * [`ext::SecQueue`] — the FIFO queue built from the same mechanisms
 //!   (per-end batches, single-CAS splice/unlink, empty-only
 //!   elimination; DESIGN.md §9),
@@ -53,9 +54,9 @@
 
 pub use sec_core::{
     topology_shard, AggregatorPolicy, BatchReport, CollectorStats, ConcurrentMap, ConcurrentQueue,
-    ConcurrentStack, DegreeDist, MapHandle, QueueHandle, RecyclePolicy, SecConfig, SecHandle,
-    SecStack, SecStats, ShardPolicy, StackHandle, TraceConfig, TraceRates, TraceSnapshot,
-    WaitPolicy,
+    ConcurrentStack, DegreeDist, FamilyHandle, MapHandle, QueueHandle, RecyclePolicy, Sec,
+    SecConfig, SecHandle, SecStack, SecStats, ShardPolicy, StackHandle, TraceConfig, TraceRates,
+    TraceSnapshot, WaitPolicy,
 };
 
 /// The sec-trace observability layer (DESIGN.md §14): per-thread event

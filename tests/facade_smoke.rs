@@ -173,3 +173,44 @@ fn facade_re_exports_are_live() {
     assert_eq!(sec_repro::workload::MAP_LINEUP.len(), 2);
     assert_eq!(sec_repro::workload::SEC_FAMILIES.len(), 5);
 }
+
+/// Every SEC family name resolves at each of its public paths, and
+/// every family is an alias of the one `Sec` shell. Compile-time in
+/// substance: the body only names types.
+#[test]
+fn sec_family_names_resolve_at_every_public_path() {
+    fn named<T: ?Sized>() {}
+    named::<sec_core::SecStack<u64>>();
+    named::<sec_core::SecHandle<'static, u64>>();
+    named::<sec_core::SecQueue<u64>>();
+    named::<sec_core::SecQueueHandle<'static, u64>>();
+    named::<sec_core::SecCounter>();
+    named::<sec_core::SecCounterHandle<'static>>();
+    named::<sec_core::SecMap<u64, u64>>();
+    named::<sec_core::SecMapHandle<'static, u64, u64>>();
+    named::<sec_core::sec::SecStack<u64>>();
+    named::<sec_core::sec::SecHandle<'static, u64>>();
+    named::<sec_core::queue::SecQueue<u64>>();
+    named::<sec_core::queue::SecQueueHandle<'static, u64>>();
+    named::<sec_core::counter::SecCounter>();
+    named::<sec_core::counter::SecCounterHandle<'static>>();
+    named::<sec_core::map::SecMap<u64, u64>>();
+    named::<sec_core::map::SecMapHandle<'static, u64, u64>>();
+    named::<sec_repro::SecStack<u64>>();
+    named::<sec_repro::SecHandle<'static, u64>>();
+    named::<sec_repro::ext::SecQueue<u64>>();
+    named::<sec_repro::ext::SecQueueHandle<'static, u64>>();
+    named::<sec_repro::ext::SecCounter>();
+    named::<sec_repro::ext::SecCounterHandle<'static>>();
+    named::<sec_repro::ext::SecMap<u64, u64>>();
+    named::<sec_repro::ext::SecMapHandle<'static, u64, u64>>();
+    named::<dyn sec_workload::SecReadout>();
+
+    // One shell and one readout trait: every family is the facade's
+    // `Sec`, and sec-workload's `SecReadout` is sec-core's.
+    let counter = sec_repro::ext::SecCounter::new(1);
+    let _: &sec_repro::Sec<_> = &counter;
+    let readout: &dyn sec_workload::SecReadout = &counter;
+    let _: &dyn sec_core::SecReadout = readout;
+    let _: sec_repro::FamilyHandle<'_, _> = counter.register();
+}
