@@ -330,11 +330,17 @@ pub(crate) struct CombineAggregator<N> {
     /// (`Sec::register`), so the count is written only on
     /// those rare events.
     pub(crate) joined: AtomicUsize,
+    /// Whether this aggregator's freezer spends the
+    /// `freezer_backoff` spin: set only where an announcer caught by
+    /// the wait pays — the stack's mapped aggregators, whose batches
+    /// eliminate, and durable shards, where it shares the batch's log
+    /// record and commit. Fixed at construction.
+    pub(crate) spins: bool,
 }
 
 impl<N> CombineAggregator<N> {
     /// Creates an aggregator with a fresh initial batch.
-    pub(crate) fn new(capacity: usize, with_slots: bool, rostered: bool) -> Self {
+    pub(crate) fn new(capacity: usize, with_slots: bool, rostered: bool, spins: bool) -> Self {
         Self {
             batch: AtomicPtr::new(CombineBatch::alloc(capacity, with_slots)),
             event: WaitQueue::new(),
@@ -342,6 +348,7 @@ impl<N> CombineAggregator<N> {
             capacity,
             rostered,
             joined: AtomicUsize::new(0),
+            spins,
         }
     }
 }
@@ -428,7 +435,7 @@ mod tests {
 
     #[test]
     fn aggregator_starts_with_live_batch() {
-        let a = CombineAggregator::<u32>::new(2, true, false);
+        let a = CombineAggregator::<u32>::new(2, true, false, false);
         let b = a.batch.load(Ordering::Acquire);
         assert!(!b.is_null());
         drop(unsafe { Box::from_raw(b) });

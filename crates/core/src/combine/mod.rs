@@ -137,6 +137,12 @@ pub trait CombineOp: Sized + Send + Sync {
     /// heap's header so recovery rebuilds the same geometry: the map's
     /// bucket count, `0` for the families that have none.
     const PARAM: u64 = 0;
+    /// Whether the family's mapped batches pair adds with removes, so
+    /// that a partner caught by the freezer's backoff eliminates. Only
+    /// the stack's do; the engine spends the
+    /// [`SecConfig::freezer_backoff`] spin only where a late announcer
+    /// pays (DESIGN.md §12 "Freezer backoff").
+    const ELIMINATES: bool = false;
 
     /// Builds the family's empty shared structure from its
     /// construction parameter ([`CombineOp::PARAM`], or the one a
@@ -407,29 +413,34 @@ impl<O: CombineOp> Sec<O> {
         durable: Option<DurableCore>,
     ) -> Self {
         let cap = config.per_aggregator_capacity();
-        // (with_slots, capacity) per aggregator: the mapped prefix and
-        // fixed ends use the policy-derived capacity; dedicated bulk
-        // aggregators and durable shards must admit every thread (any
-        // thread may issue a bulk call regardless of its mapped
-        // aggregator, and durable shards are mapped by thread id).
-        // Only the mapped prefix goes without a roster (see
-        // `CombineAggregator::rostered`).
-        let (mut slotting, bulk_base, mapped): (Vec<(bool, usize)>, usize, usize) = match layout {
-            AggLayout::Mapped { with_slots, bulk } => {
-                let mut v = vec![(with_slots, cap); config.aggregators()];
-                v.extend((0..bulk).map(|_| (true, config.max_threads)));
-                (v, config.aggregators(), config.aggregators())
-            }
-            AggLayout::Fixed { ends, bulk } => {
-                let mut v: Vec<_> = ends.iter().map(|&ws| (ws, cap)).collect();
-                let base = v.len();
-                v.extend((0..bulk).map(|_| (true, config.max_threads)));
-                (v, base, 0)
-            }
-        };
+        // (with_slots, capacity, spins) per aggregator: the mapped
+        // prefix and fixed ends use the policy-derived capacity;
+        // dedicated bulk aggregators and durable shards must admit
+        // every thread (any thread may issue a bulk call regardless of
+        // its mapped aggregator, and durable shards are mapped by
+        // thread id). Only the mapped prefix goes without a roster
+        // (see `CombineAggregator::rostered`). The freezer spins only
+        // where a caught announcer pays: on the mapped batches of a
+        // family that eliminates, and on durable shards, where it
+        // shares the batch's log record and commit.
+        let elim = O::ELIMINATES;
+        let (mut slotting, bulk_base, mapped): (Vec<(bool, usize, bool)>, usize, usize) =
+            match layout {
+                AggLayout::Mapped { with_slots, bulk } => {
+                    let mut v = vec![(with_slots, cap, elim); config.aggregators()];
+                    v.extend((0..bulk).map(|_| (true, config.max_threads, false)));
+                    (v, config.aggregators(), config.aggregators())
+                }
+                AggLayout::Fixed { ends, bulk } => {
+                    let mut v: Vec<_> = ends.iter().map(|&ws| (ws, cap, false)).collect();
+                    let base = v.len();
+                    v.extend((0..bulk).map(|_| (true, config.max_threads, false)));
+                    (v, base, 0)
+                }
+            };
         let dur_base = slotting.len();
         let shards = durable.as_ref().map_or(0, DurableCore::shards);
-        slotting.extend((0..shards).map(|_| (true, config.max_threads)));
+        slotting.extend((0..shards).map(|_| (true, config.max_threads, true)));
         Self {
             op,
             durable: durable.map(CachePadded::new),
@@ -437,7 +448,9 @@ impl<O: CombineOp> Sec<O> {
             aggs: slotting
                 .iter()
                 .enumerate()
-                .map(|(i, &(ws, c))| CachePadded::new(CombineAggregator::new(c, ws, i >= mapped)))
+                .map(|(i, &(ws, c, spins))| {
+                    CachePadded::new(CombineAggregator::new(c, ws, i >= mapped, spins))
+                })
                 .collect(),
             active: CachePadded::new(AtomicUsize::new(config.policy.initial_active())),
             monitor: ContentionMonitor::new(),
@@ -450,7 +463,7 @@ impl<O: CombineOp> Sec<O> {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             roster_words: slotting.len().div_ceil(64),
-            stats: SecStats::with_tallies(slotting.len(), config.max_threads),
+            stats: SecStats::with_tallies(config.max_threads),
             born: Instant::now(),
             #[cfg(feature = "trace")]
             tracer: config
@@ -719,7 +732,8 @@ impl<O: CombineOp> Sec<O> {
 
     /// The §3.1 freezer backoff ("a short backoff before freezing B to
     /// increase the elimination degree"), spent only on evidence that
-    /// someone can still join. Returns the yields it spent.
+    /// someone can still join. Returns the pauses and the yields it
+    /// spent.
     ///
     /// The batch can expect at most `min(live handles, capacity)`
     /// announcers, and on a rostered aggregator (one any thread may
@@ -727,13 +741,20 @@ impl<O: CombineOp> Sec<O> {
     /// producer never announces on the dequeue end. With at most one —
     /// a lone thread — or once the two lanes already hold that many,
     /// waiting gathers nothing, so the freezer freezes at once.
-    /// Otherwise it spins up to `freezer_backoff` pauses, stopping as
-    /// soon as the batch is full.
-    /// Yields are for oversubscribed hosts only: a joining thread that
-    /// holds no core needs the freezer's, so `freezer_yields` are spent
-    /// only while the batch is still short and more handles are live
-    /// than the host has hardware threads.
-    fn backoff(&self, agg: &CombineAggregator<O::Node>, batch: &CombineBatch<O::Node>) -> u64 {
+    /// Otherwise, on an aggregator whose late announcers pay
+    /// ([`CombineAggregator::spins`]), it spins up to `freezer_backoff`
+    /// pauses, stopping as soon as the batch is full. Elsewhere a
+    /// caught announcer would only share a combiner it could have been
+    /// itself, so the spin buys nothing.
+    /// Yields are for oversubscribed hosts only, on every aggregator: a
+    /// joining thread that holds no core needs the freezer's, so
+    /// `freezer_yields` are spent only while the batch is still short
+    /// and more handles are live than the host has hardware threads.
+    fn backoff(
+        &self,
+        agg: &CombineAggregator<O::Node>,
+        batch: &CombineBatch<O::Node>,
+    ) -> (u64, u64) {
         let live = self.collector.live_handles();
         // Relaxed: the counts only steer the wait; the cut below
         // re-reads the lanes with Acquire.
@@ -747,31 +768,35 @@ impl<O: CombineOp> Sec<O> {
                 < expected
         };
         if expected <= 1 || !short() {
-            return 0;
+            return (0, 0);
         }
-        for _ in 0..self.config.freezer_backoff {
-            core::hint::spin_loop();
-            if !short() {
-                return 0;
+        let mut spins = 0;
+        if agg.spins {
+            while spins < u64::from(self.config.freezer_backoff) {
+                core::hint::spin_loop();
+                spins += 1;
+                if !short() {
+                    return (spins, 0);
+                }
             }
         }
         // Read (and on first use, cached) only here, off the lone
         // thread's path.
         if live <= topology::hardware_threads() {
-            return 0;
+            return (spins, 0);
         }
         let mut yields = 0;
         while yields < u64::from(self.config.freezer_yields) && short() {
             std::thread::yield_now();
             yields += 1;
         }
-        yields
+        (spins, yields)
     }
 
-    /// `FreezeBatch`: aggregation backoff, snapshot both lane
-    /// counters, install a fresh batch, retire the frozen one —
-    /// identical for every family (a homogeneous batch simply
-    /// snapshots a zero on its unused lane).
+    /// `FreezeBatch`: build the next batch, aggregation backoff,
+    /// snapshot both lane counters, install the fresh batch, retire
+    /// the frozen one — identical for every family (a homogeneous
+    /// batch simply snapshots a zero on its unused lane).
     fn freeze_batch(
         &self,
         agg: &CombineAggregator<O::Node>,
@@ -782,9 +807,16 @@ impl<O: CombineOp> Sec<O> {
     ) {
         let batch = unsafe { &*batch_ptr };
 
+        // The fresh batch is built first, off the stretch between the
+        // cut and the pointer swap that this batch's waiters spin
+        // through, so its recycled-block pops and initialisation
+        // overlap the backoff instead. It reuses recycled batch/array
+        // blocks when the free lists have them.
+        let fresh = CombineBatch::alloc_with(guard.handle(), agg.capacity, agg.with_slots);
+
         // §3.1: back off so more operations join the batch, raising
         // the elimination and combining degrees — when they can.
-        let yields = self.backoff(agg, batch);
+        let (spins, yields) = self.backoff(agg, batch);
 
         // Lines 29–30: the snapshot order (remove lane first) matches
         // the paper; any interleaved announcements simply land on one
@@ -801,12 +833,6 @@ impl<O: CombineOp> Sec<O> {
         let add_ops = batch::unpack_ops(adds);
         let remove_ops = batch::unpack_ops(removes);
 
-        // Recorded before the batch-pointer swap below: that Release
-        // store is what orders this aggregator's tally writes before
-        // the next freezer's (the single-writer invariant of
-        // `SecStats::record_batch`).
-        self.stats
-            .record_batch(agg_idx, add_ops, remove_ops, yields);
         // sec-trace per-batch hooks (never sampled — batches are ~P×
         // rarer than ops): stamp the freeze instant for the combiner's
         // residency measurement and log the frozen degree. The stamp
@@ -835,15 +861,17 @@ impl<O: CombineOp> Sec<O> {
         // Line 31: installing the new batch is the freeze's
         // linearization aid — it simultaneously (a) signals spinning
         // announcers that the `*_at_freeze` fields are valid (Release)
-        // and (b) directs new announcers to the fresh batch. The fresh
-        // batch reuses recycled batch/array blocks when the free lists
-        // have them.
-        let fresh = CombineBatch::alloc_with(guard.handle(), agg.capacity, agg.with_slots);
+        // and (b) directs new announcers to the fresh batch.
         agg.batch.store(fresh, Ordering::Release);
         // Wake the frozen batch's registered swap-waiters: the Release
         // store above published the cut, so the handshake's
         // condition-before-notify contract holds (DESIGN.md §11).
         agg.event.notify_key(batch_ptr as usize, self.stats.wait());
+
+        // Tallied in this thread's own registry slot, after the swap so
+        // the waiters are not held up by it.
+        self.stats
+            .record_batch(tid, add_ops, remove_ops, spins, yields);
 
         // The frozen batch is now unreachable for *new* pins; threads
         // already inside it are pinned and keep it alive. Retirement is

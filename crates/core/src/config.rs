@@ -159,16 +159,27 @@ pub struct SecConfig {
     pub max_threads: usize,
     /// Most pause iterations the freezer spins before freezing its
     /// batch (§3.1: "the freezer thread executes a short backoff before
-    /// freezing B to increase the elimination degree"). The spin is
-    /// spent only on evidence: the freezer expects at most `min(live
-    /// handles, aggregator capacity)` announcers (on a queue end, bulk
-    /// aggregator or durable shard, also no more than the handles that
-    /// have announced there), skips the backoff when that is one (a
-    /// lone thread, or a queue end only one thread uses) or already
-    /// reached, and stops spinning the moment the batch reaches it.
-    /// 0 disables.
+    /// freezing B to increase the elimination degree"). The spin
+    /// applies only where a late announcer pays for it: on the stack's
+    /// mapped aggregators, whose batches eliminate, and on durable
+    /// shards, where a caught announcer shares the batch's log record
+    /// and commit. Queue ends, counter and map aggregators and every
+    /// bulk aggregator freeze without it: their batches never
+    /// eliminate, so a caught announcer would only trade running its
+    /// own combine for waiting on someone else's.
+    ///
+    /// Even there the spin is spent only on evidence: the freezer
+    /// expects at most `min(live handles, aggregator capacity)`
+    /// announcers (on a durable shard, also no more than the handles
+    /// that have announced there), skips the backoff when that is one
+    /// (a lone thread) or already reached, and stops spinning the
+    /// moment the batch reaches it. The pauses spent are reported as
+    /// [`BatchReport::backoff_spins`]. 0 disables.
+    ///
+    /// [`BatchReport::backoff_spins`]: crate::BatchReport::backoff_spins
     pub freezer_backoff: u32,
-    /// Most `yield_now` calls the freezer spends after its spin, and
+    /// Most `yield_now` calls the freezer spends after its spin (on
+    /// every aggregator, including those that skip the spin), and
     /// only when the batch is still short *and* more handles are live
     /// than the host has hardware threads
     /// ([`sec_sync::topology::hardware_threads`]). On an oversubscribed
@@ -214,7 +225,11 @@ impl SecConfig {
         // core time to announce: on the one 2-hardware-thread x86 host
         // the ablation ran on, a pause took ~21 ns, so 16 cost about
         // one yield there and kept the 2-thread elimination share at
-        // 44%. `pause` latency differs ~10× across x86 generations, so
+        // 44%. The spin is spent only where that partner pays (stack
+        // batches, which eliminate, and durable shards, which share a
+        // log record): on the queue, counter and map it bought batches
+        // of degree ~1.0–1.4 and put the wait on every op.
+        // `pause` latency differs ~10× across x86 generations, so
         // on other hosts the same window buys a different share; rerun
         // the ablation before relying on that figure. One yield, spent
         // only when threads outnumber hardware threads, is what fills

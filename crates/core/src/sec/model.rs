@@ -229,8 +229,8 @@ mod tests {
     #[test]
     fn predict_for_report_uses_mean_batch_size() {
         let stats = super::super::stats::SecStats::new();
-        stats.record_batch(0, 10, 10, 0); // batch of 20
-        stats.record_batch(0, 5, 5, 0); // batch of 10 → mean 15
+        stats.record_batch(0, 10, 10, 0, 0); // batch of 20
+        stats.record_batch(0, 5, 5, 0, 0); // batch of 10 → mean 15
         let pred = predict_for_report(&stats.report(), 0.5);
         assert_eq!(pred.batch_size, 15);
         assert!(pred.pct_eliminated > 50.0);

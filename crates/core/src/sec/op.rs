@@ -153,6 +153,9 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         with_slots: true,
         bulk: 2,
     };
+    // A push and a pop that meet in one mapped batch eliminate, so a
+    // partner caught by the freezer's backoff pays for the wait.
+    const ELIMINATES: bool = true;
 
     fn create(_param: u64) -> Self {
         StackOp {

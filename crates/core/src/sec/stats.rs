@@ -5,18 +5,15 @@
 //! batch will decompose: `pushes + pops` operations belong to it,
 //! `2 · min(pushes, pops)` of them eliminate each other, and the
 //! remaining `|pushes − pops|` are applied by the combiner. It records
-//! those numbers, the batch's degree and the backoff yields it spent
-//! into its aggregator's own cache-padded `BatchTally`. Freezes of one
-//! aggregator never overlap (see `SecStats::record_batch`), so
-//! each tally has a single writer at a time and every update is a
-//! plain relaxed load+store: no locked read-modify-write and no line
-//! shared with another aggregator's freezer. A lone operation, which
-//! skips the batch (DESIGN.md §12 "Lone operations"), is tallied as a
-//! degree-1, combined batch in its registry slot's own tally, kept
-//! after the aggregators' and written only by the slot's owner.
-//! [`SecStats::report`] sums the tallies. The rarer events — combiner
-//! CAS failures, elastic resizes, parks and wakes — stay on shared
-//! relaxed counters.
+//! those numbers, the batch's degree and the backoff pauses and yields
+//! it spent into its own registry slot's cache-padded `BatchTally`. A
+//! lone operation, which skips the batch (DESIGN.md §12 "Lone
+//! operations"), is tallied there too, as a degree-1, combined batch.
+//! Only the slot's owner writes its tally, so every update is a plain
+//! relaxed load+store: no locked read-modify-write and no line shared
+//! with another thread. [`SecStats::report`] sums the tallies. The
+//! rarer events — combiner CAS failures, elastic resizes, parks and
+//! wakes — stay on shared relaxed counters.
 
 use crate::trace::{DegreeDist, Histogram};
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -24,15 +21,16 @@ use sec_sync::event::WaitStats;
 use sec_sync::CachePadded;
 use std::sync::OnceLock;
 
-/// One aggregator's per-batch counters, written only by the freezer of
-/// that aggregator's current batch — or one registry slot's lone-op
-/// counters, written only by the slot's owner.
+/// One registry slot's per-batch counters, written only by the slot's
+/// owner: for the batches it froze and the lone operations it ran.
 #[derive(Debug, Default)]
 struct BatchTally {
     batches: AtomicU64,
     ops: AtomicU64,
     eliminated: AtomicU64,
     combined: AtomicU64,
+    /// Pause iterations the freezers spent in their backoff.
+    backoff_spins: AtomicU64,
     /// `yield_now` calls the freezers spent in their backoff.
     backoff_yields: AtomicU64,
     /// Lone operations (also counted in `batches`, `ops`, `combined`).
@@ -40,7 +38,7 @@ struct BatchTally {
     /// Distribution of frozen batch degrees (DESIGN.md §14), one
     /// record per batch, so the CSVs can report min/p50/p99/max
     /// instead of only the run-wide mean. Allocated (~8 KiB) by the
-    /// first freeze, so aggregators that never freeze — and structure
+    /// slot's first batch, so slots that never run one — and structure
     /// construction — do not pay for it.
     degree: OnceLock<Histogram>,
 }
@@ -61,11 +59,8 @@ fn bump(c: &AtomicU64, n: u64) {
 /// performed.
 #[derive(Debug)]
 pub struct SecStats {
-    /// One tally per aggregator, indexed like the engine's aggregators,
-    /// then one per registry slot for its lone operations.
+    /// One tally per registry slot.
     tallies: Box<[CachePadded<BatchTally>]>,
-    /// Index of registry slot 0's tally (the aggregator count).
-    slot_base: usize,
     cas_failures: AtomicU64,
     grows: AtomicU64,
     shrinks: AtomicU64,
@@ -82,21 +77,16 @@ impl Default for SecStats {
 }
 
 impl SecStats {
-    /// Creates zeroed stats for a single aggregator and one registry
-    /// slot.
+    /// Creates zeroed stats for one registry slot.
     pub fn new() -> Self {
-        Self::with_tallies(1, 1)
+        Self::with_tallies(1)
     }
 
-    /// Creates zeroed stats with one batch tally per aggregator (at
-    /// least one) and one lone-op tally per registry slot.
-    pub(crate) fn with_tallies(aggregators: usize, slots: usize) -> Self {
-        let slot_base = aggregators.max(1);
+    /// Creates zeroed stats with one batch tally per registry slot (at
+    /// least one).
+    pub(crate) fn with_tallies(slots: usize) -> Self {
         Self {
-            tallies: (0..slot_base + slots)
-                .map(|_| CachePadded::default())
-                .collect(),
-            slot_base,
+            tallies: (0..slots.max(1)).map(|_| CachePadded::default()).collect(),
             cas_failures: AtomicU64::new(0),
             grows: AtomicU64::new(0),
             shrinks: AtomicU64::new(0),
@@ -104,28 +94,32 @@ impl SecStats {
         }
     }
 
-    /// Called by the freezer of aggregator `agg` with the frozen
-    /// counter snapshot and the backoff yields it spent.
+    /// Called by the freezer, the owner of registry slot `slot`, with
+    /// the frozen counter snapshot and the backoff pauses and yields it
+    /// spent.
     ///
-    /// Single-writer invariant: freezes of one aggregator are totally
-    /// ordered. The freezer of batch `n` records here *before* it
-    /// Release-stores the pointer to batch `n + 1`, and the freezer of
-    /// batch `n + 1` announced into it after Acquire-loading that
-    /// pointer. So every write to this tally happens-before the next
-    /// freezer's, and relaxed load+store loses nothing. Anything that
-    /// records into a tally outside that chain breaks the invariant.
+    /// Single-writer invariant: only the slot's current owner records
+    /// here (see [`SecStats::record_alone`]).
     #[inline]
-    pub(crate) fn record_batch(&self, agg: usize, pushes: u64, pops: u64, yields: u64) {
+    pub(crate) fn record_batch(
+        &self,
+        slot: usize,
+        pushes: u64,
+        pops: u64,
+        spins: u64,
+        yields: u64,
+    ) {
         let size = pushes + pops;
         if size == 0 {
             return; // cannot happen (the freezer itself announced), but harmless
         }
         let elim = 2 * pushes.min(pops);
-        let t = &self.tallies[agg];
+        let t = &self.tallies[slot];
         bump(&t.batches, 1);
         bump(&t.ops, size);
         bump(&t.eliminated, elim);
         bump(&t.combined, size - elim);
+        bump(&t.backoff_spins, spins);
         bump(&t.backoff_yields, yields);
         t.degree
             .get_or_init(Histogram::new)
@@ -136,12 +130,12 @@ impl SecStats {
     /// one degree-1 batch whose op was combined.
     ///
     /// Single-writer invariant: only the slot's current owner records
-    /// here, and a slot changes owner through the collector's Release
-    /// free and AcqRel claim, which order the old owner's writes
-    /// before the new owner's.
+    /// here or in [`SecStats::record_batch`], and a slot changes owner
+    /// through the collector's Release free and AcqRel claim, which
+    /// order the old owner's writes before the new owner's.
     #[inline]
     pub(crate) fn record_alone(&self, slot: usize) {
-        let t = &self.tallies[self.slot_base + slot];
+        let t = &self.tallies[slot];
         bump(&t.batches, 1);
         bump(&t.ops, 1);
         bump(&t.combined, 1);
@@ -179,7 +173,7 @@ impl SecStats {
         &self.wait
     }
 
-    /// Sum of one tally field over every aggregator.
+    /// Sum of one tally field over every registry slot.
     fn total(&self, field: fn(&BatchTally) -> &AtomicU64) -> u64 {
         self.tallies
             .iter()
@@ -194,6 +188,7 @@ impl SecStats {
             ops: self.total(|t| &t.ops),
             eliminated: self.total(|t| &t.eliminated),
             combined: self.total(|t| &t.combined),
+            backoff_spins: self.total(|t| &t.backoff_spins),
             backoff_yields: self.total(|t| &t.backoff_yields),
             alone: self.total(|t| &t.alone),
             cas_failures: self.cas_failures.load(Ordering::Relaxed),
@@ -206,7 +201,7 @@ impl SecStats {
         }
     }
 
-    /// The full batch-degree distribution, merged over the aggregators
+    /// The full batch-degree distribution, merged over the slots
     /// (the report's [`BatchReport::degree`] is its four-number
     /// summary).
     pub fn degree_histogram(&self) -> Histogram {
@@ -226,6 +221,7 @@ impl SecStats {
                 &t.ops,
                 &t.eliminated,
                 &t.combined,
+                &t.backoff_spins,
                 &t.backoff_yields,
                 &t.alone,
             ] {
@@ -253,6 +249,10 @@ pub struct BatchReport {
     pub eliminated: u64,
     /// Operations applied to the shared stack by a combiner.
     pub combined: u64,
+    /// Pause iterations freezers spent waiting for their batch to fill
+    /// (only where a late announcer pays; see
+    /// [`SecConfig::freezer_backoff`](crate::SecConfig::freezer_backoff)).
+    pub backoff_spins: u64,
     /// `yield_now` calls freezers spent waiting for their batch to
     /// fill (only on evidence of oversubscription; see
     /// [`SecConfig::freezer_yields`](crate::SecConfig::freezer_yields)).
@@ -322,9 +322,9 @@ mod tests {
     #[test]
     fn accounting_identity_holds() {
         let s = SecStats::new();
-        s.record_batch(0, 3, 5, 0); // 8 ops, 6 eliminated, 2 combined
-        s.record_batch(0, 4, 4, 0); // 8 ops, 8 eliminated, 0 combined
-        s.record_batch(0, 2, 0, 0); // 2 ops, 0 eliminated, 2 combined
+        s.record_batch(0, 3, 5, 0, 0); // 8 ops, 6 eliminated, 2 combined
+        s.record_batch(0, 4, 4, 0, 0); // 8 ops, 8 eliminated, 0 combined
+        s.record_batch(0, 2, 0, 0, 0); // 2 ops, 0 eliminated, 2 combined
         let r = s.report();
         assert_eq!(r.batches, 3);
         assert_eq!(r.ops, 18);
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn derived_measures() {
         let s = SecStats::new();
-        s.record_batch(0, 5, 5, 0);
+        s.record_batch(0, 5, 5, 0, 0);
         let r = s.report();
         assert!((r.batching_degree() - 10.0).abs() < 1e-9);
         assert!((r.pct_eliminated() - 100.0).abs() < 1e-9);
@@ -354,14 +354,14 @@ mod tests {
     #[test]
     fn zero_size_batch_is_ignored() {
         let s = SecStats::new();
-        s.record_batch(0, 0, 0, 0);
+        s.record_batch(0, 0, 0, 0, 0);
         assert_eq!(s.report().batches, 0);
     }
 
     #[test]
     fn reset_zeroes_counters() {
         let s = SecStats::new();
-        s.record_batch(0, 1, 1, 0);
+        s.record_batch(0, 1, 1, 0, 0);
         s.record_cas_failure();
         s.record_grow();
         s.record_shrink();
@@ -375,9 +375,9 @@ mod tests {
     #[test]
     fn degree_distribution_tracks_batches() {
         let s = SecStats::new();
-        s.record_batch(0, 1, 0, 0); // degree 1
-        s.record_batch(0, 2, 2, 0); // degree 4
-        s.record_batch(0, 10, 6, 0); // degree 16
+        s.record_batch(0, 1, 0, 0, 0); // degree 1
+        s.record_batch(0, 2, 2, 0, 0); // degree 4
+        s.record_batch(0, 10, 6, 0, 0); // degree 16
         let r = s.report();
         assert_eq!(r.degree.min, 1);
         assert_eq!(r.degree.max, 16);
@@ -389,34 +389,40 @@ mod tests {
     }
 
     #[test]
-    fn tallies_of_every_aggregator_sum_into_the_report() {
-        let s = SecStats::with_tallies(3, 2);
-        s.record_batch(0, 2, 1, 0); // 3 ops, 2 eliminated
-        s.record_batch(2, 1, 0, 4); // 1 op, combined, 4 yields
-        s.record_batch(2, 3, 3, 1); // 6 ops, 6 eliminated, 1 yield
+    fn tallies_of_every_slot_sum_into_the_report() {
+        // Three registry slots: each freezer's batches and each lone op
+        // land in the tally of the slot that ran them.
+        let s = SecStats::with_tallies(3);
+        s.record_batch(0, 2, 1, 16, 0); // 3 ops, 2 eliminated, 16 pauses
+        s.record_batch(2, 1, 0, 0, 4); // 1 op, combined, 4 yields
+        s.record_batch(2, 3, 3, 5, 1); // 6 ops, 6 eliminated, 5 pauses, 1 yield
         let r = s.report();
         assert_eq!((r.batches, r.ops), (3, 10));
         assert_eq!((r.eliminated, r.combined), (8, 2));
-        assert_eq!(r.backoff_yields, 5);
+        assert_eq!((r.backoff_spins, r.backoff_yields), (21, 5));
         let h = s.degree_histogram();
         assert_eq!(h.count(), 3);
         assert_eq!((h.min(), h.max()), (1, 6));
         assert_eq!((r.degree.min, r.degree.max), (1, 6));
         s.reset();
-        assert_eq!(s.report().backoff_yields, 0);
+        assert_eq!(
+            (s.report().backoff_spins, s.report().backoff_yields),
+            (0, 0)
+        );
         assert!(s.degree_histogram().is_empty());
     }
 
     #[test]
     fn lone_ops_count_as_degree_one_combined_batches() {
-        let s = SecStats::with_tallies(2, 3);
-        s.record_batch(1, 1, 1, 0); // 2 ops, both eliminated
+        let s = SecStats::with_tallies(3);
+        s.record_batch(1, 1, 1, 0, 0); // 2 ops, both eliminated
         s.record_alone(0);
+        s.record_alone(1);
         s.record_alone(2);
         s.record_alone(2);
         let r = s.report();
-        assert_eq!((r.batches, r.ops, r.alone), (4, 5, 3));
-        assert_eq!((r.eliminated, r.combined), (2, 3));
+        assert_eq!((r.batches, r.ops, r.alone), (5, 6, 4));
+        assert_eq!((r.eliminated, r.combined), (2, 4));
         assert_eq!(s.degree_histogram().count(), r.batches);
         assert_eq!((r.degree.min, r.degree.max), (1, 2));
         s.reset();

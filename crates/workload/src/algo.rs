@@ -623,14 +623,18 @@ mod tests {
         // Contention is manufactured, not hoped for: a single
         // aggregator plus a widened freezer backoff (both plumbed
         // through `RunConfig`, like the wait policy under test) holds
-        // each batch open for its announcers. With a core per thread
-        // the spin window does it; with fewer cores than threads the
-        // freezer also yields, donating its quantum mid-protocol, so
-        // even a 1-core host — whose scheduler otherwise runs short
-        // rounds near-sequentially, parking nothing — gets waiters
-        // announcing into the open batch and parking on it (spin phase
-        // cut to zero). The retry loop stays as a backstop so no single
+        // each batch open for its announcers. On the stack the spin
+        // window does it. A queue end's freezer never spins, so there
+        // only the yields do, and the freezer spends them only while
+        // threads outnumber hardware threads: the run therefore always
+        // has more threads than the host has. Each yield donates the
+        // freezer's quantum mid-protocol, so even a 1-core host —
+        // whose scheduler otherwise runs short rounds
+        // near-sequentially, parking nothing — gets waiters announcing
+        // into the open batch and parking on it (spin phase cut to
+        // zero). The retry loop stays as a backstop so no single
         // scheduling outcome decides the assertion.
+        let threads = (sec_sync::topology::hardware_threads() + 1).max(4);
         for algo in [Algo::Sec { aggregators: 1 }, Algo::SecQueue] {
             let mut parked = 0;
             for round in 0..10 {
@@ -643,7 +647,7 @@ mod tests {
                             .freezer_yields(4)
                     },
                     seed: 0xBEEF ^ round,
-                    ..RunConfig::new(4, Mix::UPDATE_100)
+                    ..RunConfig::new(threads, Mix::UPDATE_100)
                 };
                 let rep = run_algo(algo, &cfg).sec_report.expect("SEC reports");
                 parked += rep.parks;

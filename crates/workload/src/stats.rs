@@ -367,6 +367,7 @@ mod tests {
             ops: 2,
             eliminated: 0,
             combined: 2,
+            backoff_spins: 0,
             backoff_yields: 0,
             alone: 0,
             cas_failures: 0,

@@ -1,16 +1,18 @@
-//! Integration: the freezer's per-aggregator batch tallies stay exact,
-//! and its backoff yields only on evidence of oversubscription.
+//! Integration: the freezer's per-slot batch tallies stay exact, its
+//! backoff spins only where a late partner pays, and it yields only on
+//! evidence of oversubscription.
 //!
-//! Each aggregator's batch counters have a single writer (the freezer
-//! of its current batch) and are summed on report, so no count may be
-//! lost or doubled whatever the thread count: every op issued belongs
-//! to exactly one frozen batch, is either eliminated or combined, and
-//! every batch leaves one degree sample. A lone handle's ops skip the
-//! batch (DESIGN.md §12 "Lone operations") and are tallied as degree-1
-//! batches on the handle's registry slot, so the same identities hold.
+//! Each registry slot's batch counters have a single writer (the
+//! slot's owner, for the batches it froze) and are summed on report, so
+//! no count may be lost or doubled whatever the thread count: every op
+//! issued belongs to exactly one frozen batch, is either eliminated or
+//! combined, and every batch leaves one degree sample. A lone handle's
+//! ops skip the batch (DESIGN.md §12 "Lone operations") and are tallied
+//! as degree-1 batches on the handle's registry slot, so the same
+//! identities hold.
 
 use sec_repro::durable::DurablePolicy;
-use sec_repro::ext::{SecCounter, SecQueue};
+use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::{BatchReport, SecConfig, SecStack, SecStats};
 use std::sync::Barrier;
 use std::thread;
@@ -219,4 +221,110 @@ fn oversubscribed_freezers_spend_their_yields() {
     let r = stack.stats().report();
     assert_eq!(r.ops, (threads * 500) as u64);
     assert!(r.backoff_yields > 0, "no yield at {threads} threads: {r:?}");
+}
+
+/// The freezer spin window of the spin-gate tests: four times the
+/// default, so a freezer that spins where it should not shows plainly.
+const WINDOW: u32 = 64;
+
+/// Ops the working handle runs in the spin-gate tests.
+const GATE_OPS: u64 = 200;
+
+/// One aggregator for the mapped families (so both handles share it),
+/// the [`WINDOW`] spin and no yields.
+fn spin_only() -> SecConfig {
+    SecConfig::new(1, 4)
+        .freezer_backoff(WINDOW)
+        .freezer_yields(0)
+}
+
+/// Each of the `GATE_OPS` measured ops froze its own degree-1 batch,
+/// having spent `spins` pauses and no yield.
+fn assert_spins_per_batch(name: &str, stats: &SecStats, spins: u64) {
+    let r = stats.report();
+    assert_eq!(
+        (r.alone, r.batches, r.ops),
+        (0, GATE_OPS, GATE_OPS),
+        "{name}: {r:?}"
+    );
+    let degrees = stats.degree_histogram();
+    assert_eq!((degrees.min(), degrees.max()), (1, 1), "{name}: {r:?}");
+    assert_eq!(r.backoff_spins, spins * GATE_OPS, "{name}: {r:?}");
+    assert_eq!(r.backoff_yields, 0, "{name}: {r:?}");
+}
+
+// In each spin-gate test a second handle is registered and stays idle
+// through the measured ops, so two announcers stay possible and every
+// freezer's batch is short. Where the aggregator keeps a roster (queue
+// ends, bulk aggregators, durable shards), the idle handle first
+// announces there once, so the roster counts it too; the stats are
+// reset after that. Only the spin gate then decides whether the
+// freezer waits out its window.
+
+#[test]
+fn a_queue_enqueue_freezes_without_spinning() {
+    let queue: SecQueue<u64> = SecQueue::with_config(spin_only());
+    let (mut idle, mut h) = (queue.register(), queue.register());
+    idle.enqueue(0);
+    queue.stats().reset();
+    for i in 0..GATE_OPS {
+        h.enqueue(i);
+    }
+    assert_spins_per_batch("queue enqueue", queue.stats(), 0);
+}
+
+#[test]
+fn a_counter_fetch_add_freezes_without_spinning() {
+    let counter = SecCounter::with_config(spin_only());
+    let (_idle, mut h) = (counter.register(), counter.register());
+    for i in 0..GATE_OPS {
+        assert_eq!(h.fetch_add(32), 32 * i);
+    }
+    assert_spins_per_batch("counter fetch_add", counter.stats(), 0);
+}
+
+#[test]
+fn a_counter_bulk_add_freezes_without_spinning() {
+    let counter = SecCounter::with_config(spin_only());
+    let (mut idle, mut h) = (counter.register(), counter.register());
+    idle.add_many(&[1]);
+    counter.stats().reset();
+    for _ in 0..GATE_OPS {
+        h.add_many(&[32]);
+    }
+    assert_eq!(counter.load(), 1 + 32 * GATE_OPS);
+    assert_spins_per_batch("counter add_many", counter.stats(), 0);
+}
+
+#[test]
+fn a_map_get_freezes_without_spinning() {
+    let map: SecMap<u64, u64> = SecMap::with_config(spin_only());
+    let (_idle, mut h) = (map.register(), map.register());
+    for i in 0..GATE_OPS {
+        assert_eq!(h.get(&i), None);
+    }
+    assert_spins_per_batch("map get", map.stats(), 0);
+}
+
+#[test]
+fn a_stack_push_spends_the_whole_window() {
+    let stack: SecStack<u64> = SecStack::with_config(spin_only());
+    let (_idle, mut h) = (stack.register(), stack.register());
+    for i in 0..GATE_OPS {
+        h.push(i);
+    }
+    assert_spins_per_batch("stack push", stack.stats(), u64::from(WINDOW));
+}
+
+#[test]
+fn a_durable_stack_shard_spends_the_whole_window() {
+    let stack = SecStack::durable_with_config(spin_only(), DurablePolicy::volatile())
+        .expect("volatile durable stack");
+    let (mut idle, mut h) = (stack.register(), stack.register());
+    idle.push(0);
+    stack.stats().reset();
+    for i in 0..GATE_OPS {
+        h.push(i);
+    }
+    assert_spins_per_batch("durable stack push", stack.stats(), u64::from(WINDOW));
 }

@@ -410,7 +410,8 @@ fn small_histories_linearizable_under_forced_park() {
 
 /// Freezer spin window for the manufactured-contention tests: long
 /// enough (tens of microseconds) for announcers on other cores to join
-/// before the cut, and cut short as soon as they all have.
+/// a stack batch before the cut, and cut short as soon as they all
+/// have.
 const OPEN_WINDOW_SPINS: u32 = 1 << 12;
 
 #[test]
@@ -423,15 +424,18 @@ fn park_and_wake_counters_reach_reports() {
     // registers before any starts (the freezer only backs off for
     // announcers that are live), and a single aggregator plus a
     // widened freezer backoff holds each batch open until they
-    // arrive. The spin window does that when every thread has a core;
-    // the yield window, which the freezer spends only when threads
-    // outnumber hardware threads, does it on a small host — including
-    // a 1-core one, where short rounds otherwise run each thread to
-    // completion with zero overlap — by donating the freezer's quantum
+    // arrive. The spin window does that for the stack; a queue end's
+    // freezer never spins (its batches cannot eliminate), so there the
+    // yield window does it, which the freezer spends only while
+    // threads outnumber hardware threads. The thread count therefore
+    // always exceeds the host's hardware threads, whatever the cap on
+    // `oversub_threads`. On a small host — including a 1-core one,
+    // where short rounds otherwise run each thread to completion with
+    // zero overlap — the yield donates the freezer's quantum
     // mid-protocol. Either way other threads announce into the open
     // batch and park on it. The retry loop stays as a backstop so no
     // single scheduling outcome decides the assertion.
-    let threads = oversub_threads();
+    let threads = oversub_threads().max(sec_repro::sync::topology::hardware_threads() + 1);
     let mut stack_parks = 0;
     let mut stack_wakes = 0;
     for _ in 0..20 {
