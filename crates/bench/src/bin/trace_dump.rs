@@ -2,9 +2,10 @@
 //! export it as Chrome-trace JSON (DESIGN.md §14).
 //!
 //! Runs a 4-thread zipfian write-heavy workload against an elastic
-//! [`SecMap`] with tracing enabled — the regime where every protocol
-//! phase fires: crowded shards freeze big batches, waiters park, and
-//! the contention monitor grows the active shard count — then:
+//! [`SecMap`] with tracing enabled. Most ops find their bucket lock
+//! free and run alone (`alone` instants); the ones that collide on a
+//! hot bucket announce, freeze, combine and park, so both routes
+//! appear in one capture. Then it:
 //!
 //!  * writes `results/trace_secmap.json`, loadable in Perfetto /
 //!    `chrome://tracing` (freeze→publish batch residency and combine

@@ -13,8 +13,9 @@
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
 //! * per-batch stats recording ([`SecStats`]),
-//! * the lone-op path that skips the batch when nobody can join it
-//!   ([`Sec::run_alone`]),
+//! * the lone-op paths that skip the batch when nobody can join it
+//!   ([`Sec::run_alone`], and [`Sec::try_alone`] for a family with
+//!   evidence of its own),
 //! * the crash-durable path — intents, redo log, recovery replay
 //!   (`durable.rs`, DESIGN.md §16).
 //!
@@ -1101,17 +1102,49 @@ impl<O: CombineOp> Sec<O> {
         trace: Option<&TraceRecorder>,
     ) -> Option<Option<O::Value>> {
         let out = self.op.apply_alone(self, role, node, &reclaim.pin())?;
-        self.stats.record_alone(st.tid);
+        self.record_alone(st.tid, st.agg_idx, role, trace);
+        Some(out)
+    }
+
+    /// The lone route of a family that finds its own evidence that an
+    /// op needs no batch (the map: its bucket lock is free). `apply`
+    /// runs the op at its own linearization point, or hands it back as
+    /// `Err` for the batch path. An applied op is tallied and traced
+    /// as [`Sec::run_alone`] tallies its own, `agg_idx` naming the
+    /// aggregator it would have announced on.
+    pub(crate) fn try_alone<T, E>(
+        &self,
+        tid: usize,
+        agg_idx: usize,
+        role: Role,
+        apply: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        // Sampled only once the op has run alone, so a handed-back op
+        // ticks the sampler once, on the batch path; a traced structure
+        // therefore reads the clock for every op that tries this route.
+        let t_op = self.tracer().map(|t| t.now());
+        let out = apply()?;
+        let trace = self.tracer().filter(|t| t.sample(tid));
+        self.record_alone(tid, agg_idx, role, trace);
+        if let (Some(t), Some(t0)) = (trace, t_op) {
+            t.op_latency().record(t.delta_ns(t0));
+        }
+        Ok(out)
+    }
+
+    /// Both lone routes' bookkeeping: a degree-1, combined batch on
+    /// registry slot `tid`, and the `Alone` trace event.
+    fn record_alone(&self, tid: usize, agg_idx: usize, role: Role, trace: Option<&TraceRecorder>) {
+        self.stats.record_alone(tid);
         if let Some(t) = trace {
             t.record(
-                st.tid,
-                st.agg_idx as u32,
+                tid,
+                agg_idx as u32,
                 TraceEventKind::Alone {
                     lane: role.trace_lane(),
                 },
             );
         }
-        Some(out)
     }
 
     /// The driver proper; `trace` is `Some` only for sampled ops of a

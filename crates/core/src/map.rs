@@ -5,16 +5,18 @@
 //! Layout (DESIGN.md §13): a fixed array of **buckets** (each a small
 //! mutex-protected association list) is block-partitioned into
 //! **shards**, one engine aggregator per shard. An operation hashes its
-//! key to a bucket, routes to the bucket's shard under the *current*
-//! active shard count, and announces into that shard's batch exactly
-//! like a stack pop does (`Lane::At`, the queue's fixed-index path).
-//! The batch freezes; the seq-0 announcer combines: it walks the slot
-//! array in announcement order and, for each operation, locks the
-//! target bucket, applies the command, and writes the result back into
-//! the announcement node. `get` therefore returns the value snapshot at
-//! its own application under the bucket lock — the batch's operations
-//! linearize consecutively, in slot order, at those bucket-lock
-//! applications.
+//! key to a bucket and first tries that bucket's lock. If the lock is
+//! free, the op applies under it at once and returns — the lone route
+//! (DESIGN.md §12 "Lone operations"). Only an op that finds the lock
+//! taken routes to the bucket's shard under the *current* active shard
+//! count and announces into that shard's batch exactly like a stack pop
+//! does (`Lane::At`, the queue's fixed-index path). The batch freezes;
+//! the seq-0 announcer combines: it walks the slot array in
+//! announcement order and, for each operation, locks the target
+//! bucket, applies the command, and writes the result back into the
+//! announcement node. Either way an op linearizes at its own
+//! application under its bucket lock, so `get` returns the value
+//! snapshot at that point.
 //!
 //! All three operations are result-bearing, so the whole family rides
 //! the **remove** lane: the add lane stays pinned at zero, elimination
@@ -37,9 +39,8 @@
 //!   same shard may combine concurrently (the freezer installs the
 //!   fresh batch before the previous combiner finishes), and during an
 //!   elastic re-shard two shards can transiently route operations for
-//!   the same bucket. The per-bucket mutex serializes exactly those
-//!   overlaps; in steady state each bucket belongs to one shard whose
-//!   combiners run one batch at a time, so the lock is uncontended.
+//!   the same bucket, and lone ops apply beside the combiners. The
+//!   per-bucket mutex serializes exactly those overlaps.
 
 mod op;
 
@@ -51,15 +52,16 @@ use op::{MapCmd, MapNode, MapOp};
 
 /// A linearizable batched-combining hash map.
 ///
-/// `n` threads hammering a hot key induce one bucket-lock acquisition
-/// *per frozen batch* on that key's shard instead of a contended lock
-/// or CAS per operation; everything else is cache-local slot traffic
-/// inside the shard's aggregator. Under an adaptive policy the
-/// contention monitor re-shards the bucket space at runtime, exactly as
-/// it re-shards the stack's thread space (DESIGN.md §8). The
-/// structure's shared surface is [`Sec`]'s; its aggregators are the
-/// map's shards, and [`with_config`](Sec::with_config) documents the
-/// fixed-`K` normalization.
+/// An op whose bucket lock is free applies under it at once. When `n`
+/// threads hammer a hot key, the ops that find the lock taken announce
+/// on that key's shard instead, and one combiner per frozen batch
+/// applies them, so they do not queue on the lock one by one. Under an
+/// adaptive policy the contention monitor re-shards the bucket space
+/// at runtime, exactly as it re-shards the stack's thread space
+/// (DESIGN.md §8). The structure's shared surface is [`Sec`]'s; its
+/// aggregators are the map's shards, and
+/// [`with_config`](Sec::with_config) documents the fixed-`K`
+/// normalization.
 ///
 /// # Examples
 ///
@@ -152,14 +154,23 @@ where
     K: Hash + Eq + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// Announces `cmd` on its key's shard and rides the engine to the
-    /// result. The shard is resolved against the active count at
-    /// announce time; an operation excluded by a freeze retries on the
-    /// same shard, which is safe even across a re-shard (a shard past
-    /// the active prefix still freezes and combines its own batches —
-    /// only *routing* of fresh operations moves).
+    /// Applies `cmd` under its bucket's lock at once when the lock is
+    /// free; otherwise announces it on its key's shard and rides the
+    /// engine to the result. The shard is resolved against the active
+    /// count at announce time; an operation excluded by a freeze
+    /// retries on the same shard, which is safe even across a re-shard
+    /// (a shard past the active prefix still freezes and combines its
+    /// own batches — only *routing* of fresh operations moves).
     fn run_op(&mut self, bucket: usize, cmd: MapCmd<K, V>) -> Option<V> {
         let shard = self.sec.shard_of(bucket);
+        // A free bucket lock means nobody needs to join this op: it
+        // applies under the lock at once, as a combiner would.
+        let sec = self.sec;
+        let apply = || sec.op().try_apply(bucket, cmd);
+        let cmd = match sec.try_alone(self.state.tid(), shard, Role::Remove, apply) {
+            Ok(out) => return out,
+            Err(cmd) => cmd,
+        };
         let node = MapNode::alloc_with(&self.reclaim, bucket, cmd);
         self.sec
             .run(Lane::At(shard), Role::Remove, node, &self.reclaim)
@@ -167,8 +178,7 @@ where
     }
 
     /// Returns the value mapped to `key` at the linearization point
-    /// (its application under the bucket lock, in batch slot order), or
-    /// `None` when absent.
+    /// (its application under the bucket lock), or `None` when absent.
     pub fn get(&mut self, key: &K) -> Option<V>
     where
         K: Clone,
@@ -216,13 +226,14 @@ where
     /// = the mapping of `keys[i]` (old contents of `results` are
     /// dropped). The whole slice rides **one** announcement on the
     /// first key's shard, so the protocol cost amortizes over
-    /// `keys.len()` lookups; the lookups linearize consecutively at
-    /// their bucket-lock applications, in slice order.
+    /// `keys.len()` lookups; each lookup linearizes at its own
+    /// bucket-lock application, in slice order. Other threads' ops,
+    /// lone or combined, may apply between two of them.
     ///
     /// Slices longer than the engine's per-announcement weight bound
-    /// are chunked (each chunk is then individually atomic). Keys may
-    /// hash anywhere — the combiner locks each key's own bucket, which
-    /// is exactly what makes cross-shard application safe.
+    /// are chunked, one announcement per chunk. Keys may hash anywhere
+    /// — the combiner locks each key's own bucket, which is exactly
+    /// what makes cross-shard application safe.
     ///
     /// # Panics
     ///
@@ -346,6 +357,7 @@ mod tests {
     use crate::config::{RecyclePolicy, SecConfig, WaitPolicy};
     use op::DEFAULT_BUCKETS;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn sequential_contract_matches_hash_map() {
@@ -364,6 +376,60 @@ mod tests {
         assert!(!m.is_empty());
         assert_eq!(h.remove(&2), Some("c".into()));
         assert!(m.is_empty());
+    }
+
+    /// Runs `op` on a fresh handle in another thread while this thread
+    /// holds `key`'s bucket lock. The op must find the lock taken, so it
+    /// announces and freezes a batch instead of running alone; once
+    /// that batch is tallied the lock is released and `op`'s result
+    /// returned.
+    fn run_against_a_held_bucket<R: Send>(
+        m: &SecMap<u64, u64>,
+        key: u64,
+        op: impl FnOnce(&mut SecMapHandle<'_, u64, u64>) -> R + Send,
+    ) -> R {
+        let before = m.stats().report();
+        let pairs = m.op().buckets[m.op().bucket_of(&key)].lock().unwrap();
+        thread::scope(|scope| {
+            let worker = scope.spawn(|| op(&mut m.register()));
+            // A guard against hanging, not a timing assumption: an op
+            // that waited on the lock instead would never get here.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while m.stats().report().batches == before.batches {
+                assert!(Instant::now() < deadline, "the op never froze a batch");
+                thread::yield_now();
+            }
+            let frozen = m.stats().report();
+            assert_eq!(frozen.alone, before.alone, "{frozen:?}");
+            assert_eq!(frozen.batches, before.batches + 1, "{frozen:?}");
+            drop(pairs);
+            worker.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn an_op_that_finds_its_bucket_locked_announces_and_batches() {
+        let m: SecMap<u64, u64> = SecMap::new(2);
+        let mut h = m.register();
+        assert_eq!(h.insert(7, 70), None);
+        let r = m.stats().report();
+        assert_eq!(
+            (r.alone, r.batches),
+            (1, 1),
+            "a free lock runs alone: {r:?}"
+        );
+
+        assert_eq!(
+            run_against_a_held_bucket(&m, 7, |h| h.insert(7, 71)),
+            Some(70)
+        );
+        assert_eq!(run_against_a_held_bucket(&m, 7, |h| h.get(&7)), Some(71));
+        assert_eq!(run_against_a_held_bucket(&m, 7, |h| h.remove(&7)), Some(71));
+        let r = m.stats().report();
+        assert_eq!((r.alone, r.batches, r.ops), (1, 4, 4), "{r:?}");
+
+        assert_eq!(h.get(&7), None);
+        assert_eq!(m.stats().report().alone, 2, "a free lock runs alone again");
     }
 
     #[test]

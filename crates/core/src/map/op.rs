@@ -11,7 +11,7 @@ use core::mem::ManuallyDrop;
 use core::sync::atomic::Ordering;
 use sec_reclaim::{Guard, Handle as ReclaimHandle};
 use std::collections::hash_map::DefaultHasher;
-use std::sync::Mutex;
+use std::sync::{Mutex, TryLockError};
 
 /// Default bucket-array size (see [`SecMap::bucket_count`]).
 pub(super) const DEFAULT_BUCKETS: usize = 512;
@@ -122,29 +122,54 @@ impl<K: Hash + Eq, V> MapOp<K, V> {
     where
         V: Clone,
     {
-        let mut pairs = self.buckets[bucket].lock().unwrap();
-        match cmd {
-            MapCmd::Get(key) => pairs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.clone()),
-            MapCmd::Insert(key, value) => match pairs.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => Some(core::mem::replace(v, value)),
-                None => {
-                    pairs.push((key, value));
-                    None
-                }
-            },
-            MapCmd::Remove(key) => pairs
-                .iter()
-                .position(|(k, _)| *k == key)
-                .map(|i| pairs.swap_remove(i).1),
-            // Bulk commands are decomposed by the combiner before
-            // `apply` is reached (each constituent lookup/insert takes
-            // its own bucket's lock).
-            MapCmd::GetMany { .. } | MapCmd::InsertMany { .. } => {
-                unreachable!("bulk commands never reach apply")
+        apply_to(&mut self.buckets[bucket].lock().unwrap(), cmd)
+    }
+
+    /// [`MapOp::apply`] for an op that may skip the batch: it applies
+    /// only if its bucket's lock is free, and otherwise hands the
+    /// command back for the batch path (DESIGN.md §12 "Lone
+    /// operations"). A poisoned lock panics, as the combiner's does.
+    pub(super) fn try_apply(
+        &self,
+        bucket: usize,
+        cmd: MapCmd<K, V>,
+    ) -> Result<Option<V>, MapCmd<K, V>>
+    where
+        V: Clone,
+    {
+        match self.buckets[bucket].try_lock() {
+            Ok(mut pairs) => Ok(apply_to(&mut pairs, cmd)),
+            Err(TryLockError::WouldBlock) => Err(cmd),
+            Err(TryLockError::Poisoned(e)) => panic!("{e}"),
+        }
+    }
+}
+
+/// Applies one single-key command to its bucket's pairs, which the
+/// caller has locked: the one body that both the combiner and a lone
+/// op run.
+fn apply_to<K: Eq, V: Clone>(pairs: &mut Vec<(K, V)>, cmd: MapCmd<K, V>) -> Option<V> {
+    match cmd {
+        MapCmd::Get(key) => pairs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone()),
+        MapCmd::Insert(key, value) => match pairs.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => Some(core::mem::replace(v, value)),
+            None => {
+                pairs.push((key, value));
+                None
             }
+        },
+        MapCmd::Remove(key) => pairs
+            .iter()
+            .position(|(k, _)| *k == key)
+            .map(|i| pairs.swap_remove(i).1),
+        // Bulk commands are decomposed by the combiner before
+        // `apply_to` is reached (each constituent lookup/insert takes
+        // its own bucket's lock).
+        MapCmd::GetMany { .. } | MapCmd::InsertMany { .. } => {
+            unreachable!("bulk commands never reach apply_to")
         }
     }
 }

@@ -15,9 +15,14 @@
 //! pmf — no special functions), letting the Table 1 binary print a
 //! *model* column next to the measured one. Agreement there is strong
 //! evidence the freezing/elimination machinery loses no pairs; the
-//! residual gap comes from batch-size variance (the model is evaluated
-//! at the mean batch size, and `E[f(N)] ≠ f(E[N])` for the concave
-//! elimination curve).
+//! residual gap comes from batch-size variance: Table 1 evaluates the
+//! model at the mean batch size, and `E[f(N)] ≠ f(E[N])`. The curve is
+//! not concave in `n` either (0% at `n = 1`, 50% at 2 and 3, 62.5% at
+//! 4), so `f(E[N])` does not bound the measurement from above;
+//! [`predict_pct_eliminated`] weighs `f` over the measured degree
+//! distribution instead.
+
+use crate::trace::Histogram;
 
 /// Binomial probability mass function as an iterator-friendly vector:
 /// `pmf[k] = P(X = k)` for `X ~ Binomial(n, p)`.
@@ -97,29 +102,27 @@ pub fn expected_pct_combined(n: u64, push_prob: f64) -> f64 {
     100.0 - expected_pct_eliminated(n, push_prob)
 }
 
-/// Model prediction for a measured run: evaluates the expectations at
-/// the *rounded mean* batch size of `report`, under `push_prob`.
+/// The model's elimination fraction (0–100%) for a measured run whose
+/// batch degrees `degrees` recorded: `Σ n·c(n)·f(n) / Σ n·c(n)`, where
+/// `c(n)` batches held `n` ops and `f` is [`expected_pct_eliminated`].
+/// Each op counts once, at the `f` of its own batch, which is the
+/// expectation of the measured fraction when each op is a push with
+/// probability `push_prob` whatever batch it lands in.
 ///
-/// A first-order approximation (see module docs); adequate for the
-/// "does measurement track theory" check the Table 1 binary prints.
-pub fn predict_for_report(report: &super::stats::BatchReport, push_prob: f64) -> ModelPrediction {
-    let n = report.batching_degree().round().max(0.0) as u64;
-    ModelPrediction {
-        batch_size: n,
-        pct_eliminated: expected_pct_eliminated(n, push_prob),
-        pct_combined: expected_pct_combined(n, push_prob),
+/// `None` when a batch held 16 or more ops, past the degree
+/// histogram's exact range; 0 when nothing was recorded.
+pub fn predict_pct_eliminated(degrees: &Histogram, push_prob: f64) -> Option<f64> {
+    let (mut ops, mut eliminated) = (0u64, 0.0);
+    for n in 1..=degrees.max() {
+        let weight = n * degrees.count_of(n)?;
+        ops += weight;
+        eliminated += weight as f64 * expected_pct_eliminated(n, push_prob);
     }
-}
-
-/// Output of [`predict_for_report`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelPrediction {
-    /// Batch size the model was evaluated at (rounded mean).
-    pub batch_size: u64,
-    /// Predicted %elimination.
-    pub pct_eliminated: f64,
-    /// Predicted %combining.
-    pub pct_combined: f64,
+    Some(if ops == 0 {
+        0.0
+    } else {
+        eliminated / ops as f64
+    })
 }
 
 #[cfg(test)]
@@ -227,13 +230,20 @@ mod tests {
     }
 
     #[test]
-    fn predict_for_report_uses_mean_batch_size() {
-        let stats = super::super::stats::SecStats::new();
-        stats.record_batch(0, 10, 10, 0, 0); // batch of 20
-        stats.record_batch(0, 5, 5, 0, 0); // batch of 10 → mean 15
-        let pred = predict_for_report(&stats.report(), 0.5);
-        assert_eq!(pred.batch_size, 15);
-        assert!(pred.pct_eliminated > 50.0);
+    fn prediction_weights_each_degree_by_its_ops() {
+        let degrees = Histogram::new();
+        for n in [1, 1, 2, 4] {
+            degrees.record(n);
+        }
+        // Ops: 2 alone (0%), 2 in a pair (50%), 4 in a quad (62.5%).
+        let pct = predict_pct_eliminated(&degrees, 0.5).unwrap();
+        assert!(
+            (pct - (2.0 * 50.0 + 4.0 * 62.5) / 8.0).abs() < 1e-9,
+            "{pct}"
+        );
+        assert_eq!(predict_pct_eliminated(&Histogram::new(), 0.5), Some(0.0));
+        degrees.record(16);
+        assert_eq!(predict_pct_eliminated(&degrees, 0.5), None);
     }
 
     #[test]

@@ -223,12 +223,12 @@ fn elimination_dominates_balanced_workloads() {
 
 #[test]
 fn measured_elimination_respects_the_model_bound() {
-    // Jensen: the per-batch elimination fraction is concave in the
-    // batch size, so the measured aggregate can never meaningfully
-    // exceed the model's prediction at the *mean* batch size —
-    // E[f(N)] ≤ f(E[N]). (The reverse gap can be large; the bound is
-    // one-sided.) A violation would mean the accounting counts pairs
-    // that cannot exist.
+    // Given the batch degrees the run produced, the model's op-weighted
+    // expectation is what the measured elimination fraction averages
+    // to when pushes and pops land in batches independently of their
+    // kind. A measurement well above it would mean the accounting
+    // counts pairs that cannot exist. (The reverse gap can be large;
+    // the bound is one-sided.)
     const THREADS: usize = 8;
     let s: SecStack<usize> = SecStack::with_config(SecConfig::new(1, THREADS));
     thread::scope(|scope| {
@@ -251,16 +251,16 @@ fn measured_elimination_respects_the_model_bound() {
         }
     });
     let r = s.stats().report();
-    let predicted = crate::sec::model::predict_for_report(&r, 0.5);
-    // +6 points of slack: the mean is rounded to an integer batch size
-    // and finite samples wobble; the invariant being probed is "no
-    // impossible pairs", not a tight fit.
+    let degrees = s.stats().degree_histogram();
+    // One aggregator of capacity THREADS: every degree is exact.
+    let predicted = crate::sec::model::predict_pct_eliminated(&degrees, 0.5)
+        .expect("batches hold at most THREADS ops");
+    // +6 points of slack: finite samples wobble; the invariant being
+    // probed is "no impossible pairs", not a tight fit.
     assert!(
-        r.pct_eliminated() <= predicted.pct_eliminated + 6.0,
-        "measured {:.1}% exceeds model optimum {:.1}% at n={} — impossible pairs counted? {r:?}",
+        r.pct_eliminated() <= predicted + 6.0,
+        "measured {:.1}% exceeds the model's {predicted:.1}% — impossible pairs counted? {r:?}",
         r.pct_eliminated(),
-        predicted.pct_eliminated,
-        predicted.batch_size,
     );
 }
 

@@ -151,6 +151,13 @@ impl Histogram {
         self.count() == 0
     }
 
+    /// How many recorded samples equal `v`. Each value below 16 has a
+    /// bucket of its own, so its count is exact; above that a bucket
+    /// spans several values and the answer is `None`.
+    pub fn count_of(&self, v: u64) -> Option<u64> {
+        (v < SUB).then(|| self.buckets[v as usize].load(Ordering::Relaxed))
+    }
+
     /// Smallest recorded sample (0 when empty). Best-effort while
     /// recording is in flight (see the type-level note); exact once
     /// recorders have quiesced.
@@ -296,6 +303,9 @@ mod tests {
         assert_eq!(h.percentile(50.0), 7);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 15);
+        h.record(3);
+        assert_eq!((h.count_of(3), h.count_of(4)), (Some(2), Some(1)));
+        assert_eq!(h.count_of(16), None);
     }
 
     #[test]

@@ -38,7 +38,8 @@ use sec_linearize::spec::{check_generic, TimedOp};
 use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::linearize::{check_conservation, check_history, Event, Op, Recorder};
 use sec_repro::{RecyclePolicy, SecConfig, SecStack};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// Seed-derived recycling policy: schedules must cover recycling off,
@@ -1362,6 +1363,142 @@ fn large_map_schedules_conserve_every_value() {
             )
         });
     }
+}
+
+// ----------------------------------------------------------------------
+// Both map routes in one history. A map op whose bucket lock is free
+// applies under it at once; one that finds the lock taken announces and
+// batches. Which route an op takes is normally up to the OS, so this
+// case forces the batch route with a held lock: a lone `get` of a
+// `Gated` value holds its bucket lock while the value's clone waits for
+// the test to open the gate.
+// ----------------------------------------------------------------------
+
+/// Shared by every copy of a [`Gated`] value. Once armed, the next
+/// clone of any copy waits, with `holding` set, until `open`.
+#[derive(Default)]
+struct Gate {
+    armed: AtomicBool,
+    holding: AtomicBool,
+    open: AtomicBool,
+}
+
+/// A map value whose clone can be made to wait (see [`Gate`]).
+struct Gated {
+    value: u64,
+    gate: Arc<Gate>,
+}
+
+impl Clone for Gated {
+    fn clone(&self) -> Self {
+        if self.gate.armed.swap(false, Ordering::AcqRel) {
+            self.gate.holding.store(true, Ordering::Release);
+            while !self.gate.open.load(Ordering::Acquire) {
+                thread::yield_now();
+            }
+        }
+        Gated {
+            value: self.value,
+            gate: Arc::clone(&self.gate),
+        }
+    }
+}
+
+#[test]
+fn a_held_bucket_lock_mixes_lone_and_batched_map_ops() {
+    const WORKERS: u64 = 2;
+    const PER: u64 = 6;
+    const KEYS: u64 = 3;
+    // One bucket, so the held lock stops every op in the map.
+    let map: SecMap<u64, Gated> =
+        SecMap::with_config(SecConfig::new(1, WORKERS as usize + 2)).bucket_count(1);
+    let gate = Arc::new(Gate::default());
+    let gated = |value| Gated {
+        value,
+        gate: Arc::clone(&gate),
+    };
+    let rec = Recorder::new();
+    let timed = |run: &mut dyn FnMut() -> MapOp<u64, u64>| {
+        let invoke = rec.now();
+        let op = run();
+        TimedOp {
+            op,
+            invoke,
+            response: rec.now(),
+        }
+    };
+    let mut h = map.register();
+    let mut history = vec![timed(&mut || MapOp::Insert {
+        key: 0,
+        value: 0,
+        prev: h.insert(0, gated(0)).map(|g| g.value),
+    })];
+
+    gate.armed.store(true, Ordering::Release);
+    thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            let mut h = map.register();
+            timed(&mut || MapOp::Get {
+                key: 0,
+                observed: h.get(&0).map(|g| g.value),
+            })
+        });
+        while !gate.holding.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        let before = map.stats().report();
+        let workers: Vec<_> = (1..=WORKERS)
+            .map(|t| {
+                let (map, timed, gated) = (&map, &timed, &gated);
+                scope.spawn(move || {
+                    let mut h = map.register();
+                    (0..PER)
+                        .map(|i| {
+                            let key = (t + i) % KEYS;
+                            let value = t << 40 | i;
+                            timed(&mut || match i % 3 {
+                                0 => MapOp::Insert {
+                                    key,
+                                    value,
+                                    prev: h.insert(key, gated(value)).map(|g| g.value),
+                                },
+                                1 => MapOp::Get {
+                                    key,
+                                    observed: h.get(&key).map(|g| g.value),
+                                },
+                                _ => MapOp::Remove {
+                                    key,
+                                    removed: h.remove(&key).map(|g| g.value),
+                                },
+                            })
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        // Every worker's first op found the lock held and sits in a
+        // frozen batch; only then does the holder let go.
+        while map.stats().report().ops - before.ops < WORKERS {
+            thread::yield_now();
+        }
+        gate.open.store(true, Ordering::Release);
+        history.push(holder.join().unwrap());
+        for w in workers {
+            history.extend(w.join().unwrap());
+        }
+    });
+
+    let r = map.stats().report();
+    assert!(r.alone > 0, "the free-lock ops ran alone: {r:?}");
+    assert!(r.batches > r.alone, "the held lock forced batches: {r:?}");
+    let drained: Vec<(u64, u64)> = (0..KEYS)
+        .filter_map(|key| h.remove(&key).map(|g| (key, g.value)))
+        .collect();
+    assert!(map.is_empty(), "drain over the whole key space must empty");
+    check_map_conservation(&history, &drained)
+        .unwrap_or_else(|e| panic!("map conservation violated: {e}\n{history:#?}"));
+    check_generic::<MapSpec<u64, u64>>(&history)
+        .unwrap_or_else(|e| panic!("map history not linearizable: {e}\n{history:#?}"));
 }
 
 #[test]
