@@ -13,9 +13,9 @@
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
 //! * per-batch stats recording ([`SecStats`]),
-//! * the lone-op paths that skip the batch when nobody can join it
-//!   ([`Sec::run_alone`], and [`Sec::try_alone`] for a family with
-//!   evidence of its own),
+//! * the lone-op route that skips the batch when nobody is in it, and
+//!   the one rule that decides when an op takes it ([`LoneRule`],
+//!   [`Sec::run_alone`]),
 //! * the crash-durable path — intents, redo log, recovery replay
 //!   (`durable.rs`, DESIGN.md §16).
 //!
@@ -102,15 +102,17 @@ impl Role {
 /// * [`apply_logged`] runs one operation at a time, never concurrently
 ///   with itself or with any other mutation of the structure (see
 ///   its docs);
-/// * [`apply_alone`] runs a lone operation with no batch at all,
-///   possibly concurrently with other aggregators' combiners.
+/// * [`try_alone`] runs a lone operation with no batch at all,
+///   possibly concurrently with combiners, when the family's
+///   [`LONE`] rule offers it.
 ///
 /// [`combine_add`]: CombineOp::combine_add
 /// [`combine_remove`]: CombineOp::combine_remove
 /// [`eliminate`]: CombineOp::eliminate
 /// [`take_result`]: CombineOp::take_result
 /// [`apply_logged`]: CombineOp::apply_logged
-/// [`apply_alone`]: CombineOp::apply_alone
+/// [`try_alone`]: CombineOp::try_alone
+/// [`LONE`]: CombineOp::LONE
 ///
 /// The associated constants and the two constructors below are what
 /// differs between families in the shell they share (DESIGN.md §12
@@ -144,6 +146,9 @@ pub trait CombineOp: Sized + Send + Sync {
     /// [`SecConfig::freezer_backoff`] spin only where a late announcer
     /// pays (DESIGN.md §12 "Freezer backoff").
     const ELIMINATES: bool = false;
+    /// When the engine offers an operation to [`CombineOp::try_alone`]
+    /// instead of announcing it (DESIGN.md §12 "Lone operations").
+    const LONE: LoneRule = LoneRule::Never;
 
     /// Builds the family's empty shared structure from its
     /// construction parameter ([`CombineOp::PARAM`], or the one a
@@ -240,27 +245,53 @@ pub trait CombineOp: Sized + Send + Sync {
     }
 
     /// The lone-operation path (DESIGN.md §12 "Lone operations"):
-    /// apply one weight-1 operation straight to the shared structure,
-    /// exactly as the combiner of a degree-1 batch on a private
-    /// aggregator would, and return its result. `node` is the
-    /// operation's own, never-announced node (null for operations that
-    /// bring none). The engine calls this, pinned, only for
-    /// non-durable [`Lane::Mapped`] operations while at most one handle
-    /// is live. Another thread may register mid-call and its combiners
-    /// may race this one, so the hook must follow the combiners' own
-    /// discipline on the shared structure (CAS or RMW). `None` — the
-    /// default — means the family has no such path: the operation then
-    /// runs the batch protocol.
-    fn apply_alone(
+    /// apply one operation straight to the shared structure, exactly
+    /// as the combiner of a degree-1 batch on a private aggregator
+    /// would, and return its result; or hand `node` back untouched as
+    /// `Err` for the batch path. `node` is what the operation would
+    /// announce: its node, its bulk request, or null for operations
+    /// that bring none. The engine alone calls this, only for
+    /// non-durable operations, and only when the family's
+    /// [`CombineOp::LONE`] rule says so. Other threads' combiners may
+    /// race this call, so the hook follows the combiners' own
+    /// discipline on the shared structure (CAS or RMW), and pins
+    /// through `reclaim` whatever it dereferences. The default refuses
+    /// every operation.
+    fn try_alone(
         &self,
         eng: &Sec<Self>,
         role: Role,
         node: *mut Self::Node,
-        guard: &Guard<'_, '_>,
-    ) -> Option<Option<Self::Value>> {
-        let _ = (eng, role, node, guard);
-        None
+        reclaim: &ReclaimHandle<'_>,
+    ) -> Result<Option<Self::Value>, *mut Self::Node> {
+        let _ = (eng, role, reclaim);
+        Err(node)
     }
+}
+
+/// When the engine offers an operation to [`CombineOp::try_alone`]: a
+/// batch pays only when someone joins it, and each rule is the
+/// family's cheapest evidence that nobody will. Durable structures
+/// never go alone: every op must reach the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoneRule {
+    /// Every operation announces.
+    Never,
+    /// A weight-1 operation on its mapped aggregator, while at most one
+    /// handle is live. For a family that eliminates: a second live
+    /// handle may bring the partner that makes the batch pay.
+    OneHandle,
+    /// Any operation whose lane in the target aggregator's current
+    /// batch has no announcer: one load of the counter the op would
+    /// otherwise `fetch_add`. For a family that never eliminates, the
+    /// batch only pays when it is shared. The hook then makes one CAS
+    /// attempt and hands a lost one back, flat combining's "try the
+    /// lock first": contention is what sends ops to the batch, and
+    /// the announcer it sends there is what a later op's check finds.
+    IdleLane,
+    /// Every operation; the hook checks its own evidence (the map: its
+    /// bucket lock is free).
+    OwnEvidence,
 }
 
 /// Per-thread announcement-mapping state: which aggregator this thread
@@ -295,6 +326,10 @@ pub(crate) enum Lane<'s> {
     /// A fixed aggregator index — the queue's per-end path and every
     /// family's bulk aggregators.
     At(usize),
+    /// An index computed only when the op needs one: the map's key
+    /// shard, which an op applied alone under its bucket lock never
+    /// does. Resolved once, so an excluded retry stays on it.
+    Deferred(&'s dyn Fn() -> usize),
 }
 
 /// How the engine lays out its aggregators at construction.
@@ -617,6 +652,13 @@ impl<O: CombineOp> Sec<O> {
     /// shards; always 1 for the queue, whose aggregators are its ends).
     pub fn active_aggregators(&self) -> usize {
         self.active.load(Ordering::Acquire)
+    }
+
+    /// Handles currently registered (a snapshot: it may change at
+    /// once).
+    #[inline]
+    pub(crate) fn live_handles(&self) -> usize {
+        self.collector.live_handles()
     }
 
     /// The aggregator index of the layout's `i`-th dedicated bulk
@@ -1033,9 +1075,10 @@ impl<O: CombineOp> Sec<O> {
     // The driver (paper Algorithms 1 and 2, one implementation)
     // ------------------------------------------------------------------
 
-    /// Drives one operation through the full
-    /// announce → freeze → (eliminate | combine | wait) → publish
-    /// cycle and returns its result.
+    /// Drives one operation to its result: alone when the family's
+    /// [`CombineOp::LONE`] rule finds nobody in its batch, otherwise
+    /// through the full announce → freeze → (eliminate | combine |
+    /// wait) → publish cycle.
     ///
     /// `node` is the operation's announced node (null for operations
     /// that bring none — the slot store is skipped); excluded
@@ -1058,7 +1101,7 @@ impl<O: CombineOp> Sec<O> {
     /// contention monitor account the batch's true degree.
     pub(crate) fn run_weighted(
         &self,
-        lane: Lane<'_>,
+        mut lane: Lane<'_>,
         role: Role,
         node: *mut O::Node,
         ops: u32,
@@ -1079,78 +1122,111 @@ impl<O: CombineOp> Sec<O> {
         let tid = reclaim.slot();
         let trace = self.tracer().filter(|t| t.sample(tid));
         let t_op = trace.map(|t| t.now());
-        let out = self.run_inner(lane, role, node, ops, reclaim, tid, trace);
+        // A batch nobody is in buys nothing: skip it.
+        let out = match self.try_lone(&mut lane, role, node, ops, reclaim, trace) {
+            Ok(out) => out,
+            Err(node) => self.run_batch(lane, role, node, ops, reclaim, tid, trace),
+        };
         if let (Some(t), Some(t0)) = (trace, t_op) {
             t.op_latency().record(t.delta_ns(t0));
         }
         out
     }
 
-    /// The lone-op route (DESIGN.md §12 "Lone operations"): no
-    /// announce, freeze, batch or wake — the pinned op goes straight
-    /// to [`CombineOp::apply_alone`] and is tallied as a degree-1,
-    /// combined batch on its registry slot. Returns `None` when the
-    /// family has no lone path. Safe whatever the live-handle evidence
-    /// says, which is why [`Sec::run_inner`] may act on a
+    /// The aggregator `lane` names, a [`Lane::Mapped`] one re-mapped
+    /// against the current active count first.
+    #[inline]
+    fn resolve(&self, lane: &mut Lane<'_>) -> usize {
+        match lane {
+            Lane::Mapped(st) => self.remap(st),
+            Lane::At(i) => *i,
+            Lane::Deferred(f) => f(),
+        }
+    }
+
+    /// The one lone-op rule (DESIGN.md §12 "Lone operations"): offers
+    /// the op to [`Sec::run_alone`] when the family's
+    /// [`CombineOp::LONE`] evidence says nobody is in its batch, and
+    /// otherwise hands `node` back for the batch path.
+    #[inline]
+    fn try_lone(
+        &self,
+        lane: &mut Lane<'_>,
+        role: Role,
+        node: *mut O::Node,
+        ops: u32,
+        reclaim: &ReclaimHandle<'_>,
+        trace: Option<&TraceRecorder>,
+    ) -> Result<Option<O::Value>, *mut O::Node> {
+        if self.durable.is_some() {
+            return Err(node);
+        }
+        match O::LONE {
+            LoneRule::Never => Err(node),
+            LoneRule::OneHandle => {
+                if ops == 1 && matches!(lane, Lane::Mapped(_)) && self.collector.live_handles() <= 1
+                {
+                    self.run_alone(lane, role, node, ops, reclaim, trace)
+                } else {
+                    Err(node)
+                }
+            }
+            LoneRule::IdleLane => {
+                let agg_idx = self.resolve(lane);
+                // One pin covers the check and the hook's apply: the
+                // hook's own pin nests inside this one.
+                let _guard = reclaim.pin();
+                let batch = unsafe { &*self.aggs[agg_idx].batch.load(Ordering::Acquire) };
+                // Relaxed: the count only steers the choice, which is
+                // safe either way.
+                if batch.count(role).load(Ordering::Relaxed) == 0 {
+                    self.run_alone(&mut Lane::At(agg_idx), role, node, ops, reclaim, trace)
+                } else {
+                    Err(node)
+                }
+            }
+            LoneRule::OwnEvidence => self.run_alone(lane, role, node, ops, reclaim, trace),
+        }
+    }
+
+    /// The lone route: no announce, freeze, batch or wake. The op goes
+    /// straight to [`CombineOp::try_alone`], and an applied one is
+    /// tallied as one combined batch of its weight `ops` on its
+    /// registry slot. A lone op races combiners exactly as combiners of
+    /// different aggregators race each other, so the route is safe
+    /// whatever the rule's evidence says, and the rule may act on a
     /// stale count.
     pub(crate) fn run_alone(
         &self,
-        st: &OpState,
+        lane: &mut Lane<'_>,
         role: Role,
         node: *mut O::Node,
+        ops: u32,
         reclaim: &ReclaimHandle<'_>,
         trace: Option<&TraceRecorder>,
-    ) -> Option<Option<O::Value>> {
-        let out = self.op.apply_alone(self, role, node, &reclaim.pin())?;
-        self.record_alone(st.tid, st.agg_idx, role, trace);
-        Some(out)
-    }
-
-    /// The lone route of a family that finds its own evidence that an
-    /// op needs no batch (the map: its bucket lock is free). `apply`
-    /// runs the op at its own linearization point, or hands it back as
-    /// `Err` for the batch path. An applied op is tallied and traced
-    /// as [`Sec::run_alone`] tallies its own, `agg_idx` naming the
-    /// aggregator it would have announced on.
-    pub(crate) fn try_alone<T, E>(
-        &self,
-        tid: usize,
-        agg_idx: usize,
-        role: Role,
-        apply: impl FnOnce() -> Result<T, E>,
-    ) -> Result<T, E> {
-        // Sampled only once the op has run alone, so a handed-back op
-        // ticks the sampler once, on the batch path; a traced structure
-        // therefore reads the clock for every op that tries this route.
-        let t_op = self.tracer().map(|t| t.now());
-        let out = apply()?;
-        let trace = self.tracer().filter(|t| t.sample(tid));
-        self.record_alone(tid, agg_idx, role, trace);
-        if let (Some(t), Some(t0)) = (trace, t_op) {
-            t.op_latency().record(t.delta_ns(t0));
-        }
-        Ok(out)
-    }
-
-    /// Both lone routes' bookkeeping: a degree-1, combined batch on
-    /// registry slot `tid`, and the `Alone` trace event.
-    fn record_alone(&self, tid: usize, agg_idx: usize, role: Role, trace: Option<&TraceRecorder>) {
-        self.stats.record_alone(tid);
+    ) -> Result<Option<O::Value>, *mut O::Node> {
+        let out = self.op.try_alone(self, role, node, reclaim)?;
+        let tid = reclaim.slot();
+        self.stats.record_alone(tid, u64::from(ops));
         if let Some(t) = trace {
             t.record(
                 tid,
-                agg_idx as u32,
+                self.resolve(lane) as u32,
                 TraceEventKind::Alone {
                     lane: role.trace_lane(),
                 },
             );
         }
+        Ok(out)
     }
 
-    /// The driver proper; `trace` is `Some` only for sampled ops of a
-    /// traced structure (see [`Sec::run`]).
+    /// The batch protocol proper (paper Algorithms 1 and 2), never the
+    /// lone route: announce, freeze or wait, then eliminate, combine or
+    /// wait for the combiner, and take the result. `trace` is `Some`
+    /// only for sampled ops of a traced structure (see
+    /// [`Sec::run_weighted`]).
     #[allow(clippy::too_many_arguments)]
-    fn run_inner(
+    pub(crate) fn run_batch(
         &self,
         mut lane: Lane<'_>,
         role: Role,
@@ -1160,23 +1236,15 @@ impl<O: CombineOp> Sec<O> {
         tid: usize,
         trace: Option<&TraceRecorder>,
     ) -> Option<O::Value> {
-        // Nobody can join a lone thread's batch, so it skips the batch.
-        if let Lane::Mapped(st) = &lane {
-            if ops == 1 && self.durable.is_none() && self.collector.live_handles() <= 1 {
-                if let Some(out) = self.run_alone(st, role, node, reclaim, trace) {
-                    return out;
-                }
-            }
+        if let Lane::Deferred(f) = &lane {
+            lane = Lane::At(f());
         }
         loop {
             // Re-resolve the mapping each attempt: an excluded retry
             // after an elastic re-mapping must land on the thread's
             // *new* aggregator, or a retired one would keep receiving
             // work.
-            let agg_idx = match &mut lane {
-                Lane::Mapped(st) => self.remap(st),
-                Lane::At(i) => *i,
-            };
+            let agg_idx = self.resolve(&mut lane);
             let agg = &*self.aggs[agg_idx];
             if agg.rostered {
                 self.join(tid, agg_idx);
@@ -1316,4 +1384,4 @@ impl<O: CombineOp> Drop for Sec<O> {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -358,3 +358,43 @@ fn rosters_track_which_slots_announce_where() {
     add(&b2.reclaim, 69);
     assert_eq!(joined(69), 1);
 }
+
+// ---- the freezer's spin gate on families that never eliminate ------
+//
+// A counter or queue op whose lane is idle skips the batch (DESIGN.md
+// §12 "Lone operations"), so a single thread reaches the freezer only
+// through `Sec::run_batch`; the counter's and the queue's spin-gate
+// tests drive it directly with these helpers. A second handle is
+// registered and stays idle through the measured ops, so two
+// announcers stay possible and every freezer's batch is short; only
+// the spin gate then decides whether the freezer waits out its window.
+
+/// The spin-gate tests' freezer window: four times the default, so a
+/// freezer that spins where it should not shows plainly.
+pub(crate) const WINDOW: u32 = 64;
+
+/// Ops the working handle runs in the spin-gate tests.
+pub(crate) const GATE_OPS: u64 = 200;
+
+/// One aggregator for the mapped families (so both handles share it),
+/// the [`WINDOW`] spin and no yields.
+pub(crate) fn spin_only() -> SecConfig {
+    SecConfig::new(1, 4)
+        .freezer_backoff(WINDOW)
+        .freezer_yields(0)
+}
+
+/// Each of the `GATE_OPS` measured ops froze its own degree-1 batch,
+/// having spent `spins` pauses and no yield.
+pub(crate) fn assert_spins_per_batch(name: &str, stats: &SecStats, spins: u64) {
+    let r = stats.report();
+    assert_eq!(
+        (r.alone, r.batches, r.ops),
+        (0, GATE_OPS, GATE_OPS),
+        "{name}: {r:?}"
+    );
+    let degrees = stats.degree_histogram();
+    assert_eq!((degrees.min(), degrees.max()), (1, 1), "{name}: {r:?}");
+    assert_eq!(r.backoff_spins, spins * GATE_OPS, "{name}: {r:?}");
+    assert_eq!(r.backoff_yields, 0, "{name}: {r:?}");
+}

@@ -8,10 +8,13 @@
 //! announcer combines: it sums the batch's operands, performs **one**
 //! atomic `fetch_add` of the total on the central counter, then hands
 //! each participant its private pre-sum (`base + Σ operands before
-//! it`) back through its announcement slot. `n` concurrent increments
-//! cost one shared-memory RMW instead of `n` — the combining degree
-//! shows up in [`SecStats`](crate::SecStats) as `combined / batches`,
-//! identically to the stack's Table 3 instrumentation.
+//! it`) back through its announced request, which lives on the
+//! participant's own stack frame. `n` concurrent increments cost one
+//! shared-memory RMW instead of `n` — the combining degree shows up in
+//! [`SecStats`](crate::SecStats) as `combined / batches`, identically
+//! to the stack's Table 3 instrumentation. An increment that finds
+//! nobody announced in its batch skips it and makes that one RMW
+//! itself (DESIGN.md §12 "Lone operations").
 //!
 //! The whole family is this file and its `op` module: no freezing,
 //! parking, elastic re-mapping or recycling code appears here — all of
@@ -27,9 +30,8 @@ mod op;
 
 use crate::combine::durable::opcode;
 use crate::combine::{FamilyHandle, Lane, Role, Sec};
-use crate::sec::node::Node;
 use core::sync::atomic::Ordering;
-use op::{AddManyReq, CounterOp};
+use op::{AddReq, CounterOp};
 
 /// A linearizable combining fetch-and-add counter.
 ///
@@ -83,11 +85,15 @@ impl SecCounterHandle<'_> {
                 .value()
                 .expect("a logged add returns the previous value");
         }
-        let node = Node::alloc_with(&self.reclaim, n);
+        let mut req = AddReq {
+            deltas: &n,
+            len: 1,
+            base: 0,
+        };
         eng.run(
             Lane::Mapped(&mut self.state),
             Role::Remove,
-            node,
+            &mut req,
             &self.reclaim,
         )
         .expect("counter combiner always produces a result")
@@ -103,8 +109,9 @@ impl SecCounterHandle<'_> {
     /// the first one. The whole slice rides **one** announcement (one
     /// sequence number, one slot) on the counter's dedicated bulk
     /// aggregator, so the protocol cost amortizes over `deltas.len()`
-    /// operations; per-delta pre-values are the prefix sums off the
-    /// returned base.
+    /// operations, and a chunk that finds that aggregator idle skips
+    /// the batch altogether; per-delta pre-values are the prefix sums
+    /// off the returned base.
     ///
     /// Slices longer than the engine's per-announcement weight bound
     /// are chunked; the chunks are then individually atomic (other
@@ -128,22 +135,22 @@ impl SecCounterHandle<'_> {
         }
         let mut first_base = None;
         for chunk in deltas.chunks(crate::combine::MAX_BULK_OPS) {
-            let mut req = AddManyReq {
+            let mut req = AddReq {
                 deltas: chunk.as_ptr(),
                 len: chunk.len(),
                 base: 0,
             };
-            let node = (&mut req as *mut AddManyReq).cast::<Node<u64>>();
-            self.sec.run_weighted(
-                Lane::At(self.sec.bulk_agg(0)),
-                Role::Remove,
-                node,
-                chunk.len() as u32,
-                &self.reclaim,
-            );
-            // `run_weighted` returned, so `applied` was observed: the
-            // combiner's `base` write happens-before this read.
-            first_base.get_or_insert(req.base);
+            let base = self
+                .sec
+                .run_weighted(
+                    Lane::At(self.sec.bulk_agg(0)),
+                    Role::Remove,
+                    &mut req,
+                    chunk.len() as u32,
+                    &self.reclaim,
+                )
+                .expect("counter combiner always produces a result");
+            first_base.get_or_insert(base);
         }
         first_base.expect("non-empty slice produced at least one chunk")
     }
@@ -158,9 +165,146 @@ impl SecCounterHandle<'_> {
 mod tests {
     use super::*;
     use crate::combine::durable::{DurableError, DurablePolicy, Family};
+    use crate::combine::tests::{assert_spins_per_batch, spin_only, GATE_OPS};
     use crate::config::{AggregatorPolicy, RecyclePolicy, SecConfig, WaitPolicy};
     use std::sync::Arc;
     use std::thread;
+
+    /// Adds `deltas` through the batch path, whatever the lone rule
+    /// would say: on the thread's mapped aggregator, or on the bulk one
+    /// with the slice's weight. Returns the request's base.
+    fn batched_add(h: &mut SecCounterHandle<'_>, bulk: bool, deltas: &[u64]) -> u64 {
+        let mut req = AddReq {
+            deltas: deltas.as_ptr(),
+            len: deltas.len(),
+            base: 0,
+        };
+        let lane = if bulk {
+            Lane::At(h.sec.bulk_agg(0))
+        } else {
+            Lane::Mapped(&mut h.state)
+        };
+        let tid = h.reclaim.slot();
+        h.sec
+            .run_batch(
+                lane,
+                Role::Remove,
+                &mut req,
+                deltas.len() as u32,
+                &h.reclaim,
+                tid,
+                None,
+            )
+            .expect("counter combiner always produces a result")
+    }
+
+    /// Adds `deltas` through the lone route whatever the rule would
+    /// say, retrying a lost CAS there instead of announcing. Returns
+    /// the request's base.
+    fn forced_lone_add(h: &mut SecCounterHandle<'_>, bulk: bool, deltas: &[u64]) -> u64 {
+        let mut req = AddReq {
+            deltas: deltas.as_ptr(),
+            len: deltas.len(),
+            base: 0,
+        };
+        loop {
+            let mut lane = if bulk {
+                Lane::At(h.sec.bulk_agg(0))
+            } else {
+                Lane::Mapped(&mut h.state)
+            };
+            let ops = deltas.len() as u32;
+            if let Ok(base) =
+                h.sec
+                    .run_alone(&mut lane, Role::Remove, &mut req, ops, &h.reclaim, None)
+            {
+                return base.expect("a lone add returns its base");
+            }
+        }
+    }
+
+    #[test]
+    fn forced_lone_adds_overlap_batched_adds_and_hand_out_every_value_once() {
+        // Thread 0 calls the lone route directly, whatever the lane
+        // says, while the other threads announce every add through the
+        // batch path: the overlap DESIGN.md §12 "Lone operations"
+        // argues is safe, forced on every op. Singles and three-delta
+        // bulk adds alternate, so lone ops race the mapped and the
+        // bulk combiners alike.
+        use std::sync::Barrier;
+        const THREADS: usize = 4;
+        const PER: usize = 2_000;
+        let counter = SecCounter::with_config(SecConfig::new(1, THREADS));
+        let registered = Barrier::new(THREADS);
+        let mut claimed: Vec<u64> = thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (counter, registered) = (&counter, &registered);
+                    s.spawn(move || {
+                        let mut h = counter.register();
+                        registered.wait();
+                        let mut claimed = Vec::new();
+                        for i in 0..PER {
+                            let bulk = i % 2 == 1;
+                            let deltas: &[u64] = if bulk { &[1, 1, 1] } else { &[1] };
+                            let base = if t == 0 {
+                                forced_lone_add(&mut h, bulk, deltas)
+                            } else {
+                                batched_add(&mut h, bulk, deltas)
+                            };
+                            claimed.extend(base..base + deltas.len() as u64);
+                        }
+                        claimed
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+
+        // The fetch_add contract across both paths: every value below
+        // the total was handed out exactly once.
+        let total = (THREADS * PER / 2 * 4) as u64;
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..total).collect::<Vec<_>>());
+        assert_eq!(counter.load(), total);
+
+        // Exact tallies: thread 0's ops — and only those — are lone,
+        // one batch of its full weight each.
+        let r = counter.stats().report();
+        assert_eq!(r.ops, total, "{r:?}");
+        assert_eq!(r.alone, PER as u64, "{r:?}");
+        assert_eq!(r.eliminated + r.combined, r.ops, "{r:?}");
+        assert_eq!(counter.stats().degree_histogram().count(), r.batches);
+        assert!(r.batches > r.alone, "the batch path ran too: {r:?}");
+    }
+
+    #[test]
+    fn a_counter_fetch_add_freezes_without_spinning() {
+        let counter = SecCounter::with_config(spin_only());
+        let (_idle, mut h) = (counter.register(), counter.register());
+        for i in 0..GATE_OPS {
+            assert_eq!(batched_add(&mut h, false, &[32]), 32 * i);
+        }
+        assert_spins_per_batch("counter fetch_add", counter.stats(), 0);
+    }
+
+    #[test]
+    fn a_counter_bulk_add_freezes_without_spinning() {
+        // The bulk aggregator keeps a roster: the idle handle announces
+        // there once so the roster counts it too.
+        let counter = SecCounter::with_config(spin_only());
+        let (mut idle, mut h) = (counter.register(), counter.register());
+        batched_add(&mut idle, true, &[1]);
+        counter.stats().reset();
+        for _ in 0..GATE_OPS {
+            batched_add(&mut h, true, &[32]);
+        }
+        assert_eq!(counter.load(), 1 + 32 * GATE_OPS);
+        assert_spins_per_batch("counter add_many", counter.stats(), 0);
+    }
 
     #[test]
     fn sequential_fetch_add_matches_atomic_contract() {

@@ -1,14 +1,12 @@
 //! The counter's `CombineOp` instantiation: one central word, one
-//! combining RMW per frozen batch, the lone path and the durable replay
+//! combining RMW per frozen batch or lone op, and the durable replay
 //! rule. Private, so the op type stays unnameable behind the public
 //! [`SecCounter`](super::SecCounter) alias.
 
 use crate::combine::durable::{opcode, DurableOp, Family, OpResult};
-use crate::combine::{AggLayout, CombineBatch, CombineOp, Role, Sec};
-use crate::sec::node::Node;
-use core::mem::ManuallyDrop;
+use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use core::sync::atomic::{AtomicU64, Ordering};
-use sec_reclaim::Guard;
+use sec_reclaim::{Guard, Handle as ReclaimHandle};
 use sec_sync::CachePadded;
 
 /// The counter's apply logic: one central word, one combiner.
@@ -19,22 +17,63 @@ pub struct CounterOp {
     pub(super) total: CachePadded<AtomicU64>,
 }
 
-/// A bulk `add_many` announcement: the node flowing through the
-/// counter's dedicated bulk aggregator. Lives on the announcer's stack
-/// frame (the announcer blocks until `applied`, so the frame outlives
-/// every combiner access); the engine only stores and forwards the
-/// pointer, type-erased as `*mut Node<u64>`.
-pub(super) struct AddManyReq {
+/// One announced addition — a `fetch_add`'s one delta or an
+/// `add_many` chunk's slice — and the node flowing through every
+/// counter aggregator. Lives on the announcer's stack frame (the
+/// announcer blocks until `applied`, so the frame outlives every
+/// combiner access), so no counter op allocates.
+pub struct AddReq {
     /// The caller's delta slice.
     pub(super) deltas: *const u64,
     pub(super) len: usize,
-    /// Written by the combiner: the counter's value immediately before
-    /// this request's first delta (the request's `fetch_add` base).
+    /// Written by whoever applies the request: the counter's value
+    /// immediately before its first delta (its `fetch_add` base).
     pub(super) base: u64,
 }
 
+// Safety: the delta pointer reaches into the announcing thread's frame,
+// which outlives every access (the announcer blocks until its request
+// is applied), and each request has one applier.
+unsafe impl Send for AddReq {}
+
+impl CounterOp {
+    /// Applies `reqs` as consecutive additions with one RMW on the
+    /// counter, then hands each request its base (`base + Σ deltas
+    /// before it`). `rmw` adds the requests' sum and returns the value
+    /// it replaced, or `None` when it gave up, leaving the requests
+    /// untouched; `add_all` reports which. The one body of the combiner
+    /// (over a frozen batch's requests) and of a lone op (over its
+    /// own). Two passes over the requests, no scratch buffer.
+    ///
+    /// # Safety
+    ///
+    /// Every request `reqs` yields must be live and this call its only
+    /// applier, and `reqs` must yield the same requests both times.
+    unsafe fn add_all<I: Iterator<Item = *mut AddReq>>(
+        &self,
+        reqs: impl Fn() -> I,
+        rmw: impl FnOnce(u64) -> Option<u64>,
+    ) -> bool {
+        let deltas =
+            |req: *mut AddReq| unsafe { core::slice::from_raw_parts((*req).deltas, (*req).len) };
+        let sum = reqs()
+            .flat_map(deltas)
+            .fold(0u64, |s, &d| s.wrapping_add(d));
+        let Some(mut base) = rmw(sum) else {
+            return false;
+        };
+        for req in reqs() {
+            // Safety: `base` is ours to write — its owner reads it only
+            // once the request is applied.
+            unsafe { (*req).base = base };
+            base = deltas(req).iter().fold(base, |b, &d| b.wrapping_add(d));
+        }
+        true
+    }
+}
+
 impl CombineOp for CounterOp {
-    type Node = Node<u64>;
+    type Node = AddReq;
     type Value = u64;
 
     const NAME: &'static str = "SecCounter";
@@ -44,6 +83,9 @@ impl CombineOp for CounterOp {
         with_slots: true,
         bulk: 1,
     };
+    // A batch of additions never eliminates, so it pays only when
+    // shared.
+    const LONE: LoneRule = LoneRule::IdleLane;
 
     fn create(_param: u64) -> Self {
         CounterOp {
@@ -55,91 +97,85 @@ impl CombineOp for CounterOp {
     // of a counter batch is always empty, so the engine never calls
     // them.
 
-    /// Sum the frozen batch's operands, add the total to the central
-    /// counter with one RMW, and write each participant's pre-sum back
-    /// into its announcement slot. Allocation-free: two passes over
-    /// the slot array, no scratch buffer.
+    /// Sum the frozen batch's deltas, add the total to the central
+    /// counter with one RMW, and write each request's base back into
+    /// it. The mapped and bulk aggregators share this combiner: a
+    /// `fetch_add` is a one-delta request.
     fn combine_remove(
         &self,
         eng: &Sec<Self>,
-        batch: &CombineBatch<Node<u64>>,
+        batch: &CombineBatch<AddReq>,
         my_seq: usize,
-        agg_idx: usize,
+        _agg_idx: usize,
         _guard: &Guard<'_, '_>,
     ) {
-        if agg_idx == eng.bulk_agg(0) {
-            return self.combine_add_many(eng, batch, my_seq);
-        }
-        let cut = batch.frozen_cut(Role::Remove);
-
-        // Pass 1: every included operation published its operand node
-        // (slot stores happen right after announcing; freezing only
-        // bounds *which* slots, not *when* they land — so spin on the
-        // ones still in flight).
-        let mut sum = 0u64;
-        for slot in &batch.slots[my_seq..cut] {
-            let n = crate::combine::wait_ptr(slot, eng.config().wait);
-            sum = sum.wrapping_add(unsafe { *(*n).value });
-        }
-
-        // The batch's single shared-memory RMW.
-        let mut base = self.total.fetch_add(sum, Ordering::AcqRel);
-
-        // Pass 2: hand each participant `base + Σ operands before it`
-        // by overwriting its operand in place. Exclusive access: the
-        // owners only read their slots back after observing `applied`
-        // (Release-published by the engine right after this returns),
-        // and slot `i` belongs to exactly one operation.
-        for slot in &batch.slots[my_seq..cut] {
-            let n = slot.load(Ordering::Acquire);
-            let operand = unsafe { *(*n).value };
-            unsafe { (*n).value = ManuallyDrop::new(base) };
-            base = base.wrapping_add(operand);
-        }
+        let slots = &batch.slots[my_seq..batch.frozen_cut(Role::Remove)];
+        let wait = eng.config().wait;
+        // Every included operation published its request (slot stores
+        // happen right after announcing; freezing only bounds *which*
+        // slots, not *when* they land — so wait on the ones still in
+        // flight; the second pass finds them all published).
+        // Safety: the announcers block until `applied`, and the
+        // combiner is each included request's only applier.
+        unsafe {
+            self.add_all(
+                || slots.iter().map(|slot| wait_ptr(slot, wait)),
+                |sum| Some(self.total.fetch_add(sum, Ordering::AcqRel)),
+            )
+        };
     }
 
-    /// Each participant (combiner included) collects its pre-sum from
-    /// its own slot. The add lane is empty, so the engine's `offset`
-    /// is the operation's own sequence number. Bulk requests received
-    /// their base in place (the request struct), so the bulk aggregator
-    /// has nothing to take here.
+    /// Each participant (combiner included) reads its base back from
+    /// its own request. The add lane is empty, so the engine's `offset`
+    /// is the operation's own sequence number.
     fn take_result(
         &self,
-        eng: &Sec<Self>,
-        batch: &CombineBatch<Node<u64>>,
+        _eng: &Sec<Self>,
+        batch: &CombineBatch<AddReq>,
         offset: usize,
-        agg_idx: usize,
-        guard: &Guard<'_, '_>,
+        _agg_idx: usize,
+        _guard: &Guard<'_, '_>,
     ) -> Option<u64> {
-        if agg_idx == eng.bulk_agg(0) {
-            return None;
-        }
-        let n = batch.slots[offset].load(Ordering::Acquire);
+        let req = batch.slots[offset].load(Ordering::Acquire);
         debug_assert!(
-            !n.is_null(),
-            "operand published before announcing completed"
+            !req.is_null(),
+            "request published before announcing completed"
         );
-        // Safety: unique consumer of our own slot; payload out, husk
-        // recycles into this thread's node cache.
-        let value = unsafe { Node::take_value(n) };
-        unsafe { guard.retire_recycle(n) };
-        Some(value)
+        // Safety: our own request, applied (the engine observed
+        // `applied`, which the combiner's writes happen-before).
+        Some(unsafe { (*req).base })
     }
 
-    /// A lone `fetch_add` (DESIGN.md §12 "Lone operations"): the
-    /// degree-1 batch's one RMW, without the batch.
-    fn apply_alone(
+    /// A lone `fetch_add` or `add_many` chunk (DESIGN.md §12 "Lone
+    /// operations"): the degree-1 batch's one RMW, without the batch,
+    /// as a single CAS attempt. A lost CAS is evidence that others are
+    /// adding too, so the request goes back to be combined with theirs.
+    fn try_alone(
         &self,
-        _eng: &Sec<Self>,
+        eng: &Sec<Self>,
         _role: Role,
-        node: *mut Node<u64>,
-        guard: &Guard<'_, '_>,
-    ) -> Option<Option<u64>> {
-        // Safety: the operand node was never announced, so we are its
-        // unique consumer; payload out, husk recycles.
-        let operand = unsafe { Node::take_value(node) };
-        unsafe { guard.retire_recycle(node) };
-        Some(Some(self.total.fetch_add(operand, Ordering::AcqRel)))
+        req: *mut AddReq,
+        _reclaim: &ReclaimHandle<'_>,
+    ) -> Result<Option<u64>, *mut AddReq> {
+        let once = |sum: u64| {
+            let cur = self.total.load(Ordering::Relaxed);
+            self.total
+                .compare_exchange(
+                    cur,
+                    cur.wrapping_add(sum),
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .ok()
+        };
+        // Safety: the request was never announced, so its owner, the
+        // caller, is its only applier.
+        if unsafe { self.add_all(|| core::iter::once(req), once) } {
+            Ok(Some(unsafe { (*req).base }))
+        } else {
+            eng.stats().record_cas_failure();
+            Err(req)
+        }
     }
 
     /// A durable `fetch_add`: the previous value is the op's result.
@@ -152,43 +188,6 @@ impl CombineOp for CounterOp {
     ) -> Option<OpResult> {
         (opcode == opcode::ADD)
             .then(|| OpResult::Value(self.total.fetch_add(operand, Ordering::AcqRel)))
-    }
-}
-
-impl CounterOp {
-    /// The bulk-aggregator combiner: the slot walk of `combine_remove`
-    /// with announcement nodes reinterpreted as [`AddManyReq`]s. Still
-    /// two passes and still exactly one shared RMW — now covering
-    /// `Σ lenᵢ` operations instead of one per slot — and each request's
-    /// base lands in its own struct rather than a result chain.
-    fn combine_add_many(&self, eng: &Sec<Self>, batch: &CombineBatch<Node<u64>>, my_seq: usize) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let mut sum = 0u64;
-        for slot in &batch.slots[my_seq..cut] {
-            let req = crate::combine::wait_ptr(slot, eng.config().wait) as *mut AddManyReq;
-            // Safety: the announcer published the request before
-            // announcing (wait_ptr's Acquire pairs with its Release
-            // slot store) and blocks until `applied`, so the struct and
-            // the delta slice behind it are live and unaliased-for-read.
-            unsafe {
-                for i in 0..(*req).len {
-                    sum = sum.wrapping_add(*(*req).deltas.add(i));
-                }
-            }
-        }
-        let mut base = self.total.fetch_add(sum, Ordering::AcqRel);
-        for slot in &batch.slots[my_seq..cut] {
-            let req = slot.load(Ordering::Acquire) as *mut AddManyReq;
-            // Safety: as above; `base` is ours to write — the owner
-            // reads it only after observing `applied` (Release-
-            // published right after this returns).
-            unsafe {
-                (*req).base = base;
-                for i in 0..(*req).len {
-                    base = base.wrapping_add(*(*req).deltas.add(i));
-                }
-            }
-        }
     }
 }
 

@@ -157,24 +157,20 @@ where
     /// Applies `cmd` under its bucket's lock at once when the lock is
     /// free; otherwise announces it on its key's shard and rides the
     /// engine to the result. The shard is resolved against the active
-    /// count at announce time; an operation excluded by a freeze
-    /// retries on the same shard, which is safe even across a re-shard
-    /// (a shard past the active prefix still freezes and combines its
-    /// own batches — only *routing* of fresh operations moves).
+    /// count only then; an operation excluded by a freeze retries on
+    /// the same shard, which is safe even across a re-shard (a shard
+    /// past the active prefix still freezes and combines its own
+    /// batches — only *routing* of fresh operations moves).
     fn run_op(&mut self, bucket: usize, cmd: MapCmd<K, V>) -> Option<V> {
-        let shard = self.sec.shard_of(bucket);
-        // A free bucket lock means nobody needs to join this op: it
-        // applies under the lock at once, as a combiner would.
         let sec = self.sec;
-        let apply = || sec.op().try_apply(bucket, cmd);
-        let cmd = match sec.try_alone(self.state.tid(), shard, Role::Remove, apply) {
-            Ok(out) => return out,
-            Err(cmd) => cmd,
-        };
-        let node = MapNode::alloc_with(&self.reclaim, bucket, cmd);
-        self.sec
-            .run(Lane::At(shard), Role::Remove, node, &self.reclaim)
-            .expect("map combiner always produces a result")
+        let mut node = MapNode::new(bucket, cmd);
+        sec.run(
+            Lane::Deferred(&|| sec.shard_of(bucket)),
+            Role::Remove,
+            &mut node,
+            &self.reclaim,
+        )
+        .expect("map combiner always produces a result")
     }
 
     /// Returns the value mapped to `key` at the linearization point
@@ -319,12 +315,12 @@ where
     /// request's own slices; the node's in-band result stays `None`.
     fn run_bulk(&mut self, bucket: usize, cmd: MapCmd<K, V>, ops: usize) {
         let shard = self.sec.shard_of(bucket);
-        let node = MapNode::alloc_with(&self.reclaim, bucket, cmd);
+        let mut node = MapNode::new(bucket, cmd);
         self.sec
             .run_weighted(
                 Lane::At(shard),
                 Role::Remove,
-                node,
+                &mut node,
                 ops as u32,
                 &self.reclaim,
             )

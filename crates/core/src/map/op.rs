@@ -4,7 +4,7 @@
 //! [`SecMap`](super::SecMap) alias.
 
 use crate::combine::durable::{self, opcode, DurableOp, Family, OpResult};
-use crate::combine::{AggLayout, CombineBatch, CombineOp, Role, Sec};
+use crate::combine::{AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use crate::config::{AggregatorPolicy, SecConfig};
 use core::hash::{Hash, Hasher};
 use core::mem::ManuallyDrop;
@@ -53,10 +53,11 @@ pub(super) enum MapCmd<K, V> {
 }
 
 /// A map announcement node: the command in, the result out, through the
-/// same slot. `cmd` and `result` are `ManuallyDrop` because ownership
-/// moves through raw pointers (combiner consumes `cmd`, the announcer
-/// consumes `result`) before the node husk is recycled without running
-/// a destructor.
+/// same slot. Lives on the announcer's stack frame (the announcer blocks
+/// until `applied`, so the frame outlives every combiner access), so no
+/// map op allocates a node. `cmd` and `result` are `ManuallyDrop`
+/// because ownership moves through raw pointers: whoever applies the
+/// op consumes `cmd`, the announcer consumes `result`.
 pub struct MapNode<K, V> {
     /// The target bucket, computed once by the announcing thread so the
     /// combiner never re-hashes.
@@ -65,19 +66,14 @@ pub struct MapNode<K, V> {
     result: ManuallyDrop<Option<V>>,
 }
 
-impl<K: Send, V: Send> MapNode<K, V> {
-    /// Allocates a detached node carrying `cmd`, reusing a recycled
-    /// block from `reclaim`'s free lists when one is available.
-    pub(super) fn alloc_with(
-        reclaim: &ReclaimHandle<'_>,
-        bucket: usize,
-        cmd: MapCmd<K, V>,
-    ) -> *mut Self {
-        reclaim.alloc_boxed(MapNode {
+impl<K, V> MapNode<K, V> {
+    /// A node carrying `cmd` for `bucket`, with no result yet.
+    pub(super) fn new(bucket: usize, cmd: MapCmd<K, V>) -> Self {
+        MapNode {
             bucket,
             cmd: ManuallyDrop::new(cmd),
             result: ManuallyDrop::new(None),
-        })
+        }
     }
 }
 
@@ -123,25 +119,6 @@ impl<K: Hash + Eq, V> MapOp<K, V> {
         V: Clone,
     {
         apply_to(&mut self.buckets[bucket].lock().unwrap(), cmd)
-    }
-
-    /// [`MapOp::apply`] for an op that may skip the batch: it applies
-    /// only if its bucket's lock is free, and otherwise hands the
-    /// command back for the batch path (DESIGN.md §12 "Lone
-    /// operations"). A poisoned lock panics, as the combiner's does.
-    pub(super) fn try_apply(
-        &self,
-        bucket: usize,
-        cmd: MapCmd<K, V>,
-    ) -> Result<Option<V>, MapCmd<K, V>>
-    where
-        V: Clone,
-    {
-        match self.buckets[bucket].try_lock() {
-            Ok(mut pairs) => Ok(apply_to(&mut pairs, cmd)),
-            Err(TryLockError::WouldBlock) => Err(cmd),
-            Err(TryLockError::Poisoned(e)) => panic!("{e}"),
-        }
     }
 }
 
@@ -190,6 +167,8 @@ where
         bulk: 0,
     };
     const PARAM: u64 = DEFAULT_BUCKETS as u64;
+    // Every single op is offered; its bucket lock decides.
+    const LONE: LoneRule = LoneRule::OwnEvidence;
 
     fn create(buckets: u64) -> Self {
         MapOp::with_buckets(buckets as usize)
@@ -291,19 +270,45 @@ where
         batch: &CombineBatch<MapNode<K, V>>,
         offset: usize,
         _agg_idx: usize,
-        guard: &Guard<'_, '_>,
+        _guard: &Guard<'_, '_>,
     ) -> Option<Option<V>> {
         let n = batch.slots[offset].load(Ordering::Acquire);
         debug_assert!(
             !n.is_null(),
             "command published before announcing completed"
         );
-        // Safety: unique consumer of our own slot; result out, husk
-        // recycles into this thread's node cache. The command was
-        // consumed by the combiner, so the husk owns nothing.
-        let result = unsafe { ManuallyDrop::take(&mut (*n).result) };
-        unsafe { guard.retire_recycle(n) };
-        Some(result)
+        // Safety: unique consumer of our own node's result; the
+        // command was consumed by the combiner, so the node, which
+        // lives on our frame, owns nothing afterwards.
+        Some(unsafe { ManuallyDrop::take(&mut (*n).result) })
+    }
+
+    /// A single `get`, `insert` or `remove` whose bucket lock is free
+    /// (DESIGN.md §12 "Lone operations"): it applies under the lock at
+    /// once, as a combiner would, the lock being the evidence that
+    /// nobody needs to join it. A held lock, and any bulk command,
+    /// hands the node back for the batch path. A poisoned lock panics,
+    /// as the combiner's does.
+    fn try_alone(
+        &self,
+        _eng: &Sec<Self>,
+        _role: Role,
+        node: *mut MapNode<K, V>,
+        _reclaim: &ReclaimHandle<'_>,
+    ) -> Result<Option<Option<V>>, *mut MapNode<K, V>> {
+        // Safety: the caller's own node, never announced.
+        let n = unsafe { &mut *node };
+        if matches!(*n.cmd, MapCmd::GetMany { .. } | MapCmd::InsertMany { .. }) {
+            return Err(node);
+        }
+        match self.buckets[n.bucket].try_lock() {
+            // Safety: the command is consumed exactly once, here.
+            Ok(mut pairs) => Ok(Some(apply_to(&mut pairs, unsafe {
+                ManuallyDrop::take(&mut n.cmd)
+            }))),
+            Err(TryLockError::WouldBlock) => Err(node),
+            Err(TryLockError::Poisoned(e)) => panic!("{e}"),
+        }
     }
 
     /// A durable get, insert or remove, applied under its bucket lock

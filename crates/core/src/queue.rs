@@ -31,6 +31,12 @@
 //!   hand-off through it is what keeps emptiness and transfer atomic
 //!   (DESIGN.md §9 discusses why a detached slot array cannot).
 //!
+//! An op that finds nobody announced in its end's batch skips the
+//! batch and makes one attempt at its combiner's CAS itself: a splice
+//! of its own chain, or one walk + `head` CAS. It announces only when
+//! that CAS loses, so batches form where ops collide (DESIGN.md §12
+//! "Lone operations").
+//!
 //! Batches are homogeneous per end: each end uses one lane of the
 //! engine's `CombineBatch` while the other lane's counter stays
 //! pinned at zero, which makes the engine's combiner election pick
@@ -90,9 +96,9 @@ impl<T: Send + 'static> SecQueue<T> {
         self
     }
 
-    /// Number of dequeue batches that validated the queue empty and
-    /// then consumed an enqueue batch through the rendezvous window —
-    /// the queue's "empty-only elimination" events.
+    /// Number of dequeue batches and lone dequeues that validated the
+    /// queue empty and then consumed a splice through the rendezvous
+    /// window — the queue's "empty-only elimination" events.
     pub fn rendezvous_hits(&self) -> u64 {
         self.op().rendezvous_hits.load(Ordering::Relaxed)
     }
@@ -261,8 +267,237 @@ impl<T: Send + 'static> QueueHandle<T> for SecQueueHandle<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::tests::{assert_spins_per_batch, spin_only, GATE_OPS};
     use std::collections::{HashSet, VecDeque};
     use std::thread;
+
+    /// Enqueues `value` through the batch path, whatever the lone rule
+    /// would say.
+    fn batched_enqueue(h: &mut SecQueueHandle<'_, u64>, value: u64) {
+        let node = QNode::alloc_with(&h.reclaim, value);
+        let tid = h.reclaim.slot();
+        h.sec
+            .run_batch(Lane::At(TAIL), Role::Add, node, 1, &h.reclaim, tid, None);
+    }
+
+    /// Runs one op through the lone route whatever the rule would say
+    /// (retrying a lost CAS there instead of announcing), or through
+    /// the batch path.
+    fn forced(
+        h: &mut SecQueueHandle<'_, u64>,
+        lone: bool,
+        agg: usize,
+        role: Role,
+        node: *mut QNode<u64>,
+        ops: usize,
+    ) -> Option<u64> {
+        let ops = ops as u32;
+        if !lone {
+            let tid = h.reclaim.slot();
+            return h
+                .sec
+                .run_batch(Lane::At(agg), role, node, ops, &h.reclaim, tid, None);
+        }
+        loop {
+            let lane = &mut Lane::At(agg);
+            if let Ok(out) = h.sec.run_alone(lane, role, node, ops, &h.reclaim, None) {
+                return out;
+            }
+        }
+    }
+
+    /// Enqueues `values` as one pre-linked chain: a single `enqueue`
+    /// for one value, an `enqueue_many` block for more.
+    fn forced_enqueue(h: &mut SecQueueHandle<'_, u64>, lone: bool, values: &[u64]) {
+        let nodes: Vec<_> = values
+            .iter()
+            .map(|&v| QNode::alloc_with(&h.reclaim, v))
+            .collect();
+        for pair in nodes.windows(2) {
+            unsafe { (*pair[0]).next.store(pair[1], Ordering::Relaxed) };
+        }
+        forced(h, lone, TAIL, Role::Add, nodes[0], values.len());
+    }
+
+    /// Dequeues up to `want` values: a single `dequeue` for one, a
+    /// `dequeue_many` request for more.
+    fn forced_dequeue(h: &mut SecQueueHandle<'_, u64>, lone: bool, want: usize) -> Vec<u64> {
+        if want == 1 {
+            return forced(h, lone, HEAD, Role::Remove, ptr::null_mut(), 1)
+                .into_iter()
+                .collect();
+        }
+        let mut out = Vec::with_capacity(want);
+        let mut req = DequeueManyReq {
+            want,
+            out: out.as_mut_ptr(),
+            taken: 0,
+        };
+        let node = (&mut req as *mut DequeueManyReq<u64>).cast();
+        forced(h, lone, HEAD_BULK, Role::Remove, node, want);
+        // Safety: the applier initialized exactly `taken` values.
+        unsafe { out.set_len(req.taken) };
+        out
+    }
+
+    /// A producer's `i`-th value at position `k` of its block.
+    fn tagged(t: usize, i: usize, k: usize) -> u64 {
+        ((t as u64) << 40) | ((i as u64) << 8) | k as u64
+    }
+
+    /// Consecutive queue fronts (one `dequeue_many`, or a drain) keep
+    /// every `enqueue_many` block contiguous and in order: a value with
+    /// a successor in its block is followed by that successor.
+    fn assert_blocks_contiguous(fronts: &[u64]) {
+        for pair in fronts.windows(2) {
+            let (x, y) = (pair[0], pair[1]);
+            if x & 0xFF < 2 && (x >> 8) & 1 == 1 {
+                assert_eq!(y, x + 1, "a block was split: {fronts:x?}");
+            }
+            if y & 0xFF > 0 {
+                assert_eq!(x, y - 1, "a block was split: {fronts:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn forced_lone_queue_ops_overlap_batched_ops_and_keep_fifo() {
+        // Threads 0 and 1 call the lone route directly for every op,
+        // whatever the lanes say, while the other two run every op
+        // through the batch path: lone splices race each other and the
+        // tail combiner's, lone takes race each other and both head
+        // combiners. The six-op cycle mixes single and bulk calls at
+        // both ends (odd `i` enqueues a block of three).
+        use std::sync::Barrier;
+        const THREADS: usize = 4;
+        const PER: usize = 3_000;
+        let q: SecQueue<u64> = SecQueue::new(THREADS + 1);
+        let registered = Barrier::new(THREADS);
+        let (enqueued, takes): (Vec<u64>, Vec<Vec<Vec<u64>>>) = thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (q, registered) = (&q, &registered);
+                    s.spawn(move || {
+                        let mut h = q.register();
+                        registered.wait();
+                        let lone = t < 2;
+                        let (mut enqueued, mut takes) = (Vec::new(), Vec::new());
+                        for i in 0..PER {
+                            match i % 6 {
+                                0 | 1 | 4 => {
+                                    let len = if i % 2 == 1 { 3 } else { 1 };
+                                    let block: Vec<_> = (0..len).map(|k| tagged(t, i, k)).collect();
+                                    forced_enqueue(&mut h, lone, &block);
+                                    enqueued.extend(block);
+                                }
+                                2 | 5 => takes.push(forced_dequeue(&mut h, lone, 1)),
+                                _ => takes.push(forced_dequeue(&mut h, lone, 2)),
+                            }
+                        }
+                        (enqueued, takes)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).fold(
+                (Vec::new(), Vec::new()),
+                |(mut e, mut d), (we, wd)| {
+                    e.extend(we);
+                    d.push(wd);
+                    (e, d)
+                },
+            )
+        });
+
+        let r = q.stats().report();
+        let issued = (THREADS * PER / 6) as u64 * (1 + 3 + 1 + 1 + 2 + 1);
+        assert_eq!(r.ops, issued, "{r:?}");
+        assert_eq!(r.alone, 2 * PER as u64, "threads 0 and 1 ran alone: {r:?}");
+        assert_eq!(r.eliminated + r.combined, r.ops, "{r:?}");
+        assert_eq!(q.stats().degree_histogram().count(), r.batches);
+        assert!(r.batches > r.alone, "the batch path ran too: {r:?}");
+
+        let mut h = q.register();
+        let mut left = Vec::new();
+        while let Some(v) = h.dequeue() {
+            left.push(v);
+        }
+        assert_blocks_contiguous(&left);
+        for consumer in &takes {
+            // Per-producer FIFO: each consumer sees every producer's
+            // values in enqueue order.
+            let mut last = [None::<u64>; THREADS];
+            for v in consumer.iter().flatten() {
+                let p = (v >> 40) as usize;
+                assert!(
+                    last[p] < Some(*v),
+                    "producer {p}: {v:x} after {:x?}",
+                    last[p]
+                );
+                last[p] = Some(*v);
+            }
+            for take in consumer {
+                assert_blocks_contiguous(take);
+            }
+        }
+        // Conservation: everything enqueued came out exactly once.
+        let mut out: Vec<u64> = takes.into_iter().flatten().flatten().chain(left).collect();
+        let mut enqueued = enqueued;
+        out.sort_unstable();
+        enqueued.sort_unstable();
+        assert_eq!(out, enqueued);
+    }
+
+    #[test]
+    fn a_lone_dequeue_waits_out_an_in_flight_splice() {
+        // An enqueue has swung `tail` to its node `a` but not yet linked
+        // it behind the dummy (the swing-then-link gap), and a second
+        // enqueue of `b` has completed behind it. A dequeue that starts
+        // now must not report EMPTY — `b`'s enqueue returned before it
+        // began — so it waits for the link and takes `a`.
+        let q: SecQueue<u64> = SecQueue::new(2);
+        let (mut h, mut other) = (q.register(), q.register());
+        let op = q.op();
+        let dummy = op.head.load(Ordering::Acquire);
+        let a = QNode::alloc_with(&h.reclaim, 1);
+        assert!(op
+            .tail
+            .compare_exchange(dummy, a, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok());
+        h.enqueue(2);
+        let before = q.stats().report().alone;
+        thread::scope(|s| {
+            let taker = s.spawn(move || other.dequeue());
+            // Every interleaving must give `Some(1)`; the pause makes
+            // the one that matters, the dequeuer reaching the gap
+            // before the link, the one that runs.
+            thread::sleep(std::time::Duration::from_millis(20));
+            // Safety: `a` is live and unlinked; only the swinger links
+            // it, and that is this test.
+            unsafe { (*dummy).next.store(a, Ordering::Release) };
+            assert_eq!(taker.join().unwrap(), Some(1));
+        });
+        assert_eq!(
+            q.stats().report().alone,
+            before + 1,
+            "the dequeue ran alone"
+        );
+        assert_eq!(h.dequeue(), Some(2));
+        assert_eq!(h.dequeue(), None);
+    }
+
+    #[test]
+    fn a_queue_enqueue_freezes_without_spinning() {
+        // The tail keeps a roster: the idle handle announces there once
+        // so the roster counts it too.
+        let queue: SecQueue<u64> = SecQueue::with_config(spin_only());
+        let (mut idle, mut h) = (queue.register(), queue.register());
+        batched_enqueue(&mut idle, 0);
+        queue.stats().reset();
+        for i in 0..GATE_OPS {
+            batched_enqueue(&mut h, i);
+        }
+        assert_spins_per_batch("queue enqueue", queue.stats(), 0);
+    }
 
     #[test]
     fn sequential_fifo() {

@@ -4,7 +4,7 @@
 //! the public [`SecQueue`](super::SecQueue) alias.
 
 use crate::combine::durable::{self, opcode, DurableOp, Family, OpResult};
-use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, Role, Sec};
+use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use crate::config::{AggregatorPolicy, SecConfig, WaitPolicy};
 use core::mem::MaybeUninit;
 use core::ptr;
@@ -132,103 +132,179 @@ unsafe fn chain_last<T>(first: *mut QNode<T>) -> *mut QNode<T> {
 /// single-CAS combiners, and the empty-queue rendezvous window.
 pub struct QueueOp<T: Send + 'static> {
     /// Points at the dummy; the queue's front value is `head.next`.
-    head: CachePadded<AtomicPtr<QNode<T>>>,
+    pub(super) head: CachePadded<AtomicPtr<QNode<T>>>,
     /// Points at the last spliced node (== the dummy when empty).
-    tail: CachePadded<AtomicPtr<QNode<T>>>,
+    pub(super) tail: CachePadded<AtomicPtr<QNode<T>>>,
     /// Spin budget of the empty-queue rendezvous window.
     pub(super) rendezvous_spins: u32,
-    /// Dequeue batches that observed the queue empty and then received
-    /// an enqueue batch through the rendezvous window (the queue's
-    /// elimination counter).
+    /// Dequeue batches and lone dequeues that observed the queue empty
+    /// and then received a splice through the rendezvous window (the
+    /// queue's elimination counter).
     pub(super) rendezvous_hits: AtomicU64,
 }
 
 impl<T: Send + 'static> QueueOp<T> {
-    /// The bulk-dequeue combiner: tally the batch's total demand, take
-    /// that many nodes from `head` with one CAS, then deal the block
-    /// out to the requests in announcement order — a `dequeue_many(n)`
-    /// therefore receives `n` consecutive queue fronts (FIFO, as if by
-    /// `n` sequential dequeues).
+    /// Swing-then-link: one CAS on `tail` claims the splice point for
+    /// the pre-linked chain `first..=last`; the `next` link makes the
+    /// chain reachable. A traverser that reaches the old tail before
+    /// the link lands waits for it (the gap is bounded by this store).
+    /// Returns `false`, with nothing written, when the CAS lost to
+    /// another splicer: an enqueue combiner (at most one per live tail
+    /// batch) or a lone enqueue. The caller is pinned.
+    fn try_splice(&self, first: *mut QNode<T>, last: *mut QNode<T>) -> bool {
+        let t = self.tail.load(Ordering::Acquire);
+        if self
+            .tail
+            .compare_exchange(t, last, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return false;
+        }
+        // Safety: `t` cannot be freed while we are pinned, and only the
+        // splicer that moved `tail` off `t` writes `t.next` — that is
+        // us.
+        unsafe { (*t).next.store(first, Ordering::Release) };
+        true
+    }
+
+    /// Walks up to `wanted` nodes from `head` and unlinks them with a
+    /// single CAS on `head`; returns the taken chain's first node and
+    /// length (`(null, 0)` when the queue is empty), or `None` when the
+    /// CAS lost to another taker (a head combiner of either head
+    /// aggregator, or a lone dequeue) and nothing was taken. The
+    /// chain's last node becomes the new dummy: its value is the
+    /// taker's, its husk stays linked until a later unlink retires it.
     ///
-    /// Differences from the mapped head combiner: no rendezvous window
-    /// (a bulk dequeue on an empty queue reports 0 at once — the
-    /// window's purpose is pairing *single* hand-offs, and holding it
-    /// per request would stall whole blocks), and the combiner
-    /// distributes values itself instead of publishing a chain —
-    /// there is one waiter per *request*, not per value.
-    fn combine_dequeue_many(
+    /// Emptiness is MS-validated: `cur.next == null` with `tail == cur`
+    /// means the queue truly ends at `cur` at the moment of the tail
+    /// read (a splice would have moved `tail` first). `cur.next ==
+    /// null` with `tail != cur` is an in-flight swing-then-link gap;
+    /// the link is coming, so the traversal waits for it — the same
+    /// class of bounded-by-another-thread's-progress wait as every
+    /// other SEC spin.
+    ///
+    /// A queue found empty before anything was taken holds the
+    /// rendezvous window open, spending `window` pauses, so a
+    /// concurrent splice can land straight in the taker's hands (the
+    /// queue's empty-only elimination). The budget is the caller's, so
+    /// it spans retries and a contended empty queue cannot hold the
+    /// taker forever. The caller is pinned.
+    fn try_take_front(
         &self,
         eng: &Sec<Self>,
-        batch: &CombineBatch<QNode<T>>,
-        my_seq: usize,
+        wanted: usize,
+        window: &mut u32,
         guard: &Guard<'_, '_>,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
+    ) -> Option<(*mut QNode<T>, usize)> {
         let wait = eng.config().wait;
-        let mut total = 0usize;
-        for slot in &batch.slots[my_seq..cut] {
-            let req = wait_ptr(slot, wait) as *mut DequeueManyReq<T>;
-            // Safety: the request outlives the batch (announcer blocks
-            // on `applied`); the combiner is its unique accessor.
-            total += unsafe { (*req).want };
-        }
-
-        // MS-validated traversal + single CAS on `head`, exactly the
-        // shape of the mapped combiner's unlink. Races with the other
-        // head combiners (mapped and successive bulk batches), hence
-        // the retry loop.
-        let mut cas_backoff = Backoff::new();
-        let (first, taken) = loop {
-            let h = self.head.load(Ordering::Acquire);
-            let mut cur = h;
-            let mut first = ptr::null_mut();
-            let mut taken = 0usize;
-            while taken < total {
-                let nxt = unsafe { (*cur).next.load(Ordering::Acquire) };
-                if nxt.is_null() {
-                    if ptr::eq(self.tail.load(Ordering::Acquire), cur) {
-                        break; // validated: the queue ends at `cur`
+        // A hit is only counted when THIS traversal observed empty and
+        // then took values — a lost CAS after a window wait must not
+        // count the next round's ordinary unlink as a rendezvous.
+        let mut waited_empty = false;
+        let h = self.head.load(Ordering::Acquire);
+        let mut cur = h;
+        let mut first = ptr::null_mut();
+        let mut taken = 0usize;
+        while taken < wanted {
+            let nxt = unsafe { (*cur).next.load(Ordering::Acquire) };
+            if nxt.is_null() {
+                if ptr::eq(self.tail.load(Ordering::Acquire), cur) {
+                    // Queue ends at `cur`. Empty-only elimination: if
+                    // we have taken nothing, the queue is empty — hold
+                    // the rendezvous window open.
+                    if taken == 0 && *window > 0 {
+                        *window -= 1;
+                        waited_empty = true;
+                        // Policy-aware pause: under the yielding and
+                        // parking policies, periodically give the slice
+                        // away inside the window — on an oversubscribed
+                        // host that is what lets a producer actually
+                        // reach its splice (the wait is anonymous, so
+                        // parking proper cannot apply — no waker would
+                        // know us).
+                        if wait == WaitPolicy::Spin || !window.is_multiple_of(32) {
+                            core::hint::spin_loop();
+                        } else {
+                            std::thread::yield_now();
+                        }
+                        continue;
                     }
-                    // Swing done, link in flight: wait for it.
-                    spin_wait(wait, || {
-                        !unsafe { (*cur).next.load(Ordering::Acquire) }.is_null()
-                    });
-                    continue;
+                    break; // validated: the queue ends at `cur`
                 }
-                if taken == 0 {
-                    first = nxt;
-                }
-                cur = nxt;
-                taken += 1;
+                // Swing done, link in flight: wait for it (bounded by
+                // the splicer's next store — anonymous, so never
+                // parked).
+                spin_wait(wait, || {
+                    !unsafe { (*cur).next.load(Ordering::Acquire) }.is_null()
+                });
+                continue;
             }
             if taken == 0 {
-                break (ptr::null_mut(), 0);
+                first = nxt;
             }
-            if self
-                .head
-                .compare_exchange(h, cur, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Safety: the CAS made us the unique retirer of the
-                // outgoing dummy; its value (if any) was consumed when
-                // it became the dummy.
-                unsafe { guard.retire_recycle(h) };
-                break (first, taken);
-            }
-            eng.stats().record_cas_failure();
-            cas_backoff.spin();
-        };
+            cur = nxt;
+            taken += 1;
+        }
+        if taken == 0 {
+            return Some((ptr::null_mut(), 0));
+        }
+        // One CAS unlinks the whole chain: `cur` becomes the new dummy
+        // (its value belongs to the chain's last taker, MS-queue
+        // style).
+        self.head
+            .compare_exchange(h, cur, Ordering::AcqRel, Ordering::Acquire)
+            .ok()?;
+        if waited_empty {
+            self.rendezvous_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        // Safety: the CAS made us the unique retirer of the outgoing
+        // dummy; its value (if it ever had one) was consumed when it
+        // became the dummy — the husk recycles.
+        unsafe { guard.retire_recycle(h) };
+        Some((first, taken))
+    }
 
-        // Deal the block out in slot order. The chain's last node is
-        // the live dummy — its value is consumed here but its husk
-        // stays linked (a later head combiner retires it), and its
-        // `next` keeps evolving, so the walk never reads past
-        // `taken - 1` links. A drained queue leaves later requests
-        // (and the tail of a partly-served one) at `taken < want`.
+    /// A combiner's [`QueueOp::try_take_front`]: retried, after a
+    /// backoff, until it lands.
+    fn take_front(
+        &self,
+        eng: &Sec<Self>,
+        wanted: usize,
+        mut window: u32,
+        guard: &Guard<'_, '_>,
+    ) -> (*mut QNode<T>, usize) {
+        let mut backoff = Backoff::new();
+        loop {
+            if let Some(taken) = self.try_take_front(eng, wanted, &mut window, guard) {
+                return taken;
+            }
+            // Another taker won; re-traverse from the new head.
+            eng.stats().record_cas_failure();
+            backoff.spin();
+        }
+    }
+
+    /// Deals the taken chain `first` (`taken` nodes long) out to the
+    /// bulk requests `reqs` in order, so each `dequeue_many(n)`
+    /// receives `n` consecutive queue fronts. The chain's last node is
+    /// the live dummy — its value is consumed here but its husk stays
+    /// linked, and its `next` keeps evolving, so the walk never reads
+    /// past `taken - 1` links. A drained queue leaves later requests
+    /// (and the tail of a partly-served one) at `taken < want`.
+    ///
+    /// # Safety
+    ///
+    /// The chain is the caller's, just taken by [`QueueOp::take_front`],
+    /// and each request is live with the caller as its only writer.
+    unsafe fn deal(
+        first: *mut QNode<T>,
+        taken: usize,
+        reqs: impl Iterator<Item = *mut DequeueManyReq<T>>,
+        guard: &Guard<'_, '_>,
+    ) {
         let mut cur = first;
         let mut idx = 0usize;
-        for slot in &batch.slots[my_seq..cut] {
-            let req = slot.load(Ordering::Acquire) as *mut DequeueManyReq<T>;
+        for req in reqs {
             let want = unsafe { (*req).want };
             let out = unsafe { (*req).out };
             let mut got = 0usize;
@@ -255,6 +331,37 @@ impl<T: Send + 'static> QueueOp<T> {
             unsafe { (*req).taken = got };
         }
     }
+
+    /// The bulk-dequeue combiner: tally the batch's total demand, take
+    /// that many nodes from the front with one CAS, then deal the
+    /// block out to the requests in announcement order.
+    ///
+    /// Differences from the mapped head combiner: no rendezvous window
+    /// (a bulk dequeue on an empty queue reports 0 at once — the
+    /// window's purpose is pairing *single* hand-offs, and holding it
+    /// per request would stall whole blocks), and the combiner
+    /// distributes values itself instead of publishing a chain —
+    /// there is one waiter per *request*, not per value.
+    fn combine_dequeue_many(
+        &self,
+        eng: &Sec<Self>,
+        batch: &CombineBatch<QNode<T>>,
+        my_seq: usize,
+        guard: &Guard<'_, '_>,
+    ) {
+        let slots = &batch.slots[my_seq..batch.frozen_cut(Role::Remove)];
+        let wait = eng.config().wait;
+        let total: usize = slots
+            .iter()
+            // Safety: the request outlives the batch (announcer blocks
+            // on `applied`); the combiner is its unique accessor.
+            .map(|slot| unsafe { (*wait_ptr(slot, wait).cast::<DequeueManyReq<T>>()).want })
+            .sum();
+        let (first, taken) = self.take_front(eng, total, 0, guard);
+        let reqs = slots.iter().map(|slot| slot.load(Ordering::Acquire).cast());
+        // Safety: as above; the block is ours from `take_front`.
+        unsafe { Self::deal(first, taken, reqs, guard) };
+    }
 }
 
 impl<T: Send + 'static> CombineOp for QueueOp<T> {
@@ -272,6 +379,9 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         ends: &[false, true, true],
         bulk: 0,
     };
+    // Per-end batches never eliminate (the rendezvous window pairs
+    // only on an empty queue), so a batch pays only when shared.
+    const LONE: LoneRule = LoneRule::IdleLane;
 
     fn create(_param: u64) -> Self {
         let dummy = QNode::alloc_dummy();
@@ -319,31 +429,12 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         for i in my_seq + 1..cut {
             let n = wait_ptr(&batch.slots[i], eng.config().wait);
             // Relaxed suffices: the chain is published wholesale by the
-            // Release store of the old tail's `next` below.
+            // splice's Release store of the old tail's `next`.
             unsafe { (*prev).next.store(n, Ordering::Relaxed) };
             prev = unsafe { chain_last(n) };
         }
-        let last = prev;
-
-        // Swing-then-link: one CAS on `tail` claims the splice point;
-        // the `next` link makes the chain reachable. A traverser that
-        // reaches the old tail before the link lands waits for it (the
-        // gap is bounded by this store). Contention on the CAS is only
-        // with other enqueue combiners — ≤ one per live tail batch.
         let mut backoff = Backoff::new();
-        loop {
-            let t = self.tail.load(Ordering::Acquire);
-            if self
-                .tail
-                .compare_exchange(t, last, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Safety: `t` cannot be freed while we are pinned, and
-                // only the combiner that moved `tail` off `t` writes
-                // `t.next` — that is us.
-                unsafe { (*t).next.store(first, Ordering::Release) };
-                return;
-            }
+        while !self.try_splice(first, prev) {
             eng.stats().record_cas_failure();
             backoff.spin();
         }
@@ -353,16 +444,9 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
     // Dequeue combining (the head aggregator's remove lane)
     // ------------------------------------------------------------------
 
-    /// Walk up to `wanted` nodes from `head`, unlink them with a single
-    /// CAS on `head`, and publish the chain + count for the waiters.
-    ///
-    /// Emptiness is MS-validated: `cur.next == null` with `tail == cur`
-    /// means the queue truly ends at `cur` at the moment of the tail
-    /// read (a splice would have moved `tail` first). `cur.next ==
-    /// null` with `tail != cur` is an in-flight swing-then-link gap;
-    /// the link is coming, so the traversal waits for it — the same
-    /// class of bounded-by-another-thread's-progress wait as every
-    /// other SEC spin.
+    /// Take up to one node per batch dequeue off the front with a
+    /// single CAS on `head` (holding the rendezvous window on an empty
+    /// queue), and publish the chain + count for the waiters.
     fn combine_remove(
         &self,
         eng: &Sec<Self>,
@@ -378,95 +462,11 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         }
         let wanted = batch.frozen_cut(Role::Remove) - my_seq;
         debug_assert!(wanted >= 1);
-        let wait = eng.config().wait;
-        // The rendezvous budget spans CAS retries so a contended empty
-        // queue cannot pin the combiner in the window forever.
-        let mut window = self.rendezvous_spins;
-        let mut cas_backoff = Backoff::new();
-        'retry: loop {
-            // Reset per attempt: a hit is only counted when THIS
-            // traversal observed empty and then took values — a lost
-            // CAS after a window wait must not count the next round's
-            // ordinary unlink as a rendezvous.
-            let mut waited_empty = false;
-            let h = self.head.load(Ordering::Acquire);
-            let mut cur = h;
-            let mut first = ptr::null_mut();
-            let mut taken = 0usize;
-            while taken < wanted {
-                let nxt = unsafe { (*cur).next.load(Ordering::Acquire) };
-                if nxt.is_null() {
-                    if ptr::eq(self.tail.load(Ordering::Acquire), cur) {
-                        // Queue ends at `cur`. Empty-only elimination:
-                        // if we have taken nothing, the queue is empty
-                        // — hold the rendezvous window open for a
-                        // concurrent enqueue batch to splice straight
-                        // into our hands.
-                        if taken == 0 && window > 0 {
-                            window -= 1;
-                            waited_empty = true;
-                            // Policy-aware pause: under the yielding
-                            // and parking policies, periodically give
-                            // the slice away inside the window — on an
-                            // oversubscribed host that is what lets a
-                            // producer actually reach its splice (the
-                            // wait is anonymous, so parking proper
-                            // cannot apply — no waker would know us).
-                            if wait == WaitPolicy::Spin || !window.is_multiple_of(32) {
-                                core::hint::spin_loop();
-                            } else {
-                                std::thread::yield_now();
-                            }
-                            continue;
-                        }
-                        break;
-                    }
-                    // Swing done, link in flight: wait for it (bounded
-                    // by the enqueue combiner's next store — anonymous,
-                    // so never parked).
-                    spin_wait(wait, || {
-                        !unsafe { (*cur).next.load(Ordering::Acquire) }.is_null()
-                    });
-                    continue;
-                }
-                if taken == 0 {
-                    first = nxt;
-                }
-                cur = nxt;
-                taken += 1;
-            }
-
-            if taken == 0 {
-                // Validated empty (and the window, if any, expired):
-                // every pop of the batch reports EMPTY.
-                batch.result_head.store(ptr::null_mut(), Ordering::Release);
-                batch.taken.store(0, Ordering::Release);
-                return;
-            }
-            // One CAS unlinks the whole chain: `cur` becomes the new
-            // dummy (its value belongs to the waiter at the last
-            // offset, MS-queue style).
-            if self
-                .head
-                .compare_exchange(h, cur, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                if waited_empty {
-                    self.rendezvous_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                batch.result_head.store(first, Ordering::Release);
-                batch.taken.store(taken as u64, Ordering::Release);
-                // Safety: the CAS made us the unique retirer of the
-                // outgoing dummy; its value (if it ever had one) was
-                // consumed when it became the dummy — the husk recycles.
-                unsafe { guard.retire_recycle(h) };
-                return;
-            }
-            // Another head combiner won; re-traverse from the new head.
-            eng.stats().record_cas_failure();
-            cas_backoff.spin();
-            continue 'retry;
-        }
+        // An empty take (the window, if any, expired) makes every
+        // dequeue of the batch report EMPTY.
+        let (first, taken) = self.take_front(eng, wanted, self.rendezvous_spins, guard);
+        batch.result_head.store(first, Ordering::Release);
+        batch.taken.store(taken as u64, Ordering::Release);
     }
 
     // `eliminate` keeps its default: the engine's cross-lane pairing
@@ -513,6 +513,64 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         // The last taken node is the live dummy: a later dequeue
         // combiner retires it when `head` moves past it.
         Some(value)
+    }
+
+    /// A lone enqueue, dequeue or bulk call (DESIGN.md §12 "Lone
+    /// operations"): what a degree-1 batch's combiner does, without
+    /// the batch, as a single CAS attempt. An enqueue — a one-node
+    /// chain, or an `enqueue_many` chunk's pre-linked chain — is
+    /// spliced as the tail combiner splices. A single dequeue brings no
+    /// node: it takes one node off the front as the head combiner does,
+    /// holding the rendezvous window only while another handle is live
+    /// (with one, no splice can arrive). A bulk dequeue brings its
+    /// request and is served as a degree-1 bulk batch. A lost CAS is
+    /// evidence that others are at the same end, so the op goes back
+    /// to be combined with theirs.
+    fn try_alone(
+        &self,
+        eng: &Sec<Self>,
+        role: Role,
+        node: *mut QNode<T>,
+        reclaim: &ReclaimHandle<'_>,
+    ) -> Result<Option<T>, *mut QNode<T>> {
+        let guard = reclaim.pin();
+        let lost = || {
+            eng.stats().record_cas_failure();
+            Err(node)
+        };
+        match role {
+            Role::Add => {
+                // Safety: the caller's own chain, never announced.
+                if !self.try_splice(node, unsafe { chain_last(node) }) {
+                    return lost();
+                }
+                Ok(None)
+            }
+            Role::Remove if node.is_null() => {
+                let mut window = if eng.live_handles() > 1 {
+                    self.rendezvous_spins
+                } else {
+                    0
+                };
+                let Some((first, taken)) = self.try_take_front(eng, 1, &mut window, &guard) else {
+                    return lost();
+                };
+                // Safety: the one node we took; it is the new dummy, so
+                // its husk stays linked (as `take_result` leaves the
+                // last node of a chain).
+                Ok((taken == 1).then(|| unsafe { QNode::take_value(first) }))
+            }
+            Role::Remove => {
+                let req = node.cast::<DequeueManyReq<T>>();
+                // Safety: the caller's own request, never announced.
+                let want = unsafe { (*req).want };
+                let Some((first, taken)) = self.try_take_front(eng, want, &mut 0, &guard) else {
+                    return lost();
+                };
+                unsafe { Self::deal(first, taken, core::iter::once(req), &guard) };
+                Ok(None)
+            }
+        }
     }
 
     /// A durable enqueue or dequeue, applied one at a time (sequential

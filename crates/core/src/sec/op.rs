@@ -7,10 +7,10 @@
 
 use super::node::Node;
 use crate::combine::durable::{self, opcode, DurableOp, Family, OpResult};
-use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, Role, Sec};
+use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, Ordering};
-use sec_reclaim::Guard;
+use sec_reclaim::{Guard, Handle as ReclaimHandle};
 use sec_sync::{Backoff, CachePadded};
 
 /// The stack's apply logic: a Treiber-style top pointer plus the
@@ -90,28 +90,7 @@ impl<T: Send + 'static> StackOp<T> {
             total += unsafe { (*req).want };
         }
 
-        // Unlink up to `total` nodes with a single CAS. Successive
-        // batches' combiners (and the mapped aggregators') race here,
-        // hence the retry loop.
-        let mut backoff = Backoff::new();
-        let chain = loop {
-            let top = self.top.load(Ordering::Acquire);
-            let mut bot = top;
-            let mut avail = 0usize;
-            while avail < total && !bot.is_null() {
-                bot = unsafe { (*bot).next.load(Ordering::Acquire) };
-                avail += 1;
-            }
-            if self
-                .top
-                .compare_exchange(top, bot, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break top;
-            }
-            eng.stats().record_cas_failure();
-            backoff.spin();
-        };
+        let chain = self.unlink(eng, total);
 
         // Deal the unlinked chain out in slot order. A drained stack
         // leaves `cur` null early; the remaining requests report
@@ -137,6 +116,61 @@ impl<T: Send + 'static> StackOp<T> {
             unsafe { (*req).taken = taken };
         }
     }
+
+    /// Lines 44–50: splices the pre-linked chain `top..=bot` onto the
+    /// shared stack with a single CAS. Other combiners (one per live
+    /// batch) and lone ops race here, hence the retry loop; its
+    /// failures are the contention monitor's cross-aggregator signal.
+    #[inline]
+    fn splice(&self, eng: &Sec<Self>, top: *mut Node<T>, bot: *mut Node<T>) {
+        let mut backoff = Backoff::new();
+        loop {
+            let cur = self.top.load(Ordering::Acquire);
+            // Relaxed is enough: the successful CAS releases the chain.
+            unsafe { (*bot).next.store(cur, Ordering::Relaxed) };
+            if self
+                .top
+                .compare_exchange(cur, top, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return;
+            }
+            eng.stats().record_cas_failure();
+            backoff.spin();
+        }
+    }
+
+    /// Lines 80–92: unlinks up to `wanted` nodes (fewer when the stack
+    /// is shallower) with a single CAS and returns the unlinked chain's
+    /// top, null when the stack was empty. The chain is not
+    /// null-terminated: its deepest link runs into the remaining stack,
+    /// so consumers walk at most `wanted` nodes. The caller is pinned.
+    #[inline]
+    fn unlink(&self, eng: &Sec<Self>, wanted: usize) -> *mut Node<T> {
+        let mut backoff = Backoff::new();
+        loop {
+            let top = self.top.load(Ordering::Acquire);
+            if top.is_null() {
+                return top;
+            }
+            let mut bot = top;
+            for _ in 0..wanted {
+                if bot.is_null() {
+                    break; // stack shallower than the demand: take it all
+                }
+                bot = unsafe { (*bot).next.load(Ordering::Acquire) };
+            }
+            if self
+                .top
+                .compare_exchange(top, bot, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return top;
+            }
+            eng.stats().record_cas_failure();
+            backoff.spin();
+        }
+    }
 }
 
 impl<T: Send + 'static> CombineOp for StackOp<T> {
@@ -156,6 +190,9 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
     // A push and a pop that meet in one mapped batch eliminate, so a
     // partner caught by the freezer's backoff pays for the wait.
     const ELIMINATES: bool = true;
+    // So a second live handle keeps every single op on the batch path,
+    // where it may meet its partner.
+    const LONE: LoneRule = LoneRule::OneHandle;
 
     fn create(_param: u64) -> Self {
         StackOp {
@@ -210,24 +247,7 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
             top = n;
         }
 
-        // Lines 44–50: splice the substack in with a single CAS.
-        let mut backoff = Backoff::new();
-        loop {
-            let cur = self.top.load(Ordering::Acquire);
-            unsafe { (*bot).next.store(cur, Ordering::Relaxed) };
-            if self
-                .top
-                .compare_exchange(cur, top, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
-            }
-            // Contention is only with other combiners (≤ one per live
-            // batch), so plain spinning suffices. The failure count is
-            // the contention monitor's cross-aggregator signal.
-            eng.stats().record_cas_failure();
-            backoff.spin();
-        }
+        self.splice(eng, top, bot);
     }
 
     // ------------------------------------------------------------------
@@ -255,31 +275,10 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         // §2.2: the paper's `while ++i < popCountAtFreeze` advances
         // k−1 times.)
         let wanted = remove_at_freeze - my_seq;
-
-        let mut backoff = Backoff::new();
-        loop {
-            let top = self.top.load(Ordering::Acquire);
-            let mut bot = top;
-            for _ in 0..wanted {
-                if bot.is_null() {
-                    break; // stack shallower than the batch: take it all
-                }
-                bot = unsafe { (*bot).next.load(Ordering::Acquire) };
-            }
-            if self
-                .top
-                .compare_exchange(top, bot, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Line 93: publish the unlinked chain; the Release
-                // store of `applied` (by the engine) orders it for
-                // waiters.
-                batch.result_head.store(top, Ordering::Release);
-                return;
-            }
-            eng.stats().record_cas_failure();
-            backoff.spin();
-        }
+        let chain = self.unlink(eng, wanted);
+        // Line 93: publish the unlinked chain; the Release store of
+        // `applied` (by the engine) orders it for waiters.
+        batch.result_head.store(chain, Ordering::Release);
     }
 
     /// Lines 65–67: the pop's push partner publishes its node right
@@ -338,51 +337,34 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
 
     /// A lone push or pop (DESIGN.md §12 "Lone operations"): what the
     /// combiner of a degree-1 batch does, without the batch. A push
-    /// CASes its own node onto `top`; a pop CASes `top → top.next` and
-    /// consumes the unlinked node, or reports EMPTY off a null `top`.
-    /// Other aggregators' combiners may race on `top`, as they race
-    /// each other.
-    fn apply_alone(
+    /// splices its own one-node chain; a pop unlinks one node and
+    /// consumes it, or reports EMPTY off an empty stack. Inlined, with
+    /// the two bodies it shares, so a lone thread's op stays one call.
+    #[inline]
+    fn try_alone(
         &self,
         eng: &Sec<Self>,
         role: Role,
         node: *mut Node<T>,
-        guard: &Guard<'_, '_>,
-    ) -> Option<Option<T>> {
-        let mut backoff = Backoff::new();
-        loop {
-            let top = self.top.load(Ordering::Acquire);
-            let new = match role {
-                Role::Add => {
-                    // Safety: the node was never announced, so it is
-                    // still private to us.
-                    unsafe { (*node).next.store(top, Ordering::Relaxed) };
-                    node
-                }
-                Role::Remove if top.is_null() => return Some(None),
-                // Safety: pinned, so `top` stays allocated (and cannot
-                // be recycled into an ABA) while we read its link.
-                Role::Remove => unsafe { (*top).next.load(Ordering::Acquire) },
-            };
-            if self
-                .top
-                .compare_exchange(top, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some(match role {
-                    Role::Add => None,
-                    // Safety: our CAS unlinked `top`, so we are its
-                    // unique consumer; payload out, husk recycles.
-                    Role::Remove => unsafe {
-                        let value = Node::take_value(top);
-                        guard.retire_recycle(top);
-                        Some(value)
-                    },
-                });
+        reclaim: &ReclaimHandle<'_>,
+    ) -> Result<Option<T>, *mut Node<T>> {
+        let guard = reclaim.pin();
+        Ok(match role {
+            Role::Add => {
+                self.splice(eng, node, node);
+                None
             }
-            eng.stats().record_cas_failure();
-            backoff.spin();
-        }
+            Role::Remove => {
+                let top = self.unlink(eng, 1);
+                // Safety: our CAS unlinked `top`, so we are its unique
+                // consumer; payload out, husk recycles.
+                (!top.is_null()).then(|| unsafe {
+                    let value = Node::take_value(top);
+                    guard.retire_recycle(top);
+                    value
+                })
+            }
+        })
     }
 
     /// A durable push or pop, applied one at a time (sequential by the

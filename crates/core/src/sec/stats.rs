@@ -8,7 +8,8 @@
 //! those numbers, the batch's degree and the backoff pauses and yields
 //! it spent into its own registry slot's cache-padded `BatchTally`. A
 //! lone operation, which skips the batch (DESIGN.md §12 "Lone
-//! operations"), is tallied there too, as a degree-1, combined batch.
+//! operations"), is tallied there too, as one combined batch of its
+//! weight (degree 1 for a single op, the call's length for a bulk one).
 //! Only the slot's owner writes its tally, so every update is a plain
 //! relaxed load+store: no locked read-modify-write and no line shared
 //! with another thread. [`SecStats::report`] sums the tallies. The
@@ -126,21 +127,24 @@ impl SecStats {
             .record_single_writer(size);
     }
 
-    /// Called by registry slot `slot`'s owner after a lone operation:
-    /// one degree-1 batch whose op was combined.
+    /// Called by registry slot `slot`'s owner after a lone operation
+    /// of weight `ops` (a bulk call's full length): one batch of that
+    /// degree whose ops were all combined.
     ///
     /// Single-writer invariant: only the slot's current owner records
     /// here or in [`SecStats::record_batch`], and a slot changes owner
     /// through the collector's Release free and AcqRel claim, which
     /// order the old owner's writes before the new owner's.
     #[inline]
-    pub(crate) fn record_alone(&self, slot: usize) {
+    pub(crate) fn record_alone(&self, slot: usize, ops: u64) {
         let t = &self.tallies[slot];
         bump(&t.batches, 1);
-        bump(&t.ops, 1);
-        bump(&t.combined, 1);
+        bump(&t.ops, ops);
+        bump(&t.combined, ops);
         bump(&t.alone, 1);
-        t.degree.get_or_init(Histogram::new).record_single_writer(1);
+        t.degree
+            .get_or_init(Histogram::new)
+            .record_single_writer(ops);
     }
 
     /// Called by a combiner whose splice/unlink CAS on `stackTop` lost
@@ -258,9 +262,9 @@ pub struct BatchReport {
     /// [`SecConfig::freezer_yields`](crate::SecConfig::freezer_yields)).
     pub backoff_yields: u64,
     /// Operations that took the lone path (DESIGN.md §12 "Lone
-    /// operations"): each is also one batch of degree 1 in `batches`,
-    /// `ops` and `combined`, so `batches - alone` batches went through
-    /// the batch protocol.
+    /// operations"): each is also one batch in `batches`, of its weight
+    /// (1, or a bulk call's length) in `ops` and `combined`, so
+    /// `batches - alone` batches went through the batch protocol.
     pub alone: u64,
     /// Combiner CAS attempts on the shared `stackTop` that lost to
     /// another combiner.
@@ -416,10 +420,10 @@ mod tests {
     fn lone_ops_count_as_degree_one_combined_batches() {
         let s = SecStats::with_tallies(3);
         s.record_batch(1, 1, 1, 0, 0); // 2 ops, both eliminated
-        s.record_alone(0);
-        s.record_alone(1);
-        s.record_alone(2);
-        s.record_alone(2);
+        s.record_alone(0, 1);
+        s.record_alone(1, 1);
+        s.record_alone(2, 1);
+        s.record_alone(2, 1);
         let r = s.report();
         assert_eq!((r.batches, r.ops, r.alone), (5, 6, 4));
         assert_eq!((r.eliminated, r.combined), (2, 4));
@@ -427,6 +431,17 @@ mod tests {
         assert_eq!((r.degree.min, r.degree.max), (1, 2));
         s.reset();
         assert_eq!(s.report().alone, 0);
+    }
+
+    #[test]
+    fn a_lone_bulk_op_is_one_batch_of_its_full_weight() {
+        let s = SecStats::with_tallies(2);
+        s.record_alone(0, 32);
+        s.record_alone(1, 1);
+        let r = s.report();
+        assert_eq!((r.batches, r.ops, r.alone, r.combined), (2, 33, 2, 33));
+        assert_eq!(s.degree_histogram().count(), r.batches);
+        assert_eq!((r.degree.min, r.degree.max), (1, 32));
     }
 
     #[test]

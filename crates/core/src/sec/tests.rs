@@ -895,7 +895,7 @@ fn forced_lone_ops_overlap_batched_ops_and_conserve_values() {
     // evidence says, while the other threads run batched ops on the
     // same stack: the overlap DESIGN.md §12 "Lone operations" argues is
     // safe, forced on every op instead of left to a registration race.
-    use crate::combine::Role;
+    use crate::combine::{Lane, Role};
     use crate::sec::node::Node;
     use std::sync::Barrier;
 
@@ -919,9 +919,10 @@ fn forced_lone_ops_overlap_batched_ops_and_conserve_values() {
                         let got = match (i % 3 < 2, t) {
                             (true, 0) => {
                                 let node = Node::alloc_with(&h.reclaim, v);
+                                let lane = &mut Lane::Mapped(&mut h.state);
                                 let out =
-                                    stack.run_alone(&h.state, Role::Add, node, &h.reclaim, None);
-                                assert_eq!(out, Some(None), "the stack has a lone path");
+                                    stack.run_alone(lane, Role::Add, node, 1, &h.reclaim, None);
+                                assert_eq!(out, Ok(None), "the stack has a lone path");
                                 None
                             }
                             (true, _) => {
@@ -930,9 +931,10 @@ fn forced_lone_ops_overlap_batched_ops_and_conserve_values() {
                             }
                             (false, 0) => stack
                                 .run_alone(
-                                    &h.state,
+                                    &mut Lane::Mapped(&mut h.state),
                                     Role::Remove,
                                     core::ptr::null_mut(),
+                                    1,
                                     &h.reclaim,
                                     None,
                                 )

@@ -433,7 +433,12 @@ fn park_and_wake_counters_reach_reports() {
     // where short rounds otherwise run each thread to completion with
     // zero overlap — the yield donates the freezer's quantum
     // mid-protocol. Either way other threads announce into the open
-    // batch and park on it. The retry loop stays as a backstop so no
+    // batch and park on it. A queue op reaches a batch at all only once
+    // it finds its lane busy or loses its CAS (DESIGN.md §12 "Lone
+    // operations"), so the queue's mix is two dequeues to one enqueue:
+    // the queue stays near empty, dequeuers wait in the rendezvous
+    // window, and an enqueue landing there makes the losers of the
+    // `head` CAS announce. The retry loop stays as a backstop so no
     // single scheduling outcome decides the assertion.
     let threads = oversub_threads().max(sec_repro::sync::topology::hardware_threads() + 1);
     let mut stack_parks = 0;
@@ -489,7 +494,7 @@ fn park_and_wake_counters_reach_reports() {
                     let mut h = queue.register();
                     registered.wait();
                     for i in 0..300 {
-                        if (t + i) % 3 < 2 {
+                        if (t + i) % 3 < 1 {
                             h.enqueue(i as u64);
                         } else {
                             let _ = h.dequeue();

@@ -117,6 +117,120 @@ fn sec_queue_two_thread_deep_histories_are_linearizable() {
 }
 
 #[test]
+fn sec_queue_histories_stay_linearizable_as_handles_come_and_go() {
+    // Handles register, run a few ops and drop with staggered
+    // lifetimes, so the live-handle count crosses 1 again and again: a
+    // lone dequeue on an empty queue holds the rendezvous window only
+    // while another handle is live (DESIGN.md §12 "Lone operations").
+    // An op whose lane is idle goes alone, and one stint per round is
+    // pinned so that the batch path runs too: two handles wait in their
+    // windows on the empty queue, the enqueue that lands hands its node
+    // to one of them, and the other's CAS on `head` loses, so its
+    // dequeue announces and is combined. Thread 0's first stint ends
+    // before anyone else registers; the last two race freely.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const THREADS: usize = 3;
+    /// Rendezvous pauses: long enough that both waiters of the pinned
+    /// stint still sit in their windows when the enqueue lands.
+    const WINDOW: u32 = 1 << 12;
+    let (mut lone, mut batched) = (0, 0);
+    for round in 0..16u64 {
+        let queue: SecQueue<u64> = SecQueue::new(THREADS).rendezvous_spins(WINDOW);
+        let rec = Recorder::new();
+        let events: Mutex<Vec<TimedOp<QueueOp<u64>>>> = Mutex::new(Vec::new());
+        let opened = AtomicBool::new(false);
+        let pinned = Barrier::new(THREADS);
+
+        thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (queue, rec, events) = (&queue, &rec, &events);
+                let (opened, pinned) = (&opened, &pinned);
+                scope.spawn(move || {
+                    let mut local = Vec::new();
+                    let mut next = 0u64;
+                    let mut run = |h: &mut sec_repro::ext::SecQueueHandle<'_, u64>,
+                                   enqueue: bool| {
+                        let invoke = rec.now();
+                        let op = if enqueue {
+                            next += 1;
+                            let v = round * 1_000 + t as u64 * 100 + next;
+                            h.enqueue(v);
+                            QueueOp::Enqueue(v)
+                        } else {
+                            QueueOp::Dequeue(h.dequeue())
+                        };
+                        let response = rec.now();
+                        local.push(TimedOp {
+                            op,
+                            invoke,
+                            response,
+                        });
+                    };
+                    if t == 0 {
+                        let mut h = queue.register();
+                        for enqueue in [true, false, false] {
+                            run(&mut h, enqueue);
+                        }
+                        drop(h);
+                        opened.store(true, Ordering::Release);
+                    } else {
+                        while !opened.load(Ordering::Acquire) {
+                            thread::yield_now();
+                        }
+                    }
+                    {
+                        let mut h = queue.register();
+                        pinned.wait();
+                        if t == 0 {
+                            // Let both dequeuers reach their windows.
+                            for _ in 0..8 {
+                                thread::yield_now();
+                            }
+                            run(&mut h, true);
+                            run(&mut h, true);
+                        } else {
+                            run(&mut h, false);
+                        }
+                        pinned.wait();
+                    }
+                    for stint in 0..2 {
+                        let mut h = queue.register();
+                        for j in 0..3 {
+                            run(&mut h, (t + j + stint + round as usize) % 3 < 2);
+                        }
+                        drop(h);
+                        // Stagger the next registration.
+                        for _ in 0..(t + stint) % 3 {
+                            thread::yield_now();
+                        }
+                    }
+                    events.lock().unwrap().extend(local);
+                });
+            }
+        });
+
+        let history = events.into_inner().unwrap();
+        check_generic::<QueueSpec<u64>>(&history).unwrap_or_else(|e| {
+            panic!("[SEC-Q/churn] round {round}: history not linearizable: {e}\n{history:#?}")
+        });
+        let r = queue.stats().report();
+        assert_eq!(
+            r.ops,
+            history.len() as u64,
+            "[SEC-Q/churn] round {round}: {r:?}"
+        );
+        lone += r.alone;
+        batched += r.batches - r.alone;
+    }
+    assert!(
+        lone > 0 && batched > 0,
+        "both paths must run: {lone} lone ops, {batched} batches"
+    );
+}
+
+#[test]
 fn ms_queue_histories_are_linearizable() {
     for seed in seeds().into_iter().take(8) {
         let queue: MsQueue<u64> = MsQueue::new(3);

@@ -30,6 +30,7 @@ use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::reclaim::{Collector, CollectorStats, RecyclePolicy};
 use sec_repro::{SecConfig, SecStack};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 const SEED_BASE: u64 = 0x00AB_A5EC;
@@ -236,11 +237,18 @@ fn stack_pop_and_peek_vs_reuse_churn() {
 // ABA regression, queue level: head.next rendezvous vs reuse.
 // ----------------------------------------------------------------------
 
-/// Producer/consumer ping-pong around the empty state: the dequeue
-/// combiner validates emptiness and holds the rendezvous window open on
+/// How far the churn test's producer may run ahead of its consumer.
+const CHURN_LEAD: u64 = 4;
+
+/// Producer/consumer ping-pong around the empty state: the dequeuer
+/// validates emptiness and holds the rendezvous window open on
 /// `head.next` while dummies and node husks recycle underneath it. A
 /// resurrected node spliced at `head.next` would surface as an invented
-/// or duplicated value.
+/// or duplicated value. The producer stays at most [`CHURN_LEAD`]
+/// values ahead, so the queue stays near empty and the husks the
+/// consumer retires come back to the producer while it still
+/// allocates (a lone enqueue is several times cheaper than a dequeue,
+/// so an unpaced producer finishes first).
 #[test]
 fn queue_head_rendezvous_vs_reuse_churn() {
     for seed in sweep_seeds(6) {
@@ -249,12 +257,16 @@ fn queue_head_rendezvous_vs_reuse_churn() {
         let spins = [16u32, 128, 256][(xorshift(&mut s) % 3) as usize];
         let queue: SecQueue<u64> =
             SecQueue::with_config(SecConfig::new(1, 3).recycle(TINY_CACHE)).rendezvous_spins(spins);
+        let taken = AtomicU64::new(0);
 
         let consumed: Vec<u64> = thread::scope(|scope| {
-            let producer = &queue;
+            let (producer, taken) = (&queue, &taken);
             scope.spawn(move || {
                 let mut h = producer.register();
                 for i in 0..rounds {
+                    while i > taken.load(Ordering::Acquire) + CHURN_LEAD {
+                        thread::yield_now();
+                    }
                     h.enqueue(i);
                 }
             });
@@ -266,6 +278,7 @@ fn queue_head_rendezvous_vs_reuse_churn() {
                     while got.len() < rounds as usize {
                         if let Some(v) = h.dequeue() {
                             got.push(v);
+                            taken.store(got.len() as u64, Ordering::Release);
                         }
                     }
                     got
