@@ -11,14 +11,15 @@
 //!   process dying (including `SIGKILL`), or an in-memory `Volatile`
 //!   arena with identical code paths for tests and CI.
 //! * **Intent cells** — before announcing, a handle writes an *intent*
-//!   (its per-handle op sequence number + op descriptor) to its cell
-//!   and only then joins a batch. On recovery, comparing the cell's
+//!   (its per-handle op sequence number + op descriptor) to its cell,
+//!   a cache line no other handle writes, and only then joins a batch. On recovery, comparing the cell's
 //!   sequence number against the log tells the announcer whether its
 //!   in-flight op executed — every op is *detectable*.
 //! * **Per-shard redo log** — the combiner applies the frozen batch to
-//!   the in-memory structure and appends one record (op descriptors +
-//!   results) per batch, fences, *commits* the record with a single
-//!   release store, and only then lets the engine publish results.
+//!   the in-memory structure, writing each op's descriptor and result
+//!   straight into one record per batch, *commits* the record with a
+//!   single release store, and only then lets the engine publish
+//!   results.
 //!   A record whose commit word is unset is a torn record: its ops
 //!   never happened.
 //! * **Recovery** — [`DurableCore::open`] scans every shard, orders
@@ -46,6 +47,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use sec_reclaim::{Guard, Handle as ReclaimHandle, PersistentHeap};
+use sec_sync::CachePadded;
 
 use super::batch::{wait_ptr, CombineBatch, Role};
 use super::{CombineOp, Lane, Sec};
@@ -53,10 +55,16 @@ use super::{CombineOp, Lane, Sec};
 /// Magic word ("SECDUR01" in ASCII) committed last when a heap is
 /// initialised; recovery refuses heaps without it.
 const MAGIC: u64 = 0x5345_4344_5552_3031;
-/// On-heap layout version.
-const VERSION: u64 = 1;
+/// On-heap layout version. Version 2 gives every handle's intent cell
+/// and every shard's tail word a cache line of its own, and checksums
+/// a record's entry count after its entries; `open` refuses a
+/// version-1 heap as [`DurableError::BadMagic`].
+const VERSION: u64 = 2;
+/// Words per cache line. The heap base is page-aligned, so word `i`
+/// sits on line `i / LINE_WORDS`.
+const LINE_WORDS: usize = 8;
 /// Header size in words (generous; unused words stay zero).
-const HDR_WORDS: usize = 16;
+const HDR_WORDS: usize = 2 * LINE_WORDS;
 /// Header word indices.
 const H_MAGIC: usize = 0;
 const H_FAMILY: usize = 1;
@@ -67,8 +75,17 @@ const H_ENTRIES_CAP: usize = 5;
 const H_FAMILY_PARAM: usize = 6;
 const H_GLOBAL_SEQ: usize = 7;
 const H_VERSION: usize = 8;
-/// Words per intent cell: op_seq, opcode, operand, operand2, checksum.
-const INTENT_WORDS: usize = 5;
+/// Intent cell stride: one whole line per handle, so no other writer
+/// shares it.
+const INTENT_WORDS: usize = LINE_WORDS;
+/// Intent cell word indices: op_seq, opcode, operands, checksum — and
+/// the slot's resume counter, the last op_seq it handed out.
+const I_SEQ: usize = 0;
+const I_OPCODE: usize = 1;
+const I_A: usize = 2;
+const I_B: usize = 3;
+const I_SUM: usize = 4;
+const I_ISSUED: usize = 5;
 /// Words per log entry: meta (handle | opcode | result tag), op_seq,
 /// operand, operand2, result.
 const ENTRY_WORDS: usize = 5;
@@ -639,16 +656,23 @@ fn intent_checksum(handle: u64, seq: u64, opcode: u64, a: u64, b: u64) -> u64 {
     h
 }
 
-struct StatsInner {
+/// What the combiners write on every batch: the apply lock and the
+/// logging counters. One padded line, apart from the read-mostly
+/// geometry every `write_intent` reads.
+struct CombinerLine {
+    /// Serialises apply+log across all shards: log order is exactly
+    /// structure-application order, which is what makes sequential
+    /// replay reproduce the recovered structure.
+    apply_lock: Mutex<()>,
     records: AtomicU64,
     entries: AtomicU64,
     msyncs: AtomicU64,
 }
 
 /// The shared durable state a [`Sec`] owns when built with a
-/// [`DurablePolicy`]: the heap, the layout geometry, the apply lock
-/// that serialises structure mutation with log append, and the
-/// per-handle resume sequence numbers recovery produced.
+/// [`DurablePolicy`]: the heap, the layout geometry and the combiners'
+/// line. Each handle's next op sequence number lives in its own intent
+/// cell, in the heap.
 pub(crate) struct DurableCore {
     heap: Arc<PersistentHeap>,
     family: Family,
@@ -658,20 +682,15 @@ pub(crate) struct DurableCore {
     entries_cap: usize,
     sync: SyncMode,
     granularity: LogGranularity,
-    /// Serialises apply+log across all shards: log order is exactly
-    /// structure-application order, which is what makes sequential
-    /// replay reproduce the recovered structure.
-    apply_lock: Mutex<()>,
-    /// Per-handle next op sequence number (1 when fresh; last+1 after
-    /// recovery; advanced by every intent write). Durable identity is
-    /// the collector slot, so a handle registered on a slot a dropped
-    /// handle used continues that handle's sequence: slot inheritance.
-    start_seq: Box<[AtomicU64]>,
-    stats: StatsInner,
+    combiner: CachePadded<CombinerLine>,
 }
 
 impl DurableCore {
     // ---- layout ---------------------------------------------------
+    //
+    // header (2 lines) | one line per handle's intent cell | per shard:
+    // its tail line, then `record_cap` unpadded records, rounded up to
+    // a whole line so the next shard's tail starts a line.
 
     fn record_words(&self) -> usize {
         REC_HDR_WORDS + self.entries_cap * ENTRY_WORDS
@@ -681,16 +700,19 @@ impl DurableCore {
         HDR_WORDS + handle * INTENT_WORDS
     }
 
-    fn shard_words(&self) -> usize {
-        1 + self.record_cap * self.record_words()
+    fn shard_words(record_cap: usize, entries_cap: usize) -> usize {
+        let records = record_cap * (REC_HDR_WORDS + entries_cap * ENTRY_WORDS);
+        (LINE_WORDS + records).next_multiple_of(LINE_WORDS)
     }
 
     fn tail_off(&self, shard: usize) -> usize {
-        HDR_WORDS + self.max_handles * INTENT_WORDS + shard * self.shard_words()
+        HDR_WORDS
+            + self.max_handles * INTENT_WORDS
+            + shard * Self::shard_words(self.record_cap, self.entries_cap)
     }
 
     fn record_off(&self, shard: usize, idx: usize) -> usize {
-        self.tail_off(shard) + 1 + idx * self.record_words()
+        self.tail_off(shard) + LINE_WORDS + idx * self.record_words()
     }
 
     fn words_needed(
@@ -699,8 +721,7 @@ impl DurableCore {
         record_cap: usize,
         entries_cap: usize,
     ) -> usize {
-        let record_words = REC_HDR_WORDS + entries_cap * ENTRY_WORDS;
-        HDR_WORDS + max_handles * INTENT_WORDS + shards * (1 + record_cap * record_words)
+        HDR_WORDS + max_handles * INTENT_WORDS + shards * Self::shard_words(record_cap, entries_cap)
     }
 
     #[inline]
@@ -709,6 +730,33 @@ impl DurableCore {
     }
 
     // ---- construction ---------------------------------------------
+
+    fn with_heap(
+        heap: Arc<PersistentHeap>,
+        policy: &DurablePolicy,
+        family: Family,
+        max_handles: usize,
+        shards: usize,
+        record_cap: usize,
+        entries_cap: usize,
+    ) -> Self {
+        Self {
+            heap,
+            family,
+            max_handles,
+            shards,
+            record_cap,
+            entries_cap,
+            sync: policy.sync,
+            granularity: policy.granularity,
+            combiner: CachePadded::new(CombinerLine {
+                apply_lock: Mutex::new(()),
+                records: AtomicU64::new(0),
+                entries: AtomicU64::new(0),
+                msyncs: AtomicU64::new(0),
+            }),
+        }
+    }
 
     /// Initialises a fresh durable heap for `family` and returns the
     /// core. The heap (created or supplied) must be zeroed.
@@ -735,23 +783,15 @@ impl DurableCore {
                 Arc::clone(h)
             }
         };
-        let core = Self {
+        let core = Self::with_heap(
             heap,
+            policy,
             family,
             max_handles,
             shards,
             record_cap,
             entries_cap,
-            sync: policy.sync,
-            granularity: policy.granularity,
-            apply_lock: Mutex::new(()),
-            start_seq: (0..max_handles).map(|_| AtomicU64::new(1)).collect(),
-            stats: StatsInner {
-                records: AtomicU64::new(0),
-                entries: AtomicU64::new(0),
-                msyncs: AtomicU64::new(0),
-            },
-        };
+        );
         core.w(H_FAMILY).store(family as u64, Ordering::Relaxed);
         core.w(H_MAX_HANDLES)
             .store(max_handles as u64, Ordering::Relaxed);
@@ -804,23 +844,15 @@ impl DurableCore {
                 "implausible header geometry ({max_handles} handles, {shards} shards)"
             )));
         }
-        let mut core = Self {
+        let core = Self::with_heap(
             heap,
+            policy,
             family,
             max_handles,
             shards,
             record_cap,
             entries_cap,
-            sync: policy.sync,
-            granularity: policy.granularity,
-            apply_lock: Mutex::new(()),
-            start_seq: (0..max_handles).map(|_| AtomicU64::new(1)).collect(),
-            stats: StatsInner {
-                records: AtomicU64::new(0),
-                entries: AtomicU64::new(0),
-                msyncs: AtomicU64::new(0),
-            },
-        };
+        );
         let report = core.scan_and_classify()?;
         Ok((core, report))
     }
@@ -849,9 +881,9 @@ impl DurableCore {
     /// Logging counters.
     pub(crate) fn stats(&self) -> DurableStats {
         DurableStats {
-            records: self.stats.records.load(Ordering::Relaxed),
-            entries: self.stats.entries.load(Ordering::Relaxed),
-            msyncs: self.stats.msyncs.load(Ordering::Relaxed),
+            records: self.combiner.records.load(Ordering::Relaxed),
+            entries: self.combiner.entries.load(Ordering::Relaxed),
+            msyncs: self.combiner.msyncs.load(Ordering::Relaxed),
         }
     }
 
@@ -867,20 +899,23 @@ impl DurableCore {
     /// the op's sequence number: on recovery the cell tells the handle
     /// whether this op executed. Field stores first, checksum last
     /// (release) — a crash in between leaves a checksum mismatch,
-    /// classified as [`PendingOutcome::TornIntent`].
+    /// classified as [`PendingOutcome::TornIntent`]. Every store lands
+    /// on the handle's own line.
     fn write_intent(&self, handle: usize, opcode: u8, a: u64, b: u64) -> u64 {
-        // The resume point lives here, not in the handle: whoever holds
-        // this collector slot next continues the sequence.
-        let seq = self.start_seq[handle].load(Ordering::Relaxed);
-        self.start_seq[handle].store(seq + 1, Ordering::Relaxed);
         let off = self.intent_off(handle);
-        self.w(off).store(seq, Ordering::Relaxed);
-        self.w(off + 1).store(opcode as u64, Ordering::Relaxed);
-        self.w(off + 2).store(a, Ordering::Relaxed);
-        self.w(off + 3).store(b, Ordering::Relaxed);
+        // The resume point lives in the cell, not in the handle:
+        // whoever holds this collector slot next continues the
+        // sequence.
+        let seq = self.w(off + I_ISSUED).load(Ordering::Relaxed) + 1;
+        self.w(off + I_ISSUED).store(seq, Ordering::Relaxed);
+        self.w(off + I_SEQ).store(seq, Ordering::Relaxed);
+        self.w(off + I_OPCODE)
+            .store(opcode as u64, Ordering::Relaxed);
+        self.w(off + I_A).store(a, Ordering::Relaxed);
+        self.w(off + I_B).store(b, Ordering::Relaxed);
         fault::hit(FaultPoint::IntentWrite);
         let sum = intent_checksum(handle as u64, seq, opcode as u64, a, b);
-        self.w(off + 4).store(sum, Ordering::Release);
+        self.w(off + I_SUM).store(sum, Ordering::Release);
         seq
     }
 
@@ -889,55 +924,18 @@ impl DurableCore {
         [meta, req.op_seq, req.operand, req.operand2, req.result]
     }
 
-    /// Appends `entries` to `shard`'s log (splitting over records as
-    /// needed), committing each record with a release store of its
-    /// global sequence number.
-    fn append(&self, shard: usize, entries: &[[u64; ENTRY_WORDS]]) {
-        for chunk in entries.chunks(self.entries_cap) {
-            let tail = self.w(self.tail_off(shard)).load(Ordering::Relaxed) as usize;
-            assert!(
-                tail < self.record_cap,
-                "durable log full: shard {shard} exhausted its {} records; \
-                 raise DurablePolicy::record_capacity (the log is not circular)",
-                self.record_cap
-            );
-            let seq = self.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
-            let off = self.record_off(shard, tail);
-            self.w(off + 1).store(chunk.len() as u64, Ordering::Relaxed);
-            let mut sum = mix(0x5EC0_0002, seq);
-            sum = mix(sum, chunk.len() as u64);
-            for (i, e) in chunk.iter().enumerate() {
-                for (j, &word) in e.iter().enumerate() {
-                    self.w(off + REC_HDR_WORDS + i * ENTRY_WORDS + j)
-                        .store(word, Ordering::Relaxed);
-                    sum = mix(sum, word);
-                }
-            }
-            self.w(off + 2).store(sum, Ordering::Relaxed);
-            fault::hit(FaultPoint::PostLog);
-            // The commit point: everything above is ordered before
-            // this release store, so a visible commit word implies a
-            // complete, checksummed payload.
-            self.w(off).store(seq + 1, Ordering::Release);
-            self.w(self.tail_off(shard))
-                .store(tail as u64 + 1, Ordering::Relaxed);
-            if self.sync == SyncMode::Sync {
-                self.heap.msync(off, self.record_words()).ok();
-                self.heap.msync(H_GLOBAL_SEQ, 1).ok();
-                self.heap.msync(self.tail_off(shard), 1).ok();
-                self.stats.msyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            fault::hit(FaultPoint::PostCommit);
-            self.stats.records.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .entries
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+    /// A writer for `shard`'s log; the caller holds the apply lock.
+    fn log(&self, shard: usize) -> LogWriter<'_> {
+        LogWriter {
+            core: self,
+            shard,
+            open: None,
         }
     }
 
     // ---- recovery --------------------------------------------------
 
-    fn scan_and_classify(&mut self) -> Result<RecoveryReport, DurableError> {
+    fn scan_and_classify(&self) -> Result<RecoveryReport, DurableError> {
         let mut committed: Vec<(u64, Vec<LoggedOp>)> = Vec::new();
         let mut torn = 0usize;
         let mut max_seq: u64 = 0;
@@ -966,7 +964,6 @@ impl DurableCore {
                     )));
                 }
                 let mut sum = mix(0x5EC0_0002, seq);
-                sum = mix(sum, n as u64);
                 let mut ops = Vec::with_capacity(n);
                 for i in 0..n {
                     let mut words = [0u64; ENTRY_WORDS];
@@ -992,7 +989,7 @@ impl DurableCore {
                         result,
                     });
                 }
-                if sum != stored_sum {
+                if mix(sum, n as u64) != stored_sum {
                     // A commit word over a mismatched payload cannot
                     // come from an ordered crash; refuse the heap.
                     return Err(DurableError::Corrupt(format!(
@@ -1048,11 +1045,11 @@ impl DurableCore {
         let mut handles = Vec::with_capacity(self.max_handles);
         for h in 0..self.max_handles {
             let off = self.intent_off(h);
-            let seq = self.w(off).load(Ordering::Relaxed);
-            let opcode = self.w(off + 1).load(Ordering::Relaxed);
-            let a = self.w(off + 2).load(Ordering::Relaxed);
-            let b = self.w(off + 3).load(Ordering::Relaxed);
-            let sum = self.w(off + 4).load(Ordering::Acquire);
+            let seq = self.w(off + I_SEQ).load(Ordering::Relaxed);
+            let opcode = self.w(off + I_OPCODE).load(Ordering::Relaxed);
+            let a = self.w(off + I_A).load(Ordering::Relaxed);
+            let b = self.w(off + I_B).load(Ordering::Relaxed);
+            let sum = self.w(off + I_SUM).load(Ordering::Acquire);
             let pending = if seq == 0 {
                 PendingOutcome::None
             } else if sum != intent_checksum(h as u64, seq, opcode, a, b) {
@@ -1070,7 +1067,9 @@ impl DurableCore {
                     last[h]
                 )));
             };
-            self.start_seq[h].store(last[h] + 1, Ordering::Relaxed);
+            // Resume after the logged prefix (idempotent): a
+            // never-executed intent's op_seq is handed out again.
+            self.w(off + I_ISSUED).store(last[h], Ordering::Relaxed);
             handles.push(HandleRecovery {
                 executed: last[h],
                 pending,
@@ -1082,6 +1081,97 @@ impl DurableCore {
             handles,
             ops,
         })
+    }
+}
+
+/// A record being written: its slot, its global sequence number, and
+/// the entries and running checksum streamed into it so far.
+struct OpenRecord {
+    tail: usize,
+    off: usize,
+    seq: u64,
+    n: usize,
+    sum: u64,
+}
+
+/// A combiner's cursor into one shard's log, used under the apply
+/// lock. Entries go straight into the shard's open record, which
+/// commits when it holds `entries_cap` entries (after every entry
+/// under [`LogGranularity::PerOp`]) and when the caller ends the
+/// batch with [`LogWriter::commit`].
+struct LogWriter<'a> {
+    core: &'a DurableCore,
+    shard: usize,
+    open: Option<OpenRecord>,
+}
+
+impl LogWriter<'_> {
+    /// Writes one entry into the open record, opening the shard's next
+    /// record (and taking its global sequence number) if none is open.
+    fn push(&mut self, entry: [u64; ENTRY_WORDS]) {
+        let d = self.core;
+        let rec = match &mut self.open {
+            Some(rec) => rec,
+            None => {
+                let tail = d.w(d.tail_off(self.shard)).load(Ordering::Relaxed) as usize;
+                assert!(
+                    tail < d.record_cap,
+                    "durable log full: shard {} exhausted its {} records; \
+                     raise DurablePolicy::record_capacity (the log is not circular)",
+                    self.shard,
+                    d.record_cap
+                );
+                let seq = d.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
+                self.open.insert(OpenRecord {
+                    tail,
+                    off: d.record_off(self.shard, tail),
+                    seq,
+                    n: 0,
+                    sum: mix(0x5EC0_0002, seq),
+                })
+            }
+        };
+        let base = rec.off + REC_HDR_WORDS + rec.n * ENTRY_WORDS;
+        for (j, word) in entry.into_iter().enumerate() {
+            d.w(base + j).store(word, Ordering::Relaxed);
+            rec.sum = mix(rec.sum, word);
+        }
+        rec.n += 1;
+        if rec.n == d.entries_cap || d.granularity == LogGranularity::PerOp {
+            self.commit();
+        }
+    }
+
+    /// Seals the open record, if any, with its entry count and
+    /// checksum and commits it with a release store of its global
+    /// sequence number.
+    fn commit(&mut self) {
+        let Some(rec) = self.open.take() else {
+            return;
+        };
+        let d = self.core;
+        let off = rec.off;
+        d.w(off + 1).store(rec.n as u64, Ordering::Relaxed);
+        d.w(off + 2)
+            .store(mix(rec.sum, rec.n as u64), Ordering::Relaxed);
+        fault::hit(FaultPoint::PostLog);
+        // The commit point: everything above is ordered before this
+        // release store, so a visible commit word implies a complete,
+        // checksummed payload.
+        d.w(off).store(rec.seq + 1, Ordering::Release);
+        let tail_off = d.tail_off(self.shard);
+        d.w(tail_off).store(rec.tail as u64 + 1, Ordering::Relaxed);
+        if d.sync == SyncMode::Sync {
+            d.heap.msync(off, d.record_words()).ok();
+            d.heap.msync(H_GLOBAL_SEQ, 1).ok();
+            d.heap.msync(tail_off, 1).ok();
+            d.combiner.msyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        fault::hit(FaultPoint::PostCommit);
+        d.combiner.records.fetch_add(1, Ordering::Relaxed);
+        d.combiner
+            .entries
+            .fetch_add(rec.n as u64, Ordering::Relaxed);
     }
 }
 
@@ -1123,14 +1213,16 @@ impl<O: CombineOp> Sec<O> {
         req.take_result()
     }
 
-    /// The durable combiner: under the apply lock, applies each frozen
-    /// request through the family's [`CombineOp::apply_logged`] hook,
-    /// logs the batch (one record per batch or per op, by policy) and
-    /// commits before returning. The engine publishes results only
-    /// after this returns, so a published result is always a logged
-    /// result. The lock spans all shards, and every op of a durable
-    /// structure comes through here, so log order is exactly
-    /// application order — the property replay relies on.
+    /// The durable combiner: waits for its frozen requests, then under
+    /// the apply lock applies each through the family's
+    /// [`CombineOp::apply_logged`] hook and writes its entry straight
+    /// into the shard's open log record (one record per batch or per
+    /// op, by policy), committing before returning. The engine
+    /// publishes results only after this returns, so a published
+    /// result is always a logged result. The lock spans all shards,
+    /// and every op of a durable structure comes through here, so log
+    /// order is exactly application order — the property replay
+    /// relies on.
     pub(super) fn combine_durable(
         &self,
         batch: &CombineBatch<O::Node>,
@@ -1141,35 +1233,32 @@ impl<O: CombineOp> Sec<O> {
         let d = self
             .durable_core()
             .expect("durable shard without a durable core");
-        let shard = agg_idx - self.dur_base;
-        let reqs: Vec<*mut DurableReq> = batch.slots[my_seq..batch.frozen_cut(Role::Remove)]
-            .iter()
-            .map(|s| wait_ptr(s, self.config.wait).cast::<DurableReq>())
-            .collect();
+        let slots = &batch.slots[my_seq..batch.frozen_cut(Role::Remove)];
+        // Every announcer is in flight; wait for their pointers before
+        // the lock, so no combiner holds it while a peer stalls.
+        for s in slots {
+            wait_ptr(s, self.config.wait);
+        }
         let _g = d
+            .combiner
             .apply_lock
             .lock()
             .expect("a combiner panicked under the durable apply lock");
-        let mut entries: Vec<[u64; ENTRY_WORDS]> = Vec::with_capacity(reqs.len());
-        for &r in &reqs {
+        let mut log = d.log(agg_idx - self.dur_base);
+        for s in slots {
             // Safety: every pointer was announced into this frozen
-            // batch as a request, and its owner blocks until `applied`.
-            let req = unsafe { &mut *r };
+            // batch as a request (and seen non-null above), and its
+            // owner blocks until `applied`.
+            let req = unsafe { &mut *s.load(Ordering::Acquire).cast::<DurableReq>() };
             fault::hit(FaultPoint::MidCombine);
             let result = self
                 .op
                 .apply_logged(req.opcode, req.operand, req.operand2, guard)
                 .unwrap_or_else(|| unreachable!("{}: foreign opcode {}", O::NAME, req.opcode));
             req.set_result(result);
-            let e = DurableCore::entry_words(req);
-            match d.granularity {
-                LogGranularity::PerOp => d.append(shard, core::slice::from_ref(&e)),
-                LogGranularity::PerBatch => entries.push(e),
-            }
+            log.push(DurableCore::entry_words(req));
         }
-        if !entries.is_empty() {
-            d.append(shard, &entries);
-        }
+        log.commit();
     }
 
     /// Recovery replay: applies `ops` (a recovered log, in global
@@ -1240,16 +1329,13 @@ pub(crate) mod testing {
     ) -> Result<S, DurableError> {
         let policy = DurablePolicy::volatile().batch_entries(ops.len().max(1));
         let core = DurableCore::create(&policy, family, family_param, 1).unwrap();
-        let entries: Vec<_> = ops
-            .iter()
-            .zip(1..)
-            .map(|(&(opcode, a, b, result), seq)| {
-                let mut req = DurableReq::new(0, seq, opcode, a, b);
-                req.set_result(result);
-                DurableCore::entry_words(&req)
-            })
-            .collect();
-        core.append(0, &entries);
+        let mut log = core.log(0);
+        for (&(opcode, a, b, result), seq) in ops.iter().zip(1..) {
+            let mut req = DurableReq::new(0, seq, opcode, a, b);
+            req.set_result(result);
+            log.push(DurableCore::entry_words(&req));
+        }
+        log.commit();
         recover(DurablePolicy::heap(core.heap())).map(|(s, _)| s)
     }
 
@@ -1261,6 +1347,84 @@ pub(crate) mod testing {
             Err(DurableError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
             Err(e) => panic!("expected Corrupt({needle}), got {e}"),
             Ok(_) => panic!("expected Corrupt({needle}), but the log replayed"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Words per 64-byte line; the heap base is page-aligned.
+    const LINE: usize = 64 / mem::size_of::<u64>();
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Writer {
+        Header,
+        Intent(usize),
+        Tail(usize),
+        Record,
+    }
+
+    /// Claims `line` for `who`, failing when another writer owns it.
+    fn claim(lines: &mut std::collections::HashMap<usize, Writer>, line: usize, who: Writer) {
+        let owner = *lines.entry(line).or_insert(who);
+        assert_eq!(owner, who, "line {line} has two writers");
+    }
+
+    #[test]
+    fn durable_layout_gives_every_handle_and_tail_its_own_line() {
+        for max_handles in 1..=9 {
+            for shards in 1..=3 {
+                for (record_cap, entries_cap) in [(1, 1), (3, 2), (2, 5)] {
+                    let policy = DurablePolicy::volatile()
+                        .shards(shards)
+                        .record_capacity(record_cap)
+                        .batch_entries(entries_cap);
+                    let d = DurableCore::create(&policy, Family::Stack, 0, max_handles).unwrap();
+                    let mut lines = std::collections::HashMap::new();
+                    for w in 0..HDR_WORDS {
+                        claim(&mut lines, w / LINE, Writer::Header);
+                    }
+                    for h in 0..max_handles {
+                        let off = d.intent_off(h);
+                        assert_eq!(
+                            off / LINE,
+                            (off + INTENT_WORDS - 1) / LINE,
+                            "handle {h}'s intent cell straddles a line"
+                        );
+                        for w in off..off + INTENT_WORDS {
+                            claim(&mut lines, w / LINE, Writer::Intent(h));
+                        }
+                    }
+                    for s in 0..shards {
+                        claim(&mut lines, d.tail_off(s) / LINE, Writer::Tail(s));
+                    }
+                    let last = d.record_off(shards - 1, record_cap - 1) + d.record_words() - 1;
+                    let needed =
+                        DurableCore::words_needed(max_handles, shards, record_cap, entries_cap);
+                    assert!(
+                        last < needed && needed <= d.heap.words(),
+                        "last record word {last} outside the {needed} words needed"
+                    );
+                    for s in 0..shards {
+                        for w in d.record_off(s, 0)..d.record_off(s, record_cap) {
+                            claim(&mut lines, w / LINE, Writer::Record);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn durable_heap_of_layout_version_1_is_refused_as_bad_magic() {
+        let d = DurableCore::create(&DurablePolicy::volatile(), Family::Stack, 0, 2).unwrap();
+        d.w(H_VERSION).store(1, Ordering::Relaxed);
+        match crate::SecStack::<u64>::recover(DurablePolicy::heap(d.heap())) {
+            Err(DurableError::BadMagic) => {}
+            Err(e) => panic!("expected BadMagic, got {e}"),
+            Ok(_) => panic!("a version-1 heap recovered"),
         }
     }
 }

@@ -396,10 +396,10 @@ pub struct Sec<O: CombineOp> {
     /// Redo log + intent cells when the structure is crash-durable
     /// (DESIGN.md §16). Every operation of a durable structure then
     /// routes through [`Sec::run_durable`] onto one of the
-    /// durable shards, which sit after the bulk aggregators. Padded:
-    /// every batch writes its apply lock and log counters, which must
-    /// not share a cache line with the read-mostly fields every
-    /// operation loads.
+    /// durable shards, which sit after the bulk aggregators. Padded,
+    /// so the core's read-mostly geometry shares no line with the
+    /// engine's fields; the core keeps the apply lock and log counters
+    /// every batch writes on a padded line of their own.
     durable: Option<CachePadded<DurableCore>>,
     /// Index of the first durable shard's aggregator (== `aggs.len()`
     /// when the engine is not durable, so no index reaches it).

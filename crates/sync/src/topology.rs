@@ -5,11 +5,16 @@
 //! point. This module answers "how many hardware threads does this host
 //! have" and produces the paper-style sweep of thread counts, so the
 //! same harness runs on a 1-core CI container and a 192-thread Sapphire
-//! Rapids box.
+//! Rapids box. [`line_round_trip_ns`] prices the unit that multi-thread
+//! costs are made of: one cache line moving to another core and back.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::thread;
+use std::time::{Duration, Instant};
+
+use crate::CachePadded;
 
 /// Number of hardware threads available to this process, asked of the
 /// OS once and cached for the process (as [`smt_width`] is).
@@ -49,6 +54,79 @@ fn discover_smt_width() -> Option<usize> {
     let s = std::fs::read_to_string("/sys/devices/system/cpu/cpu0/topology/thread_siblings_list")
         .ok()?;
     parse_cpu_list(s.trim())
+}
+
+/// What one cache-line round trip between two threads costs on this
+/// host, in ns: the median over a few short runs of two threads
+/// bouncing one padded `AtomicU64`, after a ~20 ms warm-up. The
+/// warm-up matters: a cold process's first runs read several times
+/// slower, and two fresh threads can share one core until the
+/// scheduler spreads them.
+///
+/// A multi-thread op's cost divided by this is its cost in line
+/// transfers, a unit that compares across hosts. Takes ~30 ms on a
+/// multicore host; where both threads share one core every hand-over
+/// is a yield, so it reads the context-switch cost instead.
+pub fn line_round_trip_ns() -> f64 {
+    const WARM_UP: Duration = Duration::from_millis(20);
+    const TRIPS: u64 = 10_000;
+    const RUNS: usize = 5;
+    // Odd, so the responder takes it for a request, and never reached.
+    const STOP: u64 = u64::MAX;
+    let line = CachePadded::new(AtomicU64::new(0));
+    let mut runs = thread::scope(|s| {
+        // The responder turns every odd value into the next even one.
+        s.spawn(|| loop {
+            let v = await_line(&line, |v| v % 2 == 1);
+            if v == STOP {
+                break;
+            }
+            line.store(v + 1, Ordering::Release);
+        });
+        let mut next = 0;
+        let t0 = Instant::now();
+        while t0.elapsed() < WARM_UP {
+            bounce(&line, &mut next, TRIPS / 10);
+        }
+        let mut runs = [0.0; RUNS];
+        for run in &mut runs {
+            let t0 = Instant::now();
+            bounce(&line, &mut next, TRIPS);
+            *run = t0.elapsed().as_nanos() as f64 / TRIPS as f64;
+        }
+        line.store(STOP, Ordering::Release);
+        runs
+    });
+    runs.sort_by(f64::total_cmp);
+    runs[RUNS / 2]
+}
+
+/// `trips` round trips of [`line_round_trip_ns`]'s requester: publish
+/// the next odd value, wait for the responder's even answer.
+fn bounce(line: &AtomicU64, next: &mut u64, trips: u64) {
+    for _ in 0..trips {
+        line.store(*next + 1, Ordering::Release);
+        *next += 2;
+        await_line(line, |v| v == *next);
+    }
+}
+
+/// Spins until `line` holds a value `done` accepts and returns it,
+/// yielding now and then so the probe also finishes on one core.
+fn await_line(line: &AtomicU64, done: impl Fn(u64) -> bool) -> u64 {
+    let mut spins = 0u32;
+    loop {
+        let v = line.load(Ordering::Acquire);
+        if done(v) {
+            return v;
+        }
+        spins += 1;
+        if spins.is_multiple_of(128) {
+            thread::yield_now();
+        } else {
+            core::hint::spin_loop();
+        }
+    }
 }
 
 /// Parses a sysfs CPU list (`"0-1"`, `"0,64"`, `"0-3,8-11"`) into the
@@ -192,6 +270,13 @@ mod tests {
         let w = smt_width();
         assert!(w >= 1);
         assert!(w <= hardware_threads());
+    }
+
+    #[test]
+    fn line_round_trip_is_a_positive_duration() {
+        let ns = line_round_trip_ns();
+        println!("line round trip: {ns:.0} ns");
+        assert!(ns.is_finite() && ns > 0.0, "{ns}");
     }
 
     #[test]

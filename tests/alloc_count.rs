@@ -11,14 +11,16 @@
 //! The measured runs are single-threaded and therefore deterministic:
 //! the warm-up executes the *same* op sequence as the measurement, so
 //! every internal `Vec` (limbo bags, cache bins) has already reached
-//! its high-water capacity before counting starts. A control run with
-//! `RecyclePolicy::Off` asserts the counter itself works (it must see
-//! plenty of allocations).
+//! its high-water capacity before counting starts. A durable stack
+//! (volatile heap, per-batch logging) is held to the same gate. A
+//! control run with `RecyclePolicy::Off` asserts the counter itself
+//! works (it must see plenty of allocations).
 //!
 //! Kept in its own test binary because the `#[global_allocator]` is
 //! process-wide; the single `#[test]` keeps the measurement windows
 //! serial.
 
+use sec_repro::durable::{DurablePolicy, LogGranularity, SyncMode};
 use sec_repro::ext::SecQueue;
 use sec_repro::{RecyclePolicy, SecConfig, SecStack};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -265,6 +267,36 @@ fn steady_state_ops_perform_zero_heap_allocations() {
             "sample_shift 0 must sample every op's latency"
         );
     }
+
+    // --- Durable stack: intents and streamed log records. ------------
+    // Every durable op writes its intent cell and is logged by its
+    // batch's combiner straight into the shard's open record, so a
+    // warm durable burst must stay off the heap too. The log is not
+    // circular: size it for both bursts, one record per op here.
+    let durable: SecStack<u64> = SecStack::durable_with_config(
+        SecConfig::new(2, 1)
+            .freezer_yields(0)
+            .recycle(RecyclePolicy::per_thread()),
+        DurablePolicy::volatile()
+            .sync(SyncMode::None)
+            .granularity(LogGranularity::PerBatch)
+            .batch_entries(2)
+            .record_capacity(2 * 2 * OPS as usize),
+    )
+    .expect("create a volatile durable stack");
+    let mut h = durable.register();
+    stack_burst(&mut h); // warm-up
+    let before = allocs_now();
+    stack_burst(&mut h); // measurement
+    let durable_allocs = allocs_now() - before;
+    drop(h);
+    assert_eq!(
+        durable_allocs, 0,
+        "durable steady state must not touch the heap \
+         ({durable_allocs} allocations in {OPS} push/pop pairs)"
+    );
+    let logged = durable.durable_stats().expect("a durable stack logs");
+    assert_eq!(logged.entries, 2 * 2 * OPS, "every op was logged");
 
     // --- Control: recycling off must allocate per op. ----------------
     let off: SecStack<u64> = SecStack::with_config(

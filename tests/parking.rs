@@ -29,6 +29,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// The policy that parks the hardest: no extra snoozes before the park
 /// phase. Every semantics test forces it to maximize park traffic.
@@ -190,11 +191,17 @@ fn wait_queue_spurious_wakeups_reregister_and_survive() {
     while stats.parks() == 0 {
         thread::yield_now();
     }
-    // Spurious wake: condition still false.
-    q.notify_all(&stats);
-    // Give it time to wake, observe false, and re-park.
-    for _ in 0..50 {
-        thread::yield_now();
+    // Spurious wake: condition still false. Wait until the waiter has
+    // woken and counted it, re-notifying in case the wake raced its
+    // re-park; only then make the condition true.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats.spurious() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the waiter never counted a spurious wakeup: {stats:?}"
+        );
+        q.notify_all(&stats);
+        thread::sleep(Duration::from_micros(100));
     }
     flag.store(true, Ordering::Release);
     q.notify_key(7, &stats);
