@@ -399,6 +399,18 @@ pub struct LoggedOp {
     pub result: OpResult,
 }
 
+/// The op an entry's words log, or `None` for a bad result tag.
+fn decode_entry([meta, op_seq, operand, operand2, result]: [u64; ENTRY_WORDS]) -> Option<LoggedOp> {
+    Some(LoggedOp {
+        handle: (meta & 0xffff_ffff) as u32,
+        op_seq,
+        opcode: ((meta >> 32) & 0xff) as u8,
+        operand,
+        operand2,
+        result: OpResult::from_words(((meta >> 40) & 0xff) as u8, result)?,
+    })
+}
+
 /// What recovery determined about one handle's in-flight operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PendingOutcome {
@@ -935,8 +947,25 @@ impl DurableCore {
 
     // ---- recovery --------------------------------------------------
 
+    /// The words of entry `i` of the record at `off`.
+    fn entry_at(&self, off: usize, i: usize) -> [u64; ENTRY_WORDS] {
+        let base = off + REC_HDR_WORDS + i * ENTRY_WORDS;
+        core::array::from_fn(|j| self.w(base + j).load(Ordering::Relaxed))
+    }
+
+    /// Validates every committed record in one pass, keeping only a
+    /// `(seq, offset, n)` index entry per record, then decodes the
+    /// records in global order straight into one op list.
     fn scan_and_classify(&self) -> Result<RecoveryReport, DurableError> {
-        let mut committed: Vec<(u64, Vec<LoggedOp>)> = Vec::new();
+        // Each shard's tail word counts its appended records: the
+        // index's size unless a crash left the word behind.
+        let appended: usize = (0..self.shards)
+            .map(|s| {
+                (self.w(self.tail_off(s)).load(Ordering::Relaxed) as usize).min(self.record_cap)
+            })
+            .sum();
+        let mut committed: Vec<(u64, usize, usize)> = Vec::with_capacity(appended);
+        let mut total_ops = 0usize;
         let mut torn = 0usize;
         let mut max_seq: u64 = 0;
         for shard in 0..self.shards {
@@ -964,30 +993,15 @@ impl DurableCore {
                     )));
                 }
                 let mut sum = mix(0x5EC0_0002, seq);
-                let mut ops = Vec::with_capacity(n);
                 for i in 0..n {
-                    let mut words = [0u64; ENTRY_WORDS];
-                    for (j, w) in words.iter_mut().enumerate() {
-                        *w = self
-                            .w(off + REC_HDR_WORDS + i * ENTRY_WORDS + j)
-                            .load(Ordering::Relaxed);
-                        sum = mix(sum, *w);
+                    let words = self.entry_at(off, i);
+                    sum = words.iter().fold(sum, |s, &w| mix(s, w));
+                    if decode_entry(words).is_none() {
+                        return Err(DurableError::Corrupt(format!(
+                            "record {shard}/{idx} entry {i} has bad result tag {}",
+                            (words[0] >> 40) & 0xff
+                        )));
                     }
-                    let [meta, op_seq, operand, operand2, result] = words;
-                    let rtag = ((meta >> 40) & 0xff) as u8;
-                    let result = OpResult::from_words(rtag, result).ok_or_else(|| {
-                        DurableError::Corrupt(format!(
-                            "record {shard}/{idx} entry {i} has bad result tag {rtag}"
-                        ))
-                    })?;
-                    ops.push(LoggedOp {
-                        handle: (meta & 0xffff_ffff) as u32,
-                        op_seq,
-                        opcode: ((meta >> 32) & 0xff) as u8,
-                        operand,
-                        operand2,
-                        result,
-                    });
                 }
                 if mix(sum, n as u64) != stored_sum {
                     // A commit word over a mismatched payload cannot
@@ -998,7 +1012,8 @@ impl DurableCore {
                 }
                 fault::hit(FaultPoint::RecoverScan);
                 max_seq = max_seq.max(seq + 1);
-                committed.push((seq, ops));
+                committed.push((seq, off, n));
+                total_ops += n;
                 shard_max_idx = Some(idx);
             }
             // Normalise the tail allocator: next append goes after the
@@ -1007,7 +1022,7 @@ impl DurableCore {
             let tail = shard_max_idx.map_or(0, |i| i as u64 + 1);
             self.w(self.tail_off(shard)).store(tail, Ordering::Relaxed);
         }
-        committed.sort_by_key(|&(seq, _)| seq);
+        committed.sort_unstable_by_key(|&(seq, _, _)| seq);
         for pair in committed.windows(2) {
             if pair[0].0 == pair[1].0 {
                 return Err(DurableError::Corrupt(format!(
@@ -1019,7 +1034,19 @@ impl DurableCore {
         // Normalise the global sequence allocator (idempotent).
         self.w(H_GLOBAL_SEQ).store(max_seq, Ordering::Relaxed);
         let committed_records = committed.len();
-        let ops: Vec<LoggedOp> = committed.into_iter().flat_map(|(_, v)| v).collect();
+        let mut ops = Vec::with_capacity(total_ops);
+        for &(seq, off, n) in &committed {
+            for i in 0..n {
+                // The heap is outside input: a second read can differ.
+                let words = self.entry_at(off, i);
+                ops.push(decode_entry(words).ok_or_else(|| {
+                    DurableError::Corrupt(format!(
+                        "record seq {seq} entry {i} has bad result tag {}",
+                        (words[0] >> 40) & 0xff
+                    ))
+                })?);
+            }
+        }
 
         // Per-handle detectability: committed op_seqs must form the
         // gap-free prefix 1..=n in replay order (anything else would

@@ -2,19 +2,24 @@
 //! workloads that million-user services actually hammer (YCSB-style
 //! get/insert/remove over a skewed key space).
 //!
-//! Layout (DESIGN.md §13): a fixed array of **buckets** (each a small
-//! mutex-protected association list) is block-partitioned into
-//! **shards**, one engine aggregator per shard. An operation hashes its
-//! key to a bucket and first tries that bucket's lock. If the lock is
-//! free, the op applies under it at once and returns — the lone route
-//! (DESIGN.md §12 "Lone operations"). Only an op that finds the lock
-//! taken routes to the bucket's shard under the *current* active shard
-//! count and announces into that shard's batch exactly like a stack pop
-//! does (`Lane::At`, the queue's fixed-index path). The batch freezes;
-//! the seq-0 announcer combines: it walks the slot array in
-//! announcement order and, for each operation, locks the target
-//! bucket, applies the command, and writes the result back into the
-//! announcement node. Either way an op linearizes at its own
+//! Layout (DESIGN.md §13): a fixed array of **buckets** is
+//! block-partitioned into **shards**, one engine aggregator per shard.
+//! Each bucket is one padded block holding its lock and its first four
+//! pairs inline; later keys spill to a `Vec`, and a removed inline pair
+//! leaves a hole that the bucket's next new key fills, so a lone op on
+//! a short bucket touches that one block and nothing else. Keys are
+//! hashed by a private FxHash-style hasher (deterministic and unkeyed,
+//! so it resists no HashDoS) whose high bits pick the bucket. An
+//! operation hashes its key to a bucket and first tries that bucket's
+//! lock. If the lock is free, the op applies under it at once and
+//! returns — the lone route (DESIGN.md §12 "Lone operations"). Only an
+//! op that finds the lock taken routes to the bucket's shard under the
+//! *current* active shard count and announces into that shard's batch
+//! exactly like a stack pop does (`Lane::At`, the queue's fixed-index
+//! path). The batch freezes; the seq-0 announcer combines: it walks the
+//! slot array in announcement order and, for each operation, locks the
+//! target bucket, applies the command, and writes the result back into
+//! the announcement node. Either way an op linearizes at its own
 //! application under its bucket lock, so `get` returns the value
 //! snapshot at that point.
 //!

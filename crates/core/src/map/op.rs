@@ -10,7 +10,7 @@ use core::hash::{Hash, Hasher};
 use core::mem::ManuallyDrop;
 use core::sync::atomic::Ordering;
 use sec_reclaim::{Guard, Handle as ReclaimHandle};
-use std::collections::hash_map::DefaultHasher;
+use sec_sync::CachePadded;
 use std::sync::{Mutex, TryLockError};
 
 /// Default bucket-array size (see [`SecMap::bucket_count`]).
@@ -93,23 +93,99 @@ pub struct MapOp<K, V> {
     pub(super) buckets: Box<[Bucket<K, V>]>,
 }
 
-/// One association-list bucket: the live `(key, value)` pairs under
-/// their per-bucket lock.
-type Bucket<K, V> = Mutex<Vec<(K, V)>>;
+/// One bucket: its lock and its pairs in one padded block, so a lone
+/// op on a short bucket touches no other line (DESIGN.md §13).
+type Bucket<K, V> = CachePadded<Mutex<Pairs<K, V>>>;
+
+/// Pairs a bucket keeps inline, beside its lock. With `u64` keys and
+/// values, four fill `Mutex<Pairs>` to exactly one 128-byte block
+/// (three leave 24 bytes idle and measured slower).
+const INLINE: usize = 4;
+
+/// A bucket's live `(key, value)` pairs: the first [`INLINE`] in
+/// place, the rest spilled to a `Vec`. Removing an inline pair leaves
+/// a hole, which the bucket's next new key fills before it spills.
+pub(super) struct Pairs<K, V> {
+    inline: [Option<(K, V)>; INLINE],
+    spill: Vec<(K, V)>,
+}
+
+impl<K: Eq, V> Pairs<K, V> {
+    const fn new() -> Self {
+        Pairs {
+            inline: [const { None }; INLINE],
+            spill: Vec::new(),
+        }
+    }
+
+    /// The value mapped to `key`.
+    fn find(&self, key: &K) -> Option<&V> {
+        self.inline
+            .iter()
+            .flatten()
+            .chain(&self.spill)
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// The value mapped to `key`, writable.
+    fn find_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.inline
+            .iter_mut()
+            .flatten()
+            .chain(&mut self.spill)
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Maps `key` to `value`, returning the displaced value. A new key
+    /// takes the first inline hole, and spills only when there is none.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        if let Some(v) = self.find_mut(&key) {
+            return Some(core::mem::replace(v, value));
+        }
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(hole) => *hole = Some((key, value)),
+            None => self.spill.push((key, value)),
+        }
+        None
+    }
+
+    /// Unmaps `key`, returning its value.
+    fn remove(&mut self, key: &K) -> Option<V> {
+        if let Some(slot) = self
+            .inline
+            .iter_mut()
+            .find(|slot| matches!(slot, Some((k, _)) if k == key))
+        {
+            return slot.take().map(|(_, v)| v);
+        }
+        let i = self.spill.iter().position(|(k, _)| k == key)?;
+        Some(self.spill.swap_remove(i).1)
+    }
+
+    /// Number of live pairs.
+    pub(super) fn len(&self) -> usize {
+        self.inline.iter().flatten().count() + self.spill.len()
+    }
+}
 
 impl<K: Hash + Eq, V> MapOp<K, V> {
     pub(super) fn with_buckets(n: usize) -> Self {
         Self {
-            buckets: (0..n.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            buckets: (0..n.max(1))
+                .map(|_| CachePadded::new(Mutex::new(Pairs::new())))
+                .collect(),
         }
     }
 
-    /// The bucket `key` hashes to. [`DefaultHasher::new`] is
-    /// deterministic, so every handle of every instance agrees.
+    /// The bucket `key` hashes to: the high bits of its [`KeyHasher`]
+    /// hash scaled onto the bucket count, so any count works. The hash
+    /// is deterministic, so every handle of every instance agrees.
     pub(super) fn bucket_of(&self, key: &K) -> usize {
-        let mut h = DefaultHasher::new();
+        let mut h = KeyHasher(0);
         key.hash(&mut h);
-        (h.finish() as usize) % self.buckets.len()
+        ((h.finish() as u128 * self.buckets.len() as u128) >> 64) as usize
     }
 
     /// Applies one command under its bucket's lock — the operation's
@@ -122,26 +198,53 @@ impl<K: Hash + Eq, V> MapOp<K, V> {
     }
 }
 
+/// The map's key hash: FxHash's rotate-xor-multiply per word, then
+/// one xorshift-multiply so that the high bits, which pick the bucket,
+/// depend on every input bit. Unkeyed and deterministic, so it resists
+/// no HashDoS (DESIGN.md §13).
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for KeyHasher {
+    // Integers other than `u64` arrive here as their bytes, so each
+    // becomes one zero-padded word.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn finish(&self) -> u64 {
+        (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
+
 /// Applies one single-key command to its bucket's pairs, which the
-/// caller has locked: the one body that both the combiner and a lone
-/// op run.
-fn apply_to<K: Eq, V: Clone>(pairs: &mut Vec<(K, V)>, cmd: MapCmd<K, V>) -> Option<V> {
+/// caller has locked: the one body that the combiner, a lone op and a
+/// durable replay run.
+fn apply_to<K: Eq, V: Clone>(pairs: &mut Pairs<K, V>, cmd: MapCmd<K, V>) -> Option<V> {
     match cmd {
-        MapCmd::Get(key) => pairs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone()),
-        MapCmd::Insert(key, value) => match pairs.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => Some(core::mem::replace(v, value)),
-            None => {
-                pairs.push((key, value));
-                None
-            }
-        },
-        MapCmd::Remove(key) => pairs
-            .iter()
-            .position(|(k, _)| *k == key)
-            .map(|i| pairs.swap_remove(i).1),
+        MapCmd::Get(key) => pairs.find(&key).cloned(),
+        MapCmd::Insert(key, value) => pairs.insert(key, value),
+        MapCmd::Remove(key) => pairs.remove(&key),
         // Bulk commands are decomposed by the combiner before
         // `apply_to` is reached (each constituent lookup/insert takes
         // its own bucket's lock).
@@ -225,10 +328,11 @@ where
                     // the caller's slice previously held.
                     for i in 0..len {
                         let key = unsafe { &*keys.add(i) };
-                        let r = {
-                            let pairs = self.buckets[self.bucket_of(key)].lock().unwrap();
-                            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-                        };
+                        let r = self.buckets[self.bucket_of(key)]
+                            .lock()
+                            .unwrap()
+                            .find(key)
+                            .cloned();
                         unsafe { *results.add(i) = r };
                     }
                 }
@@ -337,4 +441,149 @@ where
 
 impl DurableOp for MapOp<u64, u64> {
     const FAMILY: Family = Family::Map;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
+
+    #[test]
+    fn each_bucket_is_one_padded_block() {
+        let block = core::mem::align_of::<Bucket<u64, u64>>();
+        assert!(
+            block >= 64,
+            "a bucket is not padded: {block}-byte alignment"
+        );
+        assert!(
+            core::mem::size_of::<Bucket<u64, u64>>() <= 128,
+            "a bucket outgrew one 128-byte block: {} bytes",
+            core::mem::size_of::<Bucket<u64, u64>>()
+        );
+        let op: MapOp<u64, u64> = MapOp::with_buckets(8);
+        for b in op.buckets.iter() {
+            assert_eq!(
+                b as *const _ as usize % block,
+                0,
+                "a bucket starts mid-block"
+            );
+        }
+    }
+
+    #[test]
+    fn the_hash_agrees_across_instances_and_spreads_keys() {
+        const BUCKETS: usize = 512;
+        const KEYS: u64 = 4096;
+        let (a, b) = (
+            MapOp::<u64, u64>::with_buckets(BUCKETS),
+            MapOp::<u64, u64>::with_buckets(BUCKETS),
+        );
+        let spreads: [fn(u64) -> u64; 2] = [|k| k, |k| k << 32];
+        for spread in spreads {
+            let mut load = [0usize; BUCKETS];
+            for k in (0..KEYS).map(spread) {
+                let i = a.bucket_of(&k);
+                assert_eq!(i, b.bucket_of(&k), "instances disagree on key {k}");
+                load[i] += 1;
+            }
+            let max = *load.iter().max().unwrap();
+            let mean = KEYS as usize / BUCKETS;
+            assert!(max <= 3 * mean, "a bucket holds {max} keys, mean {mean}");
+        }
+    }
+
+    /// A value that logs its id when an original (not a clone handed
+    /// out by `get`) drops.
+    #[derive(Debug)]
+    struct Tracked {
+        id: u64,
+        original: bool,
+        drops: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            Tracked {
+                id: self.id,
+                original: false,
+                drops: Rc::clone(&self.drops),
+            }
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            if self.original {
+                self.drops.borrow_mut().push(self.id);
+            }
+        }
+    }
+
+    #[test]
+    fn a_spilling_bucket_matches_a_model_and_drops_every_value_once() {
+        let op: MapOp<u64, Tracked> = MapOp::with_buckets(512);
+        let bucket = op.bucket_of(&0);
+        let keys: Vec<u64> = (0..)
+            .filter(|k| op.bucket_of(k) == bucket)
+            .take(2 * INLINE + 2)
+            .collect();
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut next_id = 0u64;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..4000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = keys[(rng >> 8) as usize % keys.len()];
+            match rng % 4 {
+                0 | 1 => {
+                    next_id += 1;
+                    let v = Tracked {
+                        id: next_id,
+                        original: true,
+                        drops: Rc::clone(&drops),
+                    };
+                    let prev = op.apply(bucket, MapCmd::Insert(key, v));
+                    assert_eq!(prev.as_ref().map(|t| t.id), model.insert(key, next_id));
+                }
+                2 => {
+                    let got = op.apply(bucket, MapCmd::Get(key));
+                    assert_eq!(got.as_ref().map(|t| t.id), model.get(&key).copied());
+                    assert!(got.is_none_or(|t| !t.original), "get moved a value out");
+                }
+                _ => {
+                    let gone = op.apply(bucket, MapCmd::Remove(key));
+                    assert_eq!(gone.as_ref().map(|t| t.id), model.remove(&key));
+                }
+            }
+            // Every displaced or removed value was dropped on the
+            // spot; every mapped one is still alive.
+            let dropped = drops.borrow();
+            assert_eq!(dropped.len() as u64, next_id - model.len() as u64);
+            assert!(model.values().all(|id| !dropped.contains(id)));
+            drop(dropped);
+            assert_eq!(op.buckets[bucket].lock().unwrap().len(), model.len());
+        }
+        drop(op);
+        let mut dropped = drops.borrow().clone();
+        dropped.sort_unstable();
+        assert_eq!(dropped, (1..=next_id).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_new_key_fills_an_inline_hole_before_it_spills() {
+        let mut pairs: Pairs<u64, u64> = Pairs::new();
+        for k in 0..2 * INLINE as u64 {
+            assert_eq!(pairs.insert(k, k), None);
+        }
+        assert_eq!(pairs.spill.len(), INLINE);
+        assert_eq!(pairs.remove(&1), Some(1));
+        assert_eq!(pairs.insert(100, 100), None);
+        assert_eq!(pairs.spill.len(), INLINE, "the new key spilled past a hole");
+        assert_eq!(pairs.find(&100), Some(&100));
+        assert_eq!(pairs.len(), 2 * INLINE);
+    }
 }

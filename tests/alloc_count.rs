@@ -21,7 +21,7 @@
 //! serial.
 
 use sec_repro::durable::{DurablePolicy, LogGranularity, SyncMode};
-use sec_repro::ext::SecQueue;
+use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::{RecyclePolicy, SecConfig, SecStack};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,6 +104,21 @@ fn queue_burst(h: &mut sec_repro::ext::SecQueueHandle<'_, u64>) {
         let _ = h.dequeue();
     }
 }
+
+/// Keys the map section maps: eight per bucket on average over the
+/// default 512 buckets, so many buckets spill past their inline pairs.
+const MAP_KEYS: u64 = 4096;
+
+/// A `get` and an overwriting `insert` on every (present) key.
+fn map_burst(h: &mut sec_repro::ext::SecMapHandle<'_, u64, u64>) {
+    for k in 0..MAP_KEYS {
+        assert_eq!(h.get(&k).map(|v| v % MAP_KEYS), Some(k));
+        assert!(h.insert(k, k + MAP_KEYS).is_some());
+    }
+}
+
+/// Committed records the recovery section replays.
+const RECORDS: usize = 4_000;
 
 /// Bulk batch size and call count for the bulk-announcement section.
 const BULK_LEN: usize = 16;
@@ -297,6 +312,61 @@ fn steady_state_ops_perform_zero_heap_allocations() {
     );
     let logged = durable.durable_stats().expect("a durable stack logs");
     assert_eq!(logged.entries, 2 * 2 * OPS, "every op was logged");
+
+    // --- Map: lone gets and overwrites of present keys. -------------
+    // A lone op applies under its bucket lock in place, whether its
+    // pair sits inline or in the bucket's spill, so once every key is
+    // mapped neither lookups nor overwrites touch the heap.
+    let map: SecMap<u64, u64> = SecMap::new(1);
+    let mut h = map.register();
+    for k in 0..MAP_KEYS {
+        h.insert(k, k);
+    }
+    map_burst(&mut h); // warm-up
+    let before = allocs_now();
+    map_burst(&mut h); // measurement
+    let map_allocs = allocs_now() - before;
+    drop(h);
+    assert_eq!(
+        map_allocs, 0,
+        "map gets and overwrites must not touch the heap \
+         ({map_allocs} allocations in {MAP_KEYS} get/insert pairs)"
+    );
+    assert_eq!(map.len(), MAP_KEYS as usize);
+
+    // --- Durable recovery: one op list, not one per record. ----------
+    // Recovery validates each committed record in place and decodes
+    // them all into a single op list, so its allocations do not grow
+    // with the record count (they are the rebuilt structure's own).
+    let counter: SecCounter = SecCounter::durable_with_config(
+        SecConfig::new(1, 1).freezer_yields(0),
+        DurablePolicy::volatile()
+            .sync(SyncMode::None)
+            .granularity(LogGranularity::PerBatch)
+            .record_capacity(RECORDS),
+    )
+    .expect("create a volatile durable counter");
+    let mut h = counter.register();
+    for _ in 0..RECORDS {
+        h.fetch_add(1);
+    }
+    drop(h);
+    let logged = counter.durable_stats().expect("a durable counter logs");
+    assert_eq!(logged.records, RECORDS as u64, "one record per op");
+    let heap = counter
+        .durable_heap()
+        .expect("a durable counter has a heap");
+    drop(counter);
+    let policy = DurablePolicy::heap(heap);
+    let before = allocs_now();
+    let (recovered, report) = SecCounter::recover(policy).expect("recover the counter");
+    let recover_allocs = allocs_now() - before;
+    assert_eq!(report.committed_records, RECORDS);
+    assert_eq!(recovered.load(), RECORDS as u64);
+    assert!(
+        recover_allocs < 64,
+        "recovering {RECORDS} records made {recover_allocs} allocations"
+    );
 
     // --- Control: recycling off must allocate per op. ----------------
     let off: SecStack<u64> = SecStack::with_config(
