@@ -3,9 +3,8 @@
 //! Every concurrent-stack paper's implicit zeroth baseline is "just put
 //! a lock around `Vec::push`/`Vec::pop`". The SEC paper does not plot
 //! it (its curves would sit below CC/FC, which *are* smarter global
-//! locks), but having it in the lineup lets the test suite and the
-//! `lock_ablation` benchmark anchor two claims from the paper's
-//! narrative:
+//! locks), but having it in the extended lineup lets the test suite and
+//! the harness anchor two claims from the paper's narrative:
 //!
 //! * combining (FC/CC) beats a plain lock because the combiner executes
 //!   many operations per lock handoff instead of one, and
@@ -13,9 +12,7 @@
 //!   bottleneck SEC's sharding removes.
 //!
 //! Uses `std::sync::Mutex` (the obvious thing a downstream user would
-//! write). The queue-lock variants of the same shape live in the
-//! `lock_ablation` benchmark, built on `sec_sync::{McsLock, ClhLock,
-//! TtasLock}`.
+//! write).
 
 use core::fmt;
 use sec_core::{ConcurrentStack, StackHandle};

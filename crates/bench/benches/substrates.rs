@@ -1,13 +1,12 @@
 //! Microbenchmarks of the substrates the stacks are built on: EBR
 //! pin/unpin vs hazard-pointer protect, retire throughput of both
-//! reclamation schemes, the funnel vs hardware fetch&add, lock
-//! acquisition across all four disciplines, and the TSC clock — the
-//! per-operation costs that explain the figure numbers.
+//! reclamation schemes, hardware fetch&add, uncontended `Mutex` and
+//! TTAS acquisition, and the TSC clock — the per-operation costs that
+//! explain the figure numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sec_reclaim::{Collector, HpDomain};
-use sec_sync::funnel::AggregatingFunnel;
-use sec_sync::{ClhLock, McsLock, TscClock, TtasLock};
+use sec_sync::{TscClock, TtasLock};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -77,8 +76,8 @@ fn locks(c: &mut Criterion) {
     configure(&mut g);
 
     // Uncontended acquire/release: the baseline cost each combining
-    // stack pays per combiner election (contended behaviour is the
-    // lock_ablation binary's job — Criterion is single-threaded here).
+    // stack pays per combiner election (Criterion is single-threaded
+    // here, so contention is out of scope).
     g.bench_function("mutex", |b| {
         let l = Mutex::new(0u64);
         b.iter(|| {
@@ -87,18 +86,6 @@ fn locks(c: &mut Criterion) {
     });
     g.bench_function("ttas", |b| {
         let l = TtasLock::new(0u64);
-        b.iter(|| {
-            *l.lock() += 1;
-        });
-    });
-    g.bench_function("mcs", |b| {
-        let l = McsLock::new(0u64);
-        b.iter(|| {
-            *l.lock() += 1;
-        });
-    });
-    g.bench_function("clh", |b| {
-        let l = ClhLock::new(0u64);
         b.iter(|| {
             *l.lock() += 1;
         });
@@ -113,16 +100,6 @@ fn faa(c: &mut Criterion) {
     g.bench_function("hw_fetch_add", |b| {
         let counter = AtomicU64::new(0);
         b.iter(|| black_box(counter.fetch_add(1, Ordering::AcqRel)));
-    });
-
-    g.bench_function("funnel_1shard", |b| {
-        let funnel = AggregatingFunnel::new(1, 0);
-        b.iter(|| black_box(funnel.fetch_add_one(0)));
-    });
-
-    g.bench_function("funnel_2shard", |b| {
-        let funnel = AggregatingFunnel::new(2, 0);
-        b.iter(|| black_box(funnel.fetch_add_one(0)));
     });
     g.finish();
 }

@@ -12,14 +12,12 @@
 //!   (Block vs RoundRobin);
 //! * `table1` (batching/elimination/combining degrees, with the
 //!   binomial-model companion rows) and the extension ablations
-//!   `faa_ablation` (aggregating funnel vs hardware F&A vs lock),
 //!   `freezer_backoff` (the §3.1 backoff tunable — not a `sweep`
 //!   figure: its x-axis is (spins, yields) configurations, not thread
 //!   counts, and the backoff it sweeps is due to be reworked),
-//!   `recl_ablation` (EBR vs hazard pointers vs leak floor), `lock_ablation`
-//!   (Mutex/TTAS/MCS/CLH), `latency` (per-op percentiles),
-//!   `durable_bench` (durable-logging modes) and `replay` (open-loop
-//!   latency vs offered load);
+//!   `recl_ablation` (EBR vs hazard pointers vs leak floor), `latency`
+//!   (per-op percentiles), `durable_bench` (durable-logging modes) and
+//!   `replay` (open-loop latency vs offered load);
 //! * the artifact checks `validate` (seconds-scale PASS/FAIL) and
 //!   `soak` (sustained-load conservation).
 //!
@@ -29,24 +27,20 @@
 //! cargo run -p sec-bench --release --bin sweep -- fig2 --duration-ms 5000 --runs 5
 //! ```
 //!
-//! The Criterion benches in `benches/` cover what no binary measures:
-//! adversarial schedules and the substrate primitives
-//! (`cargo bench -p sec-bench`).
+//! The Criterion bench in `benches/` covers what no binary measures:
+//! the substrate primitives (`cargo bench -p sec-bench`).
 //!
 //! This module provides the shared command-line parsing, the
 //! fixed-work latency measurement of a registry structure
-//! ([`algo_latency`]), the mean-Mops sweep cell of the ablations that
-//! drive plain closures ([`mean_mops`]), the wait policy patches and
-//! the `BENCH_*.json` writer. Every closed loop runs on
-//! `sec_workload`'s one driver ([`drive`]).
+//! ([`algo_latency`]), the wait policy patches and the `BENCH_*.json`
+//! writer. Every closed loop runs on `sec_workload`'s one driver
+//! ([`sec_workload::drive`]).
 
 #![warn(missing_docs)]
 
 use sec_core::{AggregatorPolicy, SecConfig, WaitPolicy};
-use sec_workload::stats::Summary;
 use sec_workload::{
-    drive, Algo, Budget, ClosedLoop, LatencyHistogram, LatencyReport, MapMix, Mix, RunConfig,
-    RunResult, SecPatch,
+    Algo, Budget, ClosedLoop, LatencyHistogram, LatencyReport, MapMix, Mix, RunConfig, SecPatch,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -243,26 +237,6 @@ pub fn algo_latency(
     };
     let (_, hist) = ClosedLoop::<LatencyHistogram>::new(&cfg, Budget::Ops(ops)).algo(algo);
     LatencyReport::from_histogram(&hist)
-}
-
-/// Mean throughput in Mops/s over `opts.runs` timed [`drive`]s of
-/// `threads` workers, worker `t` calling `op(t)` until the duration
-/// passes; one call counts as `ops_per_call` operations.
-pub fn mean_mops(
-    opts: &BenchOpts,
-    threads: usize,
-    ops_per_call: u64,
-    op: impl Fn(usize) + Sync,
-) -> f64 {
-    let samples: Vec<f64> = (0..opts.runs)
-        .map(|_| {
-            let budget = Budget::Time(opts.duration);
-            let (calls, elapsed) = drive(threads, budget, |t, start| start.run(|| op(t)));
-            let ops = calls.iter().sum::<u64>() * ops_per_call;
-            RunResult { ops, elapsed }.mops()
-        })
-        .collect();
-    Summary::of(&samples).mean
 }
 
 /// A `BENCH_*.json` document (the workspace carries no serde; the

@@ -42,6 +42,7 @@
 
 use core::any::TypeId;
 use core::mem;
+use core::ops::Range;
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -905,6 +906,14 @@ impl DurableCore {
         (tid * self.shards / self.max_handles).min(self.shards - 1)
     }
 
+    /// The registry slots [`DurableCore::shard_of`] maps to `shard`:
+    /// consecutive blocks that tile `0..max_handles` in shard order
+    /// (empty when there are more shards than slots).
+    pub(crate) fn shard_slots(&self, shard: usize) -> Range<usize> {
+        let start = |s: usize| (s * self.max_handles).div_ceil(self.shards);
+        start(shard)..start(shard + 1)
+    }
+
     // ---- hot path --------------------------------------------------
 
     /// Persists a handle's next intent before it announces and returns
@@ -1397,6 +1406,27 @@ mod tests {
     fn claim(lines: &mut std::collections::HashMap<usize, Writer>, line: usize, who: Writer) {
         let owner = *lines.entry(line).or_insert(who);
         assert_eq!(owner, who, "line {line} has two writers");
+    }
+
+    #[test]
+    fn shard_slots_hold_exactly_the_slots_mapped_to_each_shard() {
+        for max_handles in 1..=9 {
+            for shards in 1..=11 {
+                let policy = DurablePolicy::volatile()
+                    .shards(shards)
+                    .record_capacity(1)
+                    .batch_entries(1);
+                let d = DurableCore::create(&policy, Family::Stack, 0, max_handles).unwrap();
+                for s in 0..shards {
+                    let mapped: Vec<_> = (0..max_handles).filter(|&t| d.shard_of(t) == s).collect();
+                    assert_eq!(
+                        mapped,
+                        d.shard_slots(s).collect::<Vec<_>>(),
+                        "{max_handles} slots, {shards} shards: shard {s}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

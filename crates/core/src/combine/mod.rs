@@ -54,7 +54,7 @@ pub(crate) use batch::{
     mark_applied, wait_applied, wait_ptr, CombineAggregator, CombineBatch, Role, MAX_BULK_OPS,
 };
 use core::ptr;
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicUsize, Ordering};
 use durable::fault::{self, FaultPoint};
 use durable::{DurableCore, OpResult};
 use sec_reclaim::{Collector, Guard, Handle as ReclaimHandle};
@@ -405,13 +405,6 @@ pub struct Sec<O: CombineOp> {
     /// when the engine is not durable, so no index reaches it).
     dur_base: usize,
     collector: Collector,
-    /// Which aggregators each registry slot has announced to:
-    /// `roster_words` bitmap words per slot, bit `i` for aggregator
-    /// `i`. Only the slot's current owner writes its words, and only
-    /// on a first announcement (or at registration, to leave its
-    /// predecessor's rosters); see [`CombineAggregator::joined`].
-    rosters: Box<[AtomicU64]>,
-    roster_words: usize,
     stats: SecStats,
     /// Construction instant, anchoring [`TraceSnapshot::at_ns`].
     born: Instant,
@@ -451,42 +444,38 @@ impl<O: CombineOp> Sec<O> {
         let cap = config.per_aggregator_capacity();
         // (with_slots, capacity, spins) per aggregator: the mapped
         // prefix and fixed ends use the policy-derived capacity;
-        // dedicated bulk aggregators and durable shards must admit
-        // every thread (any thread may issue a bulk call regardless of
-        // its mapped aggregator, and durable shards are mapped by
-        // thread id). Only the mapped prefix goes without a roster
-        // (see `CombineAggregator::rostered`). The freezer spins only
+        // dedicated bulk aggregators must admit every thread (any
+        // thread may issue a bulk call regardless of its mapped
+        // aggregator), and a durable shard the slots
+        // `DurableCore::shard_of` maps to it. The freezer spins only
         // where a caught announcer pays: on the mapped batches of a
         // family that eliminates, and on durable shards, where it
         // shares the batch's log record and commit.
         let elim = O::ELIMINATES;
-        let (mut slotting, bulk_base, mapped): (Vec<(bool, usize, bool)>, usize, usize) =
-            match layout {
-                AggLayout::Mapped { with_slots, bulk } => {
-                    let mut v = vec![(with_slots, cap, elim); config.aggregators()];
-                    v.extend((0..bulk).map(|_| (true, config.max_threads, false)));
-                    (v, config.aggregators(), config.aggregators())
-                }
-                AggLayout::Fixed { ends, bulk } => {
-                    let mut v: Vec<_> = ends.iter().map(|&ws| (ws, cap, false)).collect();
-                    let base = v.len();
-                    v.extend((0..bulk).map(|_| (true, config.max_threads, false)));
-                    (v, base, 0)
-                }
-            };
+        let (mut slotting, bulk_base): (Vec<(bool, usize, bool)>, usize) = match layout {
+            AggLayout::Mapped { with_slots, bulk } => {
+                let mut v = vec![(with_slots, cap, elim); config.aggregators()];
+                v.extend((0..bulk).map(|_| (true, config.max_threads, false)));
+                (v, config.aggregators())
+            }
+            AggLayout::Fixed { ends, bulk } => {
+                let mut v: Vec<_> = ends.iter().map(|&ws| (ws, cap, false)).collect();
+                let base = v.len();
+                v.extend((0..bulk).map(|_| (true, config.max_threads, false)));
+                (v, base)
+            }
+        };
         let dur_base = slotting.len();
-        let shards = durable.as_ref().map_or(0, DurableCore::shards);
-        slotting.extend((0..shards).map(|_| (true, config.max_threads, true)));
+        if let Some(d) = &durable {
+            slotting.extend((0..d.shards()).map(|s| (true, d.shard_slots(s).len().max(1), true)));
+        }
         Self {
             op,
             durable: durable.map(CachePadded::new),
             dur_base,
             aggs: slotting
                 .iter()
-                .enumerate()
-                .map(|(i, &(ws, c, spins))| {
-                    CachePadded::new(CombineAggregator::new(c, ws, i >= mapped, spins))
-                })
+                .map(|&(ws, c, spins)| CachePadded::new(CombineAggregator::new(c, ws, spins)))
                 .collect(),
             active: CachePadded::new(AtomicUsize::new(config.policy.initial_active())),
             monitor: ContentionMonitor::new(),
@@ -495,10 +484,6 @@ impl<O: CombineOp> Sec<O> {
             // straggler it would pile up garbage at full speed.
             collector: Collector::with_recycle(config.max_threads, config.recycle)
                 .yielding_when_blocked(),
-            rosters: (0..config.max_threads.max(1) * slotting.len().div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            roster_words: slotting.len().div_ceil(64),
             stats: SecStats::with_tallies(config.max_threads),
             born: Instant::now(),
             #[cfg(feature = "trace")]
@@ -523,18 +508,6 @@ impl<O: CombineOp> Sec<O> {
             )
         });
         let tid = reclaim.slot();
-        // The slot's previous owner leaves the rosters it joined.
-        // (Single writer: the claim handed us the slot, and its Acquire
-        // ordered the predecessor's roster writes before these.)
-        for (w, word) in self.roster(tid).iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            word.store(0, Ordering::Relaxed);
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                self.aggs[i].joined.fetch_sub(1, Ordering::Relaxed);
-                bits &= bits - 1;
-            }
-        }
         let seen_k = self.active.load(Ordering::Acquire);
         let agg_idx = self.config.aggregator_for(tid, seen_k);
         FamilyHandle {
@@ -545,26 +518,6 @@ impl<O: CombineOp> Sec<O> {
                 agg_idx,
             },
             reclaim,
-        }
-    }
-
-    /// Registry slot `tid`'s roster bitmap words.
-    fn roster(&self, tid: usize) -> &[AtomicU64] {
-        &self.rosters[tid * self.roster_words..(tid + 1) * self.roster_words]
-    }
-
-    /// Puts slot `tid` on rostered aggregator `agg_idx`'s roster, on
-    /// its first announcement there: one load and a not-taken branch
-    /// after that.
-    #[inline]
-    fn join(&self, tid: usize, agg_idx: usize) {
-        let word = &self.roster(tid)[agg_idx / 64];
-        let bit = 1u64 << (agg_idx % 64);
-        let bits = word.load(Ordering::Relaxed);
-        if bits & bit == 0 {
-            // Single writer: only the slot's owner writes its words.
-            word.store(bits | bit, Ordering::Relaxed);
-            self.aggs[agg_idx].joined.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -779,9 +732,8 @@ impl<O: CombineOp> Sec<O> {
     /// spent.
     ///
     /// The batch can expect at most `min(live handles, capacity)`
-    /// announcers, and on a rostered aggregator (one any thread may
-    /// address) no more than the slots on its roster: a queue's
-    /// producer never announces on the dequeue end. With at most one —
+    /// announcers, and on a durable shard of several no more than the
+    /// live handles among the slots mapped to it. With at most one —
     /// a lone thread — or once the two lanes already hold that many,
     /// waiting gathers nothing, so the freezer freezes at once.
     /// Otherwise, on an aggregator whose late announcers pay
@@ -793,17 +745,21 @@ impl<O: CombineOp> Sec<O> {
     /// joining thread that holds no core needs the freezer's, so
     /// `freezer_yields` are spent only while the batch is still short
     /// and more handles are live than the host has hardware threads.
-    fn backoff(
-        &self,
-        agg: &CombineAggregator<O::Node>,
-        batch: &CombineBatch<O::Node>,
-    ) -> (u64, u64) {
+    fn backoff(&self, agg_idx: usize, batch: &CombineBatch<O::Node>) -> (u64, u64) {
+        let agg = &*self.aggs[agg_idx];
         let live = self.collector.live_handles();
         // Relaxed: the counts only steer the wait; the cut below
         // re-reads the lanes with Acquire.
         let mut expected = live.min(agg.capacity);
-        if expected > 1 && agg.rostered {
-            expected = expected.min(agg.joined.load(Ordering::Relaxed));
+        // Only the handles in a durable shard's own slots announce
+        // there. A lone shard's slots are all the slots, which `live`
+        // already counts, so only a shard of several reads them.
+        if expected > 1 && agg.capacity < self.config.max_threads {
+            if let (Some(d), Some(shard)) =
+                (self.durable_core(), agg_idx.checked_sub(self.dur_base))
+            {
+                expected = expected.min(self.collector.live_in(d.shard_slots(shard)));
+            }
         }
         let short = || {
             batch::unpack_count(batch.add_count.load(Ordering::Relaxed))
@@ -859,7 +815,7 @@ impl<O: CombineOp> Sec<O> {
 
         // §3.1: back off so more operations join the batch, raising
         // the elimination and combining degrees — when they can.
-        let (spins, yields) = self.backoff(agg, batch);
+        let (spins, yields) = self.backoff(agg_idx, batch);
 
         // Lines 29–30: the snapshot order (remove lane first) matches
         // the paper; any interleaved announcements simply land on one
@@ -1246,9 +1202,6 @@ impl<O: CombineOp> Sec<O> {
             // work.
             let agg_idx = self.resolve(&mut lane);
             let agg = &*self.aggs[agg_idx];
-            if agg.rostered {
-                self.join(tid, agg_idx);
-            }
             let guard = reclaim.pin();
             // Line 5/55.
             let batch_ptr = agg.batch.load(Ordering::Acquire);

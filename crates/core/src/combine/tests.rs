@@ -329,36 +329,6 @@ fn excluded_announcements_retry_on_the_remapped_aggregator() {
     assert!(eng.op().log.lock().unwrap().iter().all(|a| a.agg_idx == 1));
 }
 
-#[test]
-fn rosters_track_which_slots_announce_where() {
-    // 70 ends, so aggregator 69's roster bit lives in a second word.
-    let eng = fixed_engine(SecConfig::new(1, 3), &[true; 70]);
-    let joined = |i: usize| eng.aggs[i].joined.load(Ordering::Relaxed);
-    let add = |reclaim: &ReclaimHandle<'_>, end: usize| {
-        let n = Node::alloc_with(reclaim, 1u64);
-        eng.run(Lane::At(end), Role::Add, n, reclaim);
-    };
-    let a = eng.register();
-    let b = eng.register();
-    // A producer/consumer pair: each end's roster holds one slot, so
-    // neither freezer waits for the other.
-    add(&a.reclaim, 0);
-    add(&a.reclaim, 0);
-    eng.run(Lane::At(1), Role::Remove, core::ptr::null_mut(), &b.reclaim);
-    assert_eq!((joined(0), joined(1)), (1, 1));
-    add(&a.reclaim, 1);
-    add(&b.reclaim, 69);
-    assert_eq!((joined(1), joined(69)), (2, 1));
-    // b's slot leaves its rosters when the slot is registered again.
-    let slot = b.tid();
-    drop(b);
-    let b2 = eng.register();
-    assert_eq!(b2.tid(), slot);
-    assert_eq!((joined(0), joined(1), joined(69)), (1, 1, 0));
-    add(&b2.reclaim, 69);
-    assert_eq!(joined(69), 1);
-}
-
 // ---- the freezer's spin gate on families that never eliminate ------
 //
 // A counter or queue op whose lane is idle skips the batch (DESIGN.md

@@ -170,8 +170,8 @@ pub struct SecConfig {
     ///
     /// Even there the spin is spent only on evidence: the freezer
     /// expects at most `min(live handles, aggregator capacity)`
-    /// announcers (on a durable shard, also no more than the handles
-    /// that have announced there), skips the backoff when that is one
+    /// announcers (on a durable shard, no more than the live handles
+    /// mapped to that shard), skips the backoff when that is one
     /// (a lone thread) or already reached, and stops spinning the
     /// moment the batch reaches it. The pauses spent are reported as
     /// [`BatchReport::backoff_spins`]. 0 disables.

@@ -486,17 +486,18 @@ mod tests {
     }
 
     #[test]
-    fn a_queue_enqueue_freezes_without_spinning() {
-        // The tail keeps a roster: the idle handle announces there once
-        // so the roster counts it too.
+    fn a_queue_freezes_without_spinning_at_either_end() {
         let queue: SecQueue<u64> = SecQueue::with_config(spin_only());
-        let (mut idle, mut h) = (queue.register(), queue.register());
-        batched_enqueue(&mut idle, 0);
-        queue.stats().reset();
+        let (_idle, mut h) = (queue.register(), queue.register());
         for i in 0..GATE_OPS {
             batched_enqueue(&mut h, i);
         }
         assert_spins_per_batch("queue enqueue", queue.stats(), 0);
+        queue.stats().reset();
+        for i in 0..GATE_OPS {
+            assert_eq!(forced_dequeue(&mut h, false, 1), [i]);
+        }
+        assert_spins_per_batch("queue dequeue", queue.stats(), 0);
     }
 
     #[test]

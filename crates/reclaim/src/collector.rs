@@ -5,6 +5,7 @@ use crate::bag::Deferred;
 use crate::handle::Handle;
 use crate::recycle::{GlobalPool, RecyclePolicy};
 use core::fmt;
+use core::ops::Range;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use sec_sync::{CachePadded, TtasLock};
 
@@ -156,6 +157,16 @@ impl Collector {
     /// exact when no thread is registering or dropping a handle.
     pub fn live_handles(&self) -> usize {
         self.live.load(Ordering::Relaxed)
+    }
+
+    /// Number of handles registered right now in the slots `slots`
+    /// (a handle's slot is [`Handle::slot`]). A relaxed snapshot, like
+    /// [`Collector::live_handles`]; it reads one line per slot.
+    pub fn live_in(&self, slots: Range<usize>) -> usize {
+        self.slots[slots]
+            .iter()
+            .filter(|s| s.claimed.load(Ordering::Relaxed) != 0)
+            .count()
     }
 
     pub(crate) fn note_handle_dropped(&self) {
@@ -448,7 +459,9 @@ mod tests {
         // owner keeps counting on top of it.
         drop(b);
         assert_eq!(c.live_handles(), 1);
+        assert_eq!((c.live_in(0..1), c.live_in(1..3)), (1, 0));
         let b2 = c.register().unwrap();
+        assert_eq!((b2.slot(), c.live_in(0..3), c.live_in(2..3)), (1, 2, 0));
         retire(&b2, 3);
         let s = c.stats();
         assert_eq!(s.retired, 75);

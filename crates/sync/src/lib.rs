@@ -15,14 +15,8 @@
 //!   oversubscribed machines (DESIGN.md §11),
 //! * [`TtasLock`] — a test-and-test-and-set spin lock (the combiner lock
 //!   of the flat-combining baseline),
-//! * [`McsLock`] / [`ClhLock`] — the two classic queue locks; CC-Synch
-//!   descends from MCS, and the `lock_ablation` benchmark uses all four
-//!   locks to isolate the handoff discipline from combining proper,
 //! * [`TscClock`] — the timestamp source of the TSI baseline (`RDTSC` on
 //!   x86_64, a monotonic software clock elsewhere),
-//! * [`funnel::AggregatingFunnel`] — a software fetch&add built from
-//!   nested sharding (the aggregating-funnels lineage of SEC, used by the
-//!   ablation benchmarks),
 //! * [`topology`] — host parallelism discovery for the harness.
 //!
 //! Everything here is dependency-free: `std` is used for threads and
@@ -32,19 +26,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod backoff;
-mod clh;
 mod clock;
 mod lock;
-mod mcs;
 mod pad;
 
 pub mod event;
-pub mod funnel;
 pub mod topology;
 
 pub use backoff::Backoff;
-pub use clh::{ClhGuard, ClhLock};
 pub use clock::{Calibration, Timestamp, TscClock};
 pub use lock::{TtasGuard, TtasLock};
-pub use mcs::{McsGuard, McsLock};
 pub use pad::CachePadded;

@@ -23,8 +23,7 @@
 //!   locked `VecDeque`) and the map baseline (locked `HashMap`),
 //! * [`reclaim`] — the DEBRA-style epoch-based reclamation substrate,
 //! * [`sync`] — concurrency primitives (backoff, spin-then-park
-//!   waiting, cache padding, TTAS lock, TSC clock, aggregating
-//!   funnels),
+//!   waiting, cache padding, TTAS lock, TSC clock, topology),
 //! * [`linearize`] — history recording + linearizability checking,
 //! * [`workload`] — the benchmark harness behind the paper's figures.
 //!
@@ -122,10 +121,7 @@ pub mod reclaim {
 /// Concurrency primitives substrate.
 pub mod sync {
     pub use sec_sync::event::{spin_wait, WaitCell, WaitPolicy, WaitQueue, WaitStats};
-    pub use sec_sync::funnel::AggregatingFunnel;
-    pub use sec_sync::{
-        topology, Backoff, CachePadded, ClhLock, McsLock, Timestamp, TscClock, TtasLock,
-    };
+    pub use sec_sync::{topology, Backoff, CachePadded, Timestamp, TscClock, TtasLock};
 }
 
 /// History recording and linearizability checking.

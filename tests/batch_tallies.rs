@@ -255,14 +255,11 @@ fn assert_spins_per_batch(name: &str, stats: &SecStats, spins: u64) {
 
 // In each spin-gate test a second handle is registered and stays idle
 // through the measured ops, so two announcers stay possible and every
-// freezer's batch is short. Where the aggregator keeps a roster (bulk
-// aggregators, durable shards), the idle handle first announces there
-// once, so the roster counts it too; the stats are reset after that.
-// Only the spin gate then decides whether the freezer waits out its
-// window. The counter's and the queue's gates are sec-core unit tests
-// (`counter::tests`, `queue::tests`): an op of theirs whose lane is
-// idle skips the batch, so from the public API a lone thread never
-// reaches their freezers.
+// freezer's batch is short. Only the spin gate then decides whether
+// the freezer waits out its window. The counter's and the queue's
+// gates are sec-core unit tests (`counter::tests`, `queue::tests`): an
+// op of theirs whose lane is idle skips the batch, so from the public
+// API a lone thread never reaches their freezers.
 
 #[test]
 fn a_map_get_freezes_without_spinning() {
@@ -292,11 +289,34 @@ fn a_stack_push_spends_the_whole_window() {
 fn a_durable_stack_shard_spends_the_whole_window() {
     let stack = SecStack::durable_with_config(spin_only(), DurablePolicy::volatile())
         .expect("volatile durable stack");
-    let (mut idle, mut h) = (stack.register(), stack.register());
-    idle.push(0);
-    stack.stats().reset();
+    let (_idle, mut h) = (stack.register(), stack.register());
     for i in 0..GATE_OPS {
         h.push(i);
     }
     assert_spins_per_batch("durable stack push", stack.stats(), u64::from(WINDOW));
+}
+
+#[test]
+fn a_durable_shard_waits_for_no_handle_of_another_shard() {
+    // Two shards over `slots` registry slots; the handles take the
+    // lowest slots, so the last one is alone on the second shard (the
+    // 4-thread `durable_bench` geometry: slots 0-2 on shard 0, 3-4 on
+    // shard 1). Its freezer has no one to wait for.
+    for (slots, handles) in [(2, 2), (5, 4)] {
+        let config = SecConfig::new(1, slots)
+            .freezer_backoff(WINDOW)
+            .freezer_yields(0);
+        let stack = SecStack::durable_with_config(config, DurablePolicy::volatile().shards(2))
+            .expect("volatile durable stack");
+        let mut hs: Vec<_> = (0..handles).map(|_| stack.register()).collect();
+        let h = hs.last_mut().expect("a handle");
+        for i in 0..GATE_OPS {
+            h.push(i);
+        }
+        assert_spins_per_batch(
+            &format!("durable shard 1 of {slots} slots"),
+            stack.stats(),
+            0,
+        );
+    }
 }

@@ -86,11 +86,9 @@ fn facade_re_exports_are_live() {
     unsafe { guard.retire(Box::into_raw(Box::new(1u64))) };
     drop(guard);
 
-    // sync: primitives and the funnel.
+    // sync: primitives.
     let lock = sec_repro::sync::TtasLock::new(0u32);
     *lock.lock() += 1;
-    let funnel = sec_repro::sync::AggregatingFunnel::new(1, 0);
-    assert_eq!(funnel.fetch_add_one(0), 0);
     assert!(sec_repro::sync::topology::hardware_threads() >= 1);
 
     // linearize: a two-op history checks out.

@@ -95,8 +95,13 @@ fn sec_adaptive_histories_with_forced_resizes_are_linearizable() {
     // Elastic sharding mid-history: a controller forces grow/shrink
     // transitions while 3 workers record operations, so batches from
     // before, during and after each re-mapping appear in every round.
+    // Every worker stops after its 4th op at a rendezvous, and the
+    // controller forces one transition before releasing them, so each
+    // round's history straddles at least one re-mapping however the
+    // scheduler runs the threads.
     use sec_repro::{SecConfig, SecStack};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     const THREADS: usize = 3;
     let mut total_resizes = 0u64;
@@ -106,16 +111,25 @@ fn sec_adaptive_histories_with_forced_resizes_are_linearizable() {
         let rec = Recorder::new();
         let events: Mutex<Vec<Event<u64>>> = Mutex::new(Vec::new());
         let done = AtomicBool::new(false);
+        // `mid`: every worker has finished its first half; `resized`:
+        // the controller's forced transition is in.
+        let mid = Barrier::new(THREADS + 1);
+        let resized = Barrier::new(THREADS + 1);
 
         thread::scope(|scope| {
             for t in 0..THREADS {
                 let stack = &stack;
                 let rec = &rec;
                 let events = &events;
+                let (mid, resized) = (&mid, &resized);
                 scope.spawn(move || {
                     let mut h = stack.register();
                     let mut local = Vec::with_capacity(8);
                     for i in 0..8usize {
+                        if i == 4 {
+                            mid.wait();
+                            resized.wait();
+                        }
                         let choice = (t + i + round) % 5;
                         let invoke = rec.now();
                         let op = match choice {
@@ -138,15 +152,20 @@ fn sec_adaptive_histories_with_forced_resizes_are_linearizable() {
                     events.lock().unwrap().extend(local);
                 });
             }
-            // Controller: unregistered, hammers resize transitions
-            // until the workers finish.
+            // Controller: unregistered. It forces one transition at the
+            // rendezvous, then hammers resize transitions until the
+            // workers finish.
             let stack = &stack;
             let done = &done;
+            let (mid, resized) = (&mid, &resized);
             scope.spawn(move || {
-                let mut k = 1usize;
+                mid.wait();
+                let mut k = stack.active_aggregators() % 3 + 1; // 1 → 2 → 3 → 1 …
+                stack.set_active_aggregators(k);
+                resized.wait();
                 while !done.load(Ordering::Acquire) {
+                    k = k % 3 + 1;
                     stack.set_active_aggregators(k);
-                    k = k % 3 + 1; // 1 → 2 → 3 → 1 …
                     thread::yield_now();
                 }
             });
