@@ -14,11 +14,12 @@
 //! | [`CcStack`] (**CC**) | CC-Synch combining queue over a sequential stack | Fatourou, Kallimanis PPoPP '12 |
 //! | [`TsiStack`] (**TSI**) | interval-timestamped per-thread pools | Dodds, Haas, Kirsch POPL '15 |
 //!
-//! Two auxiliary stacks extend the lineup beyond the paper's figures:
+//! Three auxiliary stacks extend the lineup beyond the paper's figures:
 //! [`TreiberHpStack`] (**TRB-HP**) swaps the reclamation substrate to
 //! hazard pointers for the reclamation ablation (paper §4's "other
-//! schemes apply"), and [`LockedStack`] (**LCK**) is the
-//! `Mutex<Vec<T>>` sanity floor.
+//! schemes apply"), [`LeakTreiberStack`] (**TRB-LEAK**) reclaims
+//! nothing while it runs, the ablation's cost floor, and
+//! [`LockedStack`] (**LCK**) is the `Mutex<Vec<T>>` sanity floor.
 //!
 //! The queue family (`SecQueue`'s competitors, sharing the
 //! [`ConcurrentQueue`]/[`QueueHandle`] interface):
@@ -53,6 +54,7 @@ pub mod ms;
 pub mod seq;
 pub mod treiber;
 pub mod treiber_hp;
+pub mod treiber_leak;
 pub mod tsi;
 
 pub use ccsynch::{CcHandle, CcStack};
@@ -65,4 +67,5 @@ pub use ms::{MsHandle, MsQueue};
 pub use seq::SeqStack;
 pub use treiber::{TreiberHandle, TreiberStack};
 pub use treiber_hp::{TreiberHpHandle, TreiberHpStack};
+pub use treiber_leak::{LeakTreiberHandle, LeakTreiberStack};
 pub use tsi::{TsiHandle, TsiStack};

@@ -12,6 +12,10 @@
 //! and claims it with a CAS on its `taken` flag. An element whose
 //! interval begins after the pop started is concurrent with the pop and
 //! may be taken immediately — the timestamp analogue of elimination.
+//! Among several such candidates every pop and peek picks the same
+//! one, the largest `(start, pool index)`: that is always maximal, and
+//! a choice that depended on the caller's pool would let two peeks see
+//! different tops with nothing removed between them.
 //!
 //! The asymmetry the SEC paper probes in Figure 3 is structural:
 //! `push` is O(1) and synchronization-free, while `pop`/`peek` pay an
@@ -37,7 +41,6 @@ const TS_TOP: u64 = u64::MAX;
 struct TsNode<T> {
     value: ManuallyDrop<T>,
     start: AtomicU64,
-    end: AtomicU64,
     taken: AtomicBool,
     next: AtomicPtr<TsNode<T>>,
 }
@@ -131,46 +134,46 @@ impl<T: Send + 'static> TsiStack<T> {
         unreachable!("collector capacity == pool count");
     }
 
-    /// `a` strictly after `b` in the interval order.
-    #[inline]
-    fn after(a_start: u64, b_end: u64) -> bool {
-        a_start > b_end
-    }
-
-    /// Youngest untaken element of pool `idx` (or null).
-    fn first_untaken(&self, idx: usize) -> *mut TsNode<T> {
+    /// Youngest untaken element of pool `idx`, and its start;
+    /// `stamped` skips an element whose push has not stamped it yet.
+    fn first_untaken(&self, idx: usize, stamped: bool) -> Option<(*mut TsNode<T>, u64)> {
         let mut cur = self.pools[idx].head.load(Ordering::Acquire);
-        while !cur.is_null() && unsafe { (*cur).taken.load(Ordering::Acquire) } {
-            cur = unsafe { (*cur).next.load(Ordering::Acquire) };
+        while !cur.is_null() {
+            // Safety: scanners are pinned, and only the owner unlinks.
+            let node = unsafe { &*cur };
+            if !node.taken.load(Ordering::Acquire) {
+                let start = node.start.load(Ordering::Acquire);
+                if !stamped || start != TS_TOP {
+                    return Some((cur, start));
+                }
+            }
+            cur = node.next.load(Ordering::Acquire);
         }
-        cur
+        None
     }
 
-    /// Scan result: a maximal candidate (node, its start, its end) under
-    /// the interval order, or an immediate-take candidate if one began
-    /// after `pop_start`.
-    fn scan(&self, start_pool: usize, pop_start: u64) -> Option<(*mut TsNode<T>, bool)> {
-        let n = self.pools.len();
-        let mut best: Option<(*mut TsNode<T>, u64, u64)> = None;
-        for off in 0..n {
-            let idx = (start_pool + off) % n;
-            let cand = self.first_untaken(idx);
-            if cand.is_null() {
+    /// The pools' youngest untaken candidate with the largest `(start,
+    /// pool index)`. The largest start is always valid: if any
+    /// candidate began after the pop, so did it (take it now), and
+    /// otherwise it is maximal under the interval order.
+    ///
+    /// A peek passes `stamped`: it claims nothing, so a ⊤-stamped
+    /// element it returned would stay "newer than everything", and a
+    /// later pop could take it from under pushes that completed after
+    /// the peek. A push still stamping is concurrent with the peek,
+    /// which can order itself first.
+    fn scan(&self, stamped: bool) -> Option<*mut TsNode<T>> {
+        let mut best: Option<(*mut TsNode<T>, u64)> = None;
+        for idx in 0..self.pools.len() {
+            let Some((cand, s)) = self.first_untaken(idx, stamped) else {
                 continue;
-            }
-            let s = unsafe { (*cand).start.load(Ordering::Acquire) };
-            let e = unsafe { (*cand).end.load(Ordering::Acquire) };
-            // Interval elimination: stamped after we began ⇒ concurrent
-            // with this pop ⇒ legal to take right now.
-            if s > pop_start {
-                return Some((cand, true));
-            }
-            match best {
-                Some((_, _, be)) if !Self::after(s, be) => {}
-                _ => best = Some((cand, s, e)),
+            };
+            // Ascending pool order: `>=` lets the larger index win a tie.
+            if best.is_none_or(|(_, bs)| s >= bs) {
+                best = Some((cand, s));
             }
         }
-        best.map(|(p, _, _)| (p, false))
+        best.map(|(p, _)| p)
     }
 
     /// Claims `node`; on success moves its value out. The node stays in
@@ -277,7 +280,6 @@ impl<T: Send + 'static> StackHandle<T> for TsiHandle<'_, T> {
         let node = Box::into_raw(Box::new(TsNode {
             value: ManuallyDrop::new(value),
             start: AtomicU64::new(TS_TOP),
-            end: AtomicU64::new(TS_TOP),
             taken: AtomicBool::new(false),
             next: AtomicPtr::new(pool.head.load(Ordering::Relaxed)),
         }));
@@ -287,25 +289,21 @@ impl<T: Send + 'static> StackHandle<T> for TsiHandle<'_, T> {
         pool.head.store(node, Ordering::Release);
         pool.version.fetch_add(1, Ordering::AcqRel);
 
-        let (s, e) = self.stack.clock.interval(self.stack.delay);
-        unsafe {
-            (*node).end.store(e, Ordering::Relaxed);
-            // `start` is the field pops order by; Release pairs with
-            // their Acquire so a stamped interval is seen whole (a pop
-            // reading the new `start` also sees the new `end`).
-            (*node).start.store(s, Ordering::Release);
-        }
+        // Pops order by `start` alone, so the end is not stored; the
+        // delay before it stays the configured TSI's push cost.
+        let (s, _) = self.stack.clock.interval(self.stack.delay);
+        // Safety: only this pool's owner unlinks `node`, and we hold a pin.
+        unsafe { (*node).start.store(s, Ordering::Release) };
     }
 
     fn pop(&mut self) -> Option<T> {
         let guard = self.reclaim.pin();
-        let pop_start = self.stack.clock.now();
         let mut versions = Vec::with_capacity(self.stack.pools.len());
         let mut backoff = Backoff::new();
         loop {
             self.stack.versions(&mut versions);
-            match self.stack.scan(self.pool_idx, pop_start) {
-                Some((node, _concurrent)) => {
+            match self.stack.scan(false) {
+                Some(node) => {
                     if let Some(v) = self.stack.try_take(node) {
                         drop(guard);
                         return Some(v);
@@ -335,12 +333,11 @@ impl<T: Send + 'static> StackHandle<T> for TsiHandle<'_, T> {
         T: Clone,
     {
         let _guard = self.reclaim.pin();
-        let peek_start = self.stack.clock.now();
         let mut versions = Vec::with_capacity(self.stack.pools.len());
         loop {
             self.stack.versions(&mut versions);
-            match self.stack.scan(self.pool_idx, peek_start) {
-                Some((node, _)) => {
+            match self.stack.scan(true) {
+                Some(node) => {
                     // Clone without claiming. The value bytes stay valid
                     // while we are pinned even if a pop claims it now.
                     return Some(ManuallyDrop::into_inner(unsafe { (*node).value.clone() }));

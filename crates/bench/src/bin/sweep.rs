@@ -1,6 +1,7 @@
-//! Regenerates the throughput-vs-threads figures. A figure runs a
+//! Regenerates the figures, Table 1 and the ablations. A figure runs a
 //! lineup across its thread axis under each of its workloads and
-//! prints one table + ASCII plot and writes one CSV per workload.
+//! prints one table + ASCII plot and writes one CSV per workload; a
+//! long table (marked below) writes one row per measured cell.
 //!
 //! ```text
 //! cargo run -p sec-bench --release --bin sweep -- fig2 fig3 fig4
@@ -21,6 +22,11 @@
 //! | `families` | `families`, `BENCH_families.json` | every SEC family on the one engine (DESIGN.md §12), update-heavy |
 //! | `oversub` | `oversub_{stack,queue}` | the SEC stack and queue under each wait policy (DESIGN.md §11) at 1×/2×/4×/8× the hardware threads unless `--threads` is given |
 //! | `shard_policy` | `shard_policy`, `shard_policy_elim` | Block vs RoundRobin thread-to-aggregator mapping at K = 2 and 4 (DESIGN.md §7): throughput, and % of ops eliminated |
+//! | `recl_ablation` | `recl_ablation` | the Treiber stack over epochs, hazard pointers and no reclamation (the leak floor), plus SEC (paper §4) |
+//! | `table1` | `table1` (long) | **Table 1** (Tables 2/3): SEC's batching degree, %elimination and %combining per update mix, averaged over the threads ≥ 2 of the sweep, next to the binomial model's prediction at the measured degree |
+//! | `freezer_backoff` | `freezer_backoff` (long) | the §3.1 freezer backoff: SEC throughput, batching degree and %elimination per (spins, yields) configuration, at the sweep's last thread count |
+//! | `latency` | `latency` (long) | per-op p50/p90/p99/p999/max per (mix, algorithm) at the sweep's last thread count, plus the SEC stack and queue under each wait policy oversubscribed (4× the hardware threads unless `--threads` is given; its last value then) |
+//! | `durable_bench` | `durable` (long), `BENCH_durable.json` | every durable SEC family per logging mode (DESIGN.md §16), from no log to a flush per op, at `--max-threads` clamped to 2..=4 threads |
 //!
 //! Columns after the plotted series are unplotted counters over a
 //! cell's runs: SEC's node recycling in `fig2` (DESIGN.md §10), the
@@ -31,34 +37,40 @@
 //! `oversub` (EXPERIMENTS.md reads each block).
 //!
 //! Every figure measures run-major: each of the `--runs` passes visits
-//! every thread count and, within it, every series once, so drift on
-//! the host (a noisy co-tenant, thermal throttling) biases all series
-//! alike instead of poisoning whole series. Latency columns come from
-//! one fixed-work pass per cell after the throughput runs, on a
-//! structure built with the series' own SEC patch.
+//! every cell once (a thread-axis figure: every thread count and,
+//! within it, every series), so drift on the host (a noisy co-tenant,
+//! thermal throttling) biases all cells alike instead of poisoning
+//! whole series. Latency columns come from one fixed-work pass per
+//! cell after the throughput runs, on a structure built with the
+//! series' own SEC patch; a figure whose columns are all latencies
+//! (`latency`) runs only that pass.
 //!
-//! `freezer_backoff` stays a separate bin: its x-axis is (spins,
-//! yields) configurations, not thread counts.
+//! One writer stops on a number no measurement produces
+//! ([`Table::check`]), naming the figure, row and column. A JSON drop
+//! also records the host and the cache-line round trip before and
+//! after the figure.
 
 use sec_bench::{
-    algo_latency, map_bench_capacity, map_bench_sec, wait_label, write_bench_json, BenchOpts, Json,
-    WAIT_POLICIES,
+    algo_latency, map_bench_capacity, map_bench_sec, wait_label, write_bench_json, write_reported,
+    BenchOpts, Json, WAIT_POLICIES,
 };
-use sec_core::ShardPolicy;
+use sec_core::sec::model;
+use sec_core::{LogGranularity, SecConfig, ShardPolicy, SyncMode};
 use sec_sync::topology;
 use sec_workload::stats::{DegreeTotals, ReclaimTotals, ResizeTotals, Summary, WaitTotals};
-use sec_workload::table::Figure;
+use sec_workload::table::{Figure, Table};
 use sec_workload::{
-    run_algo, Algo, AlgoRun, KeyDist, LatencyReport, MapMix, Mix, RunConfig, SecPatch,
-    ALL_COMPETITORS, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
+    run_algo, Algo, AlgoRun, Budget, ClosedLoop, DurableSetup, KeyDist, LatencyReport, MapMix, Mix,
+    RunConfig, SecPatch, ALL_COMPETITORS, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
 };
 
 /// The figure names, in catalog order.
-const FIGURES: &str =
-    "fig2 fig3 fig4 adaptive_k queue_bench map_bench families oversub shard_policy";
+const FIGURES: &str = "fig2 fig3 fig4 adaptive_k queue_bench map_bench families oversub \
+                       shard_policy recl_ablation table1 freezer_backoff latency durable_bench";
 
-/// A counter column: its `<series>_<suffix>` suffix and its value in a
-/// cell. A suffix ending in `_ns` reads the cell's latency pass.
+/// A value column: its name (a thread-axis figure's counter columns
+/// are `<series>_<name>`) and its value in a cell. A name ending in
+/// `_ns` reads the cell's latency pass.
 type Col = (&'static str, fn(&Cell) -> f64);
 
 const GROWS: Col = ("grows", |c| c.resizes.grows as f64);
@@ -68,11 +80,18 @@ const RECYCLE_MISSES: Col = ("recycle_misses", |c| c.recycle.misses as f64);
 const RECYCLE_OVERFLOWS: Col = ("recycle_overflows", |c| c.recycle.overflows as f64);
 const BATCH_DEGREE: Col = ("batch_degree", |c| c.mean(c.degree_sum));
 const P50_NS: Col = ("p50_ns", |c| c.latency(|l| l.p50));
+const P90_NS: Col = ("p90_ns", |c| c.latency(|l| l.p90));
 const P99_NS: Col = ("p99_ns", |c| c.latency(|l| l.p99));
 const P999_NS: Col = ("p999_ns", |c| c.latency(|l| l.p999));
+const MAX_NS: Col = ("max_ns", |c| c.latency(|l| l.max));
 const PARKS: Col = ("parks", |c| c.waits.parks as f64);
 const WAKES: Col = ("wakes", |c| c.waits.wakes as f64);
 const SPURIOUS: Col = ("spurious", |c| c.waits.spurious as f64);
+const MOPS: Col = ("mops", |c| c.summary().mean);
+const MOPS_MEAN: Col = ("mops_mean", |c| c.summary().mean);
+const CV_PCT: Col = ("cv_pct", |c| c.summary().cv_pct());
+const PCT_ELIM: Col = ("pct_elim", |c| c.mean(c.elim_pct_sum));
+const REL_OFF: Col = ("rel_off", |c| c.summary().mean / c.reference);
 
 /// The SEC counter block: mean batching degree, its distribution
 /// (sec-trace's per-batch histogram — the mean says how much combining
@@ -93,8 +112,46 @@ const SEC_BLOCK: &[Col] = &[
     RECYCLE_OVERFLOWS,
 ];
 
+/// Table 1's columns: the measured degrees, then the binomial model's
+/// %elimination and %combining for a batch of the measured mean size
+/// (every Table 1 mix pushes as often as it pops: push share 0.5).
+/// Measurement tracking the model is §6's "elimination degree is
+/// optimal within each batch", quantified.
+const TABLE1: &[Col] = &[
+    ("batching_degree", |c| c.mean(c.degree_sum)),
+    ("pct_elimination", |c| c.mean(c.elim_pct_sum)),
+    ("pct_combining", |c| c.mean(c.comb_pct_sum)),
+    ("model_pct_elimination", |c| {
+        c.model(model::expected_pct_eliminated)
+    }),
+    ("model_pct_combining", |c| {
+        c.model(model::expected_pct_combined)
+    }),
+];
+
+/// The freezer backoff configurations `freezer_backoff` sweeps, as
+/// SEC patches: pause-loop spins, then scheduler yields. The defaults
+/// are 16 spins and 1 yield.
+const BACKOFFS: [SecPatch; 10] = [
+    |c| c.freezer_backoff(0).freezer_yields(0),
+    |c| c.freezer_backoff(64).freezer_yields(0),
+    |c| c.freezer_backoff(256).freezer_yields(0),
+    |c| c.freezer_backoff(1024).freezer_yields(0),
+    |c| c.freezer_backoff(4096).freezer_yields(0),
+    |c| c.freezer_backoff(0).freezer_yields(1),
+    |c| c.freezer_backoff(16).freezer_yields(1),
+    |c| c.freezer_backoff(64).freezer_yields(1),
+    |c| c.freezer_backoff(0).freezer_yields(2),
+    |c| c.freezer_backoff(0).freezer_yields(4),
+];
+
 /// Fixed-work operations per thread of a latency pass.
 const LATENCY_OPS_PER_THREAD: u64 = 2_000;
+
+/// The most operations one run of a durable cell takes. Its log holds
+/// one record per op and a volatile log is zeroed when it is built, so
+/// this bounds the heap: about 48 MB a shard at 4 threads.
+const DURABLE_MAX_OPS: u64 = 1 << 18;
 
 /// One series of a lineup: the structure, the SEC patch its runs are
 /// built with, and its CSV label.
@@ -125,15 +182,37 @@ struct Companion {
     value: fn(&Cell) -> f64,
 }
 
-/// One workload of a figure: its CSV stem, table title, lineup, the
-/// configuration of every cell (the sweep sets `threads` and the
-/// series' `sec`), and an optional companion CSV.
+/// One workload of a thread-axis figure: its CSV stem, table title,
+/// lineup, the configuration of every cell (the sweep sets `threads`
+/// and the series' `sec`), and an optional companion CSV.
 struct Case {
     stem: &'static str,
     title: String,
     cfg: RunConfig,
     lineup: Vec<Series>,
     companion: Option<Companion>,
+}
+
+/// One measured cell: its key fields in a long table, its series, and
+/// the configuration of each run it folds in (a `table1` row folds one
+/// per thread count).
+struct Row {
+    keys: Vec<String>,
+    series: Series,
+    cfgs: Vec<RunConfig>,
+    /// The row that paces this one and that its `rel_off` reads
+    /// against (`durable_bench`: the family's `off` row), measured
+    /// before it in every pass.
+    against: Option<usize>,
+}
+
+/// A long table: one CSV row per measured cell, its key columns first.
+/// Its leading `mops*` columns plot throughput.
+struct Long {
+    stem: &'static str,
+    keys: &'static [&'static str],
+    cols: &'static [Col],
+    rows: Vec<Row>,
 }
 
 /// A cell's configuration under `mix`, before the sweep sets `threads`.
@@ -153,7 +232,8 @@ fn mix_cfg(opts: &BenchOpts, mix: Mix) -> RunConfig {
     }
 }
 
-/// One figure: its workloads, its thread axis and its counter columns.
+/// One figure: its thread-axis workloads with their axis and counter
+/// columns, or its long table; and the JSON drop it also writes.
 struct Spec {
     banner: String,
     cases: Vec<Case>,
@@ -165,6 +245,9 @@ struct Spec {
     /// The series that export [`counters`](Self::counters).
     counted: fn(&Algo) -> bool,
     counters: &'static [Col],
+    long: Option<Long>,
+    /// The `BENCH_*.json` file that repeats the figure's cells.
+    json: Option<&'static str>,
 }
 
 impl Spec {
@@ -176,6 +259,8 @@ impl Spec {
             capacity: |_| None,
             counted: |_| false,
             counters: &[],
+            long: None,
+            json: None,
         }
     }
 }
@@ -211,6 +296,27 @@ fn spec(name: &str, opts: &BenchOpts) -> Option<Spec> {
             counters: &[GROWS, SHRINKS],
             ..Spec::new(banner, cases(title, &lineup, mixes))
         }
+    };
+    let row = |keys: Vec<String>, series: Series, cfg: RunConfig| Row {
+        keys,
+        series,
+        cfgs: vec![cfg],
+        against: None,
+    };
+    let last_thread = || *opts.sweep().last().unwrap_or(&2);
+    let at = |threads, cfg| RunConfig { threads, ..cfg };
+    let sec2 = |sec: SecPatch| Series {
+        sec,
+        ..Series::of(Algo::Sec { aggregators: 2 })
+    };
+    let long = |banner: String, stem, keys, cols, rows| Spec {
+        long: Some(Long {
+            stem,
+            keys,
+            cols,
+            rows,
+        }),
+        ..Spec::new(banner, Vec::new())
     };
     let (upd100, upd50, upd10) = (Mix::UPDATE_100, Mix::UPDATE_50, Mix::UPDATE_10);
     let (push_only, pop_only) = (Mix::PUSH_ONLY, Mix::POP_ONLY);
@@ -318,6 +424,7 @@ fn spec(name: &str, opts: &BenchOpts) -> Option<Spec> {
         "families" => Spec {
             counted: |_| true,
             counters: &[BATCH_DEGREE, P99_NS],
+            json: Some("BENCH_families.json"),
             ..Spec::new(
                 "SEC families: stack, adaptive stack, queue, counter, map",
                 vec![Case {
@@ -400,26 +507,206 @@ fn spec(name: &str, opts: &BenchOpts) -> Option<Spec> {
                         stem: "shard_policy_elim",
                         title: "%elimination by shard policy",
                         unit: "% of ops",
-                        value: |c| c.mean(c.elim_pct_sum),
+                        value: PCT_ELIM.1,
                     }),
                 }],
             )
+        }
+        // The Treiber stack's pop dereferences shared nodes on every
+        // CAS attempt, so it is the lineup's most reclamation-sensitive
+        // algorithm: epochs should sit near the leak floor (a pin is
+        // two relaxed stores), hazard pointers pay a fence per pop
+        // attempt, and SEC's combiners amortize the pin over a batch.
+        "recl_ablation" => {
+            let lineup = [
+                (Algo::Trb, "TRB (EBR)"),
+                (Algo::TrbHp, "TRB-HP"),
+                (Algo::Sec { aggregators: 2 }, "SEC (EBR)"),
+                (Algo::TrbLeak, "TRB-LEAK (floor)"),
+            ]
+            .map(|(algo, label)| Series {
+                label: label.into(),
+                ..Series::of(algo)
+            });
+            Spec::new(
+                "Ablation: reclamation substrate on the Treiber hot path (100% updates)",
+                vec![Case {
+                    stem: "recl_ablation",
+                    title: "throughput by reclamation scheme".into(),
+                    cfg: mix_cfg(opts, upd100),
+                    lineup: lineup.to_vec(),
+                    companion: None,
+                }],
+            )
+        }
+        // Batching is a concurrency phenomenon: a row averages its
+        // mix's cells over the sweep's thread counts from 2 up, as the
+        // paper aggregates ("average size of batches during an
+        // execution … across different thread counts").
+        "table1" => {
+            let threads: Vec<usize> = opts.sweep().into_iter().filter(|&t| t >= 2).collect();
+            let rows = [upd100, upd50, upd10].map(|mix| Row {
+                keys: vec![format!("{}% upd", mix.update_pct())],
+                series: sec2(|c| c),
+                cfgs: threads.iter().map(|&t| at(t, mix_cfg(opts, mix))).collect(),
+                against: None,
+            });
+            let banner = "Table 1: SEC (2 aggregators) batching degree / %elimination / \
+                          %combining\n# paper (Emerald): degrees 17.8/17.2/14, elim 79/79/77%, \
+                          comb 21/21/23%";
+            long(banner.into(), "table1", &["workload"], TABLE1, rows.into())
+        }
+        // A longer window buys bigger batches and more elimination, up
+        // to where waiting dominates. The freezer spends the window
+        // only on evidence (DESIGN.md §12 "Freezer backoff"), and
+        // yields only while threads outnumber hardware threads.
+        "freezer_backoff" => {
+            let threads = last_thread();
+            let cfg = at(threads, mix_cfg(opts, upd100));
+            let rows = BACKOFFS.iter().map(|&sec| {
+                let c = sec(SecConfig::new(1, 1));
+                let keys = vec![c.freezer_backoff.to_string(), c.freezer_yields.to_string()];
+                row(keys, sec2(sec), cfg)
+            });
+            let banner = format!(
+                "Ablation: freezer backoff sweep (SEC, 100% updates, {threads} threads; \
+                 defaults: 16 spins, 1 yield)"
+            );
+            let (keys, cols) = (&["spins", "yields"], &[MOPS, BATCH_DEGREE, PCT_ELIM]);
+            long(banner, "freezer_backoff", keys, cols, rows.collect())
+        }
+        // The distributional view behind the throughput figures: SEC
+        // and the combining stacks block, so their tails carry the
+        // freezer/combiner waits; TSI's carries its pop-side scans.
+        // Oversubscribed, a spinning waiter's tail is a scheduling
+        // quantum and a parked one's a wakeup (DESIGN.md §11).
+        "latency" => {
+            let threads = last_thread();
+            let hw = topology::hardware_threads().max(1);
+            let over = opts.threads_list.as_ref();
+            let over = over.map_or(4 * hw, |l| l[l.len() - 1]);
+            // The map family reads the mix as its keyed counterpart:
+            // peek→get, push→insert, pop→remove.
+            let latency_row = |mix: Mix, key: String, series: Series, threads| {
+                let map_mix = MapMix::new(mix.peek, mix.push, mix.pop);
+                let cfg = RunConfig {
+                    map_mix,
+                    ..RunConfig::new(threads, mix)
+                };
+                row(vec![key, series.label.clone()], series, cfg)
+            };
+            let mut rows = Vec::new();
+            for (mix, lineup) in [
+                (upd100, &ALL_COMPETITORS[..]),
+                (upd50, &ALL_COMPETITORS[..]),
+                (upd10, &ALL_COMPETITORS[..]),
+                // The queue lineup has no read-only operation.
+                (upd100, &QUEUE_LINEUP[..]),
+                (upd100, &[Algo::SecCounter][..]),
+                (upd100, &MAP_LINEUP[..]),
+                (upd10, &MAP_LINEUP[..]),
+            ] {
+                for &algo in lineup {
+                    rows.push(latency_row(mix, mix.label(), Series::of(algo), threads));
+                }
+            }
+            for sec in WAIT_POLICIES {
+                for algo in [Algo::Sec { aggregators: 2 }, Algo::SecQueue] {
+                    let label = format!("{algo}[{}]", wait_label(sec));
+                    let series = Series { algo, sec, label };
+                    rows.push(latency_row(upd100, format!("upd100@{over}t"), series, over));
+                }
+            }
+            let banner = format!(
+                "Per-op latency percentiles (ns), {LATENCY_OPS_PER_THREAD} timed ops/thread \
+                 at {threads} threads (upd100@{over}t: {over})"
+            );
+            let cols = &[P50_NS, P90_NS, P99_NS, P999_NS, MAX_NS];
+            long(banner, "latency", &["mix", "algo"], cols, rows)
+        }
+        // A durable batch writes one log record (and, synced, one
+        // msync) for the whole batch, so the per-op cost of durability
+        // shrinks with the batching degree; the per-op rows are the
+        // strawman, one record and one flush per operation. The axis is
+        // the mode, not the thread count: one moderately contended cell
+        // per (family, mode).
+        "durable_bench" => {
+            let threads = opts.max_threads.clamp(2, 4);
+            // A batch never holds more entries than there are handles.
+            let vol = DurableSetup {
+                batch_entries: threads,
+                ..DurableSetup::volatile()
+            };
+            let mmap = DurableSetup {
+                file_backed: true,
+                ..vol
+            };
+            let per_op = |s| DurableSetup {
+                granularity: LogGranularity::PerOp,
+                batch_entries: 1,
+                ..s
+            };
+            let synced = |s| DurableSetup {
+                sync: SyncMode::Sync,
+                ..s
+            };
+            let modes = [
+                ("off", None),
+                ("vol/batch", Some(vol)),
+                ("vol/op", Some(per_op(vol))),
+                ("mmap/batch", Some(mmap)),
+                ("mmap/batch+sync", Some(synced(mmap))),
+                ("mmap/op+sync", Some(synced(per_op(mmap)))),
+            ];
+            let map_mix = MapMix::WRITE_HEAVY;
+            let cfg = at(
+                threads,
+                RunConfig {
+                    map_mix,
+                    ..mix_cfg(opts, upd100)
+                },
+            );
+            let mut rows = Vec::new();
+            // The adaptive stack's durable constructor is the fixed
+            // stack's: durable shards are outside the elastic range.
+            for algo in SEC_FAMILIES
+                .into_iter()
+                .filter(|a| !matches!(a, Algo::SecAdaptive { .. }))
+            {
+                let off = rows.len();
+                for (mode, durable) in modes {
+                    let keys = vec![algo.label(), mode.into()];
+                    let against = durable.map(|_| off);
+                    rows.push(Row {
+                        against,
+                        ..row(keys, Series::of(algo), RunConfig { durable, ..cfg })
+                    });
+                }
+            }
+            let banner = format!(
+                "durable logging: flush-per-batch vs flush-per-op at {threads} threads\n\
+                 # rel_off = throughput / the family's off row"
+            );
+            let cols = &[MOPS_MEAN, CV_PCT, REL_OFF];
+            Spec {
+                json: Some("BENCH_durable.json"),
+                ..long(banner, "durable", &["family", "mode"], cols, rows)
+            }
         }
         _ => return None,
     })
 }
 
-/// Everything measured in one (series, thread count) cell over the
-/// `--runs` repeats.
+/// Everything measured in one cell over the `--runs` repeats.
 #[derive(Default)]
 struct Cell {
-    threads: usize,
     /// Throughput of each run, Mops/s.
     mops: Vec<f64>,
-    /// Batching degree and % of ops eliminated, summed over the SEC
-    /// runs (see [`mean`](Self::mean)).
+    /// Batching degree and % of ops eliminated and combined, summed
+    /// over the SEC runs (see [`mean`](Self::mean)).
     degree_sum: f64,
     elim_pct_sum: f64,
+    comb_pct_sum: f64,
     cas_failures: u64,
     resizes: ResizeTotals,
     recycle: ReclaimTotals,
@@ -429,6 +716,9 @@ struct Cell {
     active: Option<usize>,
     /// The fixed-work latency pass, when the figure exports one.
     latency: Option<LatencyReport>,
+    /// The mean throughput of the row this one reads against (its
+    /// own, for a row read against none).
+    reference: f64,
 }
 
 impl Cell {
@@ -437,6 +727,7 @@ impl Cell {
         if let Some(rep) = &out.sec_report {
             self.degree_sum += rep.batching_degree();
             self.elim_pct_sum += rep.pct_eliminated();
+            self.comb_pct_sum += rep.pct_combined();
             self.cas_failures += rep.cas_failures;
         }
         self.resizes.add(out.sec_report.as_ref());
@@ -459,6 +750,76 @@ impl Cell {
     fn latency(&self, pick: fn(&LatencyReport) -> u64) -> f64 {
         self.latency.as_ref().map_or(0, pick) as f64
     }
+
+    /// A binomial-model prediction for a batch of the mean batching
+    /// degree, rounded, with push share 0.5.
+    fn model(&self, prediction: fn(u64, f64) -> f64) -> f64 {
+        prediction(self.mean(self.degree_sum).round() as u64, 0.5)
+    }
+}
+
+/// One run of a row paced by a row measured at `mops`: it stops when
+/// `--duration-ms` has passed or when it has done the ops that row
+/// does in that time (at most [`DURABLE_MAX_OPS`]), whichever comes
+/// first. Its durable log holds one record per op, prefill included,
+/// so the run cannot fill it.
+fn paced_run(algo: Algo, cfg: &RunConfig, mops: f64) -> AlgoRun {
+    let ops = ((mops * 1e6 * cfg.duration.as_secs_f64()) as u64).min(DURABLE_MAX_OPS);
+    let per_worker = (ops / cfg.threads as u64).max(64);
+    let cfg = RunConfig {
+        durable: cfg.durable.map(|setup| DurableSetup {
+            record_capacity: cfg.prefill + cfg.threads * per_worker as usize,
+            ..setup
+        }),
+        ..*cfg
+    };
+    let budget = Budget::TimeOrOps(cfg.duration, per_worker);
+    ClosedLoop::<()>::new(&cfg, budget).algo(algo).0
+}
+
+/// Measures every row: `--runs` passes, run-major, each visiting every
+/// row and every configuration of a row once; then, when `latency`,
+/// one fixed-work latency pass per row. A figure whose columns read
+/// only the latency pass skips the passes (`timed` false).
+fn measure(stem: &str, rows: &[Row], opts: &BenchOpts, timed: bool, latency: bool) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = rows.iter().map(|_| Cell::default()).collect();
+    let name = |row: &Row| format!("{stem} | {:>8} | {}", row.series.label, row.keys.join(" "));
+    for r in 0..if timed { opts.runs } else { 0 } {
+        for (i, row) in rows.iter().enumerate() {
+            let pace = row.against.map(|j| cells[j].summary().mean);
+            for cfg in &row.cfgs {
+                let cfg = RunConfig {
+                    sec: row.series.sec,
+                    seed: cfg.seed ^ (r as u64) << 32,
+                    ..*cfg
+                };
+                let out = match pace {
+                    Some(mops) => paced_run(row.series.algo, &cfg, mops),
+                    None => run_algo(row.series.algo, &cfg),
+                };
+                cells[i].add(&out);
+            }
+            if r + 1 == opts.runs {
+                let mops = cells[i].summary();
+                let cv = mops.cv_pct();
+                eprintln!("  {}: {:.3} Mops/s (cv {cv:.1}%)", name(row), mops.mean);
+            }
+        }
+    }
+    if latency {
+        for (row, cell) in rows.iter().zip(&mut cells) {
+            let (s, cfg) = (&row.series, &row.cfgs[0]);
+            let ops = LATENCY_OPS_PER_THREAD;
+            let l = algo_latency(s.algo, s.sec, cfg.threads, ops, cfg.mix, cfg.map_mix);
+            let (p50, p99, p999) = (l.p50, l.p99, l.p999);
+            eprintln!("  {}: p50 {p50} / p99 {p99} / p999 {p999} ns", name(row));
+            cell.latency = Some(l);
+        }
+    }
+    for i in 0..cells.len() {
+        cells[i].reference = cells[rows[i].against.unwrap_or(i)].summary().mean;
+    }
+    cells
 }
 
 /// `adaptive_k`'s per-workload report: at every thread count, the best
@@ -466,7 +827,7 @@ impl Cell {
 /// active count the monitor settled on and the resize transitions (so
 /// a "flat" result is distinguishable from a monitor that never
 /// moved). Returns the workload's worst fraction and where it fell.
-fn best_static_k(sweep: &[usize], series: &[(&Series, Vec<Cell>)]) -> Option<(f64, usize)> {
+fn best_static_k(sweep: &[usize], series: &[(&Series, Vec<&Cell>)]) -> Option<(f64, usize)> {
     let (_, elastic) = series
         .iter()
         .find(|(s, _)| matches!(s.algo, Algo::SecAdaptive { .. }))?;
@@ -484,7 +845,7 @@ fn best_static_k(sweep: &[usize], series: &[(&Series, Vec<Cell>)]) -> Option<(f6
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("non-empty static lineup");
-        let cell = &elastic[i];
+        let cell = elastic[i];
         let frac = if best > 0.0 {
             cell.summary().mean / best
         } else {
@@ -504,149 +865,189 @@ fn best_static_k(sweep: &[usize], series: &[(&Series, Vec<Cell>)]) -> Option<(f6
     worst
 }
 
-/// The `families` sweep as `BENCH_families.json`: throughput mean/cv
-/// and p99 latency per family per thread count.
-fn families_json(opts: &BenchOpts, sweep: &[usize], series: &[(&Series, Vec<Cell>)]) -> Json {
-    let point = |c: &Cell| {
-        let mops = c.summary();
-        Json::Object(vec![
-            ("threads", Json::Int(c.threads as u64)),
-            ("mops_mean", Json::Fixed(mops.mean, 4)),
-            ("cv_pct", Json::Fixed(mops.cv_pct(), 2)),
-            ("p99_ns", Json::Int(c.latency(|l| l.p99) as u64)),
-        ])
-    };
-    let family = |(s, cells): &(&Series, Vec<Cell>)| {
-        Json::Object(vec![
-            ("name", Json::str(s.label.clone())),
-            ("points", Json::Array(cells.iter().map(point).collect())),
-        ])
-    };
-    let threads = sweep.iter().map(|&t| Json::Int(t as u64)).collect();
-    Json::Object(vec![
-        ("bench", Json::str("families")),
-        ("mix", Json::str("upd100")),
-        ("runs", Json::Int(opts.runs as u64)),
-        ("duration_ms", Json::Int(opts.duration.as_millis() as u64)),
-        ("threads", Json::Array(threads)),
-        ("families", Json::Array(series.iter().map(family).collect())),
-    ])
+/// The long table of `cells`, each with its key fields (named by
+/// `keys`): one column per `cols`, the first `plotted` of them
+/// throughputs.
+fn long_table<'c>(
+    keys: &[&str],
+    cols: &[Col],
+    plotted: usize,
+    cells: impl Iterator<Item = (Vec<String>, &'c Cell)>,
+) -> Table {
+    let header = keys.iter().copied().chain(cols.iter().map(|c| c.0));
+    Table {
+        header: header.map(String::from).collect(),
+        rows: cells
+            .map(|(k, c)| (k, cols.iter().map(|col| col.1(c)).collect()))
+            .collect(),
+        plotted,
+    }
 }
 
-/// Measures every series of `case` at every thread count, `--runs`
-/// times, run-major; then, when the figure has latency columns, one
-/// fixed-work latency pass per cell.
-fn measure<'a>(
-    spec: &Spec,
-    case: &'a Case,
-    sweep: &[usize],
-    opts: &BenchOpts,
-) -> Vec<(&'a Series, Vec<Cell>)> {
-    let mut series: Vec<(&Series, Vec<Cell>)> = case
-        .lineup
-        .iter()
-        .map(|s| {
-            let cells = sweep.iter().map(|&threads| Cell {
-                threads,
-                ..Cell::default()
-            });
-            (s, cells.collect())
-        })
-        .collect();
-    for r in 0..opts.runs {
-        for (ti, &threads) in sweep.iter().enumerate() {
-            for (s, cells) in &mut series {
-                let cfg = RunConfig {
-                    threads,
-                    sec: s.sec,
-                    sec_capacity: (spec.capacity)(threads),
-                    seed: case.cfg.seed ^ (r as u64) << 32,
-                    ..case.cfg
-                };
-                let cell = &mut cells[ti];
-                cell.add(&run_algo(s.algo, &cfg));
-                if r + 1 == opts.runs {
-                    let mops = cell.summary();
-                    eprintln!(
-                        "  {} | {:>8} | {threads:>3} threads: {:.3} Mops/s (cv {:.1}%)",
-                        case.stem,
-                        s.label,
-                        mops.mean,
-                        mops.cv_pct(),
-                    );
-                }
-            }
-        }
+/// The one writer's check: stops the sweep on a number no measurement
+/// produces, naming the figure, the file, the row and the column.
+fn checked<'t>(name: &str, file: &str, table: &'t Table) -> &'t Table {
+    if let Err(e) = table.check() {
+        panic!("figure {name}: {file}: {e}");
     }
-    if spec
-        .counters
-        .iter()
-        .any(|(suffix, _)| suffix.ends_with("_ns"))
-    {
-        let (mix, map_mix) = (case.cfg.mix, case.cfg.map_mix);
-        for (s, cells) in &mut series {
-            for cell in cells {
-                let ops = LATENCY_OPS_PER_THREAD;
-                let l = algo_latency(s.algo, s.sec, cell.threads, ops, mix, map_mix);
-                eprintln!(
-                    "  {} | {:>8} | {:>3} threads: p50 {} / p99 {} / p999 {} ns",
-                    case.stem, s.label, cell.threads, l.p50, l.p99, l.p999
-                );
-                cell.latency = Some(l);
-            }
-        }
-    }
-    series
+    table
+}
+
+/// Writes `table` as `<stem>.csv` under `--csv`, after the check.
+fn write_csv(name: &str, opts: &BenchOpts, stem: &str, table: &Table) {
+    let file = format!("{stem}.csv");
+    let body = checked(name, &file, table).render_csv();
+    write_reported(&opts.csv_dir.join(file), &body);
+}
+
+/// Writes `table` as the `file` JSON drop (under `--csv` and in the
+/// current directory), after the check: the run settings; the host
+/// and build under the field names of the repository benchmark's
+/// results; the cache-line round trip (ns) measured `before` and
+/// `after` the figure; the column names and one array per row, numeric
+/// keys as numbers.
+fn write_json(name: &str, opts: &BenchOpts, file: &str, table: &Table, before: f64, after: f64) {
+    let num = |&v: &f64| match v.fract() {
+        0.0 if v >= 0.0 => Json::Int(v as u64),
+        _ => Json::Fixed(v, 4),
+    };
+    let key = |k: &String| k.parse().map_or_else(|_| Json::str(k.as_str()), Json::Int);
+    let row = |(keys, values): &(Vec<String>, Vec<f64>)| {
+        Json::Array(keys.iter().map(key).chain(values.iter().map(num)).collect())
+    };
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
+    let profile = ["release", "debug"][cfg!(debug_assertions) as usize];
+    // The checkout the sweep runs in, `none` outside one.
+    let git = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output();
+    let git = git.ok().filter(|out| out.status.success());
+    let rev = git.map_or("none".into(), |o| {
+        String::from_utf8_lossy(&o.stdout).trim().to_string()
+    });
+    let threads = topology::hardware_threads() as u64;
+    let round_trip = [
+        ("before", Json::Fixed(before, 1)),
+        ("after", Json::Fixed(after, 1)),
+    ];
+    let doc = Json::Object(vec![
+        ("bench", Json::str(name)),
+        ("runs", Json::Int(opts.runs as u64)),
+        ("duration_ms", Json::Int(opts.duration.as_millis() as u64)),
+        (
+            "host",
+            Json::Object(vec![
+                ("hardware_threads", Json::Int(threads)),
+                ("kernel", Json::str(kernel.trim())),
+                ("profile", Json::str(profile)),
+                ("git_rev", Json::str(rev)),
+            ]),
+        ),
+        ("line_round_trip_ns", Json::Object(round_trip.into())),
+        (
+            "columns",
+            Json::Array(table.header.iter().map(|h| Json::str(h.as_str())).collect()),
+        ),
+        (
+            "rows",
+            Json::Array(checked(name, file, table).rows.iter().map(row).collect()),
+        ),
+    ]);
+    write_bench_json(&opts.csv_dir, file, &doc);
 }
 
 /// Measures, prints and writes figure `name`.
 fn run(name: &str, spec: &Spec, opts: &BenchOpts) {
     println!("{}", opts.banner(&spec.banner));
+    let before = spec.json.map(|_| topology::line_round_trip_ns());
+    let mut drop = None;
     let sweep = (spec.threads)(opts);
     let mut worst: Option<(f64, Mix, usize)> = None;
+    let reads_latency = |cols: &[Col]| cols.iter().any(|(name, _)| name.ends_with("_ns"));
     for case in &spec.cases {
-        let series = measure(spec, case, &sweep, opts);
+        // Thread-major, series-minor: the order every pass visits.
+        let rows: Vec<Row> = sweep
+            .iter()
+            .flat_map(|&threads| {
+                case.lineup.iter().map(move |s| Row {
+                    keys: vec![threads.to_string()],
+                    series: s.clone(),
+                    cfgs: vec![RunConfig {
+                        threads,
+                        sec_capacity: (spec.capacity)(threads),
+                        ..case.cfg
+                    }],
+                    against: None,
+                })
+            })
+            .collect();
+        let cells = measure(case.stem, &rows, opts, true, reads_latency(spec.counters));
+        let n = case.lineup.len();
+        let series: Vec<(&Series, Vec<&Cell>)> = case
+            .lineup
+            .iter()
+            .enumerate()
+            .map(|(si, s)| (s, (0..sweep.len()).map(|ti| &cells[ti * n + si]).collect()))
+            .collect();
         let mut fig = Figure::new(case.title.clone(), sweep.clone());
         for (s, cells) in &series {
             let mops = cells.iter().map(|c| c.summary().mean).collect();
             fig.add_series(s.label.clone(), mops);
             if (spec.counted)(&s.algo) {
                 for (suffix, value) in spec.counters {
-                    let column = cells.iter().map(value).collect();
+                    let column = cells.iter().map(|c| value(c)).collect();
                     fig.add_extra(format!("{}_{suffix}", s.label), column);
                 }
             }
         }
         println!("{}", fig.render_table());
         println!("{}", fig.render_ascii_plot(12));
-        if let Err(e) = fig.write_csv(&opts.csv_dir, case.stem) {
-            eprintln!("warning: could not write CSV: {e}");
-        }
+        write_csv(name, opts, case.stem, &fig.table());
         if let Some(companion) = &case.companion {
             let mut fig = Figure::new(companion.title, sweep.clone()).y_unit(companion.unit);
             for (s, cells) in &series {
-                fig.add_series(s.label.clone(), cells.iter().map(companion.value).collect());
+                let values = cells.iter().map(|c| (companion.value)(c)).collect();
+                fig.add_series(s.label.clone(), values);
             }
             println!("{}", fig.render_table());
-            if let Err(e) = fig.write_csv(&opts.csv_dir, companion.stem) {
-                eprintln!("warning: could not write CSV: {e}");
-            }
+            write_csv(name, opts, companion.stem, &fig.table());
         }
-        match name {
-            "adaptive_k" => {
-                if let Some((frac, n)) = best_static_k(&sweep, &series) {
-                    if worst.is_none_or(|(w, _, _)| frac < w) {
-                        worst = Some((frac, case.cfg.mix, n));
-                    }
+        if name == "adaptive_k" {
+            if let Some((frac, n)) = best_static_k(&sweep, &series) {
+                if worst.is_none_or(|(w, _, _)| frac < w) {
+                    worst = Some((frac, case.cfg.mix, n));
                 }
             }
-            "families" => write_bench_json(
-                &opts.csv_dir,
-                "BENCH_families.json",
-                &families_json(opts, &sweep, &series),
-            ),
-            _ => {}
         }
+        if spec.json.is_some() {
+            // Every counted cell, with its throughput's mean and cv.
+            let cols = [MOPS_MEAN, CV_PCT].iter().chain(spec.counters).copied();
+            let counted = rows
+                .iter()
+                .zip(&cells)
+                .filter(|(r, _)| (spec.counted)(&r.series.algo));
+            let cells = counted.map(|(r, c)| (vec![r.series.label.clone(), r.keys[0].clone()], c));
+            let keys = ["series", "threads"];
+            drop = Some(long_table(&keys, &cols.collect::<Vec<_>>(), 1, cells));
+        }
+    }
+    if let Some(long) = &spec.long {
+        let timed = !long.cols.iter().all(|(name, _)| name.ends_with("_ns"));
+        let cells = measure(long.stem, &long.rows, opts, timed, reads_latency(long.cols));
+        let cells = long.rows.iter().map(|r| r.keys.clone()).zip(&cells);
+        let plotted = long
+            .cols
+            .iter()
+            .take_while(|c| c.0.starts_with("mops"))
+            .count();
+        let table = long_table(long.keys, long.cols, plotted, cells);
+        println!("{}", table.render_csv());
+        write_csv(name, opts, long.stem, &table);
+        drop = drop.or(spec.json.map(|_| table));
+    }
+    if let (Some(file), Some(table), Some(before)) = (spec.json, &drop, before) {
+        let after = topology::line_round_trip_ns();
+        write_json(name, opts, file, table, before, after);
     }
     if let Some((frac, mix, n)) = worst {
         let verdict = if frac >= 0.95 { "PASS" } else { "WARN" };

@@ -3,23 +3,22 @@
 //! The binaries in `src/bin/` regenerate the paper's figures and
 //! tables as text tables + ASCII plots + CSV:
 //!
-//! * `sweep` — every throughput-vs-threads figure, selected by name:
+//! * `sweep` — every figure, table and ablation, selected by name:
 //!   `fig2` (3 mixes × 6 algorithms), `fig3` (push-only / pop-only),
 //!   `fig4` (aggregator ablation), `adaptive_k` (elastic vs best
 //!   static K), `queue_bench`, `map_bench`, `families` (every SEC
 //!   family on one axis, plus `BENCH_families.json`), `oversub` (wait
-//!   policies at 1×/2×/4×/8× the hardware threads) and `shard_policy`
-//!   (Block vs RoundRobin);
-//! * `table1` (batching/elimination/combining degrees, with the
-//!   binomial-model companion rows) and the extension ablations
-//!   `freezer_backoff` (the §3.1 backoff tunable — not a `sweep`
-//!   figure: its x-axis is (spins, yields) configurations, not thread
-//!   counts, and the backoff it sweeps is due to be reworked),
-//!   `recl_ablation` (EBR vs hazard pointers vs leak floor), `latency`
-//!   (per-op percentiles), `durable_bench` (durable-logging modes) and
-//!   `replay` (open-loop latency vs offered load);
+//!   policies at 1×/2×/4×/8× the hardware threads), `shard_policy`
+//!   (Block vs RoundRobin), `recl_ablation` (EBR vs hazard pointers vs
+//!   leak floor), and the long tables `table1`
+//!   (batching/elimination/combining degrees, with the binomial
+//!   model's prediction), `freezer_backoff` (the §3.1 backoff
+//!   tunable), `latency` (per-op percentiles) and `durable_bench`
+//!   (durable-logging modes, plus `BENCH_durable.json`);
+//! * `replay` (open-loop latency vs offered load);
 //! * the artifact checks `validate` (seconds-scale PASS/FAIL) and
-//!   `soak` (sustained-load conservation).
+//!   `soak` (sustained-load conservation), and `trace_dump` (a
+//!   Perfetto trace of a traced run).
 //!
 //! Run e.g.:
 //!
@@ -245,8 +244,8 @@ pub fn algo_latency(
 ///
 /// [`render`](Self::render) lays the document out the way every drop
 /// has always been laid out: the top-level object one field per line,
-/// every array of objects one element per line, everything else
-/// inline.
+/// every array of objects or arrays one element per line, everything
+/// else inline.
 #[derive(Debug)]
 pub enum Json {
     /// An integer.
@@ -289,9 +288,11 @@ impl Json {
                 ('{', '}', fields)
             }
         };
-        // The top level and every container of objects put one element
-        // per line, indented one step deeper than the line they open on.
-        let multiline = indent == 0 || matches!(items.first(), Some((_, Json::Object(_))));
+        // The top level and every container of objects or arrays put
+        // one element per line, indented one step deeper than the line
+        // they open on.
+        let multiline =
+            indent == 0 || matches!(items.first(), Some((_, Json::Object(_) | Json::Array(_))));
         let inner = if multiline { indent + 2 } else { indent };
         out.push(open);
         for (i, (key, value)) in items.into_iter().enumerate() {

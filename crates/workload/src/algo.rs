@@ -6,8 +6,8 @@
 use crate::runner::{ClosedLoop, RunConfig, RunResult};
 use core::fmt;
 use sec_baselines::{
-    CcStack, EbStack, FcStack, LockedHashMap, LockedQueue, LockedStack, MsQueue, TreiberHpStack,
-    TreiberStack, TsiStack,
+    CcStack, EbStack, FcStack, LeakTreiberStack, LockedHashMap, LockedQueue, LockedStack, MsQueue,
+    TreiberHpStack, TreiberStack, TsiStack,
 };
 pub use sec_core::SecReadout;
 use sec_core::{
@@ -43,6 +43,9 @@ pub enum Algo {
     Tsi,
     /// Treiber stack over hazard-pointer reclamation (ablation lineup).
     TrbHp,
+    /// Treiber stack that reclaims nothing while it runs (the
+    /// reclamation ablation's cost floor).
+    TrbLeak,
     /// Mutex-protected sequential stack (sanity floor, not in the
     /// paper's figures).
     Lck,
@@ -139,6 +142,7 @@ impl Algo {
             Algo::Cc => "CC".into(),
             Algo::Tsi => "TSI".into(),
             Algo::TrbHp => "TRB-HP".into(),
+            Algo::TrbLeak => "TRB-LEAK".into(),
             Algo::Lck => "LCK".into(),
             Algo::SecQueue => "SEC-Q".into(),
             Algo::MsQ => "MS".into(),
@@ -237,6 +241,7 @@ impl Algo {
             Algo::Cc => visitor.stack(&CcStack::<u64>::new(cap), None),
             Algo::Tsi => visitor.stack(&TsiStack::<u64>::new(cap), None),
             Algo::TrbHp => visitor.stack(&TreiberHpStack::<u64>::new(cap), None),
+            Algo::TrbLeak => visitor.stack(&LeakTreiberStack::<u64>::default(), None),
             Algo::Lck => visitor.stack(&LockedStack::<u64>::new(cap), None),
             Algo::MsQ => visitor.queue(&MsQueue::<u64>::new(cap), None),
             Algo::LckQ => visitor.queue(&LockedQueue::<u64>::new(cap), None),
@@ -371,7 +376,8 @@ mod tests {
             Algo::LckMap => ("map", false),
             _ => ("stack", false),
         };
-        // The fig4 / adaptive_k ablation lineup is built in `sweep`.
+        // The fig4 / adaptive_k ablation lineup is built in `sweep`,
+        // and so is recl_ablation's, the only one with the leak floor.
         let ablation = [1, 2, 3, 4, 5]
             .map(|k| Algo::Sec { aggregators: k })
             .into_iter()
@@ -383,7 +389,8 @@ mod tests {
             .chain(MAP_LINEUP)
             .chain(SEC_FAMILIES)
             .chain(CHECKED_LINEUP)
-            .chain(ablation);
+            .chain(ablation)
+            .chain([Algo::TrbLeak]);
         for algo in every {
             assert_eq!(algo.build(2, |c| c, None, KindOf), expected(algo), "{algo}");
         }

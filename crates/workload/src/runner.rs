@@ -211,6 +211,10 @@ pub enum Budget {
     Time(Duration),
     /// Exactly this many steps per worker.
     Ops(u64),
+    /// Until the duration has passed or the worker has taken this many
+    /// steps, whichever comes first: at most this many, rounded down to
+    /// whole 64-step chunks (at least one).
+    TimeOrOps(Duration, u64),
 }
 
 /// One worker's pass through [`drive`]'s start barrier.
@@ -231,19 +235,30 @@ impl Start<'_> {
     #[inline(always)]
     pub fn run(self, mut step: impl FnMut()) -> u64 {
         // A timed run checks the stop flag once per 64-step chunk; an
-        // op budget is one chunk of its whole count.
-        let (chunk, mut chunks) = match self.budget {
-            Budget::Time(_) => (64, u64::MAX),
-            Budget::Ops(n) => (n, 1),
+        // op budget is one chunk of its whole count. A capped run
+        // checks its own deadline per chunk, so `drive` ends when the
+        // last worker stops, not when the clock runs out.
+        let (chunk, mut chunks, time) = match self.budget {
+            Budget::Time(_) => (64, u64::MAX, None),
+            Budget::Ops(n) => (n, 1, None),
+            Budget::TimeOrOps(d, n) => (64, (n / 64).max(1), Some(d)),
         };
         self.barrier.wait();
+        let deadline = time.map(|d| Instant::now() + d);
         let mut steps = 0;
-        while chunks > 0 && !self.stop.load(Ordering::Relaxed) {
+        // The first chunk runs whatever the stop flag says, so a worker
+        // descheduled past a short duration still takes one chunk and
+        // no timed run reads 0 ops.
+        loop {
             for _ in 0..chunk {
                 step();
             }
             steps += chunk;
             chunks -= 1;
+            let late = deadline.is_some_and(|t| Instant::now() >= t);
+            if chunks == 0 || late || self.stop.load(Ordering::Relaxed) {
+                break;
+            }
         }
         steps
     }
@@ -642,7 +657,19 @@ mod tests {
         assert_eq!(workers, [0, 1, 2]);
         for (t, steps) in outputs {
             assert_eq!(steps % 64, 0, "worker {t} stopped mid-chunk");
+            assert!(steps >= 64, "worker {t} took no chunk");
         }
+    }
+
+    #[test]
+    fn capped_drive_stops_at_its_op_cap_before_its_duration() {
+        let duration = Duration::from_secs(30);
+        let (steps, elapsed) = drive(3, Budget::TimeOrOps(duration, 1_000), |_, start| {
+            start.run(|| {})
+        });
+        // 1000 rounded down to whole 64-step chunks.
+        assert_eq!(steps, [960; 3]);
+        assert!(elapsed < duration, "waited out the clock: {elapsed:?}");
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //!
 //! Each figure in the paper is a set of *series* (one per algorithm)
 //! over a common x-axis (thread counts). [`Figure`] collects the points
-//! and renders either an aligned text table (the "same rows/series the
-//! paper reports") or CSV for external plotting.
+//! and renders an aligned text table (the "same rows/series the paper
+//! reports") and an ASCII plot. [`Table`] is what a CSV holds: key
+//! columns, then numbers, one row per line. A figure is its wide form
+//! ([`Figure::table`]); a long table has one row per measured cell.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// One figure's data: an x-axis plus named series.
 #[derive(Debug, Clone)]
@@ -24,7 +23,7 @@ pub struct Figure {
     /// Extra per-x columns carried alongside the plotted series —
     /// counters in a different unit (e.g. the elastic-sharding
     /// `grows`/`shrinks` resize totals). Emitted by
-    /// [`render_csv`](Self::render_csv) after the main series and
+    /// [`table`](Self::table) after the main series and
     /// listed as a footnote block by [`render_table`](Self::render_table),
     /// but never plotted (their scale is unrelated to the y-axis).
     pub extras: Vec<(String, Vec<f64>)>,
@@ -197,30 +196,101 @@ impl Figure {
         out
     }
 
-    /// Renders CSV (`threads,<series...>,<extras...>` header then one
-    /// row per x; extra columns come after the plotted series).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "threads");
-        for (name, _) in self.series.iter().chain(&self.extras) {
-            let _ = write!(out, ",{name}");
+    /// The figure as a CSV table: a `threads` key column, the plotted
+    /// series, then the extra columns; one row per x. The series plot
+    /// throughput when the y unit is Mops/s.
+    pub fn table(&self) -> Table {
+        let columns = || self.series.iter().chain(&self.extras);
+        let header = std::iter::once("threads").chain(columns().map(|(name, _)| name.as_str()));
+        let row = |(i, x): (usize, &usize)| {
+            (
+                vec![x.to_string()],
+                columns().map(|(_, ys)| ys[i]).collect(),
+            )
+        };
+        let throughput = self.y_unit == "Mops/s";
+        Table {
+            header: header.map(String::from).collect(),
+            rows: self.xs.iter().enumerate().map(row).collect(),
+            plotted: if throughput { self.series.len() } else { 0 },
         }
-        let _ = writeln!(out);
-        for (i, x) in self.xs.iter().enumerate() {
-            let _ = write!(out, "{x}");
-            for (_, ys) in self.series.iter().chain(&self.extras) {
-                let _ = write!(out, ",{:.6}", ys[i]);
+    }
+}
+
+/// What a CSV holds: key columns, then value columns, one row per
+/// line.
+#[derive(Debug)]
+pub struct Table {
+    /// The column names, key columns first.
+    pub header: Vec<String>,
+    /// Each row's key fields, then its values.
+    pub rows: Vec<(Vec<String>, Vec<f64>)>,
+    /// How many leading value columns plot throughput (Mops/s).
+    pub plotted: usize,
+}
+
+/// Latency column suffixes in the order their values must rise.
+const LATENCY_ORDER: [&str; 5] = ["p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"];
+
+impl Table {
+    /// Renders the header line, then one line per row: its key fields
+    /// as they are, its values with six decimals.
+    pub fn render_csv(&self) -> String {
+        let mut out = self.header.join(",");
+        out.push('\n');
+        for (keys, values) in &self.rows {
+            out.push_str(&keys.join(","));
+            for v in values {
+                let _ = write!(out, ",{v:.6}");
             }
-            let _ = writeln!(out);
+            out.push('\n');
         }
         out
     }
 
-    /// Writes the CSV next to the given directory as `<stem>.csv`.
-    pub fn write_csv(&self, dir: &Path, stem: &str) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
-        fs::write(dir.join(format!("{stem}.csv")), self.render_csv())
+    /// Checks for numbers no measurement produces: a value that is not
+    /// finite, a plotted throughput at or below 0, or latency columns
+    /// out of order (`p50 ≤ p90 ≤ p99 ≤ p999 ≤ max` among the columns
+    /// of one series). The error names the row and the column.
+    pub fn check(&self) -> Result<(), String> {
+        let keys = self.header.len() - self.rows.first().map_or(0, |(_, v)| v.len());
+        let names = &self.header[keys..];
+        // Each latency column: its index, series prefix and rank.
+        let ranked: Vec<(usize, &str, usize)> = names
+            .iter()
+            .enumerate()
+            .filter_map(|(col, name)| latency_rank(name).map(|(p, rank)| (col, p, rank)))
+            .collect();
+        for (row, values) in &self.rows {
+            let at = |col: usize| format!("row {}, column {}", row.join(","), names[col]);
+            for (col, &v) in values.iter().enumerate() {
+                if !v.is_finite() {
+                    return Err(format!("{}: {v} is not a number", at(col)));
+                }
+                if col < self.plotted && v <= 0.0 {
+                    return Err(format!("{}: throughput {v} is not positive", at(col)));
+                }
+            }
+            for &(lo, p, a) in &ranked {
+                for &(hi, q, b) in &ranked {
+                    if p == q && a < b && values[lo] > values[hi] {
+                        let (v, name, w) = (values[lo], &names[hi], values[hi]);
+                        return Err(format!("{}: {v} is above {name} = {w}", at(lo)));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
+}
+
+/// A latency column's series prefix (empty or ending in `_`) and the
+/// rank of its suffix in [`LATENCY_ORDER`].
+fn latency_rank(name: &str) -> Option<(&str, usize)> {
+    LATENCY_ORDER.iter().enumerate().find_map(|(rank, suffix)| {
+        let prefix = name.strip_suffix(suffix)?;
+        (prefix.is_empty() || prefix.ends_with('_')).then_some((prefix, rank))
+    })
 }
 
 #[cfg(test)]
@@ -252,7 +322,7 @@ mod tests {
 
     #[test]
     fn csv_shape() {
-        let csv = sample().render_csv();
+        let csv = sample().table().render_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "threads,SEC,TRB");
         assert_eq!(lines.len(), 4);
@@ -264,7 +334,7 @@ mod tests {
         let mut f = sample();
         f.add_extra("SEC_grows", vec![0.0, 2.0, 5.0]);
         f.add_extra("SEC_shrinks", vec![0.0, 1.0, 3.0]);
-        let csv = f.render_csv();
+        let csv = f.table().render_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "threads,SEC,TRB,SEC_grows,SEC_shrinks");
         assert!(lines[3].starts_with("4,"));
@@ -322,11 +392,51 @@ mod tests {
     }
 
     #[test]
+    fn check_refuses_impossible_numbers() {
+        let table = |header: &[&str], plotted, values: Vec<f64>| Table {
+            header: header.iter().map(|h| h.to_string()).collect(),
+            rows: vec![(vec!["r1".into()], values)],
+            plotted,
+        };
+        let lat = ["algo", "p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"];
+        assert!(table(&lat, 0, vec![1.0, 2.0, 2.0, 3.0, 4.0])
+            .check()
+            .is_ok());
+        let err = table(&lat, 0, vec![1.0, 5.0, 2.0, 3.0, 4.0]).check();
+        assert!(err.unwrap_err().contains("row r1, column p90_ns"));
+        // Only columns of one series are ordered against each other.
+        let two = ["threads", "A_p50_ns", "B_p99_ns", "B_p999_ns"];
+        assert!(table(&two, 0, vec![9.0, 1.0, 2.0]).check().is_ok());
+        assert!(table(&two, 0, vec![1.0, 3.0, 2.0]).check().is_err());
+        let mut f = sample();
+        assert!(f.table().check().is_ok());
+        f.series[1].1[2] = 0.0;
+        assert!(f.table().check().unwrap_err().contains("row 4, column TRB"));
+        let err = table(&["k", "x"], 0, vec![f64::NAN]).check();
+        assert!(err.unwrap_err().contains("not a number"));
+        // A zero outside the plotted columns is a count, not an error.
+        assert!(table(&["k", "mops", "x"], 1, vec![1.0, 0.0])
+            .check()
+            .is_ok());
+    }
+
+    #[test]
     fn csv_writes_to_disk() {
+        // The rendered CSV reads back to the table's numbers.
         let dir = std::env::temp_dir().join("sec_workload_table_test");
-        sample().write_csv(&dir, "fig_test").unwrap();
-        let content = std::fs::read_to_string(dir.join("fig_test.csv")).unwrap();
-        assert!(content.starts_with("threads,"));
+        let path = dir.join("fig_test.csv");
+        let table = sample().table();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, table.render_csv()).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+        let mut lines = content.lines();
+        assert_eq!(lines.next(), Some("threads,SEC,TRB"));
+        for (line, (keys, values)) in lines.zip(&table.rows) {
+            let mut fields = line.split(',');
+            assert_eq!(fields.next(), Some(keys[0].as_str()));
+            let read: Vec<f64> = fields.map(|f| f.parse().unwrap()).collect();
+            assert_eq!(&read, values);
+        }
     }
 }

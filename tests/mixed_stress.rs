@@ -158,6 +158,11 @@ fn treiber_hp_drops_values_exactly_once() {
 }
 
 #[test]
+fn treiber_leak_drops_values_exactly_once() {
+    drop_hygiene(|_| sec_baselines::LeakTreiberStack::default(), "TRB-LEAK");
+}
+
+#[test]
 fn locked_drops_values_exactly_once() {
     drop_hygiene(sec_repro::baselines::LockedStack::new, "LCK");
 }

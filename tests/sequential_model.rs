@@ -100,6 +100,11 @@ proptest! {
     }
 
     #[test]
+    fn treiber_leak_matches_vec_model(ops in prop::collection::vec(op_strategy(), 0..200)) {
+        matches_model(&sec_baselines::LeakTreiberStack::default(), "TRB-LEAK", &ops);
+    }
+
+    #[test]
     fn locked_matches_vec_model(ops in prop::collection::vec(op_strategy(), 0..200)) {
         matches_model(&sec_repro::baselines::LockedStack::new(1), "LCK", &ops);
     }
