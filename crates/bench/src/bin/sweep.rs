@@ -60,8 +60,8 @@ use sec_sync::topology;
 use sec_workload::stats::{DegreeTotals, ReclaimTotals, ResizeTotals, Summary, WaitTotals};
 use sec_workload::table::{Figure, Table};
 use sec_workload::{
-    run_algo, Algo, AlgoRun, Budget, ClosedLoop, DurableSetup, KeyDist, LatencyReport, MapMix, Mix,
-    RunConfig, SecPatch, ALL_COMPETITORS, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
+    run_algo, Algo, AlgoRun, DurableSetup, KeyDist, LatencyReport, MapMix, Mix, RunConfig,
+    SecPatch, ALL_COMPETITORS, MAP_LINEUP, QUEUE_LINEUP, SEC_FAMILIES,
 };
 
 /// The figure names, in catalog order.
@@ -148,11 +148,6 @@ const BACKOFFS: [SecPatch; 10] = [
 /// Fixed-work operations per thread of a latency pass.
 const LATENCY_OPS_PER_THREAD: u64 = 2_000;
 
-/// The most operations one run of a durable cell takes. Its log holds
-/// one record per op and a volatile log is zeroed when it is built, so
-/// this bounds the heap: about 48 MB a shard at 4 threads.
-const DURABLE_MAX_OPS: u64 = 1 << 18;
-
 /// One series of a lineup: the structure, the SEC patch its runs are
 /// built with, and its CSV label.
 #[derive(Clone)]
@@ -200,9 +195,8 @@ struct Row {
     keys: Vec<String>,
     series: Series,
     cfgs: Vec<RunConfig>,
-    /// The row that paces this one and that its `rel_off` reads
-    /// against (`durable_bench`: the family's `off` row), measured
-    /// before it in every pass.
+    /// The row that this one's `rel_off` reads against
+    /// (`durable_bench`: the family's `off` row).
     against: Option<usize>,
 }
 
@@ -758,25 +752,6 @@ impl Cell {
     }
 }
 
-/// One run of a row paced by a row measured at `mops`: it stops when
-/// `--duration-ms` has passed or when it has done the ops that row
-/// does in that time (at most [`DURABLE_MAX_OPS`]), whichever comes
-/// first. Its durable log holds one record per op, prefill included,
-/// so the run cannot fill it.
-fn paced_run(algo: Algo, cfg: &RunConfig, mops: f64) -> AlgoRun {
-    let ops = ((mops * 1e6 * cfg.duration.as_secs_f64()) as u64).min(DURABLE_MAX_OPS);
-    let per_worker = (ops / cfg.threads as u64).max(64);
-    let cfg = RunConfig {
-        durable: cfg.durable.map(|setup| DurableSetup {
-            record_capacity: cfg.prefill + cfg.threads * per_worker as usize,
-            ..setup
-        }),
-        ..*cfg
-    };
-    let budget = Budget::TimeOrOps(cfg.duration, per_worker);
-    ClosedLoop::<()>::new(&cfg, budget).algo(algo).0
-}
-
 /// Measures every row: `--runs` passes, run-major, each visiting every
 /// row and every configuration of a row once; then, when `latency`,
 /// one fixed-work latency pass per row. A figure whose columns read
@@ -786,18 +761,13 @@ fn measure(stem: &str, rows: &[Row], opts: &BenchOpts, timed: bool, latency: boo
     let name = |row: &Row| format!("{stem} | {:>8} | {}", row.series.label, row.keys.join(" "));
     for r in 0..if timed { opts.runs } else { 0 } {
         for (i, row) in rows.iter().enumerate() {
-            let pace = row.against.map(|j| cells[j].summary().mean);
             for cfg in &row.cfgs {
                 let cfg = RunConfig {
                     sec: row.series.sec,
                     seed: cfg.seed ^ (r as u64) << 32,
                     ..*cfg
                 };
-                let out = match pace {
-                    Some(mops) => paced_run(row.series.algo, &cfg, mops),
-                    None => run_algo(row.series.algo, &cfg),
-                };
-                cells[i].add(&out);
+                cells[i].add(&run_algo(row.series.algo, &cfg));
             }
             if r + 1 == opts.runs {
                 let mops = cells[i].summary();

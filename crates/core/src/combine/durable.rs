@@ -22,17 +22,22 @@
 //!   results.
 //!   A record whose commit word is unset is a torn record: its ops
 //!   never happened.
-//! * **Recovery** — [`DurableCore::open`] scans every shard, orders
-//!   committed records by their global sequence number, verifies that
-//!   each handle's logged ops form a gap-free prefix (zero
-//!   double-applies) and classifies every pending intent;
-//!   [`Sec::replay`] then re-applies the ordered op list to
-//!   a fresh structure, checking every result against the log.
+//! * **Checkpoints** — the log rewinds: once a shard's tail reaches a
+//!   trigger, the combiner writes the structure as an op list into the
+//!   idle half of a double-buffered region, commits it with one release
+//!   store, and every shard's tail starts over behind it.
+//! * **Recovery** — [`DurableCore::open`] reads the newest checkpoint,
+//!   scans every shard's records after it, orders them by their global
+//!   sequence number, verifies that each handle's logged ops continue
+//!   the checkpoint gap-free (zero double-applies) and classifies every
+//!   pending intent; [`Sec::replay`] then re-applies the checkpoint's op
+//!   list and the log to a fresh structure, checking every result.
 //!
 //! The whole durable path is the engine's: a family contributes only
 //! its [`CombineOp::apply_logged`] hook, which the live durable
 //! combiner and recovery replay both call — one rule per family for
-//! what a logged op does.
+//! what a logged op does — and its inverse,
+//! [`CombineOp::export_logged`], which writes a checkpoint.
 //!
 //! Durability fine print: `MAP_SHARED` stores live in the kernel page
 //! cache, which survives the *process* (kill−9 semantics — exactly
@@ -43,7 +48,7 @@
 use core::any::TypeId;
 use core::mem;
 use core::ops::Range;
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicU64, Ordering};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -58,9 +63,11 @@ use super::{CombineOp, Lane, Sec};
 const MAGIC: u64 = 0x5345_4344_5552_3031;
 /// On-heap layout version. Version 2 gives every handle's intent cell
 /// and every shard's tail word a cache line of its own, and checksums
-/// a record's entry count after its entries; `open` refuses a
-/// version-1 heap as [`DurableError::BadMagic`].
-const VERSION: u64 = 2;
+/// a record's entry count after its entries. Version 3 splits each
+/// shard's records into two halves that trade places at every
+/// checkpoint and adds the checkpoint words to the header. `open`
+/// refuses any other version as [`DurableError::BadMagic`].
+const VERSION: u64 = 3;
 /// Words per cache line. The heap base is page-aligned, so word `i`
 /// sits on line `i / LINE_WORDS`.
 const LINE_WORDS: usize = 8;
@@ -76,6 +83,20 @@ const H_ENTRIES_CAP: usize = 5;
 const H_FAMILY_PARAM: usize = 6;
 const H_GLOBAL_SEQ: usize = 7;
 const H_VERSION: usize = 8;
+/// The checkpoint commit word: `(seq + 1) << 1 | half` for the newest
+/// committed checkpoint, which took global sequence number `seq` and
+/// sits at the start of shard 0's `half`; 0 before the first.
+const H_CKPT: usize = 9;
+/// The record count of the checkpoint written into half 0 (this word)
+/// or half 1 (the next), stored before [`H_CKPT`] commits that half.
+const H_CKPT_RECORDS: usize = 10;
+/// A shard checkpoints once its tail reaches `max(CKPT_MIN_RECORDS,
+/// CKPT_GROWTH × records of the last checkpoint)`, capped at its half:
+/// each record then pays for at most `1 / CKPT_GROWTH` of a checkpoint
+/// record, and the log reuses the same first records of each half
+/// whatever `record_capacity` is.
+const CKPT_MIN_RECORDS: usize = 16384;
+const CKPT_GROWTH: usize = 4;
 /// Intent cell stride: one whole line per handle, so no other writer
 /// shares it.
 const INTENT_WORDS: usize = LINE_WORDS;
@@ -212,8 +233,12 @@ pub struct DurablePolicy {
     pub mode: DurableMode,
     /// Number of durable combining shards (dedicated aggregators).
     pub shards: usize,
-    /// Log records per shard; the log is not circular, so this bounds
-    /// the structure's total batch count between recoveries.
+    /// Log records per shard, rounded up to an even count of at least
+    /// 4: two halves that trade places at every checkpoint. It bounds
+    /// the size of a checkpoint — the structure's op list must fit in
+    /// a half, less one record — not the number of operations; the log
+    /// rewinds at checkpoints (DESIGN.md §16 "Checkpoint and
+    /// truncate").
     pub record_capacity: usize,
     /// Operation entries per record; batches larger than this are
     /// split across consecutive records.
@@ -257,7 +282,8 @@ impl DurablePolicy {
         self
     }
 
-    /// Sets the per-shard record capacity (builder style).
+    /// Sets the per-shard record capacity (builder style; see
+    /// [`DurablePolicy::record_capacity`](Self#structfield.record_capacity)).
     pub fn record_capacity(mut self, n: usize) -> Self {
         self.record_capacity = n.max(1);
         self
@@ -386,9 +412,11 @@ impl OpResult {
 /// application order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoggedOp {
-    /// The announcing handle's id (collector slot).
+    /// The announcing handle's id (collector slot), or
+    /// [`LoggedOp::CHECKPOINT`] for an op of a checkpoint's op list.
     pub handle: u32,
-    /// The handle's per-op sequence number (1-based, gap-free).
+    /// The handle's per-op sequence number (1-based, gap-free); 0 for
+    /// a checkpoint's op.
     pub op_seq: u64,
     /// One of the [`opcode`] constants.
     pub opcode: u8,
@@ -396,8 +424,33 @@ pub struct LoggedOp {
     pub operand: u64,
     /// Second operand (map insert value), 0 when unused.
     pub operand2: u64,
-    /// The result the op produced when it originally executed.
+    /// The result the op produced when it originally executed (for a
+    /// checkpoint's op: the result replaying it into the structure
+    /// rebuilt so far reproduces).
     pub result: OpResult,
+}
+
+impl LoggedOp {
+    /// The `handle` of a checkpoint's op: one entry of the structure's
+    /// canonical op list, which no handle issued.
+    pub const CHECKPOINT: u32 = u32::MAX;
+
+    /// `true` for an op of a checkpoint's op list.
+    pub fn is_checkpoint(&self) -> bool {
+        self.handle == Self::CHECKPOINT
+    }
+
+    /// The op as a log entry's words (the inverse of [`decode_entry`]).
+    fn words(&self) -> [u64; ENTRY_WORDS] {
+        let (rtag, result) = self.result.to_words();
+        let meta = meta_word(self.handle, self.opcode, rtag);
+        [meta, self.op_seq, self.operand, self.operand2, result]
+    }
+}
+
+/// An entry's first word: handle, opcode and result tag.
+fn meta_word(handle: u32, opcode: u8, rtag: u8) -> u64 {
+    handle as u64 | (opcode as u64) << 32 | (rtag as u64) << 40
 }
 
 /// The op an entry's words log, or `None` for a bad result tag.
@@ -439,7 +492,9 @@ pub enum PendingOutcome {
 /// Per-handle recovery verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HandleRecovery {
-    /// Number of this handle's ops found committed in the log.
+    /// Number of this handle's committed ops: its last committed
+    /// `op_seq`, whether the op's record is still in the log or a
+    /// checkpoint vouches for it.
     pub executed: u64,
     /// Classification of the handle's last announced op.
     pub pending: PendingOutcome,
@@ -450,16 +505,28 @@ pub struct HandleRecovery {
 /// structure), per-handle detectability verdicts, and scan statistics.
 #[derive(Debug)]
 pub struct RecoveryReport {
-    /// Committed records found across all shards.
+    /// Committed log records found across all shards after the newest
+    /// checkpoint (the checkpoint's own records not counted).
     pub committed_records: usize,
+    /// Records the newest checkpoint occupies (0 before the first).
+    pub checkpoint_records: usize,
     /// Torn records skipped (payload present, commit word unset or
     /// checksum mismatch) — ops that never happened.
     pub torn_records: usize,
     /// Per-handle verdicts, indexed by handle id.
     pub handles: Vec<HandleRecovery>,
-    /// Every committed op in global application order; replaying these
-    /// sequentially reproduces the recovered structure exactly.
+    /// The newest checkpoint's op list ([`LoggedOp::is_checkpoint`]),
+    /// then every op committed after it in global application order;
+    /// replaying these sequentially into an empty structure reproduces
+    /// the recovered structure exactly.
     pub ops: Vec<LoggedOp>,
+    /// The newest checkpoint's record of each handle's last op before
+    /// it (handles with none are absent). These ops are not replayed —
+    /// the checkpoint's op list already holds their effect — but they
+    /// keep an op detectable after a checkpoint truncated its record:
+    /// a handle's ops in `ops` continue at the `op_seq` after its
+    /// entry here.
+    pub checkpointed: Vec<LoggedOp>,
 }
 
 impl RecoveryReport {
@@ -478,6 +545,9 @@ pub struct DurableStats {
     pub entries: u64,
     /// `msync` calls issued ([`SyncMode::Sync`] only).
     pub msyncs: u64,
+    /// Checkpoints committed (DESIGN.md §16 "Checkpoint and
+    /// truncate"); `records` and `entries` never count theirs.
+    pub checkpoints: u64,
 }
 
 /// A durable op request, announced by value from the caller's stack
@@ -552,6 +622,13 @@ pub mod fault {
         /// `recover()` is re-entrant (kill mid-recovery, recover
         /// again).
         RecoverScan = 6,
+        /// Inside a checkpoint: its records are written, its commit
+        /// word is not. Recovery must use the previous checkpoint and
+        /// the log after it.
+        Checkpoint = 7,
+        /// Just after a checkpoint's commit word, before the shard
+        /// tails rewind: recovery must use the new checkpoint.
+        PostCheckpoint = 8,
     }
 
     impl FaultPoint {
@@ -564,6 +641,8 @@ pub mod fault {
                 4 => Some(FaultPoint::MidPublish),
                 5 => Some(FaultPoint::IntentWrite),
                 6 => Some(FaultPoint::RecoverScan),
+                7 => Some(FaultPoint::Checkpoint),
+                8 => Some(FaultPoint::PostCheckpoint),
                 _ => None,
             }
         }
@@ -669,17 +748,33 @@ fn intent_checksum(handle: u64, seq: u64, opcode: u64, a: u64, b: u64) -> u64 {
     h
 }
 
-/// What the combiners write on every batch: the apply lock and the
-/// logging counters. One padded line, apart from the read-mostly
-/// geometry every `write_intent` reads.
+/// What the combiners keep under the apply lock besides the heap: each
+/// handle's last logged entry as of the last checkpoint, and where the
+/// live log is.
+struct LogState {
+    /// Handle `h`'s last logged entry when the last checkpoint (or
+    /// recovery) ran; all zero before its first. Each checkpoint brings
+    /// it up to date from the log and carries it.
+    last: Box<[[u64; ENTRY_WORDS]]>,
+    /// The half of every shard's records the live log fills: the
+    /// committed checkpoint's.
+    half: usize,
+    /// Records the last checkpoint took, or needed when it did not fit.
+    ckpt_records: usize,
+}
+
+/// What the combiners write on every batch: the apply lock with the
+/// log state it guards, and the logging counters. One padded line,
+/// apart from the read-mostly geometry every `write_intent` reads.
 struct CombinerLine {
     /// Serialises apply+log across all shards: log order is exactly
     /// structure-application order, which is what makes sequential
     /// replay reproduce the recovered structure.
-    apply_lock: Mutex<()>,
+    apply_lock: Mutex<LogState>,
     records: AtomicU64,
     entries: AtomicU64,
     msyncs: AtomicU64,
+    checkpoints: AtomicU64,
 }
 
 /// The shared durable state a [`Sec`] owns when built with a
@@ -702,11 +797,17 @@ impl DurableCore {
     // ---- layout ---------------------------------------------------
     //
     // header (2 lines) | one line per handle's intent cell | per shard:
-    // its tail line, then `record_cap` unpadded records, rounded up to
-    // a whole line so the next shard's tail starts a line.
+    // its tail line, then `record_cap` unpadded records — two halves
+    // of `record_cap / 2` — rounded up to a whole line so the next
+    // shard's tail starts a line.
 
     fn record_words(&self) -> usize {
         REC_HDR_WORDS + self.entries_cap * ENTRY_WORDS
+    }
+
+    /// Records in one half of a shard's log.
+    fn half_cap(&self) -> usize {
+        self.record_cap / 2
     }
 
     fn intent_off(&self, handle: usize) -> usize {
@@ -724,8 +825,9 @@ impl DurableCore {
             + shard * Self::shard_words(self.record_cap, self.entries_cap)
     }
 
-    fn record_off(&self, shard: usize, idx: usize) -> usize {
-        self.tail_off(shard) + LINE_WORDS + idx * self.record_words()
+    /// Record `idx` of `half` of `shard`'s log.
+    fn record_off(&self, shard: usize, half: usize, idx: usize) -> usize {
+        self.tail_off(shard) + LINE_WORDS + (half * self.half_cap() + idx) * self.record_words()
     }
 
     fn words_needed(
@@ -740,6 +842,11 @@ impl DurableCore {
     #[inline]
     fn w(&self, idx: usize) -> &AtomicU64 {
         self.heap.word(idx)
+    }
+
+    /// The next free record of `shard`'s live half.
+    fn tail(&self, shard: usize) -> usize {
+        self.w(self.tail_off(shard)).load(Ordering::Relaxed) as usize
     }
 
     // ---- construction ---------------------------------------------
@@ -763,10 +870,15 @@ impl DurableCore {
             sync: policy.sync,
             granularity: policy.granularity,
             combiner: CachePadded::new(CombinerLine {
-                apply_lock: Mutex::new(()),
+                apply_lock: Mutex::new(LogState {
+                    last: vec![[0; ENTRY_WORDS]; max_handles].into_boxed_slice(),
+                    half: 0,
+                    ckpt_records: 0,
+                }),
                 records: AtomicU64::new(0),
                 entries: AtomicU64::new(0),
                 msyncs: AtomicU64::new(0),
+                checkpoints: AtomicU64::new(0),
             }),
         }
     }
@@ -780,7 +892,7 @@ impl DurableCore {
         max_handles: usize,
     ) -> Result<Self, DurableError> {
         let shards = policy.shards.max(1);
-        let record_cap = policy.record_capacity.max(1);
+        let record_cap = policy.record_capacity.max(4).next_multiple_of(2);
         let entries_cap = policy.batch_entries.max(1);
         let needed = Self::words_needed(max_handles, shards, record_cap, entries_cap);
         let heap = match &policy.mode {
@@ -821,6 +933,16 @@ impl DurableCore {
         // leaves a heap that recovery correctly refuses.
         core.w(H_MAGIC).store(MAGIC, Ordering::Release);
         core.heap.msync(0, HDR_WORDS).ok();
+        // The log reuses the first records of each half from one
+        // checkpoint to the next: fault them in now, so the first
+        // pass through them does not pay a page fault per page while
+        // combiners hold the apply lock.
+        let window = CKPT_MIN_RECORDS.min(core.half_cap()) * core.record_words();
+        for shard in 0..shards {
+            for half in 0..2 {
+                core.heap.prefault(core.record_off(shard, half, 0), window);
+            }
+        }
         Ok(core)
     }
 
@@ -852,12 +974,18 @@ impl DurableCore {
         let record_cap = heap.word(H_RECORD_CAP).load(Ordering::Relaxed) as usize;
         let entries_cap = heap.word(H_ENTRIES_CAP).load(Ordering::Relaxed) as usize;
         let needed = Self::words_needed(max_handles, shards, record_cap, entries_cap);
-        if max_handles == 0 || shards == 0 || heap.words() < needed {
+        if max_handles == 0
+            || shards == 0
+            || record_cap < 4
+            || !record_cap.is_multiple_of(2)
+            || heap.words() < needed
+        {
             return Err(DurableError::Corrupt(format!(
-                "implausible header geometry ({max_handles} handles, {shards} shards)"
+                "implausible header geometry ({max_handles} handles, {shards} shards, \
+                 {record_cap} records a shard)"
             )));
         }
-        let core = Self::with_heap(
+        let mut core = Self::with_heap(
             heap,
             policy,
             family,
@@ -866,7 +994,8 @@ impl DurableCore {
             record_cap,
             entries_cap,
         );
-        let report = core.scan_and_classify()?;
+        let (report, state) = core.scan_and_classify()?;
+        *core.combiner.apply_lock.get_mut().unwrap() = state;
         Ok((core, report))
     }
 
@@ -897,6 +1026,7 @@ impl DurableCore {
             records: self.combiner.records.load(Ordering::Relaxed),
             entries: self.combiner.entries.load(Ordering::Relaxed),
             msyncs: self.combiner.msyncs.load(Ordering::Relaxed),
+            checkpoints: self.combiner.checkpoints.load(Ordering::Relaxed),
         }
     }
 
@@ -941,17 +1071,132 @@ impl DurableCore {
     }
 
     fn entry_words(req: &DurableReq) -> [u64; ENTRY_WORDS] {
-        let meta = req.handle as u64 | ((req.opcode as u64) << 32) | ((req.rtag as u64) << 40);
+        let meta = meta_word(req.handle, req.opcode, req.rtag);
         [meta, req.op_seq, req.operand, req.operand2, req.result]
     }
 
-    /// A writer for `shard`'s log; the caller holds the apply lock.
-    fn log(&self, shard: usize) -> LogWriter<'_> {
+    /// A writer for `shard`'s log; the caller holds the apply lock,
+    /// whose state is `state`. `export` writes the structure's op list
+    /// when the writer checkpoints.
+    fn log<'a>(
+        &'a self,
+        shard: usize,
+        state: &'a mut LogState,
+        export: &'a dyn Fn(&mut Export<'_>),
+    ) -> LogWriter<'a> {
         LogWriter {
             core: self,
+            state,
+            export,
             shard,
             open: None,
         }
+    }
+
+    /// The tail at which a shard checkpoints (see [`CKPT_GROWTH`]).
+    fn trigger(&self, state: &LogState) -> usize {
+        CKPT_MIN_RECORDS
+            .max(CKPT_GROWTH.saturating_mul(state.ckpt_records))
+            .min(self.half_cap())
+    }
+
+    /// Brings `state.last` up to date with the live log. A handle logs
+    /// only on its own shard, and the newest of its entries is the
+    /// first met walking the shard's records backwards; a handle whose
+    /// intent cell has issued no op past its known last entry has
+    /// logged none since. So each shard's walk stops once it has met
+    /// every handle that issued since — after a few records, unless
+    /// one of them has only an op still in flight.
+    fn catch_up(&self, state: &mut LogState) {
+        for shard in 0..self.shards {
+            let issued = |h: usize| {
+                self.w(self.intent_off(h) + I_ISSUED)
+                    .load(Ordering::Relaxed)
+            };
+            let mut behind = self
+                .shard_slots(shard)
+                .filter(|&h| issued(h) > state.last[h][1])
+                .count();
+            let start = if shard == 0 { state.ckpt_records } else { 0 };
+            for idx in (start..self.tail(shard)).rev() {
+                if behind == 0 {
+                    break;
+                }
+                let off = self.record_off(shard, state.half, idx);
+                let n = self.w(off + 1).load(Ordering::Relaxed) as usize;
+                for i in (0..n).rev() {
+                    let entry = self.entry_at(off, i);
+                    let last = &mut state.last[(entry[0] & 0xffff_ffff) as usize];
+                    if entry[1] > last[1] {
+                        *last = entry;
+                        behind -= 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes a checkpoint — each handle's last logged entry, then the
+    /// structure's op list from `export` — into the first records of
+    /// shard 0's idle half, commits it with one release store of
+    /// [`H_CKPT`], and rewinds every shard's tail into that half. The
+    /// caller holds the apply lock and has no record open, so the
+    /// checkpoint covers exactly the committed log. When the
+    /// checkpoint would leave shard 0 no free record, nothing is
+    /// committed and the error holds the entries it needs.
+    fn checkpoint(
+        &self,
+        state: &mut LogState,
+        export: &dyn Fn(&mut Export<'_>),
+    ) -> Result<(), usize> {
+        self.catch_up(state);
+        let half = state.half ^ 1;
+        let seq = self.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
+        let mut out = Export::new(self, half, (self.half_cap() - 1) * self.entries_cap);
+        for entry in state.last.iter().filter(|e| e[1] != 0) {
+            out.push_words(*entry);
+        }
+        export(&mut out);
+        let records = out.len.div_ceil(self.entries_cap);
+        if out.len > out.cap {
+            state.ckpt_records = records;
+            return Err(out.len);
+        }
+        for r in 0..records {
+            let off = self.record_off(0, half, r);
+            let n = (out.len - r * self.entries_cap).min(self.entries_cap);
+            self.w(off + 1).store(n as u64, Ordering::Relaxed);
+            self.w(off + 2)
+                .store(self.record_sum(off, seq, n), Ordering::Relaxed);
+            self.w(off).store(seq + 1, Ordering::Relaxed);
+        }
+        let synced = self.sync == SyncMode::Sync;
+        if synced {
+            // On the medium before the word that commits them.
+            self.heap
+                .msync(self.record_off(0, half, 0), records * self.record_words())
+                .ok();
+        }
+        fault::hit(FaultPoint::Checkpoint);
+        self.w(H_CKPT_RECORDS + half)
+            .store(records as u64, Ordering::Relaxed);
+        // The commit point: the records above are ordered before it.
+        self.w(H_CKPT)
+            .store((seq + 1) << 1 | half as u64, Ordering::Release);
+        if synced {
+            self.heap.msync(0, HDR_WORDS).ok();
+            self.combiner.msyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        fault::hit(FaultPoint::PostCheckpoint);
+        for shard in 0..self.shards {
+            let tail = if shard == 0 { records } else { 0 };
+            self.w(self.tail_off(shard))
+                .store(tail as u64, Ordering::Relaxed);
+        }
+        state.half = half;
+        state.ckpt_records = records;
+        self.combiner.checkpoints.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     // ---- recovery --------------------------------------------------
@@ -962,25 +1207,104 @@ impl DurableCore {
         core::array::from_fn(|j| self.w(base + j).load(Ordering::Relaxed))
     }
 
-    /// Validates every committed record in one pass, keeping only a
-    /// `(seq, offset, n)` index entry per record, then decodes the
-    /// records in global order straight into one op list.
-    fn scan_and_classify(&self) -> Result<RecoveryReport, DurableError> {
+    /// The checksum of the record at `off` with global sequence number
+    /// `seq` and entries `0..n`, as its seal stores it.
+    fn record_sum(&self, off: usize, seq: u64, n: usize) -> u64 {
+        let sum = (0..n).fold(mix(0x5EC0_0002, seq), |sum, i| {
+            self.entry_at(off, i).iter().fold(sum, |s, &w| mix(s, w))
+        });
+        mix(sum, n as u64)
+    }
+
+    /// Entry `i` of the record at `off`, which carries sequence number
+    /// `seq`, decoded. The heap is outside input: a validated record
+    /// can read differently the second time.
+    fn decode_at(&self, off: usize, i: usize, seq: u64) -> Result<LoggedOp, DurableError> {
+        let words = self.entry_at(off, i);
+        decode_entry(words).ok_or_else(|| {
+            DurableError::Corrupt(format!(
+                "record seq {seq} entry {i} has bad result tag {}",
+                (words[0] >> 40) & 0xff
+            ))
+        })
+    }
+
+    /// Validates the committed record at `off` (record `idx` of
+    /// `shard`'s live half) with sequence number `seq`, and returns its
+    /// entry count.
+    fn validate(
+        &self,
+        off: usize,
+        seq: u64,
+        shard: usize,
+        idx: usize,
+    ) -> Result<usize, DurableError> {
+        let n = self.w(off + 1).load(Ordering::Relaxed) as usize;
+        if n == 0 || n > self.entries_cap {
+            return Err(DurableError::Corrupt(format!(
+                "committed record {shard}/{idx} has implausible n_ops {n}"
+            )));
+        }
+        for i in 0..n {
+            self.decode_at(off, i, seq)?;
+        }
+        if self.record_sum(off, seq, n) != self.w(off + 2).load(Ordering::Relaxed) {
+            // A commit word over a mismatched payload cannot come from
+            // an ordered crash; refuse the heap.
+            return Err(DurableError::Corrupt(format!(
+                "committed record {shard}/{idx} fails its checksum"
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Recovers the log: the newest committed checkpoint, then the
+    /// records committed after it in each shard's live half. Validates
+    /// every record in one pass, keeping only a `(seq, offset, n)`
+    /// index entry per record, then decodes the checkpoint and the
+    /// records in global order straight into one op list. Also returns
+    /// the log state the recovered structure's combiners continue from.
+    fn scan_and_classify(&self) -> Result<(RecoveryReport, LogState), DurableError> {
+        let ck = self.w(H_CKPT).load(Ordering::Acquire);
+        let half = (ck & 1) as usize;
+        // Log records must be newer than the checkpoint: `floor` is its
+        // sequence number + 1 (0 before the first checkpoint).
+        let floor = ck >> 1;
+        let ckpt_records = match ck {
+            0 => 0,
+            _ => self.w(H_CKPT_RECORDS + half).load(Ordering::Relaxed) as usize,
+        };
+        if (ck != 0 && floor == 0) || ckpt_records >= self.half_cap() {
+            return Err(DurableError::Corrupt(format!(
+                "implausible checkpoint word {ck:#x} over {ckpt_records} records"
+            )));
+        }
         // Each shard's tail word counts its appended records: the
         // index's size unless a crash left the word behind.
         let appended: usize = (0..self.shards)
-            .map(|s| {
-                (self.w(self.tail_off(s)).load(Ordering::Relaxed) as usize).min(self.record_cap)
-            })
+            .map(|s| self.tail(s).min(self.half_cap()))
             .sum();
-        let mut committed: Vec<(u64, usize, usize)> = Vec::with_capacity(appended);
+        let mut index: Vec<(u64, usize, usize)> = Vec::with_capacity(appended.max(ckpt_records));
         let mut total_ops = 0usize;
+        for idx in 0..ckpt_records {
+            let off = self.record_off(0, half, idx);
+            if self.w(off).load(Ordering::Acquire) != floor {
+                return Err(DurableError::Corrupt(format!(
+                    "checkpoint record {idx} does not carry the committed checkpoint's sequence number"
+                )));
+            }
+            let n = self.validate(off, floor - 1, 0, idx)?;
+            fault::hit(FaultPoint::RecoverScan);
+            index.push((floor - 1, off, n));
+            total_ops += n;
+        }
         let mut torn = 0usize;
-        let mut max_seq: u64 = 0;
+        let mut max_seq = floor;
         for shard in 0..self.shards {
-            let mut shard_max_idx: Option<usize> = None;
-            for idx in 0..self.record_cap {
-                let off = self.record_off(shard, idx);
+            let start = if shard == 0 { ckpt_records } else { 0 };
+            let mut tail = start;
+            for idx in start..self.half_cap() {
+                let off = self.record_off(shard, half, idx);
                 let commit = self.w(off).load(Ordering::Acquire);
                 if commit == 0 {
                     // Uncommitted slot. Everything past the first
@@ -994,129 +1318,249 @@ impl DurableCore {
                     break;
                 }
                 let seq = commit - 1;
-                let n = self.w(off + 1).load(Ordering::Relaxed) as usize;
-                let stored_sum = self.w(off + 2).load(Ordering::Relaxed);
-                if n == 0 || n > self.entries_cap {
-                    return Err(DurableError::Corrupt(format!(
-                        "committed record {shard}/{idx} has implausible n_ops {n}"
-                    )));
+                if seq < floor {
+                    // A stale record from an earlier pass through this
+                    // half, older than the checkpoint that holds its
+                    // effect; nothing after it is newer.
+                    break;
                 }
-                let mut sum = mix(0x5EC0_0002, seq);
-                for i in 0..n {
-                    let words = self.entry_at(off, i);
-                    sum = words.iter().fold(sum, |s, &w| mix(s, w));
-                    if decode_entry(words).is_none() {
-                        return Err(DurableError::Corrupt(format!(
-                            "record {shard}/{idx} entry {i} has bad result tag {}",
-                            (words[0] >> 40) & 0xff
-                        )));
-                    }
-                }
-                if mix(sum, n as u64) != stored_sum {
-                    // A commit word over a mismatched payload cannot
-                    // come from an ordered crash; refuse the heap.
-                    return Err(DurableError::Corrupt(format!(
-                        "committed record {shard}/{idx} fails its checksum"
-                    )));
-                }
+                let n = self.validate(off, seq, shard, idx)?;
                 fault::hit(FaultPoint::RecoverScan);
                 max_seq = max_seq.max(seq + 1);
-                committed.push((seq, off, n));
+                index.push((seq, off, n));
                 total_ops += n;
-                shard_max_idx = Some(idx);
+                tail = idx + 1;
             }
             // Normalise the tail allocator: next append goes after the
             // last committed record (idempotent; overwrites any torn
             // slot the crash left at the old tail).
-            let tail = shard_max_idx.map_or(0, |i| i as u64 + 1);
-            self.w(self.tail_off(shard)).store(tail, Ordering::Relaxed);
+            self.w(self.tail_off(shard))
+                .store(tail as u64, Ordering::Relaxed);
         }
-        committed.sort_unstable_by_key(|&(seq, _, _)| seq);
-        for pair in committed.windows(2) {
-            if pair[0].0 == pair[1].0 {
-                return Err(DurableError::Corrupt(format!(
-                    "duplicate global sequence number {}",
-                    pair[0].0
-                )));
-            }
+        let log = &mut index[ckpt_records..];
+        log.sort_unstable_by_key(|&(seq, _, _)| seq);
+        if let Some(pair) = log.windows(2).find(|p| p[0].0 == p[1].0) {
+            return Err(DurableError::Corrupt(format!(
+                "duplicate global sequence number {}",
+                pair[0].0
+            )));
         }
-        // Normalise the global sequence allocator (idempotent).
-        self.w(H_GLOBAL_SEQ).store(max_seq, Ordering::Relaxed);
-        let committed_records = committed.len();
-        let mut ops = Vec::with_capacity(total_ops);
-        for &(seq, off, n) in &committed {
-            for i in 0..n {
-                // The heap is outside input: a second read can differ.
-                let words = self.entry_at(off, i);
-                ops.push(decode_entry(words).ok_or_else(|| {
-                    DurableError::Corrupt(format!(
-                        "record seq {seq} entry {i} has bad result tag {}",
-                        (words[0] >> 40) & 0xff
-                    ))
-                })?);
-            }
-        }
+        // Normalise the global sequence allocator (idempotent). Never
+        // lower it: a checkpoint that did not commit may have taken a
+        // number that its records, still in the idle half, carry.
+        self.w(H_GLOBAL_SEQ).fetch_max(max_seq, Ordering::Relaxed);
 
-        // Per-handle detectability: committed op_seqs must form the
-        // gap-free prefix 1..=n in replay order (anything else would
-        // mean a lost or double-applied op).
-        let mut last = vec![0u64; self.max_handles];
-        let mut last_result = vec![OpResult::Unit; self.max_handles];
-        for op in &ops {
-            let h = op.handle as usize;
-            if h >= self.max_handles {
-                return Err(DurableError::Corrupt(format!(
-                    "logged handle {h} out of range"
-                )));
+        // Per-handle detectability: each handle's committed op_seqs
+        // must continue the checkpoint's entry for it (0 without one)
+        // gap-free in replay order (anything else would mean a lost or
+        // double-applied op).
+        let mut last: Vec<Option<LoggedOp>> = vec![None; self.max_handles];
+        let mut checkpointed = Vec::new();
+        let mut ops = Vec::with_capacity(total_ops);
+        for (i, &(seq, off, n)) in index.iter().enumerate() {
+            for e in 0..n {
+                let op = self.decode_at(off, e, seq)?;
+                let h = op.handle as usize;
+                if i < ckpt_records && op.is_checkpoint() {
+                    ops.push(op);
+                    continue;
+                }
+                if h >= self.max_handles {
+                    return Err(DurableError::Corrupt(format!(
+                        "logged handle {h} out of range"
+                    )));
+                }
+                let prev = last[h].map_or(0, |o| o.op_seq);
+                if i < ckpt_records {
+                    if prev != 0 || op.op_seq == 0 {
+                        return Err(DurableError::Corrupt(format!(
+                            "checkpoint holds handle {h}'s op_seq {} after {prev}",
+                            op.op_seq
+                        )));
+                    }
+                    checkpointed.push(op);
+                } else {
+                    if op.op_seq != prev + 1 {
+                        return Err(DurableError::Corrupt(format!(
+                            "handle {h}: op_seq {} after {prev} (gap or double-apply)",
+                            op.op_seq
+                        )));
+                    }
+                    ops.push(op);
+                }
+                last[h] = Some(op);
             }
-            if op.op_seq != last[h] + 1 {
-                return Err(DurableError::Corrupt(format!(
-                    "handle {h}: op_seq {} after {} (gap or double-apply)",
-                    op.op_seq, last[h]
-                )));
-            }
-            last[h] = op.op_seq;
-            last_result[h] = op.result;
         }
+        let committed_records = index.len() - ckpt_records;
         let mut handles = Vec::with_capacity(self.max_handles);
-        for h in 0..self.max_handles {
+        for (h, last) in last.iter().enumerate() {
+            let executed = last.map_or(0, |o| o.op_seq);
             let off = self.intent_off(h);
             let seq = self.w(off + I_SEQ).load(Ordering::Relaxed);
             let opcode = self.w(off + I_OPCODE).load(Ordering::Relaxed);
             let a = self.w(off + I_A).load(Ordering::Relaxed);
             let b = self.w(off + I_B).load(Ordering::Relaxed);
             let sum = self.w(off + I_SUM).load(Ordering::Acquire);
-            let pending = if seq == 0 {
-                PendingOutcome::None
-            } else if sum != intent_checksum(h as u64, seq, opcode, a, b) {
-                PendingOutcome::TornIntent
-            } else if seq == last[h] {
-                PendingOutcome::Executed {
-                    op_seq: seq,
-                    result: last_result[h],
+            let pending = match last {
+                _ if seq == 0 => PendingOutcome::None,
+                _ if sum != intent_checksum(h as u64, seq, opcode, a, b) => {
+                    PendingOutcome::TornIntent
                 }
-            } else if seq == last[h] + 1 {
-                PendingOutcome::NeverExecuted { op_seq: seq }
-            } else {
-                return Err(DurableError::Corrupt(format!(
-                    "handle {h}: intent seq {seq} vs last committed {}",
-                    last[h]
-                )));
+                Some(op) if seq == executed => PendingOutcome::Executed {
+                    op_seq: seq,
+                    result: op.result,
+                },
+                _ if seq == executed + 1 => PendingOutcome::NeverExecuted { op_seq: seq },
+                _ => {
+                    return Err(DurableError::Corrupt(format!(
+                        "handle {h}: intent seq {seq} vs last committed {executed}"
+                    )))
+                }
             };
-            // Resume after the logged prefix (idempotent): a
+            // Resume after the committed prefix (idempotent): a
             // never-executed intent's op_seq is handed out again.
-            self.w(off + I_ISSUED).store(last[h], Ordering::Relaxed);
-            handles.push(HandleRecovery {
-                executed: last[h],
-                pending,
-            });
+            self.w(off + I_ISSUED).store(executed, Ordering::Relaxed);
+            handles.push(HandleRecovery { executed, pending });
         }
-        Ok(RecoveryReport {
+        let state = LogState {
+            last: last
+                .iter()
+                .map(|o| o.map_or([0; ENTRY_WORDS], |op| op.words()))
+                .collect(),
+            half,
+            ckpt_records,
+        };
+        let report = RecoveryReport {
             committed_records,
+            checkpoint_records: ckpt_records,
             torn_records: torn,
             handles,
             ops,
-        })
+            checkpointed,
+        };
+        Ok((report, state))
+    }
+}
+
+/// A checkpoint's op list being written: the structure's canonical op
+/// list, entry by entry, straight into the first records of shard 0's
+/// idle half (DESIGN.md §16 "Checkpoint and truncate"). What
+/// [`CombineOp::export_logged`] writes into. Nothing is allocated.
+pub struct Export<'a> {
+    core: &'a DurableCore,
+    /// Where the next entry goes while the list fits.
+    next: Place,
+    /// Entries pushed so far, counted on past `cap`.
+    len: usize,
+    /// Entries that fit.
+    cap: usize,
+}
+
+/// Where an entry of a checkpoint sits: its heap offset and its index
+/// in its record. Stepping from one to the next needs no division.
+#[derive(Clone, Copy)]
+pub(crate) struct Place {
+    off: usize,
+    i: usize,
+}
+
+impl<'a> Export<'a> {
+    /// An empty list at the first record of `half` of shard 0, with
+    /// room for `cap` entries.
+    fn new(core: &'a DurableCore, half: usize, cap: usize) -> Self {
+        Export {
+            core,
+            next: Place {
+                off: core.record_off(0, half, 0) + REC_HDR_WORDS,
+                i: 0,
+            },
+            len: 0,
+            cap,
+        }
+    }
+
+    /// Appends one op of the list, with the result that replaying it
+    /// into the structure rebuilt so far reproduces.
+    pub(crate) fn push(&mut self, opcode: u8, operand: u64, operand2: u64, result: OpResult) {
+        let op = LoggedOp {
+            handle: LoggedOp::CHECKPOINT,
+            op_seq: 0,
+            opcode,
+            operand,
+            operand2,
+            result,
+        };
+        self.push_words(op.words());
+    }
+
+    /// The list so far, for [`Export::reverse_since`].
+    pub(crate) fn mark(&self) -> (usize, Place) {
+        (self.len, self.next)
+    }
+
+    /// Reverses the entries pushed since `mark`, for a family whose
+    /// walk runs against list order (the stack's, top to bottom): one
+    /// walk, then a swap pass over entries the walk just wrote, instead
+    /// of a second walk to count. Does nothing once the list no longer
+    /// fits.
+    pub(crate) fn reverse_since(&mut self, (from, mut front): (usize, Place)) {
+        if self.len > self.cap {
+            return;
+        }
+        let mut back = self.next;
+        for _ in 0..(self.len - from) / 2 {
+            back = self.step_back(back);
+            let (a, b) = (self.load(front), self.load(back));
+            self.store(front, b);
+            self.store(back, a);
+            front = self.step(front);
+        }
+    }
+
+    fn push_words(&mut self, words: [u64; ENTRY_WORDS]) {
+        if self.len < self.cap {
+            self.store(self.next, words);
+            self.next = self.step(self.next);
+        }
+        self.len += 1;
+    }
+
+    fn step(&self, p: Place) -> Place {
+        if p.i + 1 == self.core.entries_cap {
+            Place {
+                off: p.off + ENTRY_WORDS + REC_HDR_WORDS,
+                i: 0,
+            }
+        } else {
+            Place {
+                off: p.off + ENTRY_WORDS,
+                i: p.i + 1,
+            }
+        }
+    }
+
+    fn step_back(&self, p: Place) -> Place {
+        if p.i == 0 {
+            Place {
+                off: p.off - ENTRY_WORDS - REC_HDR_WORDS,
+                i: self.core.entries_cap - 1,
+            }
+        } else {
+            Place {
+                off: p.off - ENTRY_WORDS,
+                i: p.i - 1,
+            }
+        }
+    }
+
+    fn load(&self, p: Place) -> [u64; ENTRY_WORDS] {
+        core::array::from_fn(|j| self.core.w(p.off + j).load(Ordering::Relaxed))
+    }
+
+    fn store(&self, p: Place, words: [u64; ENTRY_WORDS]) {
+        for (j, word) in words.into_iter().enumerate() {
+            self.core.w(p.off + j).store(word, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1134,39 +1578,45 @@ struct OpenRecord {
 /// lock. Entries go straight into the shard's open record, which
 /// commits when it holds `entries_cap` entries (after every entry
 /// under [`LogGranularity::PerOp`]) and when the caller ends the
-/// batch with [`LogWriter::commit`].
+/// batch with [`LogWriter::commit`]. A record opened at or past the
+/// checkpoint trigger first checkpoints.
 struct LogWriter<'a> {
     core: &'a DurableCore,
+    state: &'a mut LogState,
+    export: &'a dyn Fn(&mut Export<'_>),
     shard: usize,
     open: Option<OpenRecord>,
 }
 
 impl LogWriter<'_> {
-    /// Writes one entry into the open record, opening the shard's next
-    /// record (and taking its global sequence number) if none is open.
-    fn push(&mut self, entry: [u64; ENTRY_WORDS]) {
+    /// Logs one op: opens the shard's next record (and takes its global
+    /// sequence number) if none is open, and only then runs `apply`,
+    /// which applies the op and returns its entry, and writes the
+    /// entry into the record. Opening may checkpoint, and a checkpoint
+    /// must not see an op applied but not logged.
+    fn append(&mut self, apply: impl FnOnce() -> [u64; ENTRY_WORDS]) {
         let d = self.core;
-        let rec = match &mut self.open {
-            Some(rec) => rec,
-            None => {
-                let tail = d.w(d.tail_off(self.shard)).load(Ordering::Relaxed) as usize;
-                assert!(
-                    tail < d.record_cap,
-                    "durable log full: shard {} exhausted its {} records; \
-                     raise DurablePolicy::record_capacity (the log is not circular)",
-                    self.shard,
-                    d.record_cap
-                );
-                let seq = d.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
-                self.open.insert(OpenRecord {
-                    tail,
-                    off: d.record_off(self.shard, tail),
-                    seq,
-                    n: 0,
-                    sum: mix(0x5EC0_0002, seq),
-                })
-            }
+        if self.open.is_none() {
+            let tail = self.next_tail();
+            let off = d.record_off(self.shard, self.state.half, tail);
+            // A reused slot still holds a stale commit word: clear it
+            // before the payload, so that a crash mid-write leaves a
+            // torn record, not a stale one.
+            d.w(off).store(0, Ordering::Relaxed);
+            fence(Ordering::Release);
+            let seq = d.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
+            self.open = Some(OpenRecord {
+                tail,
+                off,
+                seq,
+                n: 0,
+                sum: mix(0x5EC0_0002, seq),
+            });
+        }
+        let Some(rec) = &mut self.open else {
+            unreachable!("a record was just opened");
         };
+        let entry = apply();
         let base = rec.off + REC_HDR_WORDS + rec.n * ENTRY_WORDS;
         for (j, word) in entry.into_iter().enumerate() {
             d.w(base + j).store(word, Ordering::Relaxed);
@@ -1175,6 +1625,30 @@ impl LogWriter<'_> {
         rec.n += 1;
         if rec.n == d.entries_cap || d.granularity == LogGranularity::PerOp {
             self.commit();
+        }
+    }
+
+    /// The shard's next free record, after a checkpoint when its tail
+    /// has reached the trigger. A checkpoint that does not fit leaves
+    /// the log appending until the half is full.
+    fn next_tail(&mut self) -> usize {
+        let d = self.core;
+        let tail = d.tail(self.shard);
+        if tail < d.trigger(self.state) {
+            return tail;
+        }
+        match d.checkpoint(self.state, self.export) {
+            Ok(()) => d.tail(self.shard),
+            Err(_) if tail < d.half_cap() => tail,
+            Err(entries) => panic!(
+                "durable log full: shard {} filled its half of {} records, and the \
+                 structure's checkpoint of {entries} entries does not fit in {} records \
+                 of {} entries; raise DurablePolicy::record_capacity or batch_entries",
+                self.shard,
+                d.half_cap(),
+                d.half_cap() - 1,
+                d.entries_cap
+            ),
         }
     }
 
@@ -1253,12 +1727,16 @@ impl<O: CombineOp> Sec<O> {
     /// the apply lock applies each through the family's
     /// [`CombineOp::apply_logged`] hook and writes its entry straight
     /// into the shard's open log record (one record per batch or per
-    /// op, by policy), committing before returning. The engine
+    /// op, by policy), committing before returning. A record opened
+    /// at the checkpoint trigger first writes a checkpoint through the
+    /// family's [`CombineOp::export_logged`] hook. The engine
     /// publishes results only after this returns, so a published
     /// result is always a logged result. The lock spans all shards,
     /// and every op of a durable structure comes through here, so log
     /// order is exactly application order — the property replay
-    /// relies on.
+    /// relies on. Never inlined: the engine's batch path, which every
+    /// family runs, calls it only for durable shards.
+    #[inline(never)]
     pub(super) fn combine_durable(
         &self,
         batch: &CombineBatch<O::Node>,
@@ -1275,24 +1753,27 @@ impl<O: CombineOp> Sec<O> {
         for s in slots {
             wait_ptr(s, self.config.wait);
         }
-        let _g = d
+        let mut state = d
             .combiner
             .apply_lock
             .lock()
             .expect("a combiner panicked under the durable apply lock");
-        let mut log = d.log(agg_idx - self.dur_base);
+        let export = |out: &mut Export<'_>| self.op.export_logged(out);
+        let mut log = d.log(agg_idx - self.dur_base, &mut state, &export);
         for s in slots {
             // Safety: every pointer was announced into this frozen
             // batch as a request (and seen non-null above), and its
             // owner blocks until `applied`.
             let req = unsafe { &mut *s.load(Ordering::Acquire).cast::<DurableReq>() };
-            fault::hit(FaultPoint::MidCombine);
-            let result = self
-                .op
-                .apply_logged(req.opcode, req.operand, req.operand2, guard)
-                .unwrap_or_else(|| unreachable!("{}: foreign opcode {}", O::NAME, req.opcode));
-            req.set_result(result);
-            log.push(DurableCore::entry_words(req));
+            log.append(|| {
+                fault::hit(FaultPoint::MidCombine);
+                let result = self
+                    .op
+                    .apply_logged(req.opcode, req.operand, req.operand2, guard)
+                    .unwrap_or_else(|| unreachable!("{}: foreign opcode {}", O::NAME, req.opcode));
+                req.set_result(result);
+                DurableCore::entry_words(req)
+            });
         }
         log.commit();
     }
@@ -1365,14 +1846,43 @@ pub(crate) mod testing {
     ) -> Result<S, DurableError> {
         let policy = DurablePolicy::volatile().batch_entries(ops.len().max(1));
         let core = DurableCore::create(&policy, family, family_param, 1).unwrap();
-        let mut log = core.log(0);
+        let mut state = core.combiner.apply_lock.lock().unwrap();
+        let mut log = core.log(0, &mut state, &|_| {
+            unreachable!("a forged log never checkpoints")
+        });
         for (&(opcode, a, b, result), seq) in ops.iter().zip(1..) {
             let mut req = DurableReq::new(0, seq, opcode, a, b);
             req.set_result(result);
-            log.push(DurableCore::entry_words(&req));
+            log.append(|| DurableCore::entry_words(&req));
         }
         log.commit();
+        drop(state);
         recover(DurablePolicy::heap(core.heap())).map(|(s, _)| s)
+    }
+
+    /// Checkpoints `sec` now and recovers a copy of its heap: the
+    /// structure its export alone rebuilds, since the checkpoint
+    /// leaves no record after it.
+    pub(crate) fn rebuild_from_checkpoint<O: DurableOp>(sec: &Sec<O>) -> Sec<O> {
+        let d = sec.durable_core().expect("a durable structure");
+        {
+            let mut state = d.combiner.apply_lock.lock().unwrap();
+            let export = |out: &mut Export<'_>| sec.op.export_logged(out);
+            d.checkpoint(&mut state, &export)
+                .unwrap_or_else(|n| panic!("a checkpoint of {n} entries does not fit"));
+        }
+        let copy = PersistentHeap::volatile(d.heap.words());
+        for i in 0..d.heap.words() {
+            copy.word(i)
+                .store(d.w(i).load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        let (rebuilt, report) = Sec::<O>::recover(DurablePolicy::heap(copy)).unwrap();
+        assert_eq!(
+            report.committed_records, 0,
+            "records outlived the checkpoint"
+        );
+        assert!(report.ops.iter().all(LoggedOp::is_checkpoint));
+        rebuilt
     }
 
     /// Asserts that recovery refused its log as corrupt, for the
@@ -1433,7 +1943,7 @@ mod tests {
     fn durable_layout_gives_every_handle_and_tail_its_own_line() {
         for max_handles in 1..=9 {
             for shards in 1..=3 {
-                for (record_cap, entries_cap) in [(1, 1), (3, 2), (2, 5)] {
+                for (record_cap, entries_cap) in [(1, 1), (5, 2), (4, 5)] {
                     let policy = DurablePolicy::volatile()
                         .shards(shards)
                         .record_capacity(record_cap)
@@ -1457,15 +1967,16 @@ mod tests {
                     for s in 0..shards {
                         claim(&mut lines, d.tail_off(s) / LINE, Writer::Tail(s));
                     }
-                    let last = d.record_off(shards - 1, record_cap - 1) + d.record_words() - 1;
+                    assert!(d.half_cap() >= 2 && d.record_cap >= record_cap);
+                    let last = d.record_off(shards - 1, 1, d.half_cap() - 1) + d.record_words() - 1;
                     let needed =
-                        DurableCore::words_needed(max_handles, shards, record_cap, entries_cap);
+                        DurableCore::words_needed(max_handles, shards, d.record_cap, entries_cap);
                     assert!(
                         last < needed && needed <= d.heap.words(),
                         "last record word {last} outside the {needed} words needed"
                     );
                     for s in 0..shards {
-                        for w in d.record_off(s, 0)..d.record_off(s, record_cap) {
+                        for w in d.record_off(s, 0, 0)..d.record_off(s, 1, d.half_cap()) {
                             claim(&mut lines, w / LINE, Writer::Record);
                         }
                     }
@@ -1476,12 +1987,14 @@ mod tests {
 
     #[test]
     fn durable_heap_of_layout_version_1_is_refused_as_bad_magic() {
-        let d = DurableCore::create(&DurablePolicy::volatile(), Family::Stack, 0, 2).unwrap();
-        d.w(H_VERSION).store(1, Ordering::Relaxed);
-        match crate::SecStack::<u64>::recover(DurablePolicy::heap(d.heap())) {
-            Err(DurableError::BadMagic) => {}
-            Err(e) => panic!("expected BadMagic, got {e}"),
-            Ok(_) => panic!("a version-1 heap recovered"),
+        for version in [1, 2] {
+            let d = DurableCore::create(&DurablePolicy::volatile(), Family::Stack, 0, 2).unwrap();
+            d.w(H_VERSION).store(version, Ordering::Relaxed);
+            match crate::SecStack::<u64>::recover(DurablePolicy::heap(d.heap())) {
+                Err(DurableError::BadMagic) => {}
+                Err(e) => panic!("expected BadMagic, got {e}"),
+                Ok(_) => panic!("a version-{version} heap recovered"),
+            }
         }
     }
 }

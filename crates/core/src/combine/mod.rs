@@ -56,7 +56,7 @@ pub(crate) use batch::{
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use durable::fault::{self, FaultPoint};
-use durable::{DurableCore, OpResult};
+use durable::{DurableCore, Export, OpResult};
 use sec_reclaim::{Collector, Guard, Handle as ReclaimHandle};
 use sec_sync::event::spin_wait;
 use sec_sync::{topology, CachePadded};
@@ -101,7 +101,7 @@ impl Role {
 ///   visible);
 /// * [`apply_logged`] runs one operation at a time, never concurrently
 ///   with itself or with any other mutation of the structure (see
-///   its docs);
+///   its docs), and so does [`export_logged`];
 /// * [`try_alone`] runs a lone operation with no batch at all,
 ///   possibly concurrently with combiners, when the family's
 ///   [`LONE`] rule offers it.
@@ -111,6 +111,7 @@ impl Role {
 /// [`eliminate`]: CombineOp::eliminate
 /// [`take_result`]: CombineOp::take_result
 /// [`apply_logged`]: CombineOp::apply_logged
+/// [`export_logged`]: CombineOp::export_logged
 /// [`try_alone`]: CombineOp::try_alone
 /// [`LONE`]: CombineOp::LONE
 ///
@@ -242,6 +243,20 @@ pub trait CombineOp: Sized + Send + Sync {
     ) -> Option<OpResult> {
         let _ = (opcode, operand, operand2, guard);
         None
+    }
+
+    /// The inverse of [`CombineOp::apply_logged`], which a durable
+    /// checkpoint is made of (DESIGN.md §16 "Checkpoint and
+    /// truncate"): write the structure's canonical op list into `out`
+    /// — the ops that, replayed through `apply_logged` into an empty
+    /// structure, rebuild this one — each with the result that replay
+    /// reproduces. The engine calls it under the durable apply lock,
+    /// so, like `apply_logged`, it never runs concurrently with a
+    /// mutation. It must not allocate: the list goes straight into the
+    /// heap. Only durable families are ever asked.
+    fn export_logged(&self, out: &mut Export<'_>) {
+        let _ = out;
+        unreachable!("{} keeps no durable log", Self::NAME);
     }
 
     /// The lone-operation path (DESIGN.md §12 "Lone operations"):

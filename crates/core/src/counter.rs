@@ -551,6 +551,20 @@ mod tests {
     }
 
     #[test]
+    fn durable_counter_checkpoint_export_replays_to_the_live_counter() {
+        use crate::combine::durable::testing::rebuild_from_checkpoint;
+        let c = SecCounter::durable(2, DurablePolicy::volatile().record_capacity(64)).unwrap();
+        let mut h = c.register();
+        for i in 0..100 {
+            h.fetch_add(i);
+        }
+        drop(h);
+        let rebuilt = rebuild_from_checkpoint(&c);
+        assert_eq!(c.load(), 4950);
+        assert_eq!(rebuilt.load(), 4950);
+    }
+
+    #[test]
     fn durable_per_op_granularity_matches_per_batch() {
         use crate::combine::durable::LogGranularity;
         for g in [LogGranularity::PerBatch, LogGranularity::PerOp] {

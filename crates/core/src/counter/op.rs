@@ -3,7 +3,7 @@
 //! rule. Private, so the op type stays unnameable behind the public
 //! [`SecCounter`](super::SecCounter) alias.
 
-use crate::combine::durable::{opcode, DurableOp, Family, OpResult};
+use crate::combine::durable::{opcode, DurableOp, Export, Family, OpResult};
 use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use core::sync::atomic::{AtomicU64, Ordering};
 use sec_reclaim::{Guard, Handle as ReclaimHandle};
@@ -188,6 +188,12 @@ impl CombineOp for CounterOp {
     ) -> Option<OpResult> {
         (opcode == opcode::ADD)
             .then(|| OpResult::Value(self.total.fetch_add(operand, Ordering::AcqRel)))
+    }
+
+    /// One add of the total, which an empty counter answers with 0.
+    fn export_logged(&self, out: &mut Export<'_>) {
+        let total = self.total.load(Ordering::Acquire);
+        out.push(opcode::ADD, total, 0, OpResult::Value(0));
     }
 }
 

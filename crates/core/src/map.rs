@@ -798,6 +798,39 @@ mod tests {
     }
 
     #[test]
+    fn durable_map_checkpoint_export_replays_to_the_live_map_spills_included() {
+        use crate::combine::durable::testing::rebuild_from_checkpoint;
+        use crate::DurablePolicy;
+        const KEYS: u64 = 4096;
+        let m = SecMap::<u64, u64>::durable(2, DurablePolicy::volatile().record_capacity(1024))
+            .unwrap();
+        let mut h = m.register();
+        for k in 0..KEYS {
+            h.insert(k, k * 7);
+        }
+        for k in (0..KEYS).step_by(5) {
+            h.remove(&k);
+        }
+        drop(h);
+        // Eight keys a bucket on average: many buckets hold more than
+        // their four inline pairs, and the removals leave inline holes.
+        let spilled = m
+            .op()
+            .buckets
+            .iter()
+            .filter(|b| b.lock().unwrap().len() > 4);
+        assert!(spilled.count() > 0, "no bucket spilled");
+        let rebuilt = rebuild_from_checkpoint(&m);
+        assert_eq!(rebuilt.len(), m.len());
+        let (mut live, mut back) = (m.register(), rebuilt.register());
+        for k in 0..KEYS {
+            let want = (k % 5 != 0).then_some(k * 7);
+            assert_eq!(live.get(&k), want, "live key {k}");
+            assert_eq!(back.get(&k), want, "rebuilt key {k}");
+        }
+    }
+
+    #[test]
     fn durable_map_bulk_ops_route_through_the_log() {
         use crate::DurablePolicy;
         let m = SecMap::<u64, u64>::durable(2, DurablePolicy::volatile()).unwrap();

@@ -3,7 +3,7 @@
 //! Private, so the op type stays unnameable behind the public
 //! [`SecMap`](super::SecMap) alias.
 
-use crate::combine::durable::{self, opcode, DurableOp, Family, OpResult};
+use crate::combine::durable::{self, opcode, DurableOp, Export, Family, OpResult};
 use crate::combine::{AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use crate::config::{AggregatorPolicy, SecConfig};
 use core::hash::{Hash, Hasher};
@@ -436,6 +436,18 @@ where
             None => OpResult::Empty,
             Some(v) => OpResult::Value(durable::to_word(v)),
         })
+    }
+
+    /// One insert per pair, bucket by bucket, each finding its key
+    /// absent.
+    fn export_logged(&self, out: &mut Export<'_>) {
+        for bucket in self.buckets.iter() {
+            let pairs = bucket.lock().unwrap();
+            for (k, v) in pairs.inline.iter().flatten().chain(&pairs.spill) {
+                let (k, v) = (durable::word_of(k), durable::word_of(v));
+                out.push(opcode::MAP_INSERT, k, v, OpResult::Empty);
+            }
+        }
     }
 }
 

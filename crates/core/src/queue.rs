@@ -958,6 +958,33 @@ mod tests {
     }
 
     #[test]
+    fn durable_queue_checkpoint_export_replays_to_the_live_queue() {
+        use crate::combine::durable::testing::rebuild_from_checkpoint;
+        use crate::DurablePolicy;
+        let q = SecQueue::<u64>::durable(2, DurablePolicy::volatile().record_capacity(64)).unwrap();
+        let mut h = q.register();
+        for i in 0..200 {
+            h.enqueue(i);
+            if i % 3 == 0 {
+                h.dequeue();
+            }
+        }
+        drop(h);
+        let rebuilt = rebuild_from_checkpoint(&q);
+        let drain = |q: &SecQueue<u64>| {
+            let mut h = q.register();
+            std::iter::from_fn(|| h.dequeue()).collect::<Vec<_>>()
+        };
+        let live = drain(&q);
+        assert_eq!(live, (67..200).collect::<Vec<_>>());
+        assert_eq!(
+            drain(&rebuilt),
+            live,
+            "front-to-back enqueues rebuild the order"
+        );
+    }
+
+    #[test]
     fn durable_queue_bulk_ops_route_through_the_log() {
         use crate::DurablePolicy;
         let q = SecQueue::<u64>::durable(2, DurablePolicy::volatile()).unwrap();

@@ -3,7 +3,7 @@
 //! durable replay rule. Private, so the op type stays unnameable behind
 //! the public [`SecQueue`](super::SecQueue) alias.
 
-use crate::combine::durable::{self, opcode, DurableOp, Family, OpResult};
+use crate::combine::durable::{self, opcode, DurableOp, Export, Family, OpResult};
 use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use crate::config::{AggregatorPolicy, SecConfig, WaitPolicy};
 use core::mem::MaybeUninit;
@@ -611,6 +611,22 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
             }
             _ => return None,
         })
+    }
+
+    /// Enqueues, front to back.
+    fn export_logged(&self, out: &mut Export<'_>) {
+        // Safety: the apply lock excludes every dequeue, so the dummy
+        // and the nodes behind it stay linked and unconsumed.
+        let mut cur = unsafe {
+            (*self.head.load(Ordering::Acquire))
+                .next
+                .load(Ordering::Acquire)
+        };
+        while let Some(node) = unsafe { cur.as_ref() } {
+            let value = durable::word_of::<T>(unsafe { node.value.assume_init_ref() });
+            out.push(opcode::ENQUEUE, value, 0, OpResult::Unit);
+            cur = node.next.load(Ordering::Acquire);
+        }
     }
 }
 

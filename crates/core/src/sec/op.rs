@@ -6,7 +6,7 @@
 //! alias.
 
 use super::node::Node;
-use crate::combine::durable::{self, opcode, DurableOp, Family, OpResult};
+use crate::combine::durable::{self, opcode, DurableOp, Export, Family, OpResult};
 use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineOp, LoneRule, Role, Sec};
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, Ordering};
@@ -398,6 +398,25 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
             }
             _ => return None,
         })
+    }
+
+    /// Pushes, bottom to top: written in the walk's order, top to
+    /// bottom, then reversed in place.
+    fn export_logged(&self, out: &mut Export<'_>) {
+        let from = out.mark();
+        let mut cur = self.top.load(Ordering::Acquire);
+        // Safety: the apply lock excludes every pop, so no node of the
+        // live stack is unlinked or freed during the walk.
+        while let Some(node) = unsafe { cur.as_ref() } {
+            out.push(
+                opcode::PUSH,
+                durable::word_of::<T>(&node.value),
+                0,
+                OpResult::Unit,
+            );
+            cur = node.next.load(Ordering::Acquire);
+        }
+        out.reverse_since(from);
     }
 }
 

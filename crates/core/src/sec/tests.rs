@@ -788,6 +788,33 @@ fn durable_stack_recovery_preserves_lifo_sequence() {
 }
 
 #[test]
+fn durable_stack_checkpoint_export_replays_to_the_live_stack() {
+    use crate::combine::durable::testing::rebuild_from_checkpoint;
+    use crate::DurablePolicy;
+    let s = SecStack::<u64>::durable(2, DurablePolicy::volatile().record_capacity(64)).unwrap();
+    let mut h = s.register();
+    for i in 0..200 {
+        h.push(i);
+        if i % 3 == 0 {
+            h.pop();
+        }
+    }
+    drop(h);
+    let rebuilt = rebuild_from_checkpoint(&s);
+    let drain = |s: &SecStack<u64>| {
+        let mut h = s.register();
+        std::iter::from_fn(|| h.pop()).collect::<Vec<_>>()
+    };
+    let live = drain(&s);
+    assert_eq!(live.len(), 200 - 67);
+    assert_eq!(
+        drain(&rebuilt),
+        live,
+        "bottom-to-top pushes rebuild the order"
+    );
+}
+
+#[test]
 fn durable_stack_bulk_ops_route_through_the_log() {
     use crate::DurablePolicy;
     let s = SecStack::<u64>::durable(2, DurablePolicy::volatile()).unwrap();

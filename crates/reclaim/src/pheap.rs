@@ -11,15 +11,18 @@
 //!   the program's store ordering. Surviving *power loss* additionally
 //!   requires [`msync`](PersistentHeap::msync), which callers opt into
 //!   per-range.
-//! - **Volatile** — an anonymous zeroed allocation with identical
-//!   semantics minus any durability. Used by tests and CI so the
-//!   recovery logic runs everywhere without touching the filesystem.
+//! - **Volatile** — an anonymous `MAP_PRIVATE` mapping with identical
+//!   semantics minus any durability. Used by tests, CI and benches so
+//!   the recovery logic runs everywhere without touching the
+//!   filesystem. Its pages read as zero and become resident only where
+//!   they are first written, so a large heap costs memory only for the
+//!   part in use.
 //!
 //! The heap never interprets its contents; layout (headers, logs,
 //! intent cells) belongs to the layers above in `sec-core`.
 
 use core::ffi::c_void;
-use core::sync::atomic::AtomicU64;
+use core::sync::atomic::{AtomicU64, Ordering};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::io::AsRawFd;
@@ -46,13 +49,15 @@ extern "C" {
 const PROT_READ: i32 = 1;
 const PROT_WRITE: i32 = 2;
 const MAP_SHARED: i32 = 1;
+const MAP_PRIVATE: i32 = 2;
+const MAP_ANONYMOUS: i32 = 0x20;
 const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 const MS_SYNC: i32 = 4;
 const PAGE: usize = 4096;
 
 enum Backing {
-    /// Anonymous in-process memory, freed on drop.
-    Volatile { layout: std::alloc::Layout },
+    /// An anonymous private mapping, unmapped on drop.
+    Volatile,
     /// File-backed `MAP_SHARED` mapping; the file handle is kept open
     /// for the lifetime of the heap (the mapping itself would survive
     /// a close, but holding it keeps the fd visible in diagnostics).
@@ -76,16 +81,30 @@ unsafe impl Sync for PersistentHeap {}
 
 impl PersistentHeap {
     /// Creates an anonymous (non-durable) heap of `words` zeroed words.
+    /// No page is resident until it is written.
     pub fn volatile(words: usize) -> Arc<Self> {
         let bytes = words.checked_mul(8).expect("heap size overflow").max(8);
-        let layout = std::alloc::Layout::from_size_align(bytes, PAGE).expect("heap layout");
-        // SAFETY: layout has non-zero size (max(8) above).
-        let base = unsafe { std::alloc::alloc_zeroed(layout) };
-        assert!(!base.is_null(), "volatile heap allocation failed");
+        // SAFETY: anonymous mapping of positive length; the kernel
+        // picks the (page-aligned) address.
+        let base = unsafe {
+            mmap(
+                core::ptr::null_mut(),
+                bytes,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base != MAP_FAILED && !base.is_null(),
+            "volatile heap mapping of {bytes} bytes failed: {}",
+            io::Error::last_os_error()
+        );
         Arc::new(Self {
-            base,
+            base: base.cast(),
             bytes,
-            backing: Backing::Volatile { layout },
+            backing: Backing::Volatile,
         })
     }
 
@@ -162,6 +181,28 @@ impl PersistentHeap {
         unsafe { &*(self.base.add(idx * 8) as *const AtomicU64) }
     }
 
+    /// Makes the pages under the word range `[start, start + len)`
+    /// resident by writing each, without changing any word, so that
+    /// later stores there take no page fault.
+    pub fn prefault(&self, start: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let end = start.checked_add(len).expect("prefault range overflow");
+        assert!(end <= self.words(), "prefault range past the heap");
+        let page_words = PAGE / 8;
+        let mut w = start;
+        while w < end {
+            // A compare-exchange of a word with itself writes without
+            // changing it, even racing another writer. (An RMW of zero
+            // would not do: it compiles to a plain load.)
+            let word = self.word(w);
+            let v = word.load(Ordering::Relaxed);
+            let _ = word.compare_exchange(v, v, Ordering::Relaxed, Ordering::Relaxed);
+            w = (w / page_words + 1) * page_words;
+        }
+    }
+
     /// Synchronously flushes the word range `[start, start + len)` to
     /// the backing file (`msync(MS_SYNC)`), for power-failure — not
     /// merely crash — durability. A no-op on volatile heaps.
@@ -185,16 +226,9 @@ impl PersistentHeap {
 
 impl Drop for PersistentHeap {
     fn drop(&mut self) {
-        match &self.backing {
-            Backing::Volatile { layout } => {
-                // SAFETY: allocated in `volatile` with this layout.
-                unsafe { std::alloc::dealloc(self.base, *layout) };
-            }
-            Backing::File { .. } => {
-                // SAFETY: mapped in `map_file` with this length.
-                unsafe { munmap(self.base.cast(), self.bytes) };
-            }
-        }
+        // SAFETY: both backings are mappings of exactly `bytes` bytes
+        // at `base` (`volatile`, `map_file`), unmapped once, here.
+        unsafe { munmap(self.base.cast(), self.bytes) };
     }
 }
 
@@ -210,7 +244,41 @@ impl core::fmt::Debug for PersistentHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::sync::atomic::Ordering;
+
+    extern "C" {
+        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> i32;
+    }
+
+    /// Pages of `h` resident now, by `mincore` on its own mapping (the
+    /// process RSS would count every other test's memory too).
+    fn resident_pages(h: &PersistentHeap) -> usize {
+        let mut vec = vec![0u8; h.bytes.div_ceil(PAGE)];
+        // SAFETY: `base` is the page-aligned start of a live mapping of
+        // `bytes` bytes, and `vec` has one byte per page of it.
+        let rc = unsafe { mincore(h.base.cast(), h.bytes, vec.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore: {}", io::Error::last_os_error());
+        vec.iter().filter(|&&b| b & 1 != 0).count()
+    }
+
+    #[test]
+    fn volatile_heap_is_resident_only_where_written() {
+        const WORDS: usize = (64 << 20) / 8;
+        let h = PersistentHeap::volatile(WORDS);
+        h.word(WORDS / 2).store(1, Ordering::Relaxed);
+        let resident = resident_pages(&h);
+        assert!(
+            (1..=4).contains(&resident),
+            "{resident} of {} pages resident after one write",
+            WORDS * 8 / PAGE
+        );
+        let window = 16 * PAGE / 8;
+        h.prefault(3, window);
+        let after = resident_pages(&h);
+        assert!(
+            (17..=21).contains(&after),
+            "{after} pages resident after prefaulting 17"
+        );
+    }
 
     #[test]
     fn volatile_heap_is_zeroed_and_writable() {

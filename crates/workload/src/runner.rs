@@ -120,10 +120,11 @@ pub struct DurableSetup {
     pub file_backed: bool,
     /// Durable combining shards (dedicated log + aggregator pairs).
     pub shards: usize,
-    /// Log records per shard. The log is not circular, so this bounds
-    /// the run's total batch count (per-op granularity: op count) —
-    /// size it from `duration × expected throughput` or the structure
-    /// panics mid-run with a "durable log full" message.
+    /// Log records per shard (see
+    /// [`DurablePolicy::record_capacity`](sec_core::DurablePolicy)):
+    /// the log rewinds at checkpoints, so this bounds the size of the
+    /// structure a checkpoint holds — its op list must fit in half the
+    /// records — not the run's length.
     pub record_capacity: usize,
     /// Operation entries per record.
     pub batch_entries: usize,
@@ -139,7 +140,9 @@ pub struct DurableSetup {
 static DURABLE_TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl DurableSetup {
-    /// Volatile-heap setup with geometry sized for short bench runs.
+    /// Volatile-heap setup with geometry sized for bench runs: a log
+    /// whose checkpoints hold tens of thousands of values at any
+    /// `batch_entries`, while a run touches only its first records.
     pub fn volatile() -> Self {
         Self {
             file_backed: false,
@@ -211,10 +214,6 @@ pub enum Budget {
     Time(Duration),
     /// Exactly this many steps per worker.
     Ops(u64),
-    /// Until the duration has passed or the worker has taken this many
-    /// steps, whichever comes first: at most this many, rounded down to
-    /// whole 64-step chunks (at least one).
-    TimeOrOps(Duration, u64),
 }
 
 /// One worker's pass through [`drive`]'s start barrier.
@@ -235,16 +234,12 @@ impl Start<'_> {
     #[inline(always)]
     pub fn run(self, mut step: impl FnMut()) -> u64 {
         // A timed run checks the stop flag once per 64-step chunk; an
-        // op budget is one chunk of its whole count. A capped run
-        // checks its own deadline per chunk, so `drive` ends when the
-        // last worker stops, not when the clock runs out.
-        let (chunk, mut chunks, time) = match self.budget {
-            Budget::Time(_) => (64, u64::MAX, None),
-            Budget::Ops(n) => (n, 1, None),
-            Budget::TimeOrOps(d, n) => (64, (n / 64).max(1), Some(d)),
+        // op budget is one chunk of its whole count.
+        let (chunk, mut chunks) = match self.budget {
+            Budget::Time(_) => (64, u64::MAX),
+            Budget::Ops(n) => (n, 1),
         };
         self.barrier.wait();
-        let deadline = time.map(|d| Instant::now() + d);
         let mut steps = 0;
         // The first chunk runs whatever the stop flag says, so a worker
         // descheduled past a short duration still takes one chunk and
@@ -255,8 +250,7 @@ impl Start<'_> {
             }
             steps += chunk;
             chunks -= 1;
-            let late = deadline.is_some_and(|t| Instant::now() >= t);
-            if chunks == 0 || late || self.stop.load(Ordering::Relaxed) {
+            if chunks == 0 || self.stop.load(Ordering::Relaxed) {
                 break;
             }
         }
@@ -659,17 +653,6 @@ mod tests {
             assert_eq!(steps % 64, 0, "worker {t} stopped mid-chunk");
             assert!(steps >= 64, "worker {t} took no chunk");
         }
-    }
-
-    #[test]
-    fn capped_drive_stops_at_its_op_cap_before_its_duration() {
-        let duration = Duration::from_secs(30);
-        let (steps, elapsed) = drive(3, Budget::TimeOrOps(duration, 1_000), |_, start| {
-            start.run(|| {})
-        });
-        // 1000 rounded down to whole 64-step chunks.
-        assert_eq!(steps, [960; 3]);
-        assert!(elapsed < duration, "waited out the clock: {elapsed:?}");
     }
 
     #[test]

@@ -19,18 +19,18 @@ use sec_repro::durable::DurablePolicy;
 use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::SecStack;
 
-/// The heap geometry of a `threads × ops` run (small: the sweep creates
-/// hundreds of heap files). The log is not circular, so each shard
-/// holds the worst case at batch degree 1, where every op takes a
-/// record of its own: every run op landing on one shard, plus the
-/// parent's drain after recovery — one pop or get per value the run
-/// can have left behind, and the final empty pop. Recovery reads the
-/// geometry back out of the header.
-fn policy(path: &str, threads: usize, ops: usize) -> DurablePolicy {
+/// The heap geometry of a run (small: the sweep creates hundreds of
+/// heap files). Each shard's 64 records are two halves of 32, so the
+/// log rewinds at a checkpoint every few dozen batches and every crash
+/// case recovers across checkpoints. A checkpoint must fit in 31
+/// records: 64 entries a record hold the op list of anything a
+/// `3 × 400`-op run leaves behind. Recovery reads the geometry back
+/// out of the header.
+fn policy(path: &str) -> DurablePolicy {
     DurablePolicy::file(path)
         .shards(2)
-        .record_capacity(2 * threads * ops + 1)
-        .batch_entries(16)
+        .record_capacity(64)
+        .batch_entries(64)
 }
 
 /// SplitMix-style step: deterministic per-thread op streams.
@@ -44,8 +44,7 @@ fn next(s: &mut u64) -> u64 {
 }
 
 fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) {
-    let s = SecStack::<u64>::durable(threads, policy(path, threads, ops))
-        .expect("create durable stack");
+    let s = SecStack::<u64>::durable(threads, policy(path)).expect("create durable stack");
     std::thread::scope(|scope| {
         for t in 0..threads {
             let s = &s;
@@ -65,8 +64,7 @@ fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) {
 }
 
 fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) {
-    let q = SecQueue::<u64>::durable(threads, policy(path, threads, ops))
-        .expect("create durable queue");
+    let q = SecQueue::<u64>::durable(threads, policy(path)).expect("create durable queue");
     std::thread::scope(|scope| {
         for t in 0..threads {
             let q = &q;
@@ -86,8 +84,7 @@ fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) {
 }
 
 fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) {
-    let c =
-        SecCounter::durable(threads, policy(path, threads, ops)).expect("create durable counter");
+    let c = SecCounter::durable(threads, policy(path)).expect("create durable counter");
     std::thread::scope(|scope| {
         for t in 0..threads {
             let c = &c;
@@ -103,8 +100,7 @@ fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) {
 }
 
 fn run_map(path: &str, threads: usize, ops: usize, seed: u64) {
-    let m = SecMap::<u64, u64>::durable(threads, policy(path, threads, ops))
-        .expect("create durable map");
+    let m = SecMap::<u64, u64>::durable(threads, policy(path)).expect("create durable map");
     std::thread::scope(|scope| {
         for t in 0..threads {
             let m = &m;

@@ -283,11 +283,14 @@ fn steady_state_ops_perform_zero_heap_allocations() {
         );
     }
 
-    // --- Durable stack: intents and streamed log records. ------------
+    // --- Durable stack: intents, log records and checkpoints. --------
     // Every durable op writes its intent cell and is logged by its
-    // batch's combiner straight into the shard's open record, so a
-    // warm durable burst must stay off the heap too. The log is not
-    // circular: size it for both bursts, one record per op here.
+    // batch's combiner straight into the shard's open record, and a
+    // checkpoint writes the stack's op list straight into the heap,
+    // so a warm durable burst must stay off the heap too. The log's
+    // halves hold 12k records and a burst takes one per op (12k): the
+    // warm-up fills the first half, and the measured burst opens with
+    // a checkpoint.
     let durable: SecStack<u64> = SecStack::durable_with_config(
         SecConfig::new(2, 1)
             .freezer_yields(0)
@@ -301,6 +304,7 @@ fn steady_state_ops_perform_zero_heap_allocations() {
     .expect("create a volatile durable stack");
     let mut h = durable.register();
     stack_burst(&mut h); // warm-up
+    let checkpoints = durable.durable_stats().expect("durable").checkpoints;
     let before = allocs_now();
     stack_burst(&mut h); // measurement
     let durable_allocs = allocs_now() - before;
@@ -312,6 +316,10 @@ fn steady_state_ops_perform_zero_heap_allocations() {
     );
     let logged = durable.durable_stats().expect("a durable stack logs");
     assert_eq!(logged.entries, 2 * 2 * OPS, "every op was logged");
+    assert!(
+        logged.checkpoints > checkpoints,
+        "the measured burst crossed no checkpoint: {logged:?}"
+    );
 
     // --- Map: lone gets and overwrites of present keys. -------------
     // A lone op applies under its bucket lock in place, whether its
@@ -338,12 +346,14 @@ fn steady_state_ops_perform_zero_heap_allocations() {
     // Recovery validates each committed record in place and decodes
     // them all into a single op list, so its allocations do not grow
     // with the record count (they are the rebuilt structure's own).
+    // The log's halves hold all the records, so no checkpoint
+    // truncates them before recovery reads them.
     let counter: SecCounter = SecCounter::durable_with_config(
         SecConfig::new(1, 1).freezer_yields(0),
         DurablePolicy::volatile()
             .sync(SyncMode::None)
             .granularity(LogGranularity::PerBatch)
-            .record_capacity(RECORDS),
+            .record_capacity(2 * RECORDS),
     )
     .expect("create a volatile durable counter");
     let mut h = counter.register();

@@ -13,23 +13,27 @@
 //!   `Executed` (with its result), `NeverExecuted`, `TornIntent` or
 //!   `None`, and the classification is consistent with the log;
 //! * **zero double-applies** — each handle's logged op sequence is a
-//!   gap-free 1..=n prefix;
+//!   gap-free run continuing the op_seq the newest checkpoint recorded
+//!   for it (1..=n without one);
 //! * **idempotence** — recovering twice yields the same report, and a
 //!   recovery that is itself SIGKILLed mid-scan leaves the heap
 //!   recoverable with the same outcome.
 //!
+//! The child's log is small (64 records a shard), so every run crosses
+//! many checkpoints and every case recovers from one.
+//!
 //! Sweep size: `CRASH_SEEDS=N` (default 1) multiplies the workload
-//! seeds; every seed covers crash points 1..=5 × triggers 1..=13 per
-//! family — 65 seeded crash points per family at the default, which is
-//! what the acceptance bar counts. A failing case panics with the
-//! exact `CRASH_*` replay tuple.
+//! seeds; every seed covers crash points 1..=5, 7 and 8 × triggers
+//! 1..=13 per family — 91 seeded crash points per family at the
+//! default. A failing case panics with the exact `CRASH_*` replay
+//! tuple.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::process::Command;
 
 use sec_repro::durable::{
-    opcode, DurablePolicy, LoggedOp, OpResult, PendingOutcome, RecoveryReport,
+    opcode, DurableError, DurablePolicy, LoggedOp, OpResult, PendingOutcome, RecoveryReport,
 };
 use sec_repro::ext::{SecCounter, SecMap, SecQueue};
 use sec_repro::SecStack;
@@ -40,9 +44,11 @@ const OPS: usize = 400;
 
 /// Crash points the run-mode sweep arms (see `FaultPoint`): 1 =
 /// mid-combine, 2 = post-log/pre-commit, 3 = post-commit, 4 =
-/// mid-publish, 5 = mid-intent-write. Point 6 (recover-scan) is
-/// exercised separately by `kill_9_during_recovery_is_harmless`.
-const POINTS: &[u8] = &[1, 2, 3, 4, 5];
+/// mid-publish, 5 = mid-intent-write, 7 = inside a checkpoint (records
+/// written, commit word not), 8 = after a checkpoint's commit, before
+/// the tails rewind. Point 6 (recover-scan) is exercised separately by
+/// `kill_9_during_recovery_is_harmless`.
+const POINTS: &[u8] = &[1, 2, 3, 4, 5, 7, 8];
 const TRIGGERS: std::ops::RangeInclusive<u64> = 1..=13;
 
 fn seeds() -> Vec<u64> {
@@ -91,26 +97,43 @@ fn spawn_child(args: &[&str], point: Option<(u8, u64)>) -> bool {
 
 /// Detectability + zero-double-apply checks shared by every family.
 fn check_report(report: &RecoveryReport, ctx: &str) {
-    // Per-handle gap-free prefix: op_seqs 1..=n, each exactly once.
+    // The checkpoint's op list comes first, then the log.
+    let listed = report.ops.iter().take_while(|o| o.is_checkpoint()).count();
+    assert!(
+        report.ops[listed..].iter().all(|o| !o.is_checkpoint()),
+        "{ctx}: a checkpoint op follows a logged op"
+    );
+    // Per-handle gap-free run: op_seqs continue the checkpoint's entry
+    // for the handle (0 without one), each exactly once.
+    let base = |h: u32| {
+        report
+            .checkpointed
+            .iter()
+            .find(|o| o.handle == h)
+            .map_or(0, |o| o.op_seq)
+    };
     let mut seqs: HashMap<u32, Vec<u64>> = HashMap::new();
-    for op in &report.ops {
+    for op in &report.ops[listed..] {
         seqs.entry(op.handle).or_default().push(op.op_seq);
     }
     for (h, s) in &mut seqs {
         s.sort_unstable();
+        let from = base(*h);
         for (i, seq) in s.iter().enumerate() {
             assert_eq!(
                 *seq,
-                i as u64 + 1,
-                "{ctx}: handle {h} log is not a gap-free prefix (double-apply or hole)"
+                from + i as u64 + 1,
+                "{ctx}: handle {h} log is not a gap-free run after the checkpoint's \
+                 op_seq {from} (double-apply or hole)"
             );
         }
     }
     for (h, rec) in report.handles.iter().enumerate() {
         let logged = seqs.get(&(h as u32)).map_or(0, |s| s.len() as u64);
         assert_eq!(
-            rec.executed, logged,
-            "{ctx}: handle {h} executed-count disagrees with the log"
+            rec.executed,
+            base(h as u32) + logged,
+            "{ctx}: handle {h} executed-count disagrees with the checkpoint and the log"
         );
         match rec.pending {
             PendingOutcome::None | PendingOutcome::TornIntent => {}
@@ -118,6 +141,7 @@ fn check_report(report: &RecoveryReport, ctx: &str) {
                 let op = report
                     .ops
                     .iter()
+                    .chain(&report.checkpointed)
                     .find(|o| o.handle == h as u32 && o.op_seq == op_seq)
                     .unwrap_or_else(|| {
                         panic!("{ctx}: handle {h} Executed({op_seq}) not in the log")
@@ -128,6 +152,10 @@ fn check_report(report: &RecoveryReport, ctx: &str) {
                 );
             }
             PendingOutcome::NeverExecuted { op_seq } => {
+                assert!(
+                    op_seq > rec.executed,
+                    "{ctx}: handle {h} NeverExecuted({op_seq}) is within its executed ops"
+                );
                 assert!(
                     !report
                         .ops
@@ -407,9 +435,15 @@ fn kill_9_during_recovery_is_harmless() {
             clean.replayed_ops() > 0,
             "{ctx}: empty log after a full run"
         );
-        // Kill recovery mid-scan at several depths, re-recovering in
-        // the parent after each kill.
-        for after in [1u64, 5, 20] {
+        // Kill recovery mid-scan at its first, middle and last record
+        // (the checkpoint's records count: the child's small log has
+        // checkpointed), re-recovering in the parent after each kill.
+        assert!(
+            clean.checkpoint_records > 0,
+            "{ctx}: the run left no checkpoint"
+        );
+        let scanned = (clean.checkpoint_records + clean.committed_records) as u64;
+        for after in [1, scanned.div_ceil(2), scanned] {
             let killed = spawn_child(
                 &["recover", family, path.to_str().unwrap()],
                 Some((6, after)),
@@ -434,14 +468,161 @@ fn kill_9_during_recovery_is_harmless() {
     }
 }
 
-/// The log is not circular: a run that outgrows `record_capacity`
-/// must stop with the log-full panic, not wrap or drop records. The
-/// harness sizes its heaps to its own op budget, so this pins the
-/// bound with a capacity small enough to overrun on purpose.
+/// Recovers `family` from `path` and runs `ops` more single-threaded
+/// ops on it, returning how many checkpoints they wrote.
+fn resume(family: &str, path: &PathBuf, ops: u64, ctx: &str) -> u64 {
+    fn or_fail<T>(r: Result<T, DurableError>, ctx: &str) -> T {
+        r.unwrap_or_else(|e| panic!("{ctx}: resume's recover failed: {e}"))
+    }
+    let policy = DurablePolicy::file(path);
+    let stats = match family {
+        "stack" => {
+            let (s, _) = or_fail(SecStack::<u64>::recover(policy), ctx);
+            let mut h = s.register();
+            for i in 0..ops {
+                if i % 3 == 2 {
+                    h.pop();
+                } else {
+                    h.push(i);
+                }
+            }
+            drop(h);
+            s.durable_stats()
+        }
+        "queue" => {
+            let (q, _) = or_fail(SecQueue::<u64>::recover(policy), ctx);
+            let mut h = q.register();
+            for i in 0..ops {
+                if i % 3 == 2 {
+                    h.dequeue();
+                } else {
+                    h.enqueue(i);
+                }
+            }
+            drop(h);
+            q.durable_stats()
+        }
+        "counter" => {
+            let (c, _) = or_fail(SecCounter::recover(policy), ctx);
+            let mut h = c.register();
+            for i in 0..ops {
+                h.fetch_add(i);
+            }
+            drop(h);
+            c.durable_stats()
+        }
+        "map" => {
+            let (m, _) = or_fail(SecMap::<u64, u64>::recover(policy), ctx);
+            let mut h = m.register();
+            for i in 0..ops {
+                if i % 3 == 2 {
+                    h.remove(&(i % 64));
+                } else {
+                    h.insert(i % 64, i);
+                }
+            }
+            drop(h);
+            m.durable_stats()
+        }
+        other => panic!("unknown family {other}"),
+    };
+    stats.expect("a recovered structure is durable").checkpoints
+}
+
+/// A kill just after a checkpoint's commit, before the tails rewind:
+/// recovery starts from the new checkpoint, twice over with the same
+/// outcome, and the recovered structure keeps logging — through more
+/// checkpoints — into a heap that recovers once more to the model.
 #[test]
-#[should_panic(expected = "durable log full")]
-fn durable_log_overrun_panics_instead_of_wrapping() {
+fn kill_9_after_a_checkpoint_recovers_twice_and_resumes() {
+    for family in FAMILIES {
+        let ctx = format!("CRASH_FAMILY={family} SEC_CRASH_POINT=8 SEC_CRASH_AFTER=3");
+        let path = heap_path(&format!("postckpt_{family}"));
+        let _ = std::fs::remove_file(&path);
+        let args = [
+            "run",
+            family,
+            path.to_str().unwrap(),
+            &THREADS.to_string(),
+            &OPS.to_string(),
+            "11",
+        ];
+        assert!(
+            spawn_child(&args, Some((8, 3))),
+            "{ctx}: the child never committed a third checkpoint"
+        );
+        let r1 = recover_report(family, &path, &ctx);
+        let r2 = recover_report(family, &path, &ctx);
+        assert_eq!(r1.ops, r2.ops, "{ctx}: recovery is not idempotent");
+        assert_eq!(r1.handles, r2.handles, "{ctx}: verdicts are not idempotent");
+        assert_eq!(r1.checkpointed, r2.checkpointed, "{ctx}");
+        assert!(
+            !r1.checkpointed.is_empty(),
+            "{ctx}: recovery did not start from a checkpoint"
+        );
+        check_report(&r1, &ctx);
+        let checkpoints = resume(family, &path, 200, &ctx);
+        assert!(
+            checkpoints > 0,
+            "{ctx}: the resumed run wrote no checkpoint"
+        );
+        let r3 = recover_report(family, &path, &ctx);
+        check_report(&r3, &ctx);
+        check_conservation(family, &path, &r3, &ctx);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A four-record log (two halves of two records) rewinds at a
+/// checkpoint every record or two, so a bounded structure runs any
+/// number of ops on it: 10k push/pop ops of a stack held under 16
+/// values, then recovery — the last checkpoint and the records after
+/// it — rebuilds the model's stack.
+#[test]
+fn durable_four_record_log_rewinds_through_10k_ops() {
     let policy = DurablePolicy::volatile().shards(1).record_capacity(4);
+    let s = SecStack::<u64>::durable(1, policy).expect("create durable stack");
+    let mut model = Vec::new();
+    let mut h = s.register();
+    let mut rng = 0x5EC0u64;
+    for i in 0..10_000 {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if model.len() < 16 && (rng >> 33).is_multiple_of(2) {
+            h.push(i);
+            model.push(i);
+        } else {
+            assert_eq!(h.pop(), model.pop(), "op {i}");
+        }
+    }
+    drop(h);
+    let stats = s.durable_stats().expect("a durable stack logs");
+    assert_eq!(stats.entries, 10_000, "{stats:?}");
+    assert!(stats.checkpoints > 1_000, "{stats:?}");
+    let heap = s.durable_heap().expect("a durable stack has a heap");
+    drop(s);
+    let (r, report) = SecStack::<u64>::recover(DurablePolicy::heap(heap)).expect("recover");
+    check_report(&report, "four-record log");
+    assert_eq!(report.handles[0].executed, 10_000);
+    let mut h = r.register();
+    let drained: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
+    model.reverse();
+    assert_eq!(drained, model, "recovered stack diverges from the model");
+}
+
+/// A checkpoint must fit in one half of the log less the record it
+/// leaves free. A structure that outgrows that keeps appending until
+/// its half is full, then panics naming the checkpoint's size: here
+/// one handle's entry and two pushes against a half of two records of
+/// two entries.
+#[test]
+#[should_panic(expected = "checkpoint of 3 entries does not fit")]
+fn durable_checkpoint_that_cannot_fit_panics_naming_its_size() {
+    let policy = DurablePolicy::volatile()
+        .shards(1)
+        .record_capacity(4)
+        .batch_entries(2);
     let s = SecStack::<u64>::durable(1, policy).expect("create durable stack");
     let mut h = s.register();
     for i in 0..64 {
