@@ -759,8 +759,12 @@ struct LogState {
     /// The half of every shard's records the live log fills: the
     /// committed checkpoint's.
     half: usize,
-    /// Records the last checkpoint took, or needed when it did not fit.
+    /// Records the committed checkpoint takes: where shard 0's live log
+    /// starts.
     ckpt_records: usize,
+    /// Records the last checkpoint took, or needed when it did not
+    /// fit: what the trigger grows from.
+    last_size: usize,
 }
 
 /// What the combiners write on every batch: the apply lock with the
@@ -874,6 +878,7 @@ impl DurableCore {
                     last: vec![[0; ENTRY_WORDS]; max_handles].into_boxed_slice(),
                     half: 0,
                     ckpt_records: 0,
+                    last_size: 0,
                 }),
                 records: AtomicU64::new(0),
                 entries: AtomicU64::new(0),
@@ -1096,7 +1101,7 @@ impl DurableCore {
     /// The tail at which a shard checkpoints (see [`CKPT_GROWTH`]).
     fn trigger(&self, state: &LogState) -> usize {
         CKPT_MIN_RECORDS
-            .max(CKPT_GROWTH.saturating_mul(state.ckpt_records))
+            .max(CKPT_GROWTH.saturating_mul(state.last_size))
             .min(self.half_cap())
     }
 
@@ -1158,8 +1163,8 @@ impl DurableCore {
         }
         export(&mut out);
         let records = out.len.div_ceil(self.entries_cap);
+        state.last_size = records;
         if out.len > out.cap {
-            state.ckpt_records = records;
             return Err(out.len);
         }
         for r in 0..records {
@@ -1176,6 +1181,7 @@ impl DurableCore {
             self.heap
                 .msync(self.record_off(0, half, 0), records * self.record_words())
                 .ok();
+            self.combiner.msyncs.fetch_add(1, Ordering::Relaxed);
         }
         fault::hit(FaultPoint::Checkpoint);
         self.w(H_CKPT_RECORDS + half)
@@ -1429,6 +1435,7 @@ impl DurableCore {
                 .collect(),
             half,
             ckpt_records,
+            last_size: ckpt_records,
         };
         let report = RecoveryReport {
             committed_records,
@@ -1448,20 +1455,12 @@ impl DurableCore {
 /// [`CombineOp::export_logged`] writes into. Nothing is allocated.
 pub struct Export<'a> {
     core: &'a DurableCore,
-    /// Where the next entry goes while the list fits.
-    next: Place,
-    /// Entries pushed so far, counted on past `cap`.
+    /// The half of shard 0 the list goes into.
+    half: usize,
+    /// Entries pushed or reserved so far, counted on past `cap`.
     len: usize,
     /// Entries that fit.
     cap: usize,
-}
-
-/// Where an entry of a checkpoint sits: its heap offset and its index
-/// in its record. Stepping from one to the next needs no division.
-#[derive(Clone, Copy)]
-pub(crate) struct Place {
-    off: usize,
-    i: usize,
 }
 
 impl<'a> Export<'a> {
@@ -1470,10 +1469,7 @@ impl<'a> Export<'a> {
     fn new(core: &'a DurableCore, half: usize, cap: usize) -> Self {
         Export {
             core,
-            next: Place {
-                off: core.record_off(0, half, 0) + REC_HDR_WORDS,
-                i: 0,
-            },
+            half,
             len: 0,
             cap,
         }
@@ -1482,6 +1478,29 @@ impl<'a> Export<'a> {
     /// Appends one op of the list, with the result that replaying it
     /// into the structure rebuilt so far reproduces.
     pub(crate) fn push(&mut self, opcode: u8, operand: u64, operand2: u64, result: OpResult) {
+        let at = self.reserve(1);
+        self.put(at, opcode, operand, operand2, result);
+    }
+
+    /// Appends `n` places for ops and returns the index of the first,
+    /// for a family whose walk runs against list order (the stack's,
+    /// top to bottom): it counts first, then [`Export::put`]s each op
+    /// from the end.
+    pub(crate) fn reserve(&mut self, n: usize) -> usize {
+        self.len += n;
+        self.len - n
+    }
+
+    /// Writes op `at` of the list, a place [`Export::reserve`] made.
+    /// Does nothing once the list no longer fits.
+    pub(crate) fn put(
+        &mut self,
+        at: usize,
+        opcode: u8,
+        operand: u64,
+        operand2: u64,
+        result: OpResult,
+    ) {
         let op = LoggedOp {
             handle: LoggedOp::CHECKPOINT,
             op_seq: 0,
@@ -1490,76 +1509,24 @@ impl<'a> Export<'a> {
             operand2,
             result,
         };
-        self.push_words(op.words());
-    }
-
-    /// The list so far, for [`Export::reverse_since`].
-    pub(crate) fn mark(&self) -> (usize, Place) {
-        (self.len, self.next)
-    }
-
-    /// Reverses the entries pushed since `mark`, for a family whose
-    /// walk runs against list order (the stack's, top to bottom): one
-    /// walk, then a swap pass over entries the walk just wrote, instead
-    /// of a second walk to count. Does nothing once the list no longer
-    /// fits.
-    pub(crate) fn reverse_since(&mut self, (from, mut front): (usize, Place)) {
-        if self.len > self.cap {
-            return;
-        }
-        let mut back = self.next;
-        for _ in 0..(self.len - from) / 2 {
-            back = self.step_back(back);
-            let (a, b) = (self.load(front), self.load(back));
-            self.store(front, b);
-            self.store(back, a);
-            front = self.step(front);
-        }
+        self.put_words(at, op.words());
     }
 
     fn push_words(&mut self, words: [u64; ENTRY_WORDS]) {
-        if self.len < self.cap {
-            self.store(self.next, words);
-            self.next = self.step(self.next);
+        let at = self.reserve(1);
+        self.put_words(at, words);
+    }
+
+    fn put_words(&mut self, at: usize, words: [u64; ENTRY_WORDS]) {
+        if self.len > self.cap {
+            return;
         }
-        self.len += 1;
-    }
-
-    fn step(&self, p: Place) -> Place {
-        if p.i + 1 == self.core.entries_cap {
-            Place {
-                off: p.off + ENTRY_WORDS + REC_HDR_WORDS,
-                i: 0,
-            }
-        } else {
-            Place {
-                off: p.off + ENTRY_WORDS,
-                i: p.i + 1,
-            }
-        }
-    }
-
-    fn step_back(&self, p: Place) -> Place {
-        if p.i == 0 {
-            Place {
-                off: p.off - ENTRY_WORDS - REC_HDR_WORDS,
-                i: self.core.entries_cap - 1,
-            }
-        } else {
-            Place {
-                off: p.off - ENTRY_WORDS,
-                i: p.i - 1,
-            }
-        }
-    }
-
-    fn load(&self, p: Place) -> [u64; ENTRY_WORDS] {
-        core::array::from_fn(|j| self.core.w(p.off + j).load(Ordering::Relaxed))
-    }
-
-    fn store(&self, p: Place, words: [u64; ENTRY_WORDS]) {
+        let d = self.core;
+        let off = d.record_off(0, self.half, at / d.entries_cap)
+            + REC_HDR_WORDS
+            + at % d.entries_cap * ENTRY_WORDS;
         for (j, word) in words.into_iter().enumerate() {
-            self.core.w(p.off + j).store(word, Ordering::Relaxed);
+            d.w(off + j).store(word, Ordering::Relaxed);
         }
     }
 }

@@ -400,23 +400,29 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         })
     }
 
-    /// Pushes, bottom to top: written in the walk's order, top to
-    /// bottom, then reversed in place.
+    /// Pushes, bottom to top: one walk counts the nodes, a second
+    /// writes them from the list's end.
     fn export_logged(&self, out: &mut Export<'_>) {
-        let from = out.mark();
-        let mut cur = self.top.load(Ordering::Acquire);
         // Safety: the apply lock excludes every pop, so no node of the
-        // live stack is unlinked or freed during the walk.
-        while let Some(node) = unsafe { cur.as_ref() } {
-            out.push(
+        // live stack is unlinked or freed during the walks.
+        let nodes = || {
+            std::iter::successors(
+                unsafe { self.top.load(Ordering::Acquire).as_ref() },
+                |n| unsafe { n.next.load(Ordering::Acquire).as_ref() },
+            )
+        };
+        let count = nodes().count();
+        let mut at = out.reserve(count) + count;
+        for node in nodes() {
+            at -= 1;
+            out.put(
+                at,
                 opcode::PUSH,
                 durable::word_of::<T>(&node.value),
                 0,
                 OpResult::Unit,
             );
-            cur = node.next.load(Ordering::Acquire);
         }
-        out.reverse_since(from);
     }
 }
 

@@ -36,7 +36,7 @@ use sec_repro::durable::{
     opcode, DurableError, DurablePolicy, LoggedOp, OpResult, PendingOutcome, RecoveryReport,
 };
 use sec_repro::ext::{SecCounter, SecMap, SecQueue};
-use sec_repro::SecStack;
+use sec_repro::{SecHandle, SecStack};
 
 const FAMILIES: &[&str] = &["stack", "queue", "counter", "map"];
 const THREADS: usize = 3;
@@ -605,6 +605,66 @@ fn durable_four_record_log_rewinds_through_10k_ops() {
     let (r, report) = SecStack::<u64>::recover(DurablePolicy::heap(heap)).expect("recover");
     check_report(&report, "four-record log");
     assert_eq!(report.handles[0].executed, 10_000);
+    let mut h = r.register();
+    let drained: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
+    model.reverse();
+    assert_eq!(drained, model, "recovered stack diverges from the model");
+}
+
+/// A checkpoint that does not fit commits nothing, so the next one
+/// must still read shard 0's live log from the end of the committed
+/// checkpoint. Two shards with halves of 20000 one-entry records:
+/// shard 1 reaches the 16384-record trigger while the stack holds more
+/// than 20000 values, so that checkpoint does not fit and the log
+/// appends on; pops then shrink the stack, so the retry at the full
+/// half fits. It must carry each handle's newest op_seq, or recovery
+/// finds a gap after the checkpoint's entry for the handle on shard 0.
+#[test]
+fn durable_checkpoint_after_one_that_did_not_fit_recovers_to_the_model() {
+    let policy = DurablePolicy::volatile()
+        .shards(2)
+        .record_capacity(40_000)
+        .batch_entries(1);
+    let s = SecStack::<u64>::durable(2, policy).expect("create durable stack");
+    let mut model = Vec::new();
+    let (mut h0, mut h1) = (s.register(), s.register());
+    let mut next = 0u64;
+    let mut push = |h: &mut SecHandle<'_, u64>, model: &mut Vec<u64>, n: usize| {
+        for _ in 0..n {
+            h.push(next);
+            model.push(next);
+            next += 1;
+        }
+    };
+    let pop = |h: &mut SecHandle<'_, u64>, model: &mut Vec<u64>, n: usize| {
+        for _ in 0..n {
+            assert_eq!(h.pop(), model.pop());
+        }
+    };
+    push(&mut h0, &mut model, 4_000);
+    push(&mut h1, &mut model, 16_384);
+    // Opens shard 1's record 16384: a checkpoint of 20386 entries.
+    pop(&mut h1, &mut model, 1);
+    let stats = s.durable_stats().expect("a durable stack logs");
+    assert_eq!(
+        stats.checkpoints, 0,
+        "the first checkpoint must not fit: {stats:?}"
+    );
+    pop(&mut h0, &mut model, 12_000);
+    // Shard 1 reaches its full half of 20000; the op after retries.
+    pop(&mut h1, &mut model, 20_000 - 16_385);
+    pop(&mut h1, &mut model, 1);
+    let stats = s.durable_stats().expect("a durable stack logs");
+    assert_eq!(stats.checkpoints, 1, "the retry must fit: {stats:?}");
+    push(&mut h0, &mut model, 10);
+    push(&mut h1, &mut model, 10);
+    drop((h0, h1));
+    let heap = s.durable_heap().expect("a durable stack has a heap");
+    drop(s);
+    let (r, report) = SecStack::<u64>::recover(DurablePolicy::heap(heap)).expect("recover");
+    check_report(&report, "checkpoint after one that did not fit");
+    let executed: Vec<u64> = report.handles.iter().map(|h| h.executed).collect();
+    assert_eq!(executed, [16_010, 20_011]);
     let mut h = r.register();
     let drained: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
     model.reverse();
