@@ -10,11 +10,12 @@
 //!   a file-backed `MAP_SHARED` mmap whose retired stores survive the
 //!   process dying (including `SIGKILL`), or an in-memory `Volatile`
 //!   arena with identical code paths for tests and CI.
-//! * **Intent cells** — before announcing, a handle writes an *intent*
-//!   (its per-handle op sequence number + op descriptor) to its cell,
-//!   a cache line no other handle writes, and only then joins a batch. On recovery, comparing the cell's
-//!   sequence number against the log tells the announcer whether its
-//!   in-flight op executed — every op is *detectable*.
+//! * **Intent cells** — before its op goes anywhere, a handle writes an
+//!   *intent* (its per-handle op sequence number + op descriptor) to
+//!   its cell, a cache line no other handle writes. On recovery,
+//!   comparing the cell's sequence number against the log tells the
+//!   handle whether its in-flight op executed — every op is
+//!   *detectable*.
 //! * **Per-shard redo log** — the combiner applies the frozen batch to
 //!   the in-memory structure, writing each op's descriptor and result
 //!   straight into one record per batch, *commits* the record with a
@@ -22,6 +23,10 @@
 //!   results.
 //!   A record whose commit word is unset is a torn record: its ops
 //!   never happened.
+//! * **The lone route** — every logged op takes one apply lock, so an
+//!   op that finds it free, with no combiner queued for it, skips the
+//!   batch and logs itself, exactly as the combiner of a one-op batch
+//!   would; only ops that contend for the lock form batches.
 //! * **Checkpoints** — the log rewinds: once a shard's tail reaches a
 //!   trigger, the combiner writes the structure as an op list into the
 //!   idle half of a double-buffered region, commits it with one release
@@ -48,15 +53,16 @@
 use core::any::TypeId;
 use core::mem;
 use core::ops::Range;
-use core::sync::atomic::{fence, AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 
 use sec_reclaim::{Guard, Handle as ReclaimHandle, PersistentHeap};
 use sec_sync::CachePadded;
 
 use super::batch::{wait_ptr, CombineBatch, Role};
 use super::{CombineOp, Lane, Sec};
+use crate::trace::{TraceEventKind, TraceLane};
 
 /// Magic word ("SECDUR01" in ASCII) committed last when a heap is
 /// initialised; recovery refuses heaps without it.
@@ -213,7 +219,8 @@ pub enum SyncMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LogGranularity {
     /// One record per frozen batch (chunked only when a batch exceeds
-    /// the record's entry capacity) — the combining win.
+    /// the record's entry capacity) — the combining win — and one per
+    /// op that took the lone route.
     PerBatch,
     /// One record per operation — the flush-per-op strawman that
     /// `durable_bench` measures the batch discipline against.
@@ -613,7 +620,9 @@ pub mod fault {
         /// publishes results: ops recover as executed, announcers as
         /// pending-executed.
         PostCommit = 3,
-        /// While waiters are consuming published results.
+        /// After a result is committed, before its op returns it:
+        /// while a batch's waiters consume their published results, or
+        /// just after a lone op's own commit. Ops recover as executed.
         MidPublish = 4,
         /// Between an intent cell's field stores and its checksum:
         /// the cell must recover as torn (op never announced).
@@ -768,13 +777,18 @@ struct LogState {
 }
 
 /// What the combiners write on every batch: the apply lock with the
-/// log state it guards, and the logging counters. One padded line,
-/// apart from the read-mostly geometry every `write_intent` reads.
+/// log state it guards, the count of combiners queued for it, and the
+/// logging counters. One padded line, apart from the read-mostly
+/// geometry every `write_intent` reads.
 struct CombinerLine {
     /// Serialises apply+log across all shards: log order is exactly
     /// structure-application order, which is what makes sequential
     /// replay reproduce the recovered structure.
     apply_lock: Mutex<LogState>,
+    /// Combiners between deciding to take `apply_lock` and holding it.
+    /// A lone op goes alone only while this reads 0, so it never
+    /// barges past a queued combiner and its batch's waiters.
+    waiting: AtomicU64,
     records: AtomicU64,
     entries: AtomicU64,
     msyncs: AtomicU64,
@@ -880,6 +894,7 @@ impl DurableCore {
                     ckpt_records: 0,
                     last_size: 0,
                 }),
+                waiting: AtomicU64::new(0),
                 records: AtomicU64::new(0),
                 entries: AtomicU64::new(0),
                 msyncs: AtomicU64::new(0),
@@ -1661,9 +1676,10 @@ impl<O: CombineOp> Sec<O> {
     }
 
     /// One detectable operation of the calling thread: persist its
-    /// intent, announce a [`DurableReq`] on the thread's durable shard,
-    /// and return the result the combiner logged for it. The only op
-    /// path of a durable structure.
+    /// intent, then apply and log it alone when the apply lock is free
+    /// ([`Sec::run_durable_alone`]), or else announce a [`DurableReq`]
+    /// on the thread's durable shard; either way return the result
+    /// logged for it. The only op path of a durable structure.
     pub(crate) fn run_durable(
         &self,
         reclaim: &ReclaimHandle<'_>,
@@ -1677,32 +1693,79 @@ impl<O: CombineOp> Sec<O> {
         let tid = reclaim.slot();
         let seq = d.write_intent(tid, opcode, operand, operand2);
         let mut req = DurableReq::new(tid, seq, opcode, operand, operand2);
-        // Type erasure as in the bulk paths: the engine never looks
-        // inside announcement pointers, and `combine_durable` knows the
-        // durable shards carry requests.
-        let node = (&mut req as *mut DurableReq).cast::<O::Node>();
-        self.run(
-            Lane::At(self.dur_base + d.shard_of(tid)),
-            Role::Remove,
-            node,
-            reclaim,
-        );
+        if !self.run_durable_alone(d, reclaim, &mut req) {
+            // Type erasure as in the bulk paths: the engine never looks
+            // inside announcement pointers, and `combine_durable` knows
+            // the durable shards carry requests.
+            let node = (&mut req as *mut DurableReq).cast::<O::Node>();
+            self.run(
+                Lane::At(self.dur_base + d.shard_of(tid)),
+                Role::Remove,
+                node,
+                reclaim,
+            );
+        }
         req.take_result()
     }
 
-    /// The durable combiner: waits for its frozen requests, then under
-    /// the apply lock applies each through the family's
-    /// [`CombineOp::apply_logged`] hook and writes its entry straight
-    /// into the shard's open log record (one record per batch or per
-    /// op, by policy), committing before returning. A record opened
-    /// at the checkpoint trigger first writes a checkpoint through the
-    /// family's [`CombineOp::export_logged`] hook. The engine
-    /// publishes results only after this returns, so a published
-    /// result is always a logged result. The lock spans all shards,
-    /// and every op of a durable structure comes through here, so log
-    /// order is exactly application order — the property replay
-    /// relies on. Never inlined: the engine's batch path, which every
-    /// family runs, calls it only for durable shards.
+    /// The durable lone route (DESIGN.md §16 "The lone route"): when no
+    /// combiner is queued for the apply lock and `try_lock` takes it,
+    /// `req` is applied and logged on the thread's own shard exactly as
+    /// a combiner of a one-request batch would log it, and the route
+    /// returns `true` with the result in `req`. Otherwise it returns
+    /// `false` having touched nothing, and the op announces. The lock
+    /// serialises every durable op, so a batch pays only when two ops
+    /// contend for it. Never inlined, like `combine_durable`.
+    #[inline(never)]
+    fn run_durable_alone(
+        &self,
+        d: &DurableCore,
+        reclaim: &ReclaimHandle<'_>,
+        req: &mut DurableReq,
+    ) -> bool {
+        let line = &d.combiner;
+        // Relaxed: the count only steers the choice; the lock orders
+        // the apply itself.
+        if line.waiting.load(Ordering::Relaxed) != 0 {
+            return false;
+        }
+        // Pinned before the lock, so no epoch advance runs under it.
+        let guard = reclaim.pin();
+        let mut state = match line.apply_lock.try_lock() {
+            Ok(state) => state,
+            Err(TryLockError::WouldBlock) => return false,
+            Err(TryLockError::Poisoned(_)) => {
+                panic!("a combiner panicked under the durable apply lock")
+            }
+        };
+        let tid = reclaim.slot();
+        let shard = d.shard_of(tid);
+        let slot = [AtomicPtr::new((req as *mut DurableReq).cast::<O::Node>())];
+        self.log_requests(d, shard, &mut state, &slot, &guard);
+        drop(state);
+        self.stats.record_alone(tid, 1);
+        if let Some(t) = self.tracer().filter(|t| t.sample(tid)) {
+            t.record(
+                tid,
+                (self.dur_base + shard) as u32,
+                TraceEventKind::Alone {
+                    lane: TraceLane::Remove,
+                },
+            );
+        }
+        // The result is committed and not yet consumed, as a batch
+        // waiter's is at the same point.
+        fault::hit(FaultPoint::MidPublish);
+        true
+    }
+
+    /// The durable combiner: waits for its frozen requests, then takes
+    /// the apply lock — counted in `waiting` until it holds it, so lone
+    /// ops stand aside — and logs them through [`Sec::log_requests`].
+    /// The engine publishes results only after this returns, so a
+    /// published result is always a logged result. Never inlined: the
+    /// engine's batch path, which every family runs, calls it only for
+    /// durable shards.
     #[inline(never)]
     pub(super) fn combine_durable(
         &self,
@@ -1720,17 +1783,43 @@ impl<O: CombineOp> Sec<O> {
         for s in slots {
             wait_ptr(s, self.config.wait);
         }
-        let mut state = d
-            .combiner
+        let line = &d.combiner;
+        line.waiting.fetch_add(1, Ordering::Relaxed);
+        let mut state = line
             .apply_lock
             .lock()
             .expect("a combiner panicked under the durable apply lock");
+        line.waiting.fetch_sub(1, Ordering::Relaxed);
+        self.log_requests(d, agg_idx - self.dur_base, &mut state, slots, guard);
+    }
+
+    /// Under the apply lock, whose log state is `state`: applies each
+    /// request announced in `slots` through the family's
+    /// [`CombineOp::apply_logged`] hook and writes its entry straight
+    /// into `shard`'s open log record (one record per batch or per op,
+    /// by policy), committing before it returns. A record opened at the
+    /// checkpoint trigger first writes a checkpoint through the
+    /// family's [`CombineOp::export_logged`] hook. The durable combiner
+    /// and the lone route both log through here, so both hit
+    /// `MidCombine`, `PostLog` and `PostCommit` in the same order. The
+    /// lock spans all shards, and every op of a durable structure comes
+    /// through here, so log order is exactly application order — the
+    /// property replay relies on.
+    #[inline(never)]
+    fn log_requests(
+        &self,
+        d: &DurableCore,
+        shard: usize,
+        state: &mut LogState,
+        slots: &[AtomicPtr<O::Node>],
+        guard: &Guard<'_, '_>,
+    ) {
         let export = |out: &mut Export<'_>| self.op.export_logged(out);
-        let mut log = d.log(agg_idx - self.dur_base, &mut state, &export);
+        let mut log = d.log(shard, state, &export);
         for s in slots {
-            // Safety: every pointer was announced into this frozen
-            // batch as a request (and seen non-null above), and its
-            // owner blocks until `applied`.
+            // Safety: every pointer holds a request its owner announced
+            // (or the lone route wrapped), seen non-null, and its owner
+            // blocks until the result is published.
             let req = unsafe { &mut *s.load(Ordering::Acquire).cast::<DurableReq>() };
             log.append(|| {
                 fault::hit(FaultPoint::MidCombine);
@@ -1867,6 +1956,15 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::tests::{assert_spins_per_batch, spin_only, GATE_OPS, WINDOW};
+    use crate::combine::FamilyHandle;
+    use crate::{SecConfig, SecQueue, SecStack};
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::thread;
+    use std::time::{Duration, Instant};
 
     /// Words per 64-byte line; the heap base is page-aligned.
     const LINE: usize = 64 / mem::size_of::<u64>();
@@ -1963,5 +2061,306 @@ mod tests {
                 Ok(_) => panic!("a version-{version} heap recovered"),
             }
         }
+    }
+
+    // ---- the lone route (DESIGN.md §16 "The lone route") -----------
+
+    /// Holds `sec`'s count of combiners queued for the apply lock above
+    /// zero until dropped: meanwhile every durable op announces on its
+    /// shard, whatever the lock says — the batch path, forced, as
+    /// `counter::tests::batched_add` forces it for the counter.
+    struct QueuedCombiner<'a>(&'a AtomicU64);
+
+    impl<'a> QueuedCombiner<'a> {
+        fn hold<O: CombineOp>(sec: &'a Sec<O>) -> Self {
+            let waiting = &sec
+                .durable_core()
+                .expect("a durable structure")
+                .combiner
+                .waiting;
+            waiting.fetch_add(1, Ordering::Relaxed);
+            QueuedCombiner(waiting)
+        }
+    }
+
+    impl Drop for QueuedCombiner<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    // In the two spin-gate tests a second handle is registered and
+    // stays idle, so two announcers stay possible and every freezer's
+    // batch is short; only the spin gate then decides whether the
+    // freezer waits out its window. A free apply lock would send every
+    // op alone, so a queued combiner is held for the whole test.
+
+    #[test]
+    fn a_durable_stack_shard_spends_the_whole_window() {
+        let stack = SecStack::durable_with_config(spin_only(), DurablePolicy::volatile())
+            .expect("volatile durable stack");
+        let (_idle, mut h) = (stack.register(), stack.register());
+        let _queued = QueuedCombiner::hold(&stack);
+        for i in 0..GATE_OPS {
+            h.push(i);
+        }
+        assert_spins_per_batch("durable stack push", stack.stats(), u64::from(WINDOW));
+    }
+
+    #[test]
+    fn a_durable_shard_waits_for_no_handle_of_another_shard() {
+        // Two shards over `slots` registry slots; the handles take the
+        // lowest slots, so the last one is alone on the second shard
+        // (the 4-thread `durable_bench` geometry: slots 0-2 on shard 0,
+        // 3-4 on shard 1). Its freezer has no one to wait for.
+        for (slots, handles) in [(2, 2), (5, 4)] {
+            let config = SecConfig::new(1, slots)
+                .freezer_backoff(WINDOW)
+                .freezer_yields(0);
+            let stack = SecStack::durable_with_config(config, DurablePolicy::volatile().shards(2))
+                .expect("volatile durable stack");
+            let mut hs: Vec<_> = (0..handles).map(|_| stack.register()).collect();
+            let h = hs.last_mut().expect("a handle");
+            let _queued = QueuedCombiner::hold(&stack);
+            for i in 0..GATE_OPS {
+                h.push(i);
+            }
+            assert_spins_per_batch(
+                &format!("durable shard 1 of {slots} slots"),
+                stack.stats(),
+                0,
+            );
+        }
+    }
+
+    #[test]
+    fn a_durable_op_announces_while_a_combiner_waits_and_goes_alone_otherwise() {
+        let s = SecStack::<u64>::durable(2, DurablePolicy::volatile()).unwrap();
+        let mut h = s.register();
+        let routes = || {
+            let r = s.stats().report();
+            (r.alone, r.batches)
+        };
+        h.push(1);
+        assert_eq!(routes(), (1, 1), "a free lock: alone");
+        {
+            let _queued = QueuedCombiner::hold(&s);
+            h.push(2);
+            assert_eq!(routes(), (1, 2), "a queued combiner: one more batch");
+            assert_eq!(h.pop(), Some(2));
+            assert_eq!(routes(), (1, 3));
+        }
+        assert_eq!(h.pop(), Some(1));
+        assert_eq!(routes(), (2, 4), "no combiner queued: alone again");
+        drop(h);
+        assert_eq!(s.durable_stats().unwrap().entries, 4);
+    }
+
+    /// Worker handles of the mixed-route tests, and the ops each runs.
+    const MIXED_HANDLES: usize = 3;
+    const MIXED_OPS: u64 = 2_000;
+
+    /// A volatile policy whose log holds every op of a mixed-route run
+    /// without a checkpoint, so the recovered log lists every call.
+    fn mixed_policy() -> DurablePolicy {
+        DurablePolicy::volatile()
+            .sync(SyncMode::None)
+            .batch_entries(MIXED_HANDLES)
+            .record_capacity(4 * MIXED_HANDLES * MIXED_OPS as usize)
+    }
+
+    /// A mixed-route worker's calls, by handle: its tid and each call's
+    /// result.
+    type Calls = (usize, Vec<Option<u64>>);
+
+    /// Runs `work(h, t)` on `MIXED_HANDLES` threads, each with a handle
+    /// of its own (all registered before any op, so none inherits
+    /// another's slot), while this thread holds `sec`'s apply lock now
+    /// and then — from before the first op — each time until a
+    /// combiner queued behind it. Ops that find the lock free go alone;
+    /// those that find it held announce.
+    fn around_a_held_apply_lock<O: CombineOp>(
+        sec: &Sec<O>,
+        work: impl Fn(&mut FamilyHandle<'_, O>, usize) -> Vec<Option<u64>> + Sync,
+    ) -> Vec<Calls> {
+        let line = &sec.durable_core().expect("a durable structure").combiner;
+        let registered = Barrier::new(MIXED_HANDLES + 1);
+        let done = AtomicUsize::new(0);
+        let calls = thread::scope(|scope| {
+            let workers: Vec<_> = (0..MIXED_HANDLES)
+                .map(|t| {
+                    let (work, registered, done) = (&work, &registered, &done);
+                    scope.spawn(move || {
+                        let mut h = sec.register();
+                        registered.wait();
+                        let calls = work(&mut h, t);
+                        done.fetch_add(1, Ordering::Release);
+                        (h.tid(), calls)
+                    })
+                })
+                .collect();
+            let running = || done.load(Ordering::Acquire) < MIXED_HANDLES;
+            let mut held = line.apply_lock.lock().unwrap();
+            registered.wait();
+            loop {
+                while line.waiting.load(Ordering::Relaxed) == 0 && running() {
+                    thread::yield_now();
+                }
+                drop(held);
+                thread::sleep(Duration::from_millis(1));
+                if !running() {
+                    break;
+                }
+                held = line.apply_lock.lock().unwrap();
+            }
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let r = sec.stats().report();
+        assert!(r.alone > 0, "free-lock ops ran alone: {r:?}");
+        assert!(r.batches > r.alone, "the held lock forced batches: {r:?}");
+        calls
+    }
+
+    /// Checks a mixed-route run against its recovered log, which the
+    /// caller has folded through its sequential model: every handle's
+    /// logged ops are exactly its calls, with the results they
+    /// returned, and each value added was taken by a call or drained
+    /// from the recovered structure, exactly once.
+    fn check_mixed_run(report: &RecoveryReport, calls: &[Calls], drained: &[u64]) {
+        assert!(report.ops.iter().all(|op| !op.is_checkpoint()));
+        let mut added = Vec::new();
+        let mut taken = drained.to_vec();
+        for (tid, results) in calls {
+            let logged: Vec<Option<u64>> = report
+                .ops
+                .iter()
+                .filter(|op| op.handle as usize == *tid)
+                .map(|op| op.result.value())
+                .collect();
+            assert_eq!(&logged, results, "handle {tid}: logged results differ");
+            taken.extend(results.iter().flatten());
+        }
+        for op in &report.ops {
+            if matches!(op.opcode, opcode::PUSH | opcode::ENQUEUE) {
+                added.push(op.operand);
+            }
+        }
+        added.sort_unstable();
+        taken.sort_unstable();
+        assert_eq!(added, taken, "a value was lost or taken twice");
+    }
+
+    /// A worker's ops: two adds (`add`, a value unique to the worker and
+    /// op) to one remove (`remove`), with each call's result.
+    fn mixed_calls(
+        t: usize,
+        mut add: impl FnMut(u64),
+        mut remove: impl FnMut() -> Option<u64>,
+    ) -> Vec<Option<u64>> {
+        (0..MIXED_OPS)
+            .map(|i| {
+                if i % 3 == 2 {
+                    remove()
+                } else {
+                    add((t as u64) << 32 | i);
+                    None
+                }
+            })
+            .collect()
+    }
+
+    fn model_result(v: Option<u64>) -> OpResult {
+        v.map_or(OpResult::Empty, OpResult::Value)
+    }
+
+    #[test]
+    fn durable_stack_mixes_lone_and_batched_ops_around_a_held_apply_lock() {
+        let s = SecStack::<u64>::durable(MIXED_HANDLES, mixed_policy()).unwrap();
+        let calls = around_a_held_apply_lock(&s, |h, t| {
+            let h = RefCell::new(h);
+            mixed_calls(t, |v| h.borrow_mut().push(v), || h.borrow_mut().pop())
+        });
+        let heap = s.durable_heap().unwrap();
+        drop(s);
+        let (r, report) = SecStack::<u64>::recover(DurablePolicy::heap(heap)).unwrap();
+        let mut model = Vec::new();
+        for op in &report.ops {
+            match op.opcode {
+                opcode::PUSH => model.push(op.operand),
+                opcode::POP => assert_eq!(op.result, model_result(model.pop())),
+                other => panic!("foreign opcode {other}"),
+            }
+        }
+        let mut h = r.register();
+        let drained: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
+        model.reverse();
+        assert_eq!(drained, model, "the recovered stack is the model's");
+        check_mixed_run(&report, &calls, &drained);
+    }
+
+    #[test]
+    fn durable_queue_mixes_lone_and_batched_ops_around_a_held_apply_lock() {
+        let q = SecQueue::<u64>::durable(MIXED_HANDLES, mixed_policy()).unwrap();
+        let calls = around_a_held_apply_lock(&q, |h, t| {
+            let h = RefCell::new(h);
+            mixed_calls(
+                t,
+                |v| h.borrow_mut().enqueue(v),
+                || h.borrow_mut().dequeue(),
+            )
+        });
+        let heap = q.durable_heap().unwrap();
+        drop(q);
+        let (r, report) = SecQueue::<u64>::recover(DurablePolicy::heap(heap)).unwrap();
+        let mut model = VecDeque::new();
+        for op in &report.ops {
+            match op.opcode {
+                opcode::ENQUEUE => model.push_back(op.operand),
+                opcode::DEQUEUE => assert_eq!(op.result, model_result(model.pop_front())),
+                other => panic!("foreign opcode {other}"),
+            }
+        }
+        let mut h = r.register();
+        let drained: Vec<u64> = std::iter::from_fn(|| h.dequeue()).collect();
+        assert_eq!(
+            drained,
+            Vec::from(model),
+            "the recovered queue is the model's"
+        );
+        check_mixed_run(&report, &calls, &drained);
+    }
+
+    #[test]
+    fn durable_ops_of_more_handles_than_cores_all_finish() {
+        // Four handles: twice the cores of a 2-core host, so a lone op
+        // is often preempted holding the apply lock, and a combiner
+        // queued behind it must still get its turn.
+        const HANDLES: usize = 4;
+        const OPS: u64 = 5_000;
+        let policy = DurablePolicy::volatile().batch_entries(HANDLES);
+        let s = Arc::new(SecStack::<u64>::durable(HANDLES, policy).unwrap());
+        let (tx, rx) = mpsc::channel();
+        for t in 0..HANDLES as u64 {
+            let (s, tx) = (Arc::clone(&s), tx.clone());
+            thread::spawn(move || {
+                let mut h = s.register();
+                for i in 0..OPS {
+                    if (t + i) % 2 == 0 {
+                        h.push(i);
+                    } else {
+                        h.pop();
+                    }
+                }
+                drop(h);
+                tx.send(()).unwrap();
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for finished in 0..HANDLES {
+            rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .unwrap_or_else(|_| panic!("wedged: {finished} of {HANDLES} handles finished"));
+        }
+        let stats = s.durable_stats().unwrap();
+        assert_eq!(stats.entries, HANDLES as u64 * OPS, "{stats:?}");
     }
 }

@@ -15,7 +15,7 @@
 //! * per-batch stats recording ([`SecStats`]),
 //! * the lone-op route that skips the batch when nobody is in it, and
 //!   the one rule that decides when an op takes it ([`LoneRule`],
-//!   [`Sec::run_alone`]),
+//!   [`Sec::run_alone`]; a durable op's is `Sec::run_durable_alone`),
 //! * the crash-durable path — intents, redo log, recovery replay
 //!   (`durable.rs`, DESIGN.md §16).
 //!
@@ -286,8 +286,10 @@ pub trait CombineOp: Sized + Send + Sync {
 
 /// When the engine offers an operation to [`CombineOp::try_alone`]: a
 /// batch pays only when someone joins it, and each rule is the
-/// family's cheapest evidence that nobody will. Durable structures
-/// never go alone: every op must reach the log.
+/// family's cheapest evidence that nobody will. A durable structure's
+/// ops have one rule of their own, whatever the family: they go alone
+/// under a free apply lock, into the log like a combiner's
+/// (DESIGN.md §16 "The lone route").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoneRule {
     /// Every operation announces.
@@ -410,8 +412,9 @@ pub struct Sec<O: CombineOp> {
     bulk_base: usize,
     /// Redo log + intent cells when the structure is crash-durable
     /// (DESIGN.md §16). Every operation of a durable structure then
-    /// routes through [`Sec::run_durable`] onto one of the
-    /// durable shards, which sit after the bulk aggregators. Padded,
+    /// routes through [`Sec::run_durable`]: alone under a free apply
+    /// lock, or else onto one of the durable shards, which sit after
+    /// the bulk aggregators. Padded,
     /// so the core's read-mostly geometry shares no line with the
     /// engine's fields; the core keeps the apply lock and log counters
     /// every batch writes on a padded line of their own.
@@ -1129,6 +1132,10 @@ impl<O: CombineOp> Sec<O> {
         reclaim: &ReclaimHandle<'_>,
         trace: Option<&TraceRecorder>,
     ) -> Result<Option<O::Value>, *mut O::Node> {
+        // A durable op reaches the engine's driver only after its own
+        // lone route (`Sec::run_durable`) found the apply lock taken or
+        // a combiner queued for it, and the family's hook would apply
+        // it unlogged.
         if self.durable.is_some() {
             return Err(node);
         }

@@ -17,7 +17,7 @@
 
 use sec_repro::durable::DurablePolicy;
 use sec_repro::ext::{SecCounter, SecMap, SecQueue};
-use sec_repro::SecStack;
+use sec_repro::{BatchReport, SecStack};
 
 /// The heap geometry of a run (small: the sweep creates hundreds of
 /// heap files). Each shard's 64 records are two halves of 32, so the
@@ -43,7 +43,7 @@ fn next(s: &mut u64) -> u64 {
     z ^ (z >> 33)
 }
 
-fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let s = SecStack::<u64>::durable(threads, policy(path)).expect("create durable stack");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -61,9 +61,10 @@ fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    s.stats().report()
 }
 
-fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let q = SecQueue::<u64>::durable(threads, policy(path)).expect("create durable queue");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -81,9 +82,10 @@ fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    q.stats().report()
 }
 
-fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let c = SecCounter::durable(threads, policy(path)).expect("create durable counter");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -97,9 +99,10 @@ fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    c.stats().report()
 }
 
-fn run_map(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_map(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let m = SecMap::<u64, u64>::durable(threads, policy(path)).expect("create durable map");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -126,6 +129,7 @@ fn run_map(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    m.stats().report()
 }
 
 fn recover(family: &str, path: &str) {
@@ -160,15 +164,24 @@ fn main() {
             let threads: usize = args[4].parse().expect("threads");
             let ops: usize = args[5].parse().expect("ops");
             let seed: u64 = args[6].parse().expect("seed");
-            match family.as_str() {
+            let report = match family.as_str() {
                 "stack" => run_stack(path, threads, ops, seed),
                 "queue" => run_queue(path, threads, ops, seed),
                 "counter" => run_counter(path, threads, ops, seed),
                 "map" => run_map(path, threads, ops, seed),
                 other => panic!("unknown family {other}"),
-            }
+            };
             // Reaching here means the armed fault point never fired
-            // (or none was armed): the workload ran to completion.
+            // (or none was armed): the workload ran to completion. A
+            // lone thread always finds the apply lock free, so each of
+            // its ops took the lone route.
+            if threads == 1 {
+                assert_eq!(
+                    (report.alone, report.ops),
+                    (ops as u64, ops as u64),
+                    "a lone thread's durable ops all go alone"
+                );
+            }
             println!("DONE");
         }
         Some("recover") => recover(&args[2], &args[3]),

@@ -156,12 +156,17 @@ fn a_lone_counter_handle_runs_every_op_alone() {
 }
 
 #[test]
-fn a_lone_durable_stack_handle_still_logs_every_op() {
+fn a_lone_durable_stack_handle_logs_every_op_alone() {
+    // A free apply lock sends each op alone, and alone it still
+    // reaches the log (DESIGN.md §16 "The lone route").
     let policy = DurablePolicy::volatile().record_capacity(4 * LONE_OPS as usize);
     let stack = SecStack::durable(4, policy).expect("volatile durable stack");
     lone_stack_ops(&stack, LONE_OPS);
     let r = stack.stats().report();
-    assert_eq!(r.alone, 0, "durable ops must reach the log: {r:?}");
+    assert_eq!(
+        r.alone, LONE_OPS,
+        "a free apply lock: every op alone: {r:?}"
+    );
     assert_exact("lone durable stack", stack.stats(), LONE_OPS);
     assert_eq!(stack.durable_stats().expect("durable").entries, LONE_OPS);
 }
@@ -259,7 +264,9 @@ fn assert_spins_per_batch(name: &str, stats: &SecStats, spins: u64) {
 // the freezer waits out its window. The counter's and the queue's
 // gates are sec-core unit tests (`counter::tests`, `queue::tests`): an
 // op of theirs whose lane is idle skips the batch, so from the public
-// API a lone thread never reaches their freezers.
+// API a lone thread never reaches their freezers. The same goes for a
+// durable op that finds the apply lock free: the durable shards' gates
+// are in `combine::durable::tests`.
 
 #[test]
 fn a_map_get_freezes_without_spinning() {
@@ -283,40 +290,4 @@ fn a_stack_push_spends_the_whole_window() {
         h.push(i);
     }
     assert_spins_per_batch("stack push", stack.stats(), u64::from(WINDOW));
-}
-
-#[test]
-fn a_durable_stack_shard_spends_the_whole_window() {
-    let stack = SecStack::durable_with_config(spin_only(), DurablePolicy::volatile())
-        .expect("volatile durable stack");
-    let (_idle, mut h) = (stack.register(), stack.register());
-    for i in 0..GATE_OPS {
-        h.push(i);
-    }
-    assert_spins_per_batch("durable stack push", stack.stats(), u64::from(WINDOW));
-}
-
-#[test]
-fn a_durable_shard_waits_for_no_handle_of_another_shard() {
-    // Two shards over `slots` registry slots; the handles take the
-    // lowest slots, so the last one is alone on the second shard (the
-    // 4-thread `durable_bench` geometry: slots 0-2 on shard 0, 3-4 on
-    // shard 1). Its freezer has no one to wait for.
-    for (slots, handles) in [(2, 2), (5, 4)] {
-        let config = SecConfig::new(1, slots)
-            .freezer_backoff(WINDOW)
-            .freezer_yields(0);
-        let stack = SecStack::durable_with_config(config, DurablePolicy::volatile().shards(2))
-            .expect("volatile durable stack");
-        let mut hs: Vec<_> = (0..handles).map(|_| stack.register()).collect();
-        let h = hs.last_mut().expect("a handle");
-        for i in 0..GATE_OPS {
-            h.push(i);
-        }
-        assert_spins_per_batch(
-            &format!("durable shard 1 of {slots} slots"),
-            stack.stats(),
-            0,
-        );
-    }
 }

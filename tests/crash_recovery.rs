@@ -25,7 +25,9 @@
 //! Sweep size: `CRASH_SEEDS=N` (default 1) multiplies the workload
 //! seeds; every seed covers crash points 1..=5, 7 and 8 × triggers
 //! 1..=13 per family — 91 seeded crash points per family at the
-//! default. A failing case panics with the exact `CRASH_*` replay
+//! default — over a three-thread child, whose ops mix the lone route
+//! and the batch path, and again over a one-thread child, whose ops all
+//! go alone. A failing case panics with the exact `CRASH_*` replay
 //! tuple.
 
 use std::collections::{HashMap, VecDeque};
@@ -335,8 +337,9 @@ fn recover_report(family: &str, path: &PathBuf, ctx: &str) -> RecoveryReport {
     }
 }
 
-/// One family's full sweep: every crash point × trigger count × seed.
-fn sweep(family: &str) {
+/// One family's full sweep: every crash point × trigger count × seed,
+/// over a child of `threads` threads.
+fn sweep(family: &str, threads: usize) {
     let mut crashed = 0usize;
     let mut cases = 0usize;
     for seed in seeds() {
@@ -346,16 +349,17 @@ fn sweep(family: &str) {
                 // The replay tuple: re-run one case by pasting this
                 // into the environment of `cargo test crash_`.
                 let ctx = format!(
-                    "CRASH_FAMILY={family} SEC_CRASH_POINT={point} SEC_CRASH_AFTER={after} CRASH_SEED={seed}"
+                    "CRASH_FAMILY={family} CRASH_THREADS={threads} SEC_CRASH_POINT={point} \
+                     SEC_CRASH_AFTER={after} CRASH_SEED={seed}"
                 );
-                let path = heap_path(&format!("{family}_{point}_{after}_{seed}"));
+                let path = heap_path(&format!("{family}_{threads}_{point}_{after}_{seed}"));
                 let _ = std::fs::remove_file(&path);
                 let killed = spawn_child(
                     &[
                         "run",
                         family,
                         path.to_str().unwrap(),
-                        &THREADS.to_string(),
+                        &threads.to_string(),
                         &OPS.to_string(),
                         &seed.to_string(),
                     ],
@@ -389,22 +393,49 @@ fn sweep(family: &str) {
 
 #[test]
 fn kill_9_sweep_stack() {
-    sweep("stack");
+    sweep("stack", THREADS);
 }
 
 #[test]
 fn kill_9_sweep_queue() {
-    sweep("queue");
+    sweep("queue", THREADS);
 }
 
 #[test]
 fn kill_9_sweep_counter() {
-    sweep("counter");
+    sweep("counter", THREADS);
 }
 
 #[test]
 fn kill_9_sweep_map() {
-    sweep("map");
+    sweep("map", THREADS);
+}
+
+/// The sweep over a one-thread child, every op of which finds the
+/// apply lock free and takes the lone route (DESIGN.md §16 "The lone
+/// route"; an unarmed one-thread child asserts that it did). The lone
+/// route must reach every crash point the batch path does, mid-publish
+/// included: just after its commit, before its op returns.
+#[test]
+fn kill_9_sweep_of_a_lone_thread() {
+    for family in FAMILIES {
+        let path = heap_path(&format!("lone_{family}"));
+        let _ = std::fs::remove_file(&path);
+        let args = [
+            "run",
+            family,
+            path.to_str().unwrap(),
+            "1",
+            &OPS.to_string(),
+            "3",
+        ];
+        assert!(
+            !spawn_child(&args, None),
+            "CRASH_FAMILY={family}: an unarmed one-thread child must run to completion"
+        );
+        let _ = std::fs::remove_file(&path);
+        sweep(family, 1);
+    }
 }
 
 /// Satellite 3, second half: SIGKILL *during recovery* (the
