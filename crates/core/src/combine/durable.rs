@@ -557,10 +557,11 @@ pub struct DurableStats {
     pub checkpoints: u64,
 }
 
-/// A durable op request, announced by value from the caller's stack
-/// frame (cast to the engine's node type, exactly like the bulk-op
-/// requests). The combiner fills `rtag`/`result`; the engine's
-/// release publish makes them visible to the announcer.
+/// A durable op request on the caller's stack frame, announced by
+/// value when the op batches (cast to the engine's node type, exactly
+/// like the bulk-op requests). Whoever logs it — the combiner, or the
+/// op itself on the lone route — fills `rtag`/`result`; for a batched
+/// op the engine's release publish makes them visible to the announcer.
 #[repr(C)]
 pub(crate) struct DurableReq {
     pub handle: u32,

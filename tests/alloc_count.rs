@@ -284,8 +284,9 @@ fn steady_state_ops_perform_zero_heap_allocations() {
     }
 
     // --- Durable stack: intents, log records and checkpoints. --------
-    // Every durable op writes its intent cell and is logged by its
-    // batch's combiner straight into the shard's open record, and a
+    // Every durable op writes its intent cell and is logged straight
+    // into the shard's open record (here alone, by the op itself: the
+    // handle is the only one, so the apply lock is always free), and a
     // checkpoint writes the stack's op list straight into the heap,
     // so a warm durable burst must stay off the heap too. The log's
     // halves hold 12k records and a burst takes one per op (12k): the
